@@ -13,7 +13,8 @@ from .authenticate import (
     Verdict,
     attribute,
     authenticate_all,
-    detect_attack,
+    decide,
+    score,
     softmax,
 )
 from .bus import (

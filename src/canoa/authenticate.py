@@ -1,9 +1,14 @@
 """Sender attribution and impersonation-attack classification.
 
-For each decoded transmission, every source address's model scores the
-feature extracted from its owning ECU's power trace at the transmission
-start. The winning model (highest calibrated transmission probability,
-above the decision threshold delta) names the actual sender:
+Scoring has one path. :func:`score` gives every source address's
+calibrated transmission probability for a batch of transmissions, from
+the feature of its owning ECU's power trace at each transmission start.
+:func:`decide` turns one row of that matrix into a :class:`Verdict`.
+:func:`authenticate_all` is ``score`` then ``decide`` per row, and
+:func:`attribute` is the same for a batch of one.
+
+The winning model (highest calibrated transmission probability, above
+the decision threshold delta) names the actual sender:
 
 - winner owned by the purported sender's ECU -> Authentic (confusion
   between two addresses of the same ECU still identifies the
@@ -18,15 +23,15 @@ so downstream reporting keeps a distribution that sums to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .features import NormStats, PcaBasis, Tau, TukeyParams, ecu_spectra, extract_feature
+from .features import NormStats, PcaBasis, Tau, TukeyParams, ecu_spectra
 from .frames import DecodedTransmission, SourceAddressMap
-from .svm import SvmModel, predict_proba
+from .svm import SvmModel, platt_proba
 from .trace import SampledTrace
 
 TIE_TOLERANCE = 1e-12
@@ -69,12 +74,6 @@ class ModelBundle:
     def sas(self) -> list[int]:
         return [e.sa for e in self.entries]
 
-    def entry(self, sa: int) -> SaEntry:
-        for e in self.entries:
-            if e.sa == sa:
-                return e
-        raise KeyError(sa)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -104,35 +103,62 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _winner(sas: Sequence[int], p_tx: np.ndarray) -> tuple[int, bool]:
-    """Maximal SA with ties resolved toward the lowest address."""
-    top = float(p_tx.max())
-    contenders = [sa for sa, p in zip(sas, p_tx) if top - p <= TIE_TOLERANCE]
-    return min(contenders), len(contenders) > 1
-
-
-def _decide(
-    claimed_sa: int | None,
-    sas: Sequence[int],
-    p_tx: np.ndarray,
+def score(
+    transmissions: Sequence[DecodedTransmission],
+    powers: Mapping[int, SampledTrace],
     bundle: ModelBundle,
-) -> tuple[Decision, tuple[int, int] | None, int | None, int, bool, tuple[int, ...]]:
-    winner_sa, tie = _winner(sas, p_tx)
-    positives = tuple(sa for sa, p in zip(sas, p_tx) if p > bundle.delta)
-    has_winner = float(p_tx.max()) > bundle.delta
-    purported_ecu = bundle.samap.owners.get(claimed_sa) if claimed_sa is not None else None
-    if not has_winner:
-        decision, true_source, flagged = Decision.ADDED_MODULE, None, None
-    else:
+) -> np.ndarray:
+    """Calibrated transmission probabilities, one row per transmission.
+
+    Column k belongs to ``bundle.entries[k]``. Spectra and principal
+    coordinates are computed once per ECU and shared by its addresses.
+    """
+    p = np.empty((len(transmissions), len(bundle.entries)))
+    if not transmissions:
+        return p
+    coords_by_ecu: dict[int, np.ndarray] = {}
+    for k, entry in enumerate(bundle.entries):
+        if entry.ecu not in coords_by_ecu:
+            spectra = ecu_spectra(
+                powers[entry.ecu], entry.stats, transmissions, bundle.tau, bundle.window
+            )
+            coords_by_ecu[entry.ecu] = entry.basis.transform(spectra)
+        margins = coords_by_ecu[entry.ecu] @ entry.model.weights + entry.model.bias
+        p[:, k] = platt_proba(margins, *entry.model.calibration)
+    return p
+
+
+def decide(claimed_sa: int | None, t: float, p_row: np.ndarray, bundle: ModelBundle) -> Verdict:
+    """The verdict for one transmission from its row of :func:`score`.
+
+    The winner is the maximal SA, ties resolved toward the lowest address.
+    """
+    sas = bundle.sas
+    values = np.asarray(p_row, dtype=np.float64).tolist()
+    top = max(values)
+    contenders = [sa for sa, p in zip(sas, values) if top - p <= TIE_TOLERANCE]
+    winner_sa = min(contenders)
+    positives = tuple(sa for sa, p in zip(sas, values) if p > bundle.delta)
+    decision, true_source, flagged = Decision.ADDED_MODULE, None, None
+    if top > bundle.delta:
         winner_ecu = bundle.samap.owners[winner_sa]
-        if purported_ecu is not None and winner_ecu == purported_ecu:
-            decision, true_source, flagged = Decision.AUTHENTIC, None, None
+        if claimed_sa is not None and bundle.samap.owners.get(claimed_sa) == winner_ecu:
+            decision = Decision.AUTHENTIC
         else:
             decision = Decision.IMPERSONATION
-            true_source = (winner_ecu, winner_sa)
-            flagged = winner_ecu
-    multiple = positives if len(positives) > 1 else ()
-    return decision, true_source, flagged, winner_sa, tie, multiple
+            true_source, flagged = (winner_ecu, winner_sa), winner_ecu
+    return Verdict(
+        t=t,
+        claimed_sa=claimed_sa,
+        p_tx=dict(zip(sas, values)),
+        softmax_probs=dict(zip(sas, softmax(values).tolist())),
+        attributed_sa=winner_sa,
+        decision=decision,
+        true_source=true_source,
+        flagged_compromised=flagged,
+        tie=len(contenders) > 1,
+        multiple_positive=positives if len(positives) > 1 else (),
+    )
 
 
 def attribute(
@@ -141,72 +167,8 @@ def attribute(
     bundle: ModelBundle,
 ) -> Verdict:
     """Score every SA model at the transmission start and decide the sender."""
-    p_values = []
-    for entry in bundle.entries:
-        feat = extract_feature(
-            powers[entry.ecu], entry.stats, transmission.t, bundle.tau, bundle.window, entry.basis
-        )
-        p_values.append(predict_proba(entry.model, feat)[1])
-    p_tx = np.asarray(p_values)
-    sm = softmax(p_tx)
-    sas = bundle.sas
-    decision, true_source, flagged, winner_sa, tie, multiple = _decide(
-        transmission.sa, sas, p_tx, bundle
-    )
-    return Verdict(
-        t=transmission.t,
-        claimed_sa=transmission.sa,
-        p_tx=dict(zip(sas, (float(p) for p in p_tx))),
-        softmax_probs=dict(zip(sas, (float(p) for p in sm))),
-        attributed_sa=winner_sa,
-        decision=decision,
-        true_source=true_source,
-        flagged_compromised=flagged,
-        tie=tie,
-        multiple_positive=multiple,
-    )
-
-
-def detect_attack(
-    transmission: DecodedTransmission | None,
-    draft: Verdict,
-    powers: Mapping[int, SampledTrace],
-    bundle: ModelBundle,
-) -> Verdict:
-    """Finalize the attack classification for a (possibly partial) draft.
-
-    Missing per-SA probabilities are computed from the power traces, so a
-    draft that only scored the purported sender is completed here before
-    the decision rules run. The draft carries the claimed SA and start
-    time; ``transmission`` is only consulted as a fallback for the
-    latter.
-    """
-    t = draft.t if transmission is None else transmission.t
-    p_map = dict(draft.p_tx)
-    for entry in bundle.entries:
-        if entry.sa in p_map:
-            continue
-        feat = extract_feature(
-            powers[entry.ecu], entry.stats, t, bundle.tau, bundle.window, entry.basis
-        )
-        p_map[entry.sa] = predict_proba(entry.model, feat)[1]
-    sas = bundle.sas
-    p_tx = np.asarray([p_map[sa] for sa in sas])
-    sm = softmax(p_tx)
-    decision, true_source, flagged, winner_sa, tie, multiple = _decide(
-        draft.claimed_sa, sas, p_tx, bundle
-    )
-    return replace(
-        draft,
-        p_tx={sa: float(p) for sa, p in zip(sas, p_tx)},
-        softmax_probs={sa: float(p) for sa, p in zip(sas, sm)},
-        attributed_sa=winner_sa,
-        decision=decision,
-        true_source=true_source,
-        flagged_compromised=flagged,
-        tie=tie,
-        multiple_positive=multiple,
-    )
+    p = score([transmission], powers, bundle)
+    return decide(transmission.sa, transmission.t, p[0], bundle)
 
 
 def authenticate_all(
@@ -214,46 +176,6 @@ def authenticate_all(
     powers: Mapping[int, SampledTrace],
     bundle: ModelBundle,
 ) -> list[Verdict]:
-    """Batch attribution over many transmissions.
-
-    Feature extraction is vectorized per ECU; the verdicts are identical
-    to calling :func:`attribute` one transmission at a time.
-    """
-    if not transmissions:
-        return []
-    sas = bundle.sas
-    p_columns: dict[int, np.ndarray] = {}
-    coords_by_ecu: dict[int, np.ndarray] = {}
-    for entry in bundle.entries:
-        if entry.ecu not in coords_by_ecu:
-            spectra = ecu_spectra(
-                powers[entry.ecu], entry.stats, transmissions, bundle.tau, bundle.window
-            )
-            coords_by_ecu[entry.ecu] = entry.basis.transform(spectra)
-        coords = coords_by_ecu[entry.ecu]
-        margins = coords @ entry.model.weights + entry.model.bias
-        a, b = entry.model.calibration
-        f = a * margins + b
-        p = np.where(f >= 0, np.exp(-np.minimum(f, 700)) / (1 + np.exp(-np.minimum(f, 700))),
-                     1.0 / (1.0 + np.exp(np.maximum(f, -700))))
-        p_columns[entry.sa] = p
-    verdicts = []
-    for i, tx in enumerate(transmissions):
-        p_tx = np.asarray([p_columns[sa][i] for sa in sas])
-        sm = softmax(p_tx)
-        decision, true_source, flagged, winner_sa, tie, multiple = _decide(tx.sa, sas, p_tx, bundle)
-        verdicts.append(
-            Verdict(
-                t=tx.t,
-                claimed_sa=tx.sa,
-                p_tx=dict(zip(sas, (float(x) for x in p_tx))),
-                softmax_probs=dict(zip(sas, (float(x) for x in sm))),
-                attributed_sa=winner_sa,
-                decision=decision,
-                true_source=true_source,
-                flagged_compromised=flagged,
-                tie=tie,
-                multiple_positive=multiple,
-            )
-        )
-    return verdicts
+    """Verdicts for many transmissions, in order."""
+    p = score(transmissions, powers, bundle)
+    return [decide(tx.sa, tx.t, row, bundle) for tx, row in zip(transmissions, p)]

@@ -308,7 +308,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--delta", type=float, default=None, help="override the decision threshold")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers where supported")
         p.add_argument("--format", choices=("csv", "text"), default="text")
 
     p_sim = sub.add_parser("simulate", help="synthesize traces and ground truth")
@@ -329,6 +328,7 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="run the bus-speed x format x program grid")
     common(p_sweep)
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_all = sub.add_parser("all", help="simulate, train, and authenticate in one directory")

@@ -39,15 +39,6 @@ def _parse_float(raw: str) -> float:
     return float(raw)
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw}")
-
-
 def _parse_split(raw: str) -> tuple[float, float, float]:
     parts = [float(p) for p in raw.split(",")]
     if len(parts) != 3:
@@ -148,10 +139,8 @@ class _View:
 
     def __init__(self, values: dict[str, tuple[object, int]]):
         self._values = values
-        self.consumed: set[str] = set()
 
     def get(self, key: str, default=None):
-        self.consumed.add(key)
         if key in self._values:
             return self._values[key][0]
         return default

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -248,9 +250,6 @@ class FactorGrid:
     def complete(self) -> bool:
         return not self.errors and bool(self.reports)
 
-    def accuracy(self, cell: FactorCell) -> float:
-        return self.reports[cell.key()].accuracy
-
 
 DEFAULT_BITRATES = (125_000.0, 250_000.0, 500_000.0)
 DEFAULT_FORMATS = ("standard", "extended")
@@ -270,6 +269,16 @@ def grid_cells(
     ]
 
 
+def _run_cell(scenario, pipeline_cfg, train_cfg) -> tuple[MetricReport | None, str | None]:
+    """One sweep cell's report, or the error that stopped it."""
+    from . import workflow  # deferred: workflow builds on this module
+
+    try:
+        return workflow.run_cell(scenario, pipeline_cfg, train_cfg), None
+    except Exception as exc:  # recorded, not fatal
+        return None, str(exc)
+
+
 def factor_sweep(
     base,
     cells: Sequence[FactorCell] | None = None,
@@ -280,11 +289,14 @@ def factor_sweep(
 ) -> FactorGrid:
     """Run the full pipeline once per factor cell and collect metrics.
 
-    Per-cell failures are recorded in the grid's ``errors`` rather than
-    aborting the sweep. Results are keyed and merged deterministically,
-    whatever the job count.
+    Per-cell failures are logged and recorded in the grid's ``errors``
+    rather than aborting the sweep. Cells run in a process pool when
+    ``jobs > 1``; the grid is the same whatever the job count.
     """
-    from . import workflow  # deferred: workflow builds on this module
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from . import workflow
 
     if cells is None:
         cells = grid_cells()
@@ -292,31 +304,16 @@ def factor_sweep(
         seeds = [base.seed + 101 * i for i in range(len(cells))]
     if len(seeds) != len(cells):
         raise ValueError("one seed per cell required")
+    scenarios = [workflow.scenario_for_cell(base, cell, seed) for cell, seed in zip(cells, seeds)]
+    run = partial(_run_cell, pipeline_cfg=pipeline_cfg, train_cfg=train_cfg)
     grid = FactorGrid()
-    tasks = [
-        (cell, workflow.scenario_for_cell(base, cell, seed)) for cell, seed in zip(cells, seeds)
-    ]
-    if jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(workflow.run_cell, scenario, pipeline_cfg, train_cfg): cell
-                for cell, scenario in tasks
-            }
-            results = {}
-            for fut, cell in futures.items():
-                try:
-                    results[cell.key()] = fut.result()
-                except Exception as exc:  # recorded, not fatal
-                    grid.errors[cell.key()] = str(exc)
-            for key in sorted(results, key=repr):
-                grid.reports[key] = results[key]
-    else:
-        for cell, scenario in tasks:
-            try:
-                grid.reports[cell.key()] = workflow.run_cell(scenario, pipeline_cfg, train_cfg)
-            except Exception as exc:
-                log.warning("sweep cell %s failed: %s", cell, exc)
-                grid.errors[cell.key()] = str(exc)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(jobs, spawn) if jobs > 1 else nullcontext() as pool:
+        results = pool.map(run, scenarios) if pool else map(run, scenarios)
+        for cell, (report, error) in zip(cells, results):
+            if error is None:
+                grid.reports[cell.key()] = report
+            else:
+                log.warning("sweep cell %s failed: %s", cell, error)
+                grid.errors[cell.key()] = error
     return grid

@@ -177,21 +177,23 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     return PcaBasis(mean=mean, components=components, explained_variance=explained)
 
 
-def _segment_matrix(
+def _spectra(
     trace: SampledTrace,
     stats: NormStats,
-    starts: np.ndarray,
-    n_samples: int,
+    times: Sequence[float],
+    tau: Tau,
+    win: TukeyParams,
 ) -> np.ndarray:
-    """Normalized tau-length segments, one row per start index."""
-    n = trace.samples.size
-    if starts.min() < 0 or starts.max() + n_samples > n:
+    """Normalized, tapered tau-length segment spectra, one row per start time."""
+    n_samples = tau.sample_count(trace.sample_rate)
+    starts = np.array([trace.index_of(t) for t in times], dtype=np.int64)
+    if starts.min() < 0 or starts.max() + n_samples > trace.samples.size:
         raise OutOfBounds("a transmission window falls outside the trace")
-    idx = starts[:, None] + np.arange(n_samples)[None, :]
-    seg = trace.samples[idx].astype(np.float64)
-    seg -= stats.mean
-    seg /= stats.std
-    return seg
+    segs = trace.samples[starts[:, None] + np.arange(n_samples)[None, :]].astype(np.float64)
+    segs -= stats.mean
+    segs /= stats.std
+    segs *= tukey_window(n_samples, win)[None, :]
+    return np.abs(np.fft.rfft(segs, axis=1))
 
 
 def extract_feature(
@@ -207,11 +209,7 @@ def extract_feature(
     The window may well cover an interval where this ECU was not
     transmitting; that is the non-transmission class by construction.
     """
-    n_samples = tau.sample_count(trace.sample_rate)
-    start = np.array([trace.index_of(t)])
-    seg = _segment_matrix(trace, stats, start, n_samples)[0]
-    seg *= tukey_window(n_samples, win)
-    return basis.transform(np.abs(np.fft.rfft(seg)))
+    return basis.transform(_spectra(trace, stats, [t], tau, win)[0])
 
 
 def ecu_spectra(
@@ -222,11 +220,7 @@ def ecu_spectra(
     win: TukeyParams,
 ) -> np.ndarray:
     """Spectra matrix (one row per transmission) for a single ECU trace."""
-    n_samples = tau.sample_count(trace.sample_rate)
-    starts = np.array([trace.index_of(tx.t) for tx in transmissions], dtype=np.int64)
-    segs = _segment_matrix(trace, stats, starts, n_samples)
-    segs *= tukey_window(n_samples, win)[None, :]
-    return np.abs(np.fft.rfft(segs, axis=1))
+    return _spectra(trace, stats, [tx.t for tx in transmissions], tau, win)
 
 
 def build_datasets(

@@ -230,6 +230,16 @@ def _optimize(
     return w_raw, b_raw, train_curve, val_curve, converged, conv_index
 
 
+def platt_proba(margins, a: float, b: float) -> np.ndarray:
+    """Calibrated transmission probability 1 / (1 + exp(a*m + b)) per margin.
+
+    Both branches use exp(-|a*m + b|), which never overflows.
+    """
+    f = a * np.asarray(margins, dtype=np.float64) + b
+    z = np.exp(-np.abs(f))
+    return np.where(f >= 0, z / (1 + z), 1 / (1 + z))
+
+
 def platt_fit(margins: np.ndarray, labels: np.ndarray, max_iter: int = 100) -> tuple[float, float]:
     """Sigmoid parameters (A, B) by Newton iterations on the NLL.
 
@@ -257,8 +267,7 @@ def platt_fit(margins: np.ndarray, labels: np.ndarray, max_iter: int = 100) -> t
 
     fval = nll(a, b)
     for _ in range(max_iter):
-        f = deci * a + b
-        p = np.where(f >= 0, np.exp(-f) / (1 + np.exp(-f)), 1 / (1 + np.exp(f)))
+        p = platt_proba(deci, a, b)
         q = 1.0 - p
         d2 = p * q
         h11 = float((deci * deci * d2).sum()) + sigma
@@ -284,13 +293,6 @@ def platt_fit(margins: np.ndarray, labels: np.ndarray, max_iter: int = 100) -> t
         else:
             break
     return a, b
-
-
-def _sigmoid_ab(margin: float, a: float, b: float) -> float:
-    f = a * margin + b
-    if f >= 0:
-        return math.exp(-f) / (1.0 + math.exp(-f))
-    return 1.0 / (1.0 + math.exp(f))
 
 
 def train(ds: FeatureDataset, cfg: TrainConfig) -> tuple[SvmModel, LearningCurve]:
@@ -334,8 +336,7 @@ def predict_proba(model: SvmModel, x: np.ndarray) -> tuple[float, float]:
         )
     if not np.isfinite(x).all():
         raise ValueError("feature vector contains non-finite values")
-    a, b = model.calibration
-    p_tx = _sigmoid_ab(float(model.margin(x)), a, b)
+    p_tx = float(platt_proba(model.margin(x), *model.calibration))
     return 1.0 - p_tx, p_tx
 
 

@@ -14,7 +14,7 @@ import io
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -35,6 +35,7 @@ _TRACE_HEADER = struct.Struct("<4sHBHIQQ")
 BUNDLE_MAGIC = b"CBND"
 BUNDLE_FOOTER = b"CEND"
 BUNDLE_VERSION = 1
+_TRAINING_META_FIELDS = {f.name for f in fields(TrainingMeta)}
 
 GROUND_TRUTH_HEADER = ["t_sec", "frame_id", "claimed_sa", "true_source", "attack_kind"]
 ADDED_MODULE_SOURCE = "added_module"
@@ -207,7 +208,6 @@ def save_bundle(path: Path | str, bundle: ModelBundle) -> None:
     }
     sections: list[tuple[str, bytes]] = []
     for e in bundle.entries:
-        m = e.model.meta
         meta["entries"].append(
             {
                 "sa": e.sa,
@@ -216,14 +216,7 @@ def save_bundle(path: Path | str, bundle: ModelBundle) -> None:
                 "calibration": list(e.model.calibration),
                 "norm_mean": e.stats.mean,
                 "norm_std": e.stats.std,
-                "meta": {
-                    "iterations": m.iterations,
-                    "final_loss": m.final_loss,
-                    "epsilon": m.epsilon,
-                    "converged": m.converged,
-                    "convergence_index": m.convergence_index,
-                    "validation_accuracy": m.validation_accuracy,
-                },
+                "meta": asdict(e.model.meta),
                 "pca_shape": list(e.basis.components.shape),
             }
         )
@@ -281,19 +274,16 @@ def load_bundle(path: Path | str) -> ModelBundle:
             components=np.frombuffer(sections[f"pca_components/{sa}"], dtype="<f8").reshape(shape),
             explained_variance=np.frombuffer(sections[f"pca_variance/{sa}"], dtype="<f8"),
         )
-        mm = em["meta"]
+        if set(em["meta"]) != _TRAINING_META_FIELDS:
+            raise FileFormatError(
+                f"{path}: SA {sa} training meta has fields {sorted(em['meta'])}, "
+                f"expected {sorted(_TRAINING_META_FIELDS)}"
+            )
         model = SvmModel(
             weights=weights,
             bias=em["bias"],
             calibration=tuple(em["calibration"]),
-            meta=TrainingMeta(
-                iterations=mm["iterations"],
-                final_loss=mm["final_loss"],
-                epsilon=mm["epsilon"],
-                converged=mm["converged"],
-                convergence_index=mm["convergence_index"],
-                validation_accuracy=mm["validation_accuracy"],
-            ),
+            meta=TrainingMeta(**em["meta"]),
         )
         entries.append(
             SaEntry(

@@ -14,6 +14,8 @@ import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .authenticate import Decision, ModelBundle, SaEntry, Verdict, authenticate_all
 from .bus import AttackKind, GroundTruthLog, ProgramActivity, Scenario, simulate
 from .errors import MissingChannel
@@ -38,7 +40,6 @@ class PipelineConfig:
     tukey_alpha: float = 0.25
     delta: float = 0.5
     calib_len: int = 100_000
-    tau_limit: int | None = None
 
 
 @dataclass
@@ -83,7 +84,7 @@ def build_bundle(
     if missing:
         raise MissingChannel(f"no power trace for ECU index(es) {missing}")
     valid = [d for d in decoded if d.crc_ok and d.sa is not None]
-    tau = estimate_tau(valid, pcfg.tau_limit)
+    tau = estimate_tau(valid)
     usable = usable_transmissions(decoded, powers, tau)
     window = TukeyParams(pcfg.tukey_alpha)
     datasets, bases, stats = build_datasets(
@@ -121,6 +122,25 @@ def holdout_transmissions(
     return result.transmissions[te]
 
 
+def _nearest_time(times, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest of the sorted ``times`` to each query, and its distance.
+
+    An equal distance picks the earlier time. With no times every
+    distance is infinite.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    if times.size == 0:
+        return np.zeros(queries.size, dtype=np.intp), np.full(queries.size, np.inf)
+    after = np.searchsorted(times, queries)
+    hi = np.minimum(after, times.size - 1)
+    lo = np.maximum(after - 1, 0)
+    d_hi = np.abs(times[hi] - queries)
+    d_lo = np.abs(times[lo] - queries)
+    take_hi = d_hi < d_lo
+    return np.where(take_hi, hi, lo), np.where(take_hi, d_hi, d_lo)
+
+
 def normal_transmissions(
     decoded: Sequence[DecodedTransmission],
     truth: GroundTruthLog,
@@ -133,43 +153,19 @@ def normal_transmissions(
     attack frame's claimed SA names an ECU that never transmitted it.
     """
     attack_times = sorted(e.t for e in truth.entries if e.kind is not AttackKind.NORMAL)
-    if not attack_times:
-        return list(decoded)
-    import bisect
-
-    kept = []
-    for d in decoded:
-        i = bisect.bisect_left(attack_times, d.t)
-        near = min(
-            (abs(attack_times[j] - d.t) for j in (i - 1, i) if 0 <= j < len(attack_times)),
-            default=float("inf"),
-        )
-        if near > tolerance:
-            kept.append(d)
-    return kept
+    _, dist = _nearest_time(attack_times, [d.t for d in decoded])
+    return [d for d, near in zip(decoded, dist) if near > tolerance]
 
 
 def align_truth(
     verdicts: Sequence[Verdict], truth: GroundTruthLog, tolerance: float = 2e-4
 ) -> list[tuple[Verdict, "AttackKind"]]:
     """Pair each verdict with the ground-truth kind of the nearest frame."""
-    pairs = []
-    entries = truth.entries
-    times = [e.t for e in entries]
-    import bisect
-
-    for v in verdicts:
-        i = bisect.bisect_left(times, v.t)
-        best = None
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(entries):
-                d = abs(entries[j].t - v.t)
-                if best is None or d < best[0]:
-                    best = (d, entries[j])
-        if best is None or best[0] > tolerance:
-            raise ValueError(f"no ground-truth frame within {tolerance}s of t={v.t}")
-        pairs.append((v, best[1]))
-    return pairs
+    idx, dist = _nearest_time([e.t for e in truth.entries], [v.t for v in verdicts])
+    far = np.flatnonzero(dist > tolerance)
+    if far.size:
+        raise ValueError(f"no ground-truth frame within {tolerance}s of t={verdicts[far[0]].t}")
+    return [(v, truth.entries[i]) for v, i in zip(verdicts, idx)]
 
 
 def sender_confusion(

@@ -9,10 +9,10 @@ from canoa.authenticate import (
     Decision,
     ModelBundle,
     SaEntry,
-    Verdict,
     attribute,
     authenticate_all,
-    detect_attack,
+    decide,
+    score,
     softmax,
 )
 from canoa.bus import truck_scenario, simulate
@@ -50,7 +50,7 @@ def test_softmax_rejects_empty_and_nonfinite():
         softmax(np.array([1.0, np.nan]))
 
 
-# ------------------------------------------------- decision rules via drafts
+# ------------------------------------------------------------ decision rules
 
 
 def stub_bundle(owners: dict[int, int], delta: float = 0.5) -> ModelBundle:
@@ -72,15 +72,9 @@ def stub_bundle(owners: dict[int, int], delta: float = 0.5) -> ModelBundle:
     )
 
 
-def draft_with(p_tx: dict[int, float], claimed_sa: int) -> Verdict:
-    return Verdict(
-        t=0.0,
-        claimed_sa=claimed_sa,
-        p_tx=p_tx,
-        softmax_probs={},
-        attributed_sa=None,
-        decision=Decision.ADDED_MODULE,
-    )
+def row(p_tx: dict[int, float], bundle: ModelBundle) -> np.ndarray:
+    """Per-SA probabilities in the bundle's column order, as :func:`score` gives them."""
+    return np.array([p_tx[sa] for sa in bundle.sas])
 
 
 TRUCK_OWNERS = {0: 0, 15: 0, 11: 1}
@@ -88,7 +82,7 @@ TRUCK_OWNERS = {0: 0, 15: 0, 11: 1}
 
 def test_purported_sender_wins_is_authentic():
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = detect_attack(None, draft_with({0: 0.95, 15: 0.2, 11: 0.1}, claimed_sa=0), {}, bundle)
+    v = decide(0, 0.0, row({0: 0.95, 15: 0.2, 11: 0.1}, bundle), bundle)
     assert v.decision is Decision.AUTHENTIC
     assert v.attributed_sa == 0
     assert v.flagged_compromised is None
@@ -98,14 +92,14 @@ def test_purported_sender_wins_is_authentic():
 def test_sibling_confusion_stays_authentic():
     # SA 15 wins for a frame claiming SA 0: same ECU, still the right sender
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = detect_attack(None, draft_with({0: 0.55, 15: 0.8, 11: 0.05}, claimed_sa=0), {}, bundle)
+    v = decide(0, 0.0, row({0: 0.55, 15: 0.8, 11: 0.05}, bundle), bundle)
     assert v.decision is Decision.AUTHENTIC
     assert v.attributed_sa == 15
 
 
 def test_other_ecu_winning_is_impersonation_with_flag():
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = detect_attack(None, draft_with({0: 0.1, 15: 0.15, 11: 0.92}, claimed_sa=0), {}, bundle)
+    v = decide(0, 0.0, row({0: 0.1, 15: 0.15, 11: 0.92}, bundle), bundle)
     assert v.decision is Decision.IMPERSONATION
     assert v.true_source == (1, 11)
     assert v.flagged_compromised == 1
@@ -113,21 +107,21 @@ def test_other_ecu_winning_is_impersonation_with_flag():
 
 def test_all_below_delta_is_added_module():
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = detect_attack(None, draft_with({0: 0.3, 15: 0.4, 11: 0.2}, claimed_sa=0), {}, bundle)
+    v = decide(0, 0.0, row({0: 0.3, 15: 0.4, 11: 0.2}, bundle), bundle)
     assert v.decision is Decision.ADDED_MODULE
     assert v.flagged_compromised is None
 
 
 def test_exact_tie_resolves_to_lowest_sa_and_records_it():
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = detect_attack(None, draft_with({0: 0.8, 15: 0.8, 11: 0.1}, claimed_sa=0), {}, bundle)
+    v = decide(0, 0.0, row({0: 0.8, 15: 0.8, 11: 0.1}, bundle), bundle)
     assert v.attributed_sa == 0
     assert v.tie
 
 
 def test_multiple_positives_are_recorded():
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = detect_attack(None, draft_with({0: 0.7, 15: 0.9, 11: 0.8}, claimed_sa=0), {}, bundle)
+    v = decide(0, 0.0, row({0: 0.7, 15: 0.9, 11: 0.8}, bundle), bundle)
     assert set(v.multiple_positive) == {0, 15, 11}
     assert v.decision is Decision.AUTHENTIC  # winner 15 is still the right ECU
 
@@ -137,7 +131,7 @@ def test_decision_is_exactly_one_of_the_three():
     rng = np.random.default_rng(1)
     for _ in range(200):
         p = {sa: float(rng.uniform()) for sa in TRUCK_OWNERS}
-        v = detect_attack(None, draft_with(p, claimed_sa=0), {}, bundle)
+        v = decide(0, 0.0, row(p, bundle), bundle)
         assert v.decision in (Decision.AUTHENTIC, Decision.IMPERSONATION, Decision.ADDED_MODULE)
         is_imp = v.decision is Decision.IMPERSONATION
         assert (v.true_source is not None) == is_imp
@@ -201,24 +195,6 @@ def test_batch_matches_single_attribution(truck_run):
         assert vs.attributed_sa == vb.attributed_sa
         for sa in result.bundle.sas:
             assert math.isclose(vs.p_tx[sa], vb.p_tx[sa], rel_tol=1e-9, abs_tol=1e-12)
-
-
-def test_detect_attack_completes_partial_draft(truck_run):
-    sc, power_map, decoded, result = truck_run
-    usable = usable_transmissions(decoded, power_map, result.tau)
-    tx = usable[10]
-    full = attribute(tx, power_map, result.bundle)
-    # draft that only scored the purported sender's own model
-    partial = Verdict(
-        t=tx.t,
-        claimed_sa=tx.sa,
-        p_tx={tx.sa: full.p_tx[tx.sa]},
-        softmax_probs={},
-        attributed_sa=None,
-        decision=Decision.ADDED_MODULE,
-    )
-    final = detect_attack(tx, partial, power_map, result.bundle)
-    assert final.decision == full.decision
-    assert final.attributed_sa == full.attributed_sa
-    for sa in result.bundle.sas:
-        assert math.isclose(final.p_tx[sa], full.p_tx[sa], rel_tol=1e-9, abs_tol=1e-12)
+    tx = usable[0]
+    p = score([tx], power_map, result.bundle)
+    assert attribute(tx, power_map, result.bundle) == decide(tx.sa, tx.t, p[0], result.bundle)

@@ -239,6 +239,6 @@ def test_sweep_is_deterministic_under_fixed_seeds():
         train_cfg=TrainConfig(seed=8, max_iters=120),
     )
     g1 = factor_sweep(base, **kw)
-    g2 = factor_sweep(base, **kw)
+    g2 = factor_sweep(base, jobs=2, **kw)
     key = cells[0].key()
     assert g1.reports[key] == g2.reports[key]

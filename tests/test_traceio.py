@@ -1,5 +1,9 @@
 """File-format tests: trace files, ground truth CSV, bundle round trips."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,10 @@ from canoa.errors import FileFormatError
 from canoa.frames import decode_transmissions
 from canoa.svm import TrainConfig
 from canoa.traceio import (
+    BUNDLE_FOOTER,
     TraceKind,
+    _parse_sections,
+    _sections_bytes,
     load_bundle,
     read_ground_truth,
     read_trace_file,
@@ -128,6 +135,25 @@ def test_bundle_checksum_validates(trained, tmp_path):
     raw = bytearray(path.read_bytes())
     raw[100] ^= 0xFF
     path.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("edit", ["drop_field", "unknown_field"])
+def test_bundle_with_malformed_training_meta_is_a_format_error(trained, tmp_path, edit):
+    sc, power_map, decoded, result = trained
+    path = tmp_path / "b.cbnd"
+    save_bundle(path, result.bundle)
+    sections = _parse_sections(path.read_bytes()[:-8], path)
+    meta = json.loads(sections["meta"])
+    training_meta = meta["entries"][0]["meta"]
+    if edit == "drop_field":
+        del training_meta["converged"]
+    else:
+        training_meta["epochs"] = 3
+    sections["meta"] = json.dumps(meta, sort_keys=True).encode()
+    blob = _sections_bytes(list(sections.items()))
+    path.write_bytes(blob + BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob)))
     with pytest.raises(FileFormatError):
         load_bundle(path)
 
