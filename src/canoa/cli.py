@@ -186,7 +186,7 @@ def cmd_train(args) -> int:
         with open(out / f"learning_curve_{entry.sa}.csv", "w") as fh:
             fh.write("iteration,train_loss,val_loss\n")
             for i, (tr, va) in enumerate(zip(curve.train_loss, curve.val_loss)):
-                fh.write(f"{i},{tr!r},{va!r}\n")
+                fh.write(f"{i},{float(tr)!r},{float(va)!r}\n")
     with open(out / "bootstrap_accuracy.csv", "w") as fh:
         fh.write("sa,rounds,min,q1,median,q3,max\n")
         for (ecu, sa), ds in sorted(result.datasets.items(), key=lambda kv: kv[0][1]):

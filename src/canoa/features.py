@@ -155,26 +155,45 @@ def spectrum(segment: np.ndarray) -> np.ndarray:
 
 
 def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
-    """Top-M principal directions of mean-centered spectra rows by variance."""
+    """Top-M principal directions of mean-centered spectra rows by variance.
+
+    Method of snapshots: with C the centered (n, f) matrix, eigendecompose
+    the smaller Gram matrix. For n >= f that is the (f, f) matrix CᵀC, whose
+    eigenvectors are the components; for n < f it is the (n, n) matrix CCᵀ,
+    whose eigenvectors u give the components Cᵀu / sqrt(lambda). Either way
+    the eigenvalues divided by n - 1 are the explained variances.
+    """
     x = np.asarray(spectra, dtype=np.float64)
     n, f = x.shape
     if not (n > n_components >= 1):
         raise ValueError("need more rows than components and at least one component")
+    if not np.isfinite(x).all():
+        raise DegenerateTrace("spectra contain non-finite values")
     mean = x.mean(axis=0)
     centered = x - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    tol = svals[0] * max(n, f) * np.finfo(np.float64).eps if svals.size else 0.0
-    rank = int(np.sum(svals > tol))
+    tall = n >= f
+    gram = centered.T @ centered if tall else centered @ centered.T
+    evals, evecs = np.linalg.eigh(gram)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    # Rounding in the Gram matrix and in eigh perturbs every eigenvalue by
+    # about lambda_max * eps, so that is the floor to count rank against. The
+    # SVD tolerance must not be squared: the Gram matrix squares the condition
+    # number, and a squared tolerance would count rounding noise as rank.
+    tol = evals[0] * max(n, f) * np.finfo(np.float64).eps
+    rank = int(np.sum(evals > tol))
     if rank < n_components:
         raise RankDeficient(
             f"only {rank} nonzero-variance directions available, {n_components} requested"
         )
-    components = vt[:n_components].copy()
+    top = evals[:n_components]
+    if tall:
+        components = evecs[:, :n_components].T.copy()
+    else:
+        components = (centered.T @ evecs[:, :n_components] / np.sqrt(top)).T.copy()
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
-    explained = (svals[:n_components] ** 2) / (n - 1)
-    return PcaBasis(mean=mean, components=components, explained_variance=explained)
+    return PcaBasis(mean=mean, components=components, explained_variance=top / (n - 1))
 
 
 def _spectra(

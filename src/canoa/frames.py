@@ -10,6 +10,7 @@ leave it at ~0 V.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -247,25 +248,33 @@ def arbitrate(
     losers retry once the bus goes idle again. Raises DuplicateId when two
     contenders in the same arbitration share an ID.
     """
-    remaining = list(range(len(start_requests)))
-    remaining.sort(key=lambda i: (start_requests[i][1], start_requests[i][0].frame_id, i))
+    pending = sorted(range(len(start_requests)), key=lambda i: (start_requests[i][1], i))
+    cursor = 0
+    contenders: list[tuple[int, int]] = []  # heap of (frame ID, request index)
+    contending_ids: set[int] = set()
     order: list[ArbitratedFrame] = []
     free_at = 0.0
     gap = INTERFRAME_BITS / bitrate
-    while remaining:
-        instant = max(free_at, start_requests[remaining[0]][1])
-        contenders = [i for i in remaining if start_requests[i][1] <= instant]
-        ids = [start_requests[i][0].frame_id for i in contenders]
-        if len(ids) != len(set(ids)):
-            dup = next(v for v in ids if ids.count(v) > 1)
-            raise DuplicateId(f"simultaneous requesters share id {dup:#x}")
-        winner = min(contenders, key=lambda i: start_requests[i][0].frame_id)
+    while cursor < len(pending) or contenders:
+        instant = free_at
+        if not contenders:
+            instant = max(instant, start_requests[pending[cursor]][1])
+        # instant never decreases, so a contender stays one until it wins
+        while cursor < len(pending) and start_requests[pending[cursor]][1] <= instant:
+            i = pending[cursor]
+            frame_id = start_requests[i][0].frame_id
+            if frame_id in contending_ids:
+                raise DuplicateId(f"simultaneous requesters share id {frame_id:#x}")
+            contending_ids.add(frame_id)
+            heapq.heappush(contenders, (frame_id, i))
+            cursor += 1
+        frame_id, winner = heapq.heappop(contenders)
+        contending_ids.remove(frame_id)
         frame = start_requests[winner][0]
         wire = serialize_frame(frame)
         duration = len(wire) / bitrate
         order.append(ArbitratedFrame(winner, frame, instant, wire, duration))
         free_at = instant + duration + gap
-        remaining.remove(winner)
     return order
 
 

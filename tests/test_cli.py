@@ -57,6 +57,9 @@ def test_full_stage_chain(cfg_path, tmp_path, capsys):
     assert (out / "bootstrap_accuracy.csv").exists()
     curves = list(out.glob("learning_curve_*.csv"))
     assert len(curves) == 5
+    for path in curves:
+        for line in path.read_text().splitlines()[1:]:
+            [float(cell) for cell in line.split(",")]
     report = (out / "training_report.txt").read_text()
     assert "convergence_index" in report
     assert (

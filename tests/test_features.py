@@ -224,6 +224,49 @@ def test_pca_deterministic_sign_convention():
         assert row[np.argmax(np.abs(row))] > 0
 
 
+def svd_oracle(x, m):
+    """Reference PCA: thin SVD of the centered matrix."""
+    _, svals, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    return svals[:m] ** 2 / (x.shape[0] - 1), vt[:m]
+
+
+def test_pca_wide_input_matches_svd_oracle():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(40, 300)) * rng.uniform(0.5, 4.0, size=300)
+    m = 12
+    basis = fit_pca(x, m)
+    variances, directions = svd_oracle(x, m)
+    assert np.abs(basis.components @ basis.components.T - np.eye(m)).max() <= 1e-9
+    assert np.allclose(basis.explained_variance, variances, rtol=1e-6)
+    cos = np.abs(np.sum(basis.components * directions, axis=1))
+    assert cos.min() >= 1 - 1e-8
+
+
+@pytest.mark.parametrize("shape", [(300, 40), (40, 300), (1200, 3001)])
+@pytest.mark.parametrize("rank", [5, 12])
+def test_pca_exact_rank_is_counted(shape, rank):
+    rng = np.random.default_rng(rank)
+    x = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+    assert fit_pca(x, rank).n_components == rank
+    with pytest.raises(RankDeficient):
+        fit_pca(x, rank + 1)
+
+
+@pytest.mark.parametrize("shape", [(60, 9), (9, 60)])
+def test_pca_sign_convention_in_both_gram_branches(shape):
+    rng = np.random.default_rng(10)
+    basis = fit_pca(rng.normal(size=shape), 4)
+    for row in basis.components:
+        assert row[np.argmax(np.abs(row))] > 0
+
+
+def test_pca_non_finite_spectra_are_degenerate():
+    x = np.random.default_rng(11).normal(size=(30, 8))
+    x[4, 2] = np.nan
+    with pytest.raises(DegenerateTrace, match="non-finite"):
+        fit_pca(x, 3)
+
+
 # --------------------------------------------------------- extract_feature
 
 

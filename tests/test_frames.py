@@ -54,6 +54,40 @@ def count_stuff_insertions(bits):
     return inserted
 
 
+def arbitrate_rescan(start_requests, bitrate):
+    """Reference arbitration: rescan every pending request at each bus-idle instant."""
+    remaining = list(range(len(start_requests)))
+    remaining.sort(key=lambda i: (start_requests[i][1], start_requests[i][0].frame_id, i))
+    order = []
+    free_at = 0.0
+    gap = INTERFRAME_BITS / bitrate
+    while remaining:
+        instant = max(free_at, start_requests[remaining[0]][1])
+        contenders = [i for i in remaining if start_requests[i][1] <= instant]
+        ids = [start_requests[i][0].frame_id for i in contenders]
+        if len(ids) != len(set(ids)):
+            dup = next(v for v in ids if ids.count(v) > 1)
+            raise DuplicateId(f"simultaneous requesters share id {dup:#x}")
+        winner = min(contenders, key=lambda i: start_requests[i][0].frame_id)
+        frame = start_requests[winner][0]
+        wire = serialize_frame(frame)
+        duration = len(wire) / bitrate
+        order.append(ArbitratedFrame(winner, frame, instant, wire, duration))
+        free_at = instant + duration + gap
+        remaining.remove(winner)
+    return order
+
+
+def random_requests(rng, n, id_pool, span_s):
+    """Requests on a coarse time grid: simultaneous starts and bus backlogs."""
+    times = rng.integers(0, 40, n) * (span_s / 40)
+    ids = rng.choice(id_pool, n, replace=id_pool.size < n)
+    return [
+        (CanFrame(int(fid), bytes(rng.integers(0, 256, int(rng.integers(0, 9))).tolist())), float(t))
+        for fid, t in zip(ids, times)
+    ]
+
+
 def make_voltage(order, bitrate, sample_rate, tail_bits=16):
     """Minimal waveform builder independent of the bus simulator."""
     spb = sample_rate / bitrate
@@ -208,6 +242,32 @@ def test_duplicate_id_in_same_arbitration_raises():
     f2 = CanFrame(0x100, b"\x02")
     with pytest.raises(DuplicateId):
         arbitrate([(f1, 0.0), (f2, 0.0)], bitrate=125_000)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_arbitration_matches_rescan_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 120))
+    # 40 grid steps; the shorter spans hold fewer than n frame times, so the bus backs up
+    reqs = random_requests(rng, n, np.arange(0x7FF), span_s=n * rng.uniform(3e-4, 2e-3))
+    assert arbitrate(reqs, 125_000) == arbitrate_rescan(reqs, 125_000)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_arbitration_duplicate_id_behaviour_matches_oracle(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(10, 60))
+    # a small ID pool: repeated IDs collide only when they contend together
+    reqs = random_requests(rng, n, np.arange(n // 2), span_s=n * 2e-3)
+    try:
+        expected = arbitrate_rescan(reqs, 250_000)
+    except DuplicateId:
+        with pytest.raises(DuplicateId) as err:
+            arbitrate(reqs, 250_000)
+        dup = int(str(err.value).rsplit(" ", 1)[1], 16)
+        assert sum(f.frame_id == dup for f, _ in reqs) >= 2
+    else:
+        assert arbitrate(reqs, 250_000) == expected
 
 
 # ---------------------------------------------------------------- decoding
