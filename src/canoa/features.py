@@ -10,6 +10,7 @@ lengths are uniform across transmissions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,6 +22,9 @@ from .trace import SampledTrace
 
 DEFAULT_CALIB_LEN = 100_000
 DEFAULT_COMPONENTS = 50
+# Segments are normalized, tapered and transformed in blocks of rows whose
+# float64 copy is about this size, so a block stays in cache between steps.
+_SPECTRA_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -126,23 +130,24 @@ def estimate_tau(
     return Tau(float(np.mean([t.duration for t in chosen])))
 
 
+@functools.lru_cache(maxsize=64)
 def tukey_window(length: int, params: TukeyParams = TukeyParams()) -> np.ndarray:
-    """Symmetric tapered-cosine window coefficients."""
+    """Symmetric tapered-cosine window coefficients (cached, read-only)."""
     if length < 2:
         raise ValueError("window length must be at least 2")
     alpha = params.alpha
-    if alpha <= 0.0:
-        return np.ones(length)
-    n = np.arange(length)
-    edge = alpha * (length - 1) / 2.0
     w = np.ones(length)
-    left = n < edge
-    right = n > (length - 1) - edge
-    w[left] = 0.5 * (1 + np.cos(np.pi * (n[left] / edge - 1)))
-    w[right] = 0.5 * (1 + np.cos(np.pi * ((n[right] - (length - 1)) / edge + 1)))
-    # exact zeros at the taper endpoints
-    w[0] = 0.0
-    w[-1] = 0.0
+    if alpha > 0.0:
+        n = np.arange(length)
+        edge = alpha * (length - 1) / 2.0
+        left = n < edge
+        right = n > (length - 1) - edge
+        w[left] = 0.5 * (1 + np.cos(np.pi * (n[left] / edge - 1)))
+        w[right] = 0.5 * (1 + np.cos(np.pi * ((n[right] - (length - 1)) / edge + 1)))
+        # exact zeros at the taper endpoints
+        w[0] = 0.0
+        w[-1] = 0.0
+    w.flags.writeable = False
     return w
 
 
@@ -208,11 +213,17 @@ def _spectra(
     starts = np.array([trace.index_of(t) for t in times], dtype=np.int64)
     if starts.min() < 0 or starts.max() + n_samples > trace.samples.size:
         raise OutOfBounds("a transmission window falls outside the trace")
-    segs = trace.samples[starts[:, None] + np.arange(n_samples)[None, :]].astype(np.float64)
-    segs -= stats.mean
-    segs /= stats.std
-    segs *= tukey_window(n_samples, win)[None, :]
-    return np.abs(np.fft.rfft(segs, axis=1))
+    segments = np.lib.stride_tricks.sliding_window_view(trace.samples, n_samples)
+    window = tukey_window(n_samples, win)
+    out = np.empty((starts.size, n_samples // 2 + 1))
+    rows = max(1, _SPECTRA_BLOCK_BYTES // (8 * n_samples))
+    for lo in range(0, starts.size, rows):
+        block = segments[starts[lo : lo + rows]].astype(np.float64)
+        block -= stats.mean
+        block /= stats.std
+        block *= window
+        np.abs(np.fft.rfft(block, axis=1), out=out[lo : lo + rows])
+    return out
 
 
 def extract_feature(

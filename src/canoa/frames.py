@@ -136,13 +136,6 @@ def _int_bits(value: int, width: int) -> Bits:
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
 
 
-def _bits_int(bits) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
-
-
 def compute_crc15(bits) -> int:
     """CRC-15/CAN remainder of a bit sequence (zero initial value).
 
@@ -278,120 +271,119 @@ def arbitrate(
     return order
 
 
-class _ParseAbort(Exception):
-    """Internal: frame parse cannot continue (truncation/stuffing/form)."""
+# Longest stuffable region: SOF, 29-bit ID with SRR/IDE, RTR/r1/r0, DLC,
+# 8 data bytes and the CRC. The first stuff bit follows 5 equal bits and
+# each later one at least 4 more logical bits, so the wire holds at most
+# (_MAX_LOGICAL_BITS - 1) // 4 stuff bits before the fixed-form trailer.
+_MAX_LOGICAL_BITS = 1 + 11 + 2 + 18 + 3 + 4 + 64 + 15
+_MAX_BODY_BITS = _MAX_LOGICAL_BITS - 15
+_MAX_WIRE_BITS = _MAX_LOGICAL_BITS + (_MAX_LOGICAL_BITS - 1) // 4 + TRAILER_BITS
+_TRAILER = np.array([1, 0, 1] + [1] * 7, dtype=np.uint8)  # CRC del, ACK slot, ACK del, EOF
+# CRC-15 is linear with a zero initial value: a set body bit followed by k
+# more body bits contributes x^(k+15) mod g.
+_CRC_TERMS = np.array([compute_crc15([1] + [0] * k) for k in range(_MAX_BODY_BITS)])
+_PARSE_BLOCK = 4096  # candidate frames parsed together; bounds the gather matrices
 
 
-class _BitReader:
-    """Mid-bit sampler with on-the-fly unstuffing over a dominant mask."""
-
-    def __init__(self, dominant: np.ndarray, s0: int, spb: float):
-        self._dominant = dominant
-        self._s0 = s0
-        self._spb = spb
-        self._n = dominant.size
-        self.pos = 0  # stuffed-bit cursor
-        self._run_val = -1
-        self._run_len = 0
-
-    def _raw(self) -> int:
-        idx = self._s0 + int((self.pos + 0.5) * self._spb)
-        if idx >= self._n:
-            raise _ParseAbort("truncated frame")
-        self.pos += 1
-        return 0 if self._dominant[idx] else 1
-
-    def logical(self) -> int:
-        """Next unstuffed bit; validates and skips pending stuff bits."""
-        self.skip_pending_stuff()
-        b = self._raw()
-        if b == self._run_val:
-            self._run_len += 1
-        else:
-            self._run_val, self._run_len = b, 1
-        return b
-
-    def skip_pending_stuff(self) -> None:
-        if self._run_len == 5:
-            sb = self._raw()
-            if sb == self._run_val:
-                raise _ParseAbort("stuff violation")
-            self._run_val, self._run_len = sb, 1
-
-    def fixed(self) -> int:
-        """Next bit with no stuffing (fixed-form trailer)."""
-        return self._raw()
+def _msb_first(field: np.ndarray) -> np.ndarray:
+    """Per row, the integer whose MSB-first bits are the row of ``field``."""
+    return field.astype(np.int64) @ (1 << np.arange(field.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
-@dataclass
-class _ParsedFrame:
-    frame_id: int | None
-    fmt: FrameFormat | None
-    dlc: int | None
-    payload: bytes | None
-    ok: bool
-    consumed: int
+def _columns(bits: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
+    """Per row, the ``width`` columns of ``bits`` starting at column ``first``."""
+    return np.take_along_axis(bits, first[:, None] + np.arange(width), axis=1)
 
 
-def _parse_frame(dominant: np.ndarray, s0: int, spb: float) -> _ParsedFrame:
-    """Parse one frame starting at sample ``s0``; never raises.
+def _parse_frames(dominant: np.ndarray, starts: np.ndarray, spb: float):
+    """Parse one frame at each start sample, all candidates column by column.
 
-    Any truncation, stuffing, or fixed-form problem yields ``ok=False``
-    with the bits consumed so far.
+    Gives what a mid-bit sampler that unstuffs on the fly gives when it
+    stops at the first truncation, stuff violation or SRR form error:
+    per start, (frame_id, format, dlc, payload, ok, consumed bits), with
+    the fields an early stop had not reached set to None.
     """
-    reader = _BitReader(dominant, s0, spb)
-    frame_id = None
-    fmt = None
-    dlc = None
-    payload = None
-    ok = False
-    try:
-        body = [reader.logical()]  # SOF (dominant by construction)
-        id11 = [reader.logical() for _ in range(11)]
-        body += id11
-        b12 = reader.logical()
-        b13 = reader.logical()
-        body += [b12, b13]
-        if b13 == 1:
-            fmt = FrameFormat.EXTENDED
-            if b12 != 1:
-                raise _ParseAbort("form error: SRR must be recessive")
-            id18 = [reader.logical() for _ in range(18)]
-            body += id18
-            body += [reader.logical() for _ in range(3)]  # RTR, r1, r0
-            frame_id = (_bits_int(id11) << 18) | _bits_int(id18)
-        else:
-            fmt = FrameFormat.STANDARD
-            body += [reader.logical()]  # r0
-            frame_id = _bits_int(id11)
-        dlc_raw = _bits_int([reader.logical() for _ in range(4)])
-        body += _int_bits(dlc_raw, 4)
-        dlc = min(dlc_raw, 8)
-        data_bits = [reader.logical() for _ in range(8 * dlc)]
-        body += data_bits
-        crc_read = _bits_int([reader.logical() for _ in range(15)])
-        reader.skip_pending_stuff()  # stuffing covers through the CRC field
-        crc_del = reader.fixed()
-        ack_slot = reader.fixed()  # recessive here means nobody acknowledged
-        ack_del = reader.fixed()
-        eof = [reader.fixed() for _ in range(7)]
-        form_ok = (
-            crc_del == 1 and ack_slot == 0 and ack_del == 1 and all(b == 1 for b in eof)
-        )
-        ok = form_ok and compute_crc15(body) == crc_read
-        payload = bytes(
-            _bits_int(data_bits[8 * i : 8 * i + 8]) for i in range(dlc)
-        )
-    except _ParseAbort:
-        ok = False
-    return _ParsedFrame(
-        frame_id=frame_id,
-        fmt=fmt,
-        dlc=dlc,
-        payload=payload if ok else None,
-        ok=ok,
-        consumed=max(reader.pos, 1),
-    )
+    m = starts.size
+    n = dominant.size
+    offsets = np.array([int((k + 0.5) * spb) for k in range(_MAX_WIRE_BITS)], dtype=np.int64)
+    readable = np.searchsorted(offsets, n - starts)  # raw bits before the trace ends
+    # mid-bit samples, one row per raw bit, one column per candidate; 1 = recessive.
+    # Bits past the end read the last sample: everything derived from them
+    # lies past the truncation point, so the truncation stop comes first.
+    wire = ~dominant[np.minimum(offsets[:, None] + starts[None, :], n - 1)]
+
+    # a bit after five equal bits is a stuff bit, and a violation if it extends the run
+    stuff = np.empty(wire.shape, dtype=bool)
+    violation = np.empty(wire.shape, dtype=bool)
+    run_val = np.full(m, 2, dtype=np.uint8)
+    run_len = np.zeros(m, dtype=np.uint8)
+    for k, bit in enumerate(wire.view(np.uint8)):
+        due = run_len == 5
+        same = bit == run_val
+        stuff[k] = due
+        violation[k] = due & same
+        run_len = np.where(same & ~due, run_len + 1, 1)
+        run_val = bit
+    wire, stuff, violation = wire.T.view(np.uint8), stuff.T, violation.T
+
+    # raw position of every logical bit; each row holds at least _MAX_LOGICAL_BITS
+    rows, cols = np.nonzero(~stuff)
+    per_row = np.bincount(rows, minlength=m)
+    first = np.cumsum(per_row) - per_row
+    raw_at = cols[first[:, None] + np.arange(_MAX_LOGICAL_BITS)]
+    bits = np.take_along_axis(wire, raw_at, axis=1)
+
+    extended = bits[:, 13] == 1
+    id11 = _msb_first(bits[:, 1:12])
+    frame_id = np.where(extended, (id11 << 18) | _msb_first(bits[:, 14:32]), id11)
+    dlc_at = np.where(extended, 35, 15)
+    dlc = np.minimum(_msb_first(_columns(bits, dlc_at, 4)), 8)
+    data_at = dlc_at + 4
+    body_len = data_at + 8 * dlc
+    payload = np.packbits(_columns(bits, data_at, 64), axis=1)
+    crc_read = _msb_first(_columns(bits, body_len, 15))
+    place = np.arange(_MAX_BODY_BITS)
+    in_body = (place < body_len[:, None]) & (bits[:, :_MAX_BODY_BITS] == 1)
+    terms = _CRC_TERMS[np.maximum(body_len[:, None] - 1 - place, 0)]
+    crc = np.bitwise_xor.reduce(np.where(in_body, terms, 0), axis=1)
+
+    # the stuffed region ends after the CRC and a pending stuff bit; the trailer follows
+    last = np.take_along_axis(raw_at, body_len[:, None] + 14, axis=1)[:, 0]
+    trailer_at = last + 1 + np.take_along_axis(stuff, last[:, None] + 1, axis=1)[:, 0]
+    end = trailer_at + TRAILER_BITS
+    form_ok = (_columns(wire, trailer_at, TRAILER_BITS) == _TRAILER).all(axis=1)
+
+    # each stop as the bits consumed when it happens; the earliest wins
+    never = _MAX_WIRE_BITS + 1
+    truncated = np.where(readable < end, readable, never)
+    first_violation = np.where(violation.any(axis=1), violation.argmax(axis=1), never)
+    violated = np.where(first_violation < trailer_at, first_violation + 1, never)
+    srr_error = np.where(extended & (bits[:, 12] == 0), raw_at[:, 13] + 1, never)
+    stop = np.minimum(np.minimum(truncated, violated), srr_error)
+    stopped = stop < never
+    consumed = np.maximum(np.where(stopped, stop, end), 1)
+    ok = ~stopped & form_ok & (crc == crc_read)
+    # the logical bits read before a stop decide which fields were reached
+    read = (raw_at < consumed[:, None]).sum(axis=1)
+    has_format = read >= 14
+    has_id = read >= np.where(extended, 35, 15)
+    has_dlc = read >= data_at
+
+    parsed = []
+    for fid, ext, length, data, good, used, fmt_ok, id_ok, dlc_ok in zip(
+        frame_id.tolist(), extended.tolist(), dlc.tolist(), payload.tolist(), ok.tolist(),
+        consumed.tolist(), has_format.tolist(), has_id.tolist(), has_dlc.tolist(),
+    ):
+        fmt = (FrameFormat.EXTENDED if ext else FrameFormat.STANDARD) if fmt_ok else None
+        parsed.append((
+            fid if id_ok else None,
+            fmt,
+            length if dlc_ok else None,
+            bytes(data[:length]) if good else None,
+            good,
+            used,
+        ))
+    return parsed
 
 
 def decode_transmissions(
@@ -410,37 +402,33 @@ def decode_transmissions(
     dominant = trace.samples > DECODE_THRESHOLD_VOLTS
     spb = trace.sample_rate / bitrate
     quiet = int(round(7 * spb))
-    rising = np.flatnonzero(~dominant[:-1] & dominant[1:]) + 1
-    if dominant.size and dominant[0]:
-        rising = np.concatenate(([0], rising))
+    # level changes, as if the bus were recessive before the first sample:
+    # even entries are rising edges, odd entries the falling edges after them
+    edges = np.flatnonzero(np.diff(dominant, prepend=False))
+    rising = edges[0::2]
+    recessive_from = np.concatenate(([0], edges[1::2]))[: rising.size]
+    # a SOF is a rising edge with no dominant sample in the `quiet` samples before it
+    starts = rising[recessive_from <= np.maximum(rising - quiet, 0)]
     out: list[DecodedTransmission] = []
     cursor = 0
-    j = 0
-    while j < rising.size:
-        s0 = int(rising[j])
-        if s0 < cursor:
-            j += 1
-            continue
-        lo = max(0, s0 - quiet)
-        if dominant[lo:s0].any():  # mid-frame edge, not a SOF
-            j += 1
-            continue
-        parsed = _parse_frame(dominant, s0, spb)
-        sa = None
-        if parsed.frame_id is not None:
-            sa, _ = samap.resolve(parsed.frame_id)
-        out.append(
-            DecodedTransmission(
-                t=trace.start_time + s0 / trace.sample_rate,
-                sa=sa,
-                frame_id=parsed.frame_id,
-                duration=parsed.consumed / bitrate,
-                crc_ok=parsed.ok,
-                format=parsed.fmt,
-                dlc=parsed.dlc,
-                payload=parsed.payload,
+    for lo in range(0, starts.size, _PARSE_BLOCK):
+        block = starts[lo : lo + _PARSE_BLOCK]
+        for s0, (frame_id, fmt, dlc, payload, ok, consumed) in zip(
+            block.tolist(), _parse_frames(dominant, block, spb)
+        ):
+            if s0 < cursor:  # an edge inside the previous frame
+                continue
+            out.append(
+                DecodedTransmission(
+                    t=trace.start_time + s0 / trace.sample_rate,
+                    sa=None if frame_id is None else samap.resolve(frame_id)[0],
+                    frame_id=frame_id,
+                    duration=consumed / bitrate,
+                    crc_ok=ok,
+                    format=fmt,
+                    dlc=dlc,
+                    payload=payload,
+                )
             )
-        )
-        cursor = s0 + int(round(parsed.consumed * spb))
-        j = int(np.searchsorted(rising, cursor, side="left"))
+            cursor = s0 + int(round(consumed * spb))
     return out

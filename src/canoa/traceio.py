@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -79,21 +80,33 @@ class TraceFileContents:
 
 
 def read_trace_file(path: Path | str) -> TraceFileContents:
-    raw = Path(path).read_bytes()
-    if len(raw) < _TRACE_HEADER.size:
-        raise FileFormatError(f"{path}: shorter than a trace header")
-    magic, version, kind, channels, rate, per_channel, start_ns = _TRACE_HEADER.unpack_from(raw)
-    if magic != TRACE_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
-    if version != TRACE_VERSION:
-        raise FileFormatError(f"{path}: unsupported trace version {version}")
-    body = raw[_TRACE_HEADER.size :]
-    expected = channels * per_channel * 4
-    if len(body) != expected:
-        raise FileFormatError(f"{path}: body is {len(body)} bytes, expected {expected}")
-    data = np.frombuffer(body, dtype="<f4").reshape(channels, per_channel)
+    """Read a CTRC file; ``samples`` is a read-only (channels, samples) array."""
+    with open(path, "rb") as fh:
+        header = fh.read(_TRACE_HEADER.size)
+        if len(header) < _TRACE_HEADER.size:
+            raise FileFormatError(f"{path}: shorter than a trace header")
+        magic, version, kind, channels, rate, per_channel, start_ns = _TRACE_HEADER.unpack(header)
+        if magic != TRACE_MAGIC:
+            raise FileFormatError(f"{path}: bad magic {magic!r}")
+        if version != TRACE_VERSION:
+            raise FileFormatError(f"{path}: unsupported trace version {version}")
+        try:
+            kind = TraceKind(kind)
+        except ValueError:
+            raise FileFormatError(f"{path}: unknown trace kind {kind}") from None
+        body = os.fstat(fh.fileno()).st_size - _TRACE_HEADER.size
+        count = channels * per_channel
+        if body != count * 4:
+            raise FileFormatError(f"{path}: body is {body} bytes, expected {count * 4}")
+        # fromfile reads straight into the array; a memory map would see later
+        # in-place rewrites of the file (or fault after it is truncated)
+        data = np.fromfile(fh, dtype="<f4", count=count)
+    if data.size != count:
+        raise FileFormatError(f"{path}: body is {data.size * 4} bytes, expected {count * 4}")
+    data = data.reshape(channels, per_channel)
+    data.flags.writeable = False
     return TraceFileContents(
-        kind=TraceKind(kind),
+        kind=kind,
         sample_rate=float(rate),
         start_time=start_ns / 1e9,
         samples=data,

@@ -1,9 +1,14 @@
 """Command-line behavior: stage outputs, exit codes, determinism."""
 
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import canoa
 from canoa.cli import main
 
 TINY_CONFIG = """
@@ -180,3 +185,14 @@ def test_bundle_trace_mismatch(cfg_path, tmp_path):
         "--bitrate", 125000,
     )
     assert rc == 2
+
+
+def test_python_dash_m_canoa_runs_the_cli():
+    env = dict(os.environ)
+    src_dir = str(Path(canoa.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "canoa", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: canoa" in done.stdout

@@ -6,6 +6,9 @@ import pytest
 from canoa.bus import lab_scenario, simulate, truck_scenario
 from canoa.errors import DegenerateTrace, EmptyInput, OutOfBounds, RankDeficient
 from canoa.features import (
+    _SPECTRA_BLOCK_BYTES,
+    NormStats,
+    Tau,
     TukeyParams,
     build_datasets,
     ecu_spectra,
@@ -106,6 +109,22 @@ def test_tukey_endpoints_exactly_zero_for_positive_alpha(length, alpha):
     assert w[0] == 0.0
     assert w[-1] == 0.0
     assert w.max() <= 1.0
+
+
+def test_tukey_window_is_cached_read_only_and_closed_form():
+    length, alpha = 150, 0.3
+    w = tukey_window(length, TukeyParams(alpha))
+    assert tukey_window(length, TukeyParams(alpha)) is w
+    n = np.arange(length)
+    edge = alpha * (length - 1) / 2
+    closed = np.ones(length)
+    closed[n < edge] = 0.5 * (1 - np.cos(np.pi * n[n < edge] / edge))
+    closed[::-1][n < edge] = closed[n < edge]
+    assert np.allclose(w, closed, rtol=0, atol=1e-12)
+    for window in (w, tukey_window(length, TukeyParams(0.0))):
+        with pytest.raises(ValueError):
+            window[1] = 2.0
+    assert w[1] != 2.0
 
 
 # --------------------------------------------------------------- spectrum
@@ -365,6 +384,34 @@ def test_normalization_invariance_under_trace_scaling(tiny_run):
     fa = extract_feature(trace, stats, decoded[0].t, tau, win, basis_a)
     fb = extract_feature(scaled, stats_scaled, decoded[0].t, tau, win, basis_b)
     assert np.linalg.norm(fa - fb) <= 1e-6 * np.linalg.norm(fa)
+
+
+def unblocked_spectra(trace, stats, starts, n_samples, win):
+    """Reference: every segment gathered and transformed as one matrix."""
+    segs = trace.samples[np.asarray(starts)[:, None] + np.arange(n_samples)].astype(np.float64)
+    segs -= stats.mean
+    segs /= stats.std
+    segs *= tukey_window(n_samples, win)[None, :]
+    return np.abs(np.fft.rfft(segs, axis=1))
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+def test_blocked_spectra_equal_unblocked_reference(blocks, extra):
+    rate, n_samples = 1e6, 256
+    block = _SPECTRA_BLOCK_BYTES // (8 * n_samples)
+    rows = blocks * block + extra
+    rng = np.random.default_rng(rows)
+    trace = SampledTrace(rng.normal(0.3, 1.2, 20_000).astype(np.float32), rate, start_time=0.5)
+    stats, tau, win = NormStats(0.25, 1.1), Tau(n_samples / rate), TukeyParams(0.25)
+    last = trace.samples.size - n_samples
+    starts = rng.integers(0, last + 1, rows)
+    starts[0] = 0
+    starts[-1] = last
+    txs = [tx(trace.start_time + s / rate, 1) for s in starts]
+    got = ecu_spectra(trace, stats, txs, tau, win)
+    assert np.array_equal(got, unblocked_spectra(trace, stats, starts, n_samples, win))
+    with pytest.raises(OutOfBounds):
+        ecu_spectra(trace, stats, txs + [tx(trace.start_time + (last + 1) / rate, 1)], tau, win)
 
 
 # ----------------------------------------------------------- build_datasets

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canoa.errors import DuplicateId, EmptyTrace, StuffViolation
 from canoa.frames import (
+    DECODE_THRESHOLD_VOLTS,
     INTERFRAME_BITS,
     ArbitratedFrame,
     CanFrame,
+    DecodedTransmission,
     DerivationRule,
     FrameFormat,
     SourceAddressMap,
@@ -76,6 +80,132 @@ def arbitrate_rescan(start_requests, bitrate):
         free_at = instant + duration + gap
         remaining.remove(winner)
     return order
+
+
+class _ParseAbort(Exception):
+    """Reference decoder: frame parse cannot continue (truncation/stuffing/form)."""
+
+
+class _BitReader:
+    """Reference decoder: mid-bit sampler with on-the-fly unstuffing."""
+
+    def __init__(self, dominant, s0, spb):
+        self._dominant = dominant
+        self._s0 = s0
+        self._spb = spb
+        self._n = dominant.size
+        self.pos = 0  # stuffed-bit cursor
+        self._run_val = -1
+        self._run_len = 0
+
+    def _raw(self):
+        idx = self._s0 + int((self.pos + 0.5) * self._spb)
+        if idx >= self._n:
+            raise _ParseAbort("truncated frame")
+        self.pos += 1
+        return 0 if self._dominant[idx] else 1
+
+    def logical(self):
+        self.skip_pending_stuff()
+        b = self._raw()
+        if b == self._run_val:
+            self._run_len += 1
+        else:
+            self._run_val, self._run_len = b, 1
+        return b
+
+    def skip_pending_stuff(self):
+        if self._run_len == 5:
+            sb = self._raw()
+            if sb == self._run_val:
+                raise _ParseAbort("stuff violation")
+            self._run_val, self._run_len = sb, 1
+
+    def fixed(self):
+        return self._raw()
+
+
+def _bits_int(bits):
+    value = 0
+    for b in bits:
+        value = (value << 1) | b
+    return value
+
+
+def parse_frame_bitwise(dominant, s0, spb):
+    """Reference parse of one frame, one bit at a time; never raises.
+
+    Returns (frame_id, format, dlc, payload, ok, consumed bits).
+    """
+    reader = _BitReader(dominant, s0, spb)
+    frame_id = fmt = dlc = payload = None
+    ok = False
+    try:
+        body = [reader.logical()]  # SOF
+        id11 = [reader.logical() for _ in range(11)]
+        body += id11
+        b12 = reader.logical()
+        b13 = reader.logical()
+        body += [b12, b13]
+        if b13 == 1:
+            fmt = FrameFormat.EXTENDED
+            if b12 != 1:
+                raise _ParseAbort("form error: SRR must be recessive")
+            id18 = [reader.logical() for _ in range(18)]
+            body += id18
+            body += [reader.logical() for _ in range(3)]  # RTR, r1, r0
+            frame_id = (_bits_int(id11) << 18) | _bits_int(id18)
+        else:
+            fmt = FrameFormat.STANDARD
+            body += [reader.logical()]  # r0
+            frame_id = _bits_int(id11)
+        dlc_bits = [reader.logical() for _ in range(4)]
+        body += dlc_bits
+        dlc = min(_bits_int(dlc_bits), 8)
+        data_bits = [reader.logical() for _ in range(8 * dlc)]
+        body += data_bits
+        crc_read = _bits_int([reader.logical() for _ in range(15)])
+        reader.skip_pending_stuff()  # stuffing covers through the CRC field
+        trailer = [reader.fixed() for _ in range(10)]
+        ok = trailer == [1, 0, 1] + [1] * 7 and crc15_shift_register(body) == crc_read
+        payload = bytes(_bits_int(data_bits[8 * i : 8 * i + 8]) for i in range(dlc))
+    except _ParseAbort:
+        ok = False
+    return frame_id, fmt, dlc, payload if ok else None, ok, max(reader.pos, 1)
+
+
+def decode_bitwise(trace, bitrate, samap):
+    """Reference decoder: scan rising edges, parse each SOF one bit at a time."""
+    dominant = trace.samples > DECODE_THRESHOLD_VOLTS
+    spb = trace.sample_rate / bitrate
+    quiet = int(round(7 * spb))
+    rising = np.flatnonzero(~dominant[:-1] & dominant[1:]) + 1
+    if dominant[0]:
+        rising = np.concatenate(([0], rising))
+    out = []
+    cursor = 0
+    j = 0
+    while j < rising.size:
+        s0 = int(rising[j])
+        if s0 < cursor or dominant[max(0, s0 - quiet) : s0].any():
+            j += 1
+            continue
+        frame_id, fmt, dlc, payload, ok, consumed = parse_frame_bitwise(dominant, s0, spb)
+        out.append(
+            DecodedTransmission(
+                t=trace.start_time + s0 / trace.sample_rate,
+                sa=None if frame_id is None else samap.resolve(frame_id)[0],
+                frame_id=frame_id,
+                duration=consumed / bitrate,
+                crc_ok=ok,
+                format=fmt,
+                dlc=dlc,
+                payload=payload,
+            )
+        )
+        cursor = s0 + int(round(consumed * spb))
+        j = int(np.searchsorted(rising, cursor, side="left"))
+    return out
 
 
 def random_requests(rng, n, id_pool, span_s):
@@ -349,3 +479,118 @@ def test_mid_frame_bit_flip_decodes_with_crc_failure():
     decoded = decode_transmissions(trace, 125_000, LOW_BYTE_MAP)
     assert len(decoded) >= 1
     assert not any(d.crc_ok for d in decoded)
+
+
+# ------------------------------------------------- decoder vs bitwise oracle
+
+
+def random_frame(rng, fmt):
+    limit = 1 << (29 if fmt is FrameFormat.EXTENDED else 11)
+    payload = bytes(rng.integers(0, 256, int(rng.integers(0, 9))).tolist())
+    return CanFrame(int(rng.integers(0, limit)), payload, fmt)
+
+
+def wire_voltage(wires, bitrate, sample_rate, lead_bits=12, gap_bits=11):
+    """One trace holding the given (possibly corrupted) wire images in turn."""
+    order, t = [], lead_bits / bitrate
+    frame = CanFrame(0, b"")
+    for wire in wires:
+        order.append(ArbitratedFrame(0, frame, t, list(wire), len(wire) / bitrate))
+        t += (len(wire) + gap_bits) / bitrate
+    return make_voltage(order, bitrate, sample_rate)
+
+
+def assert_matches_oracle(trace, bitrate, samap=LOW_BYTE_MAP):
+    decoded = decode_transmissions(trace, bitrate, samap)
+    assert decoded == decode_bitwise(trace, bitrate, samap)
+    return decoded
+
+
+@pytest.mark.parametrize("bitrate", [125_000, 250_000, 500_000])
+@pytest.mark.parametrize("fmt", [FrameFormat.STANDARD, FrameFormat.EXTENDED])
+def test_decoder_matches_oracle_on_clean_traffic(bitrate, fmt):
+    rng = np.random.default_rng(bitrate // 1000 + (fmt is FrameFormat.EXTENDED))
+    frames = {f.frame_id: f for f in (random_frame(rng, fmt) for _ in range(30))}
+    order = arbitrate([(f, float(rng.uniform(0, 2e-3))) for f in frames.values()], bitrate)
+    # 12.5 samples per bit: mid-bit sample offsets truncate unevenly
+    decoded = assert_matches_oracle(make_voltage(order, bitrate, 12.5 * bitrate), bitrate)
+    assert len(decoded) == len(frames) and all(d.crc_ok for d in decoded)
+    for d in decoded:
+        assert type(d.frame_id) is int and type(d.dlc) is int
+        assert type(d.t) is float and type(d.duration) is float and type(d.crc_ok) is bool
+
+
+@pytest.mark.parametrize("fmt", [FrameFormat.STANDARD, FrameFormat.EXTENDED])
+def test_decoder_matches_oracle_on_every_single_bit_flip(fmt):
+    rng = np.random.default_rng(40 + (fmt is FrameFormat.EXTENDED))
+    frame = CanFrame(random_frame(rng, fmt).frame_id, bytes(rng.integers(0, 256, 8).tolist()), fmt)
+    wire = serialize_frame(frame)
+    flipped = []
+    for k in range(len(wire)):  # SOF, ID, control, data, CRC, trailer
+        corrupted = list(wire)
+        corrupted[k] ^= 1
+        flipped.append(corrupted)
+    for chunk in range(0, len(flipped), 16):
+        # each corrupted frame is followed by a clean one, so resynchronisation is checked too
+        wires = [w for c in flipped[chunk : chunk + 16] for w in (c, wire)]
+        assert_matches_oracle(wire_voltage(wires, 125_000, 2e6), 125_000)
+
+
+@pytest.mark.parametrize("fmt", [FrameFormat.STANDARD, FrameFormat.EXTENDED])
+def test_decoder_matches_oracle_on_trace_cut_inside_every_field(fmt):
+    rng = np.random.default_rng(50 + (fmt is FrameFormat.EXTENDED))
+    frame = CanFrame(random_frame(rng, fmt).frame_id, bytes(rng.integers(0, 256, 5).tolist()), fmt)
+    wire = serialize_frame(frame)
+    trace = wire_voltage([wire], 250_000, 3e6)
+    s0 = int(np.argmax(trace.samples > DECODE_THRESHOLD_VOLTS))
+    spb = 12.0
+    last_mid_bit = s0 + int((len(wire) - 0.5) * spb)
+    for k in range(len(wire)):
+        for frac in (0.3, 0.9):  # before and after the mid-bit sample of bit k
+            cut = s0 + int((k + frac) * spb)
+            decoded = assert_matches_oracle(SampledTrace(trace.samples[:cut], 3e6), 250_000)
+            assert any(d.crc_ok for d in decoded) == (cut > last_mid_bit)
+
+
+def test_decoder_matches_oracle_when_first_sample_is_dominant():
+    rng = np.random.default_rng(60)
+    frames = [random_frame(rng, FrameFormat.EXTENDED) for _ in range(4)]
+    trace = wire_voltage([serialize_frame(f) for f in frames], 125_000, 2e6, lead_bits=0)
+    assert trace.samples[0] > DECODE_THRESHOLD_VOLTS
+    assert assert_matches_oracle(trace, 125_000)[0].crc_ok
+    # start the capture inside a frame, on a dominant sample
+    dominant = np.flatnonzero(trace.samples > DECODE_THRESHOLD_VOLTS)
+    for first in dominant[[5, 40, 300, 700]]:
+        assert_matches_oracle(SampledTrace(trace.samples[first:], 2e6), 125_000)
+
+
+@pytest.mark.parametrize("wrong_bitrate", [100_000, 150_000, 200_000])
+def test_decoder_matches_oracle_at_the_wrong_bitrate(wrong_bitrate):
+    rng = np.random.default_rng(wrong_bitrate)
+    frames = {f.frame_id: f for f in (random_frame(rng, FrameFormat.EXTENDED) for _ in range(20))}
+    order = arbitrate([(f, float(rng.uniform(0, 5e-3))) for f in frames.values()], 125_000)
+    assert_matches_oracle(make_voltage(order, 125_000, 2e6), wrong_bitrate)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    extended=st.booleans(),
+    frame_id=st.integers(0, (1 << 29) - 1),
+    payload=st.binary(max_size=8),
+    bitrate=st.sampled_from([125_000, 250_000, 500_000]),
+    samples_per_bit=st.sampled_from([10.0, 12.5, 16.0, 20.3]),
+    flips=st.lists(st.integers(0, 200), max_size=4),
+    keep=st.floats(0.0, 1.0),
+)
+def test_decoder_property_never_raises_and_matches_oracle(
+    extended, frame_id, payload, bitrate, samples_per_bit, flips, keep
+):
+    fmt = FrameFormat.EXTENDED if extended else FrameFormat.STANDARD
+    frame = CanFrame(frame_id if extended else frame_id & 0x7FF, payload, fmt)
+    wire = serialize_frame(frame)
+    corrupted = list(wire)
+    for k in flips:
+        corrupted[k % len(wire)] ^= 1
+    trace = wire_voltage([corrupted, wire], bitrate, samples_per_bit * bitrate)
+    cut = max(1, int(keep * trace.samples.size))
+    assert_matches_oracle(SampledTrace(trace.samples[:cut], trace.sample_rate), bitrate)

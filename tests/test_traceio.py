@@ -39,6 +39,7 @@ def test_trace_file_round_trip_bit_exact(tmp_path):
     assert back.start_time == 0.25
     assert back.samples.shape == (1, 5000)
     assert np.array_equal(back.samples[0], samples)
+    assert not back.samples.flags.writeable
 
 
 def test_trace_file_multichannel(tmp_path):
@@ -64,6 +65,16 @@ def test_trace_file_rejects_corruption(tmp_path):
     path2.write_bytes(path2.read_bytes()[:-4])
     with pytest.raises(FileFormatError):
         read_trace_file(path2)
+
+
+def test_trace_file_with_unknown_kind_is_a_format_error(tmp_path):
+    path = tmp_path / "k.ctrc"
+    write_trace_file(path, np.zeros(16, dtype=np.float32), TraceKind.POWER, 1e6)
+    raw = bytearray(path.read_bytes())
+    raw[6] = 9  # kind byte, after the magic and the version
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError, match="kind 9"):
+        read_trace_file(path)
 
 
 def test_ground_truth_round_trip(tmp_path):
