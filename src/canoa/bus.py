@@ -16,6 +16,8 @@ rather than structural distinction.
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -268,35 +270,60 @@ def synth_voltage(
     return SampledTrace(samples, cfg.sample_rate)
 
 
-def _pulse(
-    samples: np.ndarray,
-    sample_rate: float,
-    start: float,
-    end: float,
-    amplitude: float,
-    rise_fall_s: float,
-    ripple_hz: float = 0.0,
-    ripple_amplitude: float = 0.0,
-    phase: float = 0.0,
-) -> None:
-    """Add a smoothed rectangular pulse (optionally with a harmonic ripple)."""
-    n = samples.size
-    a = max(0, int(round(start * sample_rate)))
-    b = min(n, int(round(end * sample_rate)))
-    if b <= a:
-        return
-    rs = max(rise_fall_s * sample_rate, 1e-9)
-    idx = np.arange(b - a)
-    env = 1.0 - np.exp(-idx / rs)
-    body = amplitude * env
-    if ripple_hz > 0.0 and ripple_amplitude != 0.0:
-        t = idx / sample_rate
-        body = body + ripple_amplitude * env * np.sin(2 * np.pi * ripple_hz * t + phase)
-    samples[a:b] += body
-    # exponential tail after the pulse
-    tail_len = min(n - b, int(round(6 * rs)))
-    if tail_len > 0:
-        samples[b : b + tail_len] += amplitude * np.exp(-np.arange(1, tail_len + 1) / rs)
+class _PulseKernel:
+    """Pulse shapes of one ``synth_power`` call, computed once and sliced.
+
+    The rise envelope, the sample times and the ripple phase ramp are
+    computed at the longest pulse seen so far and regrown when a longer one
+    arrives; the decay tail has a fixed length. Each sliced element equals
+    the same expression evaluated for that pulse alone, so pulses built
+    from the cache are bit-identical to pulses computed from scratch.
+    """
+
+    def __init__(self, n: int, sample_rate: float, rise_fall_s: float, ripple_hz: float):
+        self.n = n
+        self.sample_rate = sample_rate
+        self.rs = max(rise_fall_s * sample_rate, 1e-9)
+        self.ripple_hz = ripple_hz
+        self.decay = np.exp(-np.arange(1, int(round(6 * self.rs)) + 1) / self.rs)
+        self.env = self.t = self.wt = np.empty(0)
+
+    def add(
+        self,
+        samples: np.ndarray,
+        start: float,
+        end: float,
+        amplitude: float,
+        ripple_hz: float = 0.0,
+        ripple_amplitude: float = 0.0,
+        phase: float = 0.0,
+    ) -> None:
+        """Add a smoothed rectangular pulse (optionally with a harmonic ripple)."""
+        a = max(0, int(round(start * self.sample_rate)))
+        b = min(self.n, int(round(end * self.sample_rate)))
+        if b <= a:
+            return
+        m = b - a
+        if m > self.env.size:
+            idx = np.arange(m)
+            self.env = 1.0 - np.exp(-idx / self.rs)
+            self.t = idx / self.sample_rate
+            self.wt = 2 * np.pi * self.ripple_hz * self.t
+        env = self.env[:m]
+        body = amplitude * env
+        if ripple_hz > 0.0 and ripple_amplitude != 0.0:
+            if ripple_hz == self.ripple_hz:
+                wt = self.wt[:m]
+            else:
+                wt = 2 * np.pi * ripple_hz * self.t[:m]
+            ripple = ripple_amplitude * env
+            ripple *= np.sin(wt + phase)
+            body += ripple
+        samples[a:b] += body
+        # exponential tail after the pulse
+        tail_len = min(self.n - b, self.decay.size)
+        if tail_len > 0:
+            samples[b : b + tail_len] += amplitude * self.decay[:tail_len]
 
 
 def synth_power(
@@ -305,6 +332,8 @@ def synth_power(
     duration: float,
     sample_rate: float,
     seed: np.random.SeedSequence | int,
+    *,
+    out: np.ndarray | None = None,
 ) -> SampledTrace:
     """Power consumption of one ECU over a bus timeline.
 
@@ -312,42 +341,43 @@ def synth_power(
     ECU's own transmit intervals and a reception bump over everyone
     else's. Heterogeneous program activity adds seeded low-frequency
     bursts around the ECU's own transmissions.
+
+    ``out``, when given, is the float32 buffer of ``round(duration *
+    sample_rate)`` samples that the trace is written into; the result is
+    the same as without it.
     """
     prof = ecu.profile
     rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate))
+    if out is None:
+        out = np.empty(n, dtype=np.float32)
+    elif out.shape != (n,) or out.dtype != np.float32:
+        raise ValueError(f"out must be a float32 array of shape ({n},)")
+    samples = out
     base = prof.baseline_mean + prof.noise_floor_offset
     if prof.baseline_noise > 0:
-        samples = rng.standard_normal(n, dtype=np.float32)
+        rng.standard_normal(dtype=np.float32, out=samples)
         samples *= np.float32(prof.baseline_noise)
         samples += np.float32(base)
     else:
-        samples = np.full(n, base, dtype=np.float32)
+        samples.fill(base)
+    kernel = _PulseKernel(n, sample_rate, prof.signature_rise_fall_s, prof.ripple_frequency_hz)
     for ev in timeline:
         if ev.role is PowerRole.TRANSMIT:
             amp = prof.signature_amplitude * (
                 1.0 + prof.signature_jitter * rng.uniform(-1.0, 1.0)
             )
-            _pulse(
+            kernel.add(
                 samples,
-                sample_rate,
                 ev.start,
                 ev.end,
                 amp,
-                prof.signature_rise_fall_s,
                 ripple_hz=prof.ripple_frequency_hz,
                 ripple_amplitude=prof.ripple_amplitude * amp,
                 phase=rng.uniform(0.0, 2 * np.pi),
             )
         else:
-            _pulse(
-                samples,
-                sample_rate,
-                ev.start,
-                ev.end,
-                prof.reception_ripple,
-                prof.signature_rise_fall_s,
-            )
+            kernel.add(samples, ev.start, ev.end, prof.reception_ripple)
     if prof.program is ProgramActivity.HETEROGENEOUS:
         own = [ev for ev in timeline if ev.role is PowerRole.TRANSMIT]
         for ev in own:
@@ -361,13 +391,11 @@ def synth_power(
                     b0 = anchor - gap - burst_len
                 else:
                     b0 = anchor + gap
-                _pulse(
+                kernel.add(
                     samples,
-                    sample_rate,
                     b0,
                     b0 + burst_len,
                     0.35 * prof.signature_amplitude,
-                    prof.signature_rise_fall_s,
                     ripple_hz=rng.uniform(5e3, 20e3),
                     ripple_amplitude=0.1 * prof.signature_amplitude,
                     phase=rng.uniform(0.0, 2 * np.pi),
@@ -493,6 +521,34 @@ def _apply_hijacks(
             remaining -= 1
 
 
+def _timeline(slots: list[_BusSlot], ecu: EcuSpec, bit_time: float) -> list[PowerEvent]:
+    """One ECU's transmit and receive intervals over the resolved bus slots."""
+    timeline: list[PowerEvent] = []
+    for slot in slots:
+        end = slot.start + slot.duration_bits * bit_time
+        if slot.kind is AttackKind.HIJACK_TRANSMISSION and slot.handover_bit is not None:
+            cut = slot.start + (slot.handover_bit + 1) * bit_time
+            if ecu.index == slot.victim_ecu:
+                timeline.append(PowerEvent(slot.start, cut, PowerRole.TRANSMIT))
+                timeline.append(PowerEvent(cut, end, PowerRole.RECEIVE))
+            elif ecu.index == slot.transmitter:
+                timeline.append(PowerEvent(slot.start, cut, PowerRole.RECEIVE))
+                timeline.append(PowerEvent(cut, end, PowerRole.TRANSMIT))
+            else:
+                timeline.append(PowerEvent(slot.start, end, PowerRole.RECEIVE))
+        elif slot.transmitter == ecu.index:
+            timeline.append(PowerEvent(slot.start, end, PowerRole.TRANSMIT))
+        else:
+            timeline.append(PowerEvent(slot.start, end, PowerRole.RECEIVE))
+    return timeline
+
+
+def _worker_count(tasks: int) -> int:
+    """Threads for ``tasks`` independent jobs: no more than the usable CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(tasks, cpus or 1))
+
+
 def simulate(
     scenario: Scenario,
 ) -> tuple[SampledTrace, list[SampledTrace], GroundTruthLog]:
@@ -527,32 +583,29 @@ def simulate(
 
     _apply_hijacks(slots, scenario, np.random.default_rng(hijack_ss))
 
-    voltage = synth_voltage(
-        slots, scenario.bus, scenario.duration, np.random.default_rng(voltage_ss)
-    )
+    # Each ECU's timeline and power trace run on a worker thread: its noise
+    # comes from its own seed child, and numpy's fills and array arithmetic
+    # release the interpreter lock. The buffers are allocated here, on the
+    # calling thread: a trace allocated on a worker can land in that thread's
+    # malloc arena, which the calling thread never reuses for later buffers.
+    n = int(round(scenario.duration * scenario.bus.sample_rate))
+    buffers = [np.empty(n, dtype=np.float32) for _ in scenario.ecus]
 
-    powers: list[SampledTrace] = []
-    for ecu, child in zip(scenario.ecus, power_ss):
-        timeline: list[PowerEvent] = []
-        for slot in slots:
-            end = slot.start + slot.duration_bits * bit_time
-            if slot.kind is AttackKind.HIJACK_TRANSMISSION and slot.handover_bit is not None:
-                cut = slot.start + (slot.handover_bit + 1) * bit_time
-                if ecu.index == slot.victim_ecu:
-                    timeline.append(PowerEvent(slot.start, cut, PowerRole.TRANSMIT))
-                    timeline.append(PowerEvent(cut, end, PowerRole.RECEIVE))
-                elif ecu.index == slot.transmitter:
-                    timeline.append(PowerEvent(slot.start, cut, PowerRole.RECEIVE))
-                    timeline.append(PowerEvent(cut, end, PowerRole.TRANSMIT))
-                else:
-                    timeline.append(PowerEvent(slot.start, end, PowerRole.RECEIVE))
-            elif slot.transmitter == ecu.index:
-                timeline.append(PowerEvent(slot.start, end, PowerRole.TRANSMIT))
-            else:
-                timeline.append(PowerEvent(slot.start, end, PowerRole.RECEIVE))
-        powers.append(
-            synth_power(ecu, timeline, scenario.duration, scenario.bus.sample_rate, child)
+    def ecu_power(ecu: EcuSpec, seed: np.random.SeedSequence, out: np.ndarray) -> SampledTrace:
+        timeline = _timeline(slots, ecu, bit_time)
+        return synth_power(
+            ecu, timeline, scenario.duration, scenario.bus.sample_rate, seed, out=out
         )
+
+    with ThreadPoolExecutor(max_workers=_worker_count(len(scenario.ecus))) as pool:
+        futures = [
+            pool.submit(ecu_power, ecu, child, buf)
+            for ecu, child, buf in zip(scenario.ecus, power_ss, buffers)
+        ]
+        voltage = synth_voltage(
+            slots, scenario.bus, scenario.duration, np.random.default_rng(voltage_ss)
+        )
+        powers = [f.result() for f in futures]
 
     entries = tuple(
         GroundTruthEntry(

@@ -210,15 +210,21 @@ def _spectra(
 ) -> np.ndarray:
     """Normalized, tapered tau-length segment spectra, one row per start time."""
     n_samples = tau.sample_count(trace.sample_rate)
-    starts = np.array([trace.index_of(t) for t in times], dtype=np.int64)
+    # SampledTrace.index_of for every time at once: np.rint rounds half to
+    # even, as Python's round does
+    offsets = (np.asarray(times, dtype=np.float64) - trace.start_time) * trace.sample_rate
+    starts = np.rint(offsets).astype(np.int64)
     if starts.min() < 0 or starts.max() + n_samples > trace.samples.size:
         raise OutOfBounds("a transmission window falls outside the trace")
-    segments = np.lib.stride_tricks.sliding_window_view(trace.samples, n_samples)
     window = tukey_window(n_samples, win)
     out = np.empty((starts.size, n_samples // 2 + 1))
     rows = max(1, _SPECTRA_BLOCK_BYTES // (8 * n_samples))
+    buffer = np.empty((min(rows, starts.size), n_samples))
     for lo in range(0, starts.size, rows):
-        block = segments[starts[lo : lo + rows]].astype(np.float64)
+        part = starts[lo : lo + rows].tolist()
+        block = buffer[: len(part)]
+        for row, start in zip(block, part):
+            row[:] = trace.samples[start : start + n_samples]
         block -= stats.mean
         block /= stats.std
         block *= window

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import struct
 import zlib
@@ -252,15 +253,36 @@ def _parse_sections(blob: bytes, path) -> dict[str, bytes]:
     sections: dict[str, bytes] = {}
     offset = 6
     while offset < len(blob):
+        if offset + 2 > len(blob):
+            raise FileFormatError(f"{path}: truncated section header at byte {offset}")
         (name_len,) = struct.unpack_from("<H", blob, offset)
         offset += 2
-        name = blob[offset : offset + name_len].decode()
+        if offset + name_len + 8 > len(blob):
+            raise FileFormatError(f"{path}: truncated section header at byte {offset - 2}")
+        try:
+            name = blob[offset : offset + name_len].decode()
+        except UnicodeDecodeError:
+            raise FileFormatError(f"{path}: section name at byte {offset} is not UTF-8") from None
         offset += name_len
         (payload_len,) = struct.unpack_from("<Q", blob, offset)
         offset += 8
+        if offset + payload_len > len(blob):
+            raise FileFormatError(f"{path}: section {name!r} runs past the end of the file")
         sections[name] = blob[offset : offset + payload_len]
         offset += payload_len
     return sections
+
+
+def _section_array(sections: dict[str, bytes], name: str, shape: tuple[int, ...], path) -> np.ndarray:
+    """Float64 section ``name`` as an array of ``shape``, checked against its size."""
+    if name not in sections:
+        raise FileFormatError(f"{path}: missing section {name!r}")
+    payload = sections[name]
+    if len(payload) != 8 * math.prod(shape):
+        raise FileFormatError(
+            f"{path}: section {name!r} holds {len(payload)} bytes, not {shape} float64 values"
+        )
+    return np.frombuffer(payload, dtype="<f8").reshape(shape)
 
 
 def load_bundle(path: Path | str) -> ModelBundle:
@@ -271,7 +293,18 @@ def load_bundle(path: Path | str) -> ModelBundle:
     if zlib.crc32(blob) & 0xFFFFFFFF != stored_crc:
         raise FileFormatError(f"{path}: checksum mismatch")
     sections = _parse_sections(blob, path)
-    meta = json.loads(sections["meta"].decode())
+    if "meta" not in sections:
+        raise FileFormatError(f"{path}: missing section 'meta'")
+    # A checksum only proves the bytes are the ones written; a bundle written
+    # by another tool (or edited and re-checksummed) can still lack keys or
+    # hold values of the wrong type, which must not escape as KeyError.
+    try:
+        return _bundle_from_meta(json.loads(sections["meta"].decode()), sections, path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: malformed bundle meta: {exc!r}") from exc
+
+
+def _bundle_from_meta(meta: dict, sections: dict[str, bytes], path) -> ModelBundle:
     samap = SourceAddressMap(
         owners={int(sa): ecu for sa, ecu in meta["map"]["owners"].items()},
         rule=DerivationRule(meta["map"]["rule"]),
@@ -280,13 +313,14 @@ def load_bundle(path: Path | str) -> ModelBundle:
     entries = []
     for em in meta["entries"]:
         sa = em["sa"]
-        weights = np.frombuffer(sections[f"weights/{sa}"], dtype="<f8")
         shape = tuple(em["pca_shape"])
+        m, f = shape
         basis = PcaBasis(
-            mean=np.frombuffer(sections[f"pca_mean/{sa}"], dtype="<f8"),
-            components=np.frombuffer(sections[f"pca_components/{sa}"], dtype="<f8").reshape(shape),
-            explained_variance=np.frombuffer(sections[f"pca_variance/{sa}"], dtype="<f8"),
+            mean=_section_array(sections, f"pca_mean/{sa}", (f,), path),
+            components=_section_array(sections, f"pca_components/{sa}", shape, path),
+            explained_variance=_section_array(sections, f"pca_variance/{sa}", (m,), path),
         )
+        weights = _section_array(sections, f"weights/{sa}", (m,), path)
         if set(em["meta"]) != _TRAINING_META_FIELDS:
             raise FileFormatError(
                 f"{path}: SA {sa} training meta has fields {sorted(em['meta'])}, "

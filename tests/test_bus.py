@@ -1,7 +1,16 @@
 """Bus simulation tests: waveform synthesis, attacks, determinism."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import canoa
+from canoa import bus
 
 from canoa.bus import (
     AttackKind,
@@ -20,6 +29,7 @@ from canoa.bus import (
     synth_voltage,
     truck_scenario,
     _BusSlot,
+    _timeline,
 )
 from canoa.frames import CanFrame, FrameFormat, decode_transmissions, serialize_frame
 
@@ -261,3 +271,226 @@ def test_scenario_validation():
             duration=1.0,
             attacks=(AttackSpec(kind=AttackKind.COMPROMISED_ECU, spoofed_sa=1, attacker=0),),
         )
+
+
+# ------------------------------------------- cached kernels and concurrency
+
+
+def _pulse_reference(
+    samples, sample_rate, start, end, amplitude, rise_fall_s,
+    ripple_hz=0.0, ripple_amplitude=0.0, phase=0.0,
+):
+    """Every pulse computed from scratch: the loop the cached kernel replaced."""
+    n = samples.size
+    a = max(0, int(round(start * sample_rate)))
+    b = min(n, int(round(end * sample_rate)))
+    if b <= a:
+        return
+    rs = max(rise_fall_s * sample_rate, 1e-9)
+    idx = np.arange(b - a)
+    env = 1.0 - np.exp(-idx / rs)
+    body = amplitude * env
+    if ripple_hz > 0.0 and ripple_amplitude != 0.0:
+        t = idx / sample_rate
+        body = body + ripple_amplitude * env * np.sin(2 * np.pi * ripple_hz * t + phase)
+    samples[a:b] += body
+    tail_len = min(n - b, int(round(6 * rs)))
+    if tail_len > 0:
+        samples[b : b + tail_len] += amplitude * np.exp(-np.arange(1, tail_len + 1) / rs)
+
+
+def synth_power_reference(ecu, timeline, duration, sample_rate, seed):
+    prof = ecu.profile
+    rng = np.random.default_rng(seed)
+    n = int(round(duration * sample_rate))
+    base = prof.baseline_mean + prof.noise_floor_offset
+    if prof.baseline_noise > 0:
+        samples = rng.standard_normal(n, dtype=np.float32)
+        samples *= np.float32(prof.baseline_noise)
+        samples += np.float32(base)
+    else:
+        samples = np.full(n, base, dtype=np.float32)
+    rf = prof.signature_rise_fall_s
+    for ev in timeline:
+        if ev.role is PowerRole.TRANSMIT:
+            amp = prof.signature_amplitude * (1.0 + prof.signature_jitter * rng.uniform(-1.0, 1.0))
+            _pulse_reference(
+                samples, sample_rate, ev.start, ev.end, amp, rf,
+                ripple_hz=prof.ripple_frequency_hz,
+                ripple_amplitude=prof.ripple_amplitude * amp,
+                phase=rng.uniform(0.0, 2 * np.pi),
+            )
+        else:
+            _pulse_reference(samples, sample_rate, ev.start, ev.end, prof.reception_ripple, rf)
+    if prof.program is ProgramActivity.HETEROGENEOUS:
+        for ev in [ev for ev in timeline if ev.role is PowerRole.TRANSMIT]:
+            span = ev.end - ev.start
+            for anchor, sign in ((ev.start, -1.0), (ev.end, +1.0)):
+                if rng.uniform() > 0.6:
+                    continue
+                burst_len = span * rng.uniform(0.3, 0.9)
+                gap = span * rng.uniform(0.05, 0.4)
+                b0 = anchor - gap - burst_len if sign < 0 else anchor + gap
+                _pulse_reference(
+                    samples, sample_rate, b0, b0 + burst_len,
+                    0.35 * prof.signature_amplitude, rf,
+                    ripple_hz=rng.uniform(5e3, 20e3),
+                    ripple_amplitude=0.1 * prof.signature_amplitude,
+                    phase=rng.uniform(0.0, 2 * np.pi),
+                )
+    return samples
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype == np.float32 and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+TX, RX = PowerRole.TRANSMIT, PowerRole.RECEIVE
+FS = 2e6
+
+
+def _events(*spans):
+    return [PowerEvent(a, b, role) for a, b, role in spans]
+
+
+POWER_CASES = {
+    "transmit_and_receive": (
+        {},
+        _events((1e-3, 2.04e-3, TX), (2.5e-3, 3.5e-3, RX), (4e-3, 5.1e-3, RX), (5.5e-3, 6.6e-3, TX)),
+    ),
+    "heterogeneous_program": (
+        {"program": ProgramActivity.HETEROGENEOUS},
+        _events(*[(k * 1.3e-3 + 2e-4, k * 1.3e-3 + 1.2e-3, TX if k % 2 else RX) for k in range(6)]),
+    ),
+    "hijack_split": (
+        {},
+        _events((1e-3, 1.3e-3, TX), (1.3e-3, 2.1e-3, RX), (3e-3, 3.4e-3, RX), (3.4e-3, 4.2e-3, TX)),
+    ),
+    "clipped_at_both_ends": (
+        {"program": ProgramActivity.HETEROGENEOUS},
+        _events((-5e-4, 6e-4, TX), (2e-3, 3e-3, RX), (6.5e-3, 7.99e-3, RX), (7.4e-3, 8.3e-3, TX)),
+    ),
+    "growing_cache": (
+        {},
+        _events((5e-4, 6e-4, RX), (1e-3, 1.2e-3, TX), (2e-3, 4.5e-3, TX), (5e-3, 5.3e-3, RX), (6e-3, 7.9e-3, RX)),
+    ),
+    "noiseless": (
+        {"baseline_noise": 0.0, "program": ProgramActivity.HETEROGENEOUS},
+        _events((1e-3, 2e-3, TX), (2.5e-3, 3.5e-3, RX), (4e-3, 5e-3, TX)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POWER_CASES))
+def test_synth_power_bit_equal_to_per_pulse_reference(case):
+    profile_kw, events = POWER_CASES[case]
+    profile_kw = {"baseline_noise": 0.08, "ripple_frequency_hz": 130e3, **profile_kw}
+    ecu = EcuSpec(index=0, schedules=(), profile=PowerProfile(**profile_kw))
+    duration = 8e-3
+    want = synth_power_reference(ecu, events, duration, FS, seed=11)
+    got = synth_power(ecu, events, duration, FS, seed=11)
+    assert same_bits(got.samples, want)
+    out = np.full(int(round(duration * FS)), np.nan, dtype=np.float32)
+    into = synth_power(ecu, events, duration, FS, seed=11, out=out)
+    assert into.samples is out
+    assert same_bits(out, want)
+
+
+def test_synth_power_rejects_a_wrong_out_buffer():
+    ecu = idle_ecu(noise=0.1)
+    with pytest.raises(ValueError):
+        synth_power(ecu, [], 1e-3, FS, seed=1, out=np.empty(1999, dtype=np.float32))
+    with pytest.raises(ValueError):
+        synth_power(ecu, [], 1e-3, FS, seed=1, out=np.empty(2000, dtype=np.float64))
+
+
+def simulate_serial_reference(scenario, monkeypatch):
+    """``simulate``'s voltage and slots, with every power trace built serially
+    by the reference synthesizer from the same seed children."""
+    seen = {}
+    real_voltage = bus.synth_voltage
+
+    def spy(order, cfg, duration, rng):
+        seen["slots"] = list(order)
+        return real_voltage(order, cfg, duration, rng)
+
+    with monkeypatch.context() as m:
+        m.setattr(bus, "synth_voltage", spy)
+        voltage, _, truth = simulate(scenario)
+    children = np.random.SeedSequence(scenario.seed).spawn(3 + len(scenario.ecus))[3:]
+    bit_time = 1.0 / scenario.bus.bitrate
+    powers = [
+        synth_power_reference(
+            ecu, _timeline(seen["slots"], ecu, bit_time), scenario.duration,
+            scenario.bus.sample_rate, child,
+        )
+        for ecu, child in zip(scenario.ecus, children)
+    ]
+    return voltage, powers, truth
+
+
+SCENARIOS = {
+    "lab": lambda: small_lab(frames_per_sa=25, seed=3, program=ProgramActivity.HETEROGENEOUS),
+    "truck_attack": lambda: truck_scenario(
+        frames_per_sa=30,
+        seed=4,
+        attacks=(AttackSpec(kind=AttackKind.ADDED_MODULE, spoofed_sa=11, count=10),),
+    ),
+    "hijack": lambda: small_lab(
+        frames_per_sa=25,
+        seed=8,
+        attacks=(
+            AttackSpec(
+                kind=AttackKind.HIJACK_TRANSMISSION, spoofed_sa=2, attacker=3, count=3, victim_sa=1
+            ),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_simulate_equals_serial_reference(name, monkeypatch):
+    scenario = SCENARIOS[name]()
+    voltage, powers, truth = simulate(scenario)
+    ref_voltage, ref_powers, ref_truth = simulate_serial_reference(scenario, monkeypatch)
+    assert truth == ref_truth
+    assert same_bits(voltage.samples, ref_voltage.samples)
+    assert len(powers) == len(ref_powers) == len(scenario.ecus)
+    for got, want in zip(powers, ref_powers):
+        assert same_bits(got.samples, want)
+    if name == "hijack":
+        assert any(e.kind is AttackKind.HIJACK_TRANSMISSION for e in truth.entries)
+
+
+def _simulation_digest(scenario):
+    voltage, powers, truth = simulate(scenario)
+    h = hashlib.sha256(voltage.samples.tobytes())
+    for p in powers:
+        h.update(p.samples.tobytes())
+    h.update(repr(truth).encode())
+    return h.hexdigest()
+
+
+PINNED_RUN = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path[:0] = [sys.argv[1]]
+import test_bus
+from canoa import bus
+print(bus._worker_count(5), test_bus._simulation_digest(test_bus.SCENARIOS["lab"]()))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity control")
+def test_simulate_pinned_to_one_cpu_gives_the_same_bytes():
+    env = dict(os.environ)
+    src_dir = str(Path(canoa.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PINNED_RUN, str(Path(__file__).parent)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    workers, digest = done.stdout.split()
+    assert workers == "1"
+    assert digest == _simulation_digest(SCENARIOS["lab"]())

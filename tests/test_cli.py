@@ -2,14 +2,17 @@
 
 import filecmp
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
 import canoa
 from canoa.cli import main
+from canoa.traceio import BUNDLE_FOOTER, _parse_sections, _sections_bytes
 
 TINY_CONFIG = """
 scenario.preset = lab
@@ -185,6 +188,23 @@ def test_bundle_trace_mismatch(cfg_path, tmp_path):
         "--bitrate", 125000,
     )
     assert rc == 2
+
+
+def test_bundle_without_meta_section_is_data_error(cfg_path, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
+    assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
+    bundle = out / "bundle.cbnd"
+    sections = _parse_sections(bundle.read_bytes()[:-8], bundle)
+    del sections["meta"]
+    blob = _sections_bytes(list(sections.items()))
+    bundle.write_bytes(blob + BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob)))
+    capsys.readouterr()
+    rc = run_cli(
+        "authenticate", "--traces", out, "--bundle", bundle, "--out", out, "--bitrate", 125000
+    )
+    assert rc == 2
+    assert "missing section 'meta'" in capsys.readouterr().err
 
 
 def test_python_dash_m_canoa_runs_the_cli():

@@ -414,6 +414,21 @@ def test_blocked_spectra_equal_unblocked_reference(blocks, extra):
         ecu_spectra(trace, stats, txs + [tx(trace.start_time + (last + 1) / rate, 1)], tau, win)
 
 
+def test_spectra_start_samples_round_like_index_of():
+    # dyadic rate and times, so every window starts exactly half a sample off
+    # the grid and rounding has to break the tie toward the even index
+    rate, n_samples = 1024.0, 64
+    trace = SampledTrace(
+        np.random.default_rng(4).normal(0, 1, 4096).astype(np.float32), rate, start_time=0.25
+    )
+    stats, tau, win = NormStats(0.0, 1.0), Tau(n_samples / rate), TukeyParams(0.25)
+    times = [trace.start_time + (k + 0.5) / rate for k in range(0, 4000, 37)]
+    starts = [trace.index_of(t) for t in times]
+    assert any(s % 2 == 0 and s != k for s, k in zip(starts, range(0, 4000, 37)))
+    got = ecu_spectra(trace, stats, [tx(t, 1) for t in times], tau, win)
+    assert np.array_equal(got, unblocked_spectra(trace, stats, starts, n_samples, win))
+
+
 # ----------------------------------------------------------- build_datasets
 
 

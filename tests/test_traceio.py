@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canoa.bus import AttackKind, GroundTruthEntry, GroundTruthLog, truck_scenario, simulate
 from canoa.errors import FileFormatError
@@ -24,7 +26,7 @@ from canoa.traceio import (
     write_trace_file,
     write_verdicts,
 )
-from canoa.authenticate import authenticate_all
+from canoa.authenticate import ModelBundle, authenticate_all
 from canoa.workflow import PipelineConfig, build_bundle, usable_transmissions
 
 
@@ -167,6 +169,80 @@ def test_bundle_with_malformed_training_meta_is_a_format_error(trained, tmp_path
     path.write_bytes(blob + BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob)))
     with pytest.raises(FileFormatError):
         load_bundle(path)
+
+
+def rechecksummed(blob):
+    """Bundle bytes with a valid footer, so only their structure is at fault."""
+    return blob + BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob))
+
+
+def _drop_meta(sections, meta):
+    del sections["meta"]
+
+
+def _drop_owners(sections, meta):
+    del meta["map"]["owners"]
+
+
+def _drop_weights(sections, meta):
+    del sections[f"weights/{meta['entries'][0]['sa']}"]
+
+
+def _wrong_pca_shape(sections, meta):
+    meta["entries"][0]["pca_shape"][0] += 1
+
+
+BUNDLE_FAULTS = {
+    "missing_meta": (_drop_meta, b""),
+    "missing_map_owners": (_drop_owners, b""),
+    "missing_weights": (_drop_weights, b""),
+    "pca_shape_mismatch": (_wrong_pca_shape, b""),
+    "truncated_name_length": (None, b"\x07"),
+    "truncated_section_header": (None, b"\x07\x00wei"),
+    "section_past_the_end": (None, struct.pack("<H", 1) + b"x" + struct.pack("<Q", 64) + b"abc"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BUNDLE_FAULTS))
+def test_structurally_malformed_bundle_is_a_format_error(trained, tmp_path, fault):
+    sc, power_map, decoded, result = trained
+    path = tmp_path / "b.cbnd"
+    save_bundle(path, result.bundle)
+    edit, tail = BUNDLE_FAULTS[fault]
+    sections = _parse_sections(path.read_bytes()[:-8], path)
+    meta = json.loads(sections["meta"])
+    if edit is not None:
+        edit(sections, meta)
+        if "meta" in sections:
+            sections["meta"] = json.dumps(meta, sort_keys=True).encode()
+    path.write_bytes(rechecksummed(_sections_bytes(list(sections.items())) + tail))
+    with pytest.raises(FileFormatError):
+        load_bundle(path)
+
+
+@pytest.fixture(scope="module")
+def bundle_blob(trained, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "b.cbnd"
+    save_bundle(path, trained[3].bundle)
+    return path.read_bytes()[:-8], path
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_re_checksummed_byte_edits_load_or_raise_format_error(bundle_blob, data):
+    blob, path = bundle_blob
+    edited = bytearray(blob)
+    # the section table and the meta JSON hold all the structure; float
+    # payloads after them only change values
+    at = data.draw(st.integers(4, min(len(blob), 4096) - 1))
+    edited[at] = data.draw(st.integers(0, 255))
+    cut = data.draw(st.sampled_from([len(blob), len(blob) - 1, at + 1]))
+    path.write_bytes(rechecksummed(bytes(edited[:cut])))
+    try:
+        loaded = load_bundle(path)
+    except FileFormatError:
+        return
+    assert isinstance(loaded, ModelBundle)
 
 
 def test_verdict_csv_columns_and_rows(trained, tmp_path):
