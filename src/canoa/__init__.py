@@ -81,7 +81,6 @@ from .svm import (
     SvmModel,
     TrainConfig,
     bootstrap_accuracy,
-    predict_proba,
     train,
 )
 from .trace import SampledTrace

@@ -2,7 +2,8 @@
 
 Scoring has one path. :func:`score` gives every source address's
 calibrated transmission probability for a batch of transmissions, from
-the feature of its owning ECU's power trace at each transmission start.
+the magnitude spectrum of its owning ECU's power trace at each
+transmission start, through a linear model with the training PCA folded in.
 :func:`decide` turns one row of that matrix into a :class:`Verdict`.
 :func:`authenticate_all` is ``score`` then ``decide`` per row, and
 :func:`attribute` is the same for a batch of one.
@@ -29,7 +30,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .features import NormStats, PcaBasis, Tau, TukeyParams, ecu_spectra
+from .errors import BundleMismatch
+from .features import NormStats, Tau, TukeyParams, ecu_spectra
 from .frames import DecodedTransmission, SourceAddressMap
 from .svm import SvmModel, platt_proba
 from .trace import SampledTrace
@@ -45,12 +47,11 @@ class Decision(Enum):
 
 @dataclass(frozen=True)
 class SaEntry:
-    """Everything needed to score one source address."""
+    """Everything needed to score one source address from its ECU's spectra."""
 
     sa: int
     ecu: int
     model: SvmModel
-    basis: PcaBasis
     stats: NormStats
 
 
@@ -62,9 +63,12 @@ class ModelBundle:
     samap: SourceAddressMap
     tau: Tau
     window: TukeyParams
+    sample_rate: float  # of the power traces the models were trained on
     delta: float = 0.5
 
     def __post_init__(self):
+        if not self.sample_rate > 0:
+            raise ValueError("sample rate must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if {e.sa for e in self.entries} != set(self.samap.owners):
@@ -110,21 +114,29 @@ def score(
 ) -> np.ndarray:
     """Calibrated transmission probabilities, one row per transmission.
 
-    Column k belongs to ``bundle.entries[k]``. Spectra and principal
-    coordinates are computed once per ECU and shared by its addresses.
+    Column k belongs to ``bundle.entries[k]``. Spectra are computed once
+    per ECU and shared by its addresses.
     """
+    columns_by_ecu: dict[int, list[int]] = {}
+    for k, entry in enumerate(bundle.entries):
+        columns_by_ecu.setdefault(entry.ecu, []).append(k)
+    for ecu in columns_by_ecu:
+        rate = powers[ecu].sample_rate
+        if rate != bundle.sample_rate:
+            raise BundleMismatch(
+                f"power trace of ECU {ecu} is sampled at {rate:.0f} Hz, "
+                f"the bundle was trained at {bundle.sample_rate:.0f} Hz"
+            )
     p = np.empty((len(transmissions), len(bundle.entries)))
     if not transmissions:
         return p
-    coords_by_ecu: dict[int, np.ndarray] = {}
-    for k, entry in enumerate(bundle.entries):
-        if entry.ecu not in coords_by_ecu:
-            spectra = ecu_spectra(
-                powers[entry.ecu], entry.stats, transmissions, bundle.tau, bundle.window
-            )
-            coords_by_ecu[entry.ecu] = entry.basis.transform(spectra)
-        margins = coords_by_ecu[entry.ecu] @ entry.model.weights + entry.model.bias
-        p[:, k] = platt_proba(margins, *entry.model.calibration)
+    # one ECU's spectra at a time: they are the largest arrays scoring makes
+    for ecu, columns in columns_by_ecu.items():
+        stats = bundle.entries[columns[0]].stats
+        spectra = ecu_spectra(powers[ecu], stats, transmissions, bundle.tau, bundle.window)
+        for k in columns:
+            model = bundle.entries[k].model
+            p[:, k] = platt_proba(model.margin(spectra), *model.calibration)
     return p
 
 

@@ -19,7 +19,7 @@ from . import traceio
 from .authenticate import authenticate_all
 from .bus import simulate
 from .config import RunConfig, parse_config
-from .errors import BundleMismatch, CanoaError, ConfigError
+from .errors import BundleMismatch, CanoaError, ConfigError, EmptyInput
 from .evaluate import ConfusionMatrix, MetricReport, factor_sweep, grid_cells, metrics
 from .frames import decode_transmissions
 from .svm import bootstrap_accuracy
@@ -217,6 +217,12 @@ def cmd_authenticate(args) -> int:
         )
     decoded = decode_transmissions(voltage, args.bitrate, bundle.samap)
     usable = usable_transmissions(decoded, powers, bundle.tau)
+    if not usable:
+        crc_failed = sum(not d.crc_ok for d in decoded)
+        raise EmptyInput(
+            f"no usable transmission at --bitrate {args.bitrate:.0f}: "
+            f"{len(decoded)} decoded, {crc_failed} failed the CRC"
+        )
     verdicts = authenticate_all(usable, powers, bundle)
     traceio.write_verdicts(out / "verdicts.csv", verdicts, bundle.sas)
     ext = "csv" if args.format == "csv" else "txt"
@@ -323,7 +329,7 @@ def build_parser() -> _Parser:
     common(p_auth, config=False)
     p_auth.add_argument("--traces", required=True, help="directory with trace files")
     p_auth.add_argument("--bundle", required=True, help="trained model bundle")
-    p_auth.add_argument("--bitrate", type=float, default=125_000.0, help="bus bitrate in bits/s")
+    p_auth.add_argument("--bitrate", type=float, required=True, help="bus bitrate in bits/s")
     p_auth.set_defaults(func=cmd_authenticate)
 
     p_sweep = sub.add_parser("sweep", help="run the bus-speed x format x program grid")

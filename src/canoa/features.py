@@ -3,9 +3,11 @@
 The pipeline for one transmission (t, S) against one ECU's power trace:
 normalize by calibration statistics, slice a transmission-window-length
 segment starting at t, taper it with a Tukey window, take the one-sided
-FFT magnitude, and project onto the ECU's principal-component basis.
-Segment length is fixed at ``round(tau * sample_rate)`` samples so FFT
-lengths are uniform across transmissions.
+FFT magnitude. Training projects the spectra onto the ECU's
+principal-component basis; a trained model has that projection folded
+into its weights, so scoring stops at the spectrum. Segment length is
+fixed at ``round(tau * sample_rate)`` samples so FFT lengths are uniform
+across transmissions.
 """
 
 from __future__ import annotations

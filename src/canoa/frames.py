@@ -228,10 +228,6 @@ def serialize_frame(frame: CanFrame) -> Bits:
     return wire
 
 
-def frame_duration(frame: CanFrame, bitrate: float) -> float:
-    return len(serialize_frame(frame)) / bitrate
-
-
 def arbitrate(
     start_requests: list[tuple[CanFrame, float]], bitrate: float
 ) -> list[ArbitratedFrame]:

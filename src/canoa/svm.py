@@ -327,19 +327,6 @@ def train(ds: FeatureDataset, cfg: TrainConfig) -> tuple[SvmModel, LearningCurve
     return model, curve
 
 
-def predict_proba(model: SvmModel, x: np.ndarray) -> tuple[float, float]:
-    """(p_non_transmission, p_transmission) for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.n_features:
-        raise DimensionMismatch(
-            f"expected a vector of {model.n_features} features, got shape {x.shape}"
-        )
-    if not np.isfinite(x).all():
-        raise ValueError("feature vector contains non-finite values")
-    p_tx = float(platt_proba(model.margin(x), *model.calibration))
-    return 1.0 - p_tx, p_tx
-
-
 def bootstrap_accuracy(ds: FeatureDataset, cfg: TrainConfig) -> BootstrapSummary:
     """Validation accuracies over B bootstrap resamples of the training split."""
     if cfg.bootstrap_rounds < 10:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import struct
 import zlib
@@ -26,7 +25,7 @@ import numpy as np
 from .authenticate import ModelBundle, SaEntry, Verdict
 from .bus import AttackKind, GroundTruthEntry, GroundTruthLog
 from .errors import FileFormatError
-from .features import NormStats, PcaBasis, Tau, TukeyParams
+from .features import NormStats, Tau, TukeyParams
 from .frames import DerivationRule, SourceAddressMap
 from .svm import SvmModel, TrainingMeta
 
@@ -36,7 +35,7 @@ _TRACE_HEADER = struct.Struct("<4sHBHIQQ")
 
 BUNDLE_MAGIC = b"CBND"
 BUNDLE_FOOTER = b"CEND"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 _TRAINING_META_FIELDS = {f.name for f in fields(TrainingMeta)}
 
 GROUND_TRUTH_HEADER = ["t_sec", "frame_id", "claimed_sa", "true_source", "attack_kind"]
@@ -204,15 +203,12 @@ def _sections_bytes(sections: list[tuple[str, bytes]]) -> bytes:
     return out.getvalue()
 
 
-def _f64(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
-
-
 def save_bundle(path: Path | str, bundle: ModelBundle) -> None:
     meta = {
         "delta": bundle.delta,
         "tau": bundle.tau.value,
         "tukey_alpha": bundle.window.alpha,
+        "sample_rate": bundle.sample_rate,
         "map": {
             "rule": bundle.samap.rule.value,
             "owners": {str(sa): ecu for sa, ecu in bundle.samap.owners.items()},
@@ -231,13 +227,9 @@ def save_bundle(path: Path | str, bundle: ModelBundle) -> None:
                 "norm_mean": e.stats.mean,
                 "norm_std": e.stats.std,
                 "meta": asdict(e.model.meta),
-                "pca_shape": list(e.basis.components.shape),
             }
         )
-        sections.append((f"weights/{e.sa}", _f64(e.model.weights)))
-        sections.append((f"pca_mean/{e.sa}", _f64(e.basis.mean)))
-        sections.append((f"pca_components/{e.sa}", _f64(e.basis.components)))
-        sections.append((f"pca_variance/{e.sa}", _f64(e.basis.explained_variance)))
+        sections.append((f"weights/{e.sa}", np.asarray(e.model.weights, "<f8").tobytes()))
     sections.insert(0, ("meta", json.dumps(meta, sort_keys=True).encode()))
     blob = _sections_bytes(sections)
     footer = BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
@@ -273,18 +265,6 @@ def _parse_sections(blob: bytes, path) -> dict[str, bytes]:
     return sections
 
 
-def _section_array(sections: dict[str, bytes], name: str, shape: tuple[int, ...], path) -> np.ndarray:
-    """Float64 section ``name`` as an array of ``shape``, checked against its size."""
-    if name not in sections:
-        raise FileFormatError(f"{path}: missing section {name!r}")
-    payload = sections[name]
-    if len(payload) != 8 * math.prod(shape):
-        raise FileFormatError(
-            f"{path}: section {name!r} holds {len(payload)} bytes, not {shape} float64 values"
-        )
-    return np.frombuffer(payload, dtype="<f8").reshape(shape)
-
-
 def load_bundle(path: Path | str) -> ModelBundle:
     raw = Path(path).read_bytes()
     if len(raw) < 8 or raw[-8:-4] != BUNDLE_FOOTER:
@@ -300,7 +280,7 @@ def load_bundle(path: Path | str) -> ModelBundle:
     # hold values of the wrong type, which must not escape as KeyError.
     try:
         return _bundle_from_meta(json.loads(sections["meta"].decode()), sections, path)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: malformed bundle meta: {exc!r}") from exc
 
 
@@ -310,24 +290,28 @@ def _bundle_from_meta(meta: dict, sections: dict[str, bytes], path) -> ModelBund
         rule=DerivationRule(meta["map"]["rule"]),
         table={int(fid): sa for fid, sa in meta["map"]["table"].items()},
     )
+    sample_rate = meta["sample_rate"]
+    if not sample_rate > 0:
+        raise FileFormatError(f"{path}: sample rate {sample_rate!r} is not positive")
+    tau = Tau(meta["tau"])
+    # one weight per one-sided spectrum bin of a tau-length segment
+    n_bins = tau.sample_count(sample_rate) // 2 + 1
     entries = []
     for em in meta["entries"]:
         sa = em["sa"]
-        shape = tuple(em["pca_shape"])
-        m, f = shape
-        basis = PcaBasis(
-            mean=_section_array(sections, f"pca_mean/{sa}", (f,), path),
-            components=_section_array(sections, f"pca_components/{sa}", shape, path),
-            explained_variance=_section_array(sections, f"pca_variance/{sa}", (m,), path),
-        )
-        weights = _section_array(sections, f"weights/{sa}", (m,), path)
+        payload = sections.get(f"weights/{sa}")
+        if payload is None or len(payload) != 8 * n_bins:
+            raise FileFormatError(
+                f"{path}: section 'weights/{sa}' is missing or does not hold "
+                f"{n_bins} float64 values, one per spectrum bin"
+            )
         if set(em["meta"]) != _TRAINING_META_FIELDS:
             raise FileFormatError(
                 f"{path}: SA {sa} training meta has fields {sorted(em['meta'])}, "
                 f"expected {sorted(_TRAINING_META_FIELDS)}"
             )
         model = SvmModel(
-            weights=weights,
+            weights=np.frombuffer(payload, dtype="<f8"),
             bias=em["bias"],
             calibration=tuple(em["calibration"]),
             meta=TrainingMeta(**em["meta"]),
@@ -337,14 +321,14 @@ def _bundle_from_meta(meta: dict, sections: dict[str, bytes], path) -> ModelBund
                 sa=sa,
                 ecu=em["ecu"],
                 model=model,
-                basis=basis,
                 stats=NormStats(mean=em["norm_mean"], std=em["norm_std"]),
             )
         )
     return ModelBundle(
         entries=tuple(entries),
         samap=samap,
-        tau=Tau(meta["tau"]),
+        tau=tau,
         window=TukeyParams(meta["tukey_alpha"]),
+        sample_rate=sample_rate,
         delta=meta["delta"],
     )

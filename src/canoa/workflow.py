@@ -18,7 +18,7 @@ import numpy as np
 
 from .authenticate import Decision, ModelBundle, SaEntry, Verdict, authenticate_all
 from .bus import AttackKind, GroundTruthLog, ProgramActivity, Scenario, simulate
-from .errors import MissingChannel
+from .errors import BundleMismatch, MissingChannel
 from .evaluate import ConfusionMatrix, FactorCell, MetricReport, confusion, metrics
 from .features import (
     FeatureDataset,
@@ -77,12 +77,19 @@ def build_bundle(
     pipeline_cfg: PipelineConfig | None = None,
     train_cfg: TrainConfig | None = None,
 ) -> TrainResult:
-    """Train the per-SA model set from decoded traffic and power traces."""
+    """Train the per-SA model set from decoded traffic and power traces.
+
+    Each SVM is trained on its ECU's principal coordinates and then folded
+    into a model of the spectrum s: ((s - mu) Vᵀ) w + b = s (Vᵀ w) + (b - mu Vᵀ w).
+    """
     pcfg = pipeline_cfg or PipelineConfig()
     tcfg = train_cfg or TrainConfig()
     missing = [e for e in samap.ecus if e not in powers]
     if missing:
         raise MissingChannel(f"no power trace for ECU index(es) {missing}")
+    rates = sorted({powers[e].sample_rate for e in samap.ecus})
+    if len(rates) > 1:
+        raise BundleMismatch(f"power traces differ in sample rate: {rates} Hz")
     valid = [d for d in decoded if d.crc_ok and d.sa is not None]
     tau = estimate_tau(valid)
     usable = usable_transmissions(decoded, powers, tau)
@@ -103,10 +110,12 @@ def build_bundle(
         model, curve = train(datasets[(ecu, sa)], cfg)
         if not model.meta.converged:
             log.warning("model for SA %d did not converge in %d iterations", sa, cfg.max_iters)
-        entries.append(SaEntry(sa=sa, ecu=ecu, model=model, basis=bases[ecu], stats=stats[ecu]))
+        w = bases[ecu].components.T @ model.weights
+        model = dataclasses.replace(model, weights=w, bias=float(model.bias - bases[ecu].mean @ w))
+        entries.append(SaEntry(sa=sa, ecu=ecu, model=model, stats=stats[ecu]))
         curves[sa] = curve
     bundle = ModelBundle(
-        entries=tuple(entries), samap=samap, tau=tau, window=window, delta=pcfg.delta
+        tuple(entries), samap, tau, window, sample_rate=rates[0], delta=pcfg.delta
     )
     return TrainResult(
         bundle=bundle, curves=curves, datasets=datasets, transmissions=usable, tau=tau

@@ -1,5 +1,6 @@
 """Attribution and attack-decision tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,11 +16,18 @@ from canoa.authenticate import (
     score,
     softmax,
 )
-from canoa.bus import truck_scenario, simulate
-from canoa.features import NormStats, PcaBasis, Tau, TukeyParams
+from canoa.bus import AttackKind, AttackSpec, lab_scenario, truck_scenario, simulate
+from canoa.errors import BundleMismatch
+from canoa.features import NormStats, Tau, TukeyParams, build_datasets, ecu_spectra, estimate_tau
 from canoa.frames import SourceAddressMap, decode_transmissions
-from canoa.svm import SvmModel, TrainConfig, TrainingMeta
-from canoa.workflow import PipelineConfig, build_bundle, usable_transmissions
+from canoa.svm import SvmModel, TrainConfig, TrainingMeta, platt_proba, train
+from canoa.trace import SampledTrace
+from canoa.workflow import (
+    PipelineConfig,
+    build_bundle,
+    normal_transmissions,
+    usable_transmissions,
+)
 
 
 # ------------------------------------------------------------------ softmax
@@ -62,13 +70,17 @@ def stub_bundle(owners: dict[int, int], delta: float = 0.5) -> ModelBundle:
             sa=sa,
             ecu=ecu,
             model=SvmModel(np.zeros(2), 0.0, (0.0, 0.0), meta),
-            basis=PcaBasis(np.zeros(3), np.eye(2, 3), np.ones(2)),
             stats=NormStats(0.0, 1.0),
         )
         for sa, ecu in sorted(owners.items())
     )
     return ModelBundle(
-        entries=entries, samap=samap, tau=Tau(1e-3), window=TukeyParams(0.25), delta=delta
+        entries=entries,
+        samap=samap,
+        tau=Tau(1e-3),
+        window=TukeyParams(0.25),
+        sample_rate=2e6,
+        delta=delta,
     )
 
 
@@ -149,8 +161,12 @@ def test_bundle_validation():
             samap=samap,
             tau=Tau(1e-3),
             window=TukeyParams(),
+            sample_rate=2e6,
             delta=0.5,
         )
+    for rate in (0.0, -2e6, float("nan")):
+        with pytest.raises(ValueError, match="sample rate"):
+            dataclasses.replace(good, sample_rate=rate)
 
 
 # ---------------------------------------------------------- integration path
@@ -198,3 +214,77 @@ def test_batch_matches_single_attribution(truck_run):
     tx = usable[0]
     p = score([tx], power_map, result.bundle)
     assert attribute(tx, power_map, result.bundle) == decide(tx.sa, tx.t, p[0], result.bundle)
+
+
+def test_score_rejects_traces_at_another_sample_rate(truck_run):
+    sc, power_map, decoded, result = truck_run
+    usable = usable_transmissions(decoded, power_map, result.tau)[:5]
+    trace = power_map[1]
+    resampled = {**power_map, 1: SampledTrace(trace.samples, 2e6, trace.start_time)}
+    with pytest.raises(BundleMismatch, match="2000000 Hz.*3000000 Hz"):
+        score(usable, resampled, result.bundle)
+    with pytest.raises(BundleMismatch, match="sample rate"):
+        build_bundle(resampled, decoded, sc.source_map())
+
+
+# ------------------------------------------------------------ fold oracle
+
+
+def unfolded_scores(powers, decoded, samap, pcfg, tcfg, transmissions):
+    """The scorer before the fold: principal coordinates, then each trained SVM.
+
+    Repeats :func:`build_bundle`'s training steps, keeps every SVM on the
+    PCA coordinates it was trained on, and scores ``transmissions`` with
+    ``basis.transform``, the margin and the Platt sigmoid.
+    """
+    tau = estimate_tau([d for d in decoded if d.crc_ok and d.sa is not None])
+    usable = usable_transmissions(decoded, powers, tau)
+    window = TukeyParams(pcfg.tukey_alpha)
+    datasets, bases, stats = build_datasets(
+        powers, usable, samap, tau, window, pcfg.n_components, pcfg.calib_len
+    )
+    columns = []
+    for ecu, sa in sorted(datasets, key=lambda k: k[1]):
+        model, _ = train(datasets[(ecu, sa)], dataclasses.replace(tcfg, seed=tcfg.seed + 9973 * sa))
+        spectra = ecu_spectra(powers[ecu], stats[ecu], transmissions, tau, window)
+        margins = bases[ecu].transform(spectra) @ model.weights + model.bias
+        columns.append(platt_proba(margins, *model.calibration))
+    return np.column_stack(columns)
+
+
+def lab_capture():
+    return lab_scenario(frames_per_sa=150, sample_rate=2e6, seed=17)
+
+
+def truck_attack_capture():
+    spoof = AttackSpec(kind=AttackKind.ADDED_MODULE, spoofed_sa=0, count=60)
+    return truck_scenario(frames_per_sa=160, sample_rate=3e6, seed=23, attacks=(spoof,))
+
+
+@pytest.mark.parametrize("capture", [lab_capture, truck_attack_capture])
+def test_folded_scorer_matches_the_unfolded_oracle(capture):
+    sc = capture()
+    voltage, powers, truth = simulate(sc)
+    samap = sc.source_map()
+    decoded = decode_transmissions(voltage, sc.bus.bitrate, samap)
+    power_map = {e.index: p for e, p in zip(sc.ecus, powers)}
+    training_set = normal_transmissions(decoded, truth)
+    pcfg, tcfg = PipelineConfig(calib_len=40_000), TrainConfig(seed=3)
+    result = build_bundle(power_map, training_set, samap, pcfg, tcfg)
+    # every decoded frame, attack frames included, is scored
+    usable = usable_transmissions(decoded, power_map, result.tau)
+    folded = authenticate_all(usable, power_map, result.bundle)
+    p_ref = unfolded_scores(power_map, training_set, samap, pcfg, tcfg, usable)
+    sas = result.bundle.sas
+    for tx, v, p_row in zip(usable, folded, p_ref):
+        ref = decide(tx.sa, tx.t, p_row, result.bundle)
+        assert (v.decision, v.attributed_sa, v.tie, v.multiple_positive) == (
+            ref.decision,
+            ref.attributed_sa,
+            ref.tie,
+            ref.multiple_positive,
+        )
+    p_fold = np.array([[v.p_tx[sa] for sa in sas] for v in folded])
+    np.testing.assert_allclose(p_fold, p_ref, rtol=1e-9, atol=0)
+    if capture is truck_attack_capture:
+        assert len(usable) > len(usable_transmissions(training_set, power_map, result.tau))

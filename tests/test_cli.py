@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -205,6 +206,73 @@ def test_bundle_without_meta_section_is_data_error(cfg_path, tmp_path, capsys):
     )
     assert rc == 2
     assert "missing section 'meta'" in capsys.readouterr().err
+
+
+def test_bundle_on_traces_at_another_sample_rate_is_a_mismatch(cfg_path, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
+    assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
+    fast_cfg = tmp_path / "fast.cfg"
+    fast_cfg.write_text(TINY_CONFIG.replace("bus.sample_rate = 2000000", "bus.sample_rate = 3000000"))
+    fast = tmp_path / "fast"
+    assert run_cli("simulate", "--config", fast_cfg, "--out", fast) == 0
+    capsys.readouterr()
+    rc = run_cli(
+        "authenticate",
+        "--traces", fast,
+        "--bundle", out / "bundle.cbnd",
+        "--out", fast,
+        "--bitrate", 125000,
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "3000000 Hz" in err and "2000000 Hz" in err
+    assert not (fast / "verdicts.csv").exists()
+
+
+def test_authenticate_requires_bitrate(cfg_path, tmp_path):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
+    assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
+    rc = run_cli("authenticate", "--traces", out, "--bundle", out / "bundle.cbnd", "--out", out)
+    assert rc == 1
+
+
+def test_authenticate_at_the_wrong_bitrate_names_what_decoded(cfg_path, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
+    assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
+    capsys.readouterr()
+    rc = run_cli(
+        "authenticate",
+        "--traces", out,
+        "--bundle", out / "bundle.cbnd",
+        "--out", out,
+        "--bitrate", 100000,
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.search(r"no usable transmission at --bitrate 100000: (\d+) decoded, \1 failed the CRC", err), err
+    assert not (out / "verdicts.csv").exists()
+
+
+def test_import_adds_no_third_party_module_but_numpy():
+    env = dict(os.environ)
+    src_dir = str(Path(canoa.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "before = {name.partition('.')[0] for name in sys.modules}\n"
+        "import canoa, canoa.cli\n"
+        "after = {name.partition('.')[0] for name in sys.modules}\n"
+        "print(' '.join(sorted(after - before - set(sys.stdlib_module_names))))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split()) - {"canoa", "numpy"}
+    assert not added, f"importing canoa pulled in {sorted(added)}"
 
 
 def test_python_dash_m_canoa_runs_the_cli():

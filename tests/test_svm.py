@@ -9,7 +9,7 @@ from canoa.svm import (
     TrainConfig,
     bootstrap_accuracy,
     platt_fit,
-    predict_proba,
+    platt_proba,
     svm_objective,
     svm_subgradient,
     train,
@@ -109,14 +109,15 @@ def test_probabilities_sum_to_one_and_boundary_value():
     ds = blob_dataset(seed=9)
     model, _ = train(ds, TrainConfig(seed=10))
     x = ds.x[0]
-    p0, p1 = predict_proba(model, x)
+    p1 = float(platt_proba(model.margin(x), *model.calibration))
+    p0 = 1.0 - p1
     assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
     # a point on the decision boundary maps to 1/(1+exp(B))
     a, b = model.calibration
     w = model.weights
     x_boundary = -model.bias * w / float(w @ w)
     assert model.margin(x_boundary) == pytest.approx(0.0, abs=1e-9)
-    _, p_tx = predict_proba(model, x_boundary)
+    p_tx = float(platt_proba(model.margin(x_boundary), *model.calibration))
     assert p_tx == pytest.approx(1.0 / (1.0 + np.exp(b)), abs=1e-9)
 
 
@@ -124,7 +125,7 @@ def test_probability_monotone_in_margin():
     ds = blob_dataset(seed=11)
     model, _ = train(ds, TrainConfig(seed=12))
     margins = np.asarray(model.margin(ds.x))
-    probs = np.array([predict_proba(model, row)[1] for row in ds.x])
+    probs = np.array([platt_proba(model.margin(row), *model.calibration) for row in ds.x])
     order = np.argsort(margins)
     assert np.all(np.diff(probs[order]) >= -1e-12)
 
@@ -132,7 +133,7 @@ def test_probability_monotone_in_margin():
 def test_calibration_separates_validation_classes():
     ds = blob_dataset(gap=3.0, seed=13)
     model, _ = train(ds, TrainConfig(seed=14))
-    p = np.array([predict_proba(model, row)[1] for row in ds.x])
+    p = np.array([platt_proba(model.margin(row), *model.calibration) for row in ds.x])
     assert p[ds.y == 1].mean() > p[ds.y == 0].mean()
 
 
@@ -140,7 +141,7 @@ def test_dimension_mismatch():
     ds = blob_dataset()
     model, _ = train(ds, TrainConfig())
     with pytest.raises(DimensionMismatch):
-        predict_proba(model, np.zeros(3))
+        platt_proba(model.margin(np.zeros(3)), *model.calibration)
 
 
 def test_platt_fit_on_synthetic_margins():

@@ -131,6 +131,7 @@ def test_bundle_round_trip_preserves_verdicts(trained, tmp_path):
     assert loaded.delta == result.bundle.delta
     assert loaded.tau.value == result.bundle.tau.value
     assert loaded.samap.owners == result.bundle.samap.owners
+    assert loaded.sample_rate == result.bundle.sample_rate == 3e6
     usable = usable_transmissions(decoded, power_map, result.tau)[:200]
     before = authenticate_all(usable, power_map, result.bundle)
     after = authenticate_all(usable, power_map, loaded)
@@ -188,15 +189,32 @@ def _drop_weights(sections, meta):
     del sections[f"weights/{meta['entries'][0]['sa']}"]
 
 
-def _wrong_pca_shape(sections, meta):
-    meta["entries"][0]["pca_shape"][0] += 1
+def _other_sample_rate(sections, meta):
+    # the weights no longer have one value per spectrum bin at this rate
+    meta["sample_rate"] *= 1.5
+
+
+def _short_weights(sections, meta):
+    name = f"weights/{meta['entries'][0]['sa']}"
+    sections[name] = sections[name][:-8]
+
+
+def _zero_sample_rate(sections, meta):
+    meta["sample_rate"] = 0
+
+
+def _drop_sample_rate(sections, meta):
+    del meta["sample_rate"]
 
 
 BUNDLE_FAULTS = {
     "missing_meta": (_drop_meta, b""),
     "missing_map_owners": (_drop_owners, b""),
     "missing_weights": (_drop_weights, b""),
-    "pca_shape_mismatch": (_wrong_pca_shape, b""),
+    "sample_rate_weights_mismatch": (_other_sample_rate, b""),
+    "weights_one_short": (_short_weights, b""),
+    "zero_sample_rate": (_zero_sample_rate, b""),
+    "missing_sample_rate": (_drop_sample_rate, b""),
     "truncated_name_length": (None, b"\x07"),
     "truncated_section_header": (None, b"\x07\x00wei"),
     "section_past_the_end": (None, struct.pack("<H", 1) + b"x" + struct.pack("<Q", 64) + b"abc"),
@@ -217,6 +235,32 @@ def test_structurally_malformed_bundle_is_a_format_error(trained, tmp_path, faul
             sections["meta"] = json.dumps(meta, sort_keys=True).encode()
     path.write_bytes(rechecksummed(_sections_bytes(list(sections.items())) + tail))
     with pytest.raises(FileFormatError):
+        load_bundle(path)
+
+
+def test_v2_bundle_holds_one_weight_vector_per_sa_and_no_pca(trained, tmp_path):
+    sc, power_map, decoded, result = trained
+    path = tmp_path / "b.cbnd"
+    save_bundle(path, result.bundle)
+    blob = path.read_bytes()[:-8]
+    assert struct.unpack_from("<H", blob, 4) == (2,)
+    sections = _parse_sections(blob, path)
+    assert sorted(sections) == ["meta"] + sorted(f"weights/{sa}" for sa in result.bundle.sas)
+    n_bins = result.tau.sample_count(3e6) // 2 + 1
+    assert all(len(sections[f"weights/{sa}"]) == 8 * n_bins for sa in result.bundle.sas)
+    meta = json.loads(sections["meta"])
+    assert meta["sample_rate"] == 3e6
+    assert not any("pca" in key for entry in meta["entries"] for key in entry)
+
+
+def test_v1_bundle_is_a_format_error_naming_the_version(trained, tmp_path):
+    sc, power_map, decoded, result = trained
+    path = tmp_path / "b.cbnd"
+    save_bundle(path, result.bundle)
+    blob = bytearray(path.read_bytes()[:-8])
+    blob[4:6] = struct.pack("<H", 1)
+    path.write_bytes(rechecksummed(bytes(blob)))
+    with pytest.raises(FileFormatError, match="unsupported bundle version 1"):
         load_bundle(path)
 
 
