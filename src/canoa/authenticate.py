@@ -73,6 +73,12 @@ class ModelBundle:
             raise ValueError("delta must lie in (0, 1)")
         if {e.sa for e in self.entries} != set(self.samap.owners):
             raise ValueError("bundle SA set must match the source address map")
+        for e in self.entries:
+            if e.ecu != self.samap.owners[e.sa]:
+                raise ValueError(
+                    f"SA {e.sa} entry names ECU {e.ecu}, but the map's owner is "
+                    f"ECU {self.samap.owners[e.sa]}"
+                )
 
     @property
     def sas(self) -> list[int]:

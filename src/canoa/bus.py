@@ -77,6 +77,13 @@ class PowerProfile:
             )
 
 
+def _frame_id(id_prefix: int, sa: int, fmt: FrameFormat) -> int:
+    """The ID ``sa`` sends under, ``id_prefix`` above its byte (29-bit) or window (11-bit)."""
+    if fmt is FrameFormat.EXTENDED:
+        return ((id_prefix & 0x1FFFFF) << 8) | sa
+    return ((id_prefix & 0x7) << 8) | sa
+
+
 @dataclass(frozen=True)
 class MessageSchedule:
     """Periodic frame stream for one source address.
@@ -92,10 +99,12 @@ class MessageSchedule:
     id_prefix: int = 0x00F0  # high bits above the SA byte (29-bit) / SA window (11-bit)
     count: int | None = None
 
+    def __post_init__(self):
+        if not self.period_s > 0:
+            raise ValueError("period must be positive")
+
     def frame_id(self, fmt: FrameFormat) -> int:
-        if fmt is FrameFormat.EXTENDED:
-            return ((self.id_prefix & 0x1FFFFF) << 8) | self.sa
-        return ((self.id_prefix & 0x7) << 8) | self.sa
+        return _frame_id(self.id_prefix, self.sa, fmt)
 
 
 @dataclass(frozen=True)
@@ -137,6 +146,9 @@ class AttackSpec:
         if self.kind is AttackKind.ADDED_MODULE and self.attacker is not None:
             raise ValueError("added-module frames have no legitimate attacker index")
 
+    def frame_id(self, fmt: FrameFormat) -> int:
+        return _frame_id(self.id_prefix, self.spoofed_sa, fmt)
+
 
 @dataclass(frozen=True)
 class BusConfig:
@@ -144,6 +156,12 @@ class BusConfig:
     format: FrameFormat = FrameFormat.EXTENDED
     sample_rate: float = 10e6
     voltage_noise: float = 0.05
+
+    def __post_init__(self):
+        if not (self.bitrate > 0 and self.sample_rate > 0):
+            raise ValueError("bitrate and sample rate must be positive")
+        if not self.voltage_noise >= 0:
+            raise ValueError("voltage noise must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -155,7 +173,7 @@ class Scenario:
     attacks: tuple[AttackSpec, ...] = ()
 
     def __post_init__(self):
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be positive")
         sas = [sa for ecu in self.ecus for sa in ecu.sas]
         if len(sas) != len(set(sas)):
@@ -182,8 +200,7 @@ class Scenario:
             for sched in ecu.schedules:
                 table[sched.frame_id(self.bus.format)] = sched.sa
         for atk in self.attacks:
-            fid = ((atk.id_prefix & 0x7) << 8) | atk.spoofed_sa
-            table[fid] = atk.spoofed_sa
+            table[atk.frame_id(self.bus.format)] = atk.spoofed_sa
         return SourceAddressMap(
             owners=self.owners, rule=DerivationRule.EXPLICIT_TABLE, table=table
         )
@@ -442,11 +459,7 @@ def _stream_requests(
     for atk in scenario.attacks:
         if atk.kind is AttackKind.HIJACK_TRANSMISSION:
             continue  # realized post-arbitration
-        fid = (
-            ((atk.id_prefix & 0x1FFFFF) << 8) | atk.spoofed_sa
-            if fmt is FrameFormat.EXTENDED
-            else ((atk.id_prefix & 0x7) << 8) | atk.spoofed_sa
-        )
+        fid = atk.frame_id(fmt)
         times = list(atk.trigger_times)
         if atk.count > len(times):
             extra = atk.count - len(times)
@@ -629,11 +642,12 @@ def lab_scenario(
     sample_rate: float = 2e6,
     seed: int = 7,
     bitrate: float = 125_000.0,
-    fmt: FrameFormat = FrameFormat.EXTENDED,
+    format: FrameFormat = FrameFormat.EXTENDED,
     program: ProgramActivity = ProgramActivity.UNIFORM,
     attacks: tuple[AttackSpec, ...] = (),
 ) -> Scenario:
     """Bench-style scenario: five ECUs, one source address each."""
+    bus = BusConfig(bitrate=bitrate, format=format, sample_rate=sample_rate)
     period = 8e-3 * 125_000.0 / bitrate
     ecus = []
     for k in range(5):
@@ -653,7 +667,6 @@ def lab_scenario(
         )
         ecus.append(EcuSpec(index=k, schedules=(sched,), profile=profile))
     duration = frames_per_sa * period + 60e-3
-    bus = BusConfig(bitrate=bitrate, format=fmt, sample_rate=sample_rate)
     return Scenario(bus=bus, ecus=tuple(ecus), duration=duration, seed=seed, attacks=attacks)
 
 

@@ -102,15 +102,13 @@ def render_metrics(report: MetricReport, fmt: str) -> str:
 def _load_run(args) -> RunConfig:
     run = parse_config(args.config)
     if args.seed is not None:
-        scenario = dataclasses.replace(run.scenario, seed=args.seed)
-        train_cfg = dataclasses.replace(run.train, seed=args.seed)
-        run = RunConfig(scenario=scenario, pipeline=run.pipeline, train=train_cfg)
-    if args.delta is not None:
-        run = RunConfig(
-            scenario=run.scenario,
-            pipeline=dataclasses.replace(run.pipeline, delta=args.delta),
-            train=run.train,
+        run = dataclasses.replace(
+            run,
+            scenario=dataclasses.replace(run.scenario, seed=args.seed),
+            train=dataclasses.replace(run.train, seed=args.seed),
         )
+    if args.delta is not None:
+        run = dataclasses.replace(run, pipeline=dataclasses.replace(run.pipeline, delta=args.delta))
     return run
 
 

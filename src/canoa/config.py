@@ -1,100 +1,82 @@
-"""Plain-text key=value run configuration.
+"""Plain-text ``key = value`` run configuration.
 
-A config names either a scenario preset (``scenario.preset = lab``) with
-a few knobs, or a fully explicit scenario via ``ecu.<k>.*`` and
-``attack.<i>.*`` keys, plus pipeline and training parameters. Unknown
-keys are rejected with their line number. Every knob has a documented
-default; parsing an empty file yields the stock lab scenario.
+Every key sets one field of one dataclass and is parsed by that field's
+type (an ``int`` in any base, a ``float``, an enum value, or comma-separated
+tuple parts); a key left out keeps the field's own default. ``bus.*`` sets
+the :class:`BusConfig`, ``ecu.<k>.*`` the :class:`PowerProfile` of ECU
+``k``, ``ecu.<k>.msg.<j>.*`` its ``j``-th :class:`MessageSchedule`,
+``attack.<i>.*`` an :class:`AttackSpec`, ``sim.*`` the :class:`Scenario`
+(``sim.seed`` also seeds training), ``pipeline.*`` the
+:class:`PipelineConfig` and ``train.*`` the :class:`TrainConfig`.
+
+The scenario is built in three steps. ``scenario.preset = lab`` (the
+default) or ``truck`` calls its preset function with the keys that match
+its parameters (``scenario.frames_per_sa`` is one); ``custom`` (the default
+when ``ecu.*`` keys are given) starts from the ``ecu.<k>.msg.<j>`` streams,
+ECU ``k`` getting ripple frequency ``60e3 + 70e3·k`` and ID prefix
+``0x00F0 + k``. Every other scenario key then overrides that base,
+``scenario.program`` before ``ecu.<k>.program``. A key no step can apply
+(an ECU or stream the preset lacks, ``scenario.frames_per_sa`` on a custom
+scenario) is a :class:`ConfigError` at its line, and so is a value a
+dataclass rejects, at the last line that set one of its fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import inspect
 import re
+import types
+import typing
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 from .bus import (
-    AttackKind,
     AttackSpec,
     BusConfig,
     EcuSpec,
     MessageSchedule,
     PowerProfile,
-    ProgramActivity,
     Scenario,
     lab_scenario,
     truck_scenario,
 )
 from .errors import ConfigError
-from .frames import FrameFormat
 from .svm import TrainConfig
 from .workflow import PipelineConfig
 
+_PRESETS = {"lab": lab_scenario, "truck": truck_scenario, "custom": None}
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 0)  # accepts decimal and 0x...
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
-def _parse_split(raw: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ValueError("split needs three comma-separated ratios")
-    return tuple(parts)  # type: ignore[return-value]
-
-
-_CHOICES = {
-    "format": {"standard", "extended"},
-    "program": {"uniform", "heterogeneous"},
-    "preset": {"lab", "truck", "custom"},
-    "kind": {"compromised_ecu", "added_module", "hijack_transmission"},
+# section -> (the dataclass or preset whose annotations type its keys, the key names)
+_SECTIONS = {
+    "bus": (BusConfig, ("bitrate", "format", "sample_rate", "voltage_noise")),
+    "sim": (Scenario, ("duration", "seed")),
+    "scenario": (lab_scenario, ("frames_per_sa", "program")),
+    "ecu": (PowerProfile, ("baseline_mean", "baseline_noise", "signature_amplitude",
+                           "ripple_frequency", "ripple_amplitude", "reception_ripple",
+                           "noise_floor", "program")),
+    "msg": (MessageSchedule, ("sa", "period", "offset", "dlc", "prefix", "count")),
+    "attack": (AttackSpec, ("kind", "spoofed_sa", "attacker", "count", "victim_sa", "prefix")),
+    "pipeline": (PipelineConfig, ("components", "tukey_alpha", "delta", "calib_len")),
+    "train": (TrainConfig, ("epsilon", "max_iters", "c", "split", "bootstrap_rounds",
+                            "batch_size")),
 }
-
-# key pattern -> (value parser, choices key or None)
-_SCHEMA: list[tuple[re.Pattern, object, str | None]] = [
-    (re.compile(r"^scenario\.preset$"), str, "preset"),
-    (re.compile(r"^scenario\.frames_per_sa$"), _parse_int, None),
-    (re.compile(r"^scenario\.program$"), str, "program"),
-    (re.compile(r"^bus\.bitrate$"), _parse_float, None),
-    (re.compile(r"^bus\.format$"), str, "format"),
-    (re.compile(r"^bus\.sample_rate$"), _parse_float, None),
-    (re.compile(r"^bus\.voltage_noise$"), _parse_float, None),
-    (re.compile(r"^sim\.duration$"), _parse_float, None),
-    (re.compile(r"^sim\.seed$"), _parse_int, None),
-    (re.compile(r"^ecu\.\d+\.baseline_mean$"), _parse_float, None),
-    (re.compile(r"^ecu\.\d+\.baseline_noise$"), _parse_float, None),
-    (re.compile(r"^ecu\.\d+\.signature_amplitude$"), _parse_float, None),
-    (re.compile(r"^ecu\.\d+\.ripple_frequency$"), _parse_float, None),
-    (re.compile(r"^ecu\.\d+\.ripple_amplitude$"), _parse_float, None),
-    (re.compile(r"^ecu\.\d+\.reception_ripple$"), _parse_float, None),
-    (re.compile(r"^ecu\.\d+\.noise_floor$"), _parse_float, None),
-    (re.compile(r"^ecu\.\d+\.program$"), str, "program"),
-    (re.compile(r"^ecu\.\d+\.msg\.\d+\.sa$"), _parse_int, None),
-    (re.compile(r"^ecu\.\d+\.msg\.\d+\.period$"), _parse_float, None),
-    (re.compile(r"^ecu\.\d+\.msg\.\d+\.offset$"), _parse_float, None),
-    (re.compile(r"^ecu\.\d+\.msg\.\d+\.dlc$"), _parse_int, None),
-    (re.compile(r"^ecu\.\d+\.msg\.\d+\.prefix$"), _parse_int, None),
-    (re.compile(r"^ecu\.\d+\.msg\.\d+\.count$"), _parse_int, None),
-    (re.compile(r"^attack\.\d+\.kind$"), str, "kind"),
-    (re.compile(r"^attack\.\d+\.spoofed_sa$"), _parse_int, None),
-    (re.compile(r"^attack\.\d+\.attacker$"), _parse_int, None),
-    (re.compile(r"^attack\.\d+\.count$"), _parse_int, None),
-    (re.compile(r"^attack\.\d+\.victim_sa$"), _parse_int, None),
-    (re.compile(r"^attack\.\d+\.prefix$"), _parse_int, None),
-    (re.compile(r"^pipeline\.components$"), _parse_int, None),
-    (re.compile(r"^pipeline\.tukey_alpha$"), _parse_float, None),
-    (re.compile(r"^pipeline\.delta$"), _parse_float, None),
-    (re.compile(r"^pipeline\.calib_len$"), _parse_int, None),
-    (re.compile(r"^train\.epsilon$"), _parse_float, None),
-    (re.compile(r"^train\.max_iters$"), _parse_int, None),
-    (re.compile(r"^train\.c$"), _parse_float, None),
-    (re.compile(r"^train\.split$"), _parse_split, None),
-    (re.compile(r"^train\.bootstrap_rounds$"), _parse_int, None),
-    (re.compile(r"^train\.batch_size$"), _parse_int, None),
-]
+_INDEXES = {"ecu": 1, "attack": 1, "msg": 2}
+# key name -> field name, where the two differ
+_FIELD = {
+    "ripple_frequency": "ripple_frequency_hz",
+    "noise_floor": "noise_floor_offset",
+    "period": "period_s",
+    "offset": "offset_s",
+    "prefix": "id_prefix",
+    "components": "n_components",
+}
+_KEY_NAME = {field: name for name, field in _FIELD.items()}
+_KEY = re.compile(
+    r"(?P<head>[a-z]+)(?:\.(?P<i>[0-9]+)(?:\.msg\.(?P<j>[0-9]+))?)?\.(?P<name>\w+)"
+)
 
 
 @dataclass(frozen=True)
@@ -104,8 +86,50 @@ class RunConfig:
     train: TrainConfig
 
 
-def _parse_lines(text: str) -> dict[str, tuple[object, int]]:
-    values: dict[str, tuple[object, int]] = {}
+@dataclass(frozen=True)
+class _Value:
+    key: str
+    value: object
+    line: int
+
+
+# (section, indexes, field name) -> the value a line gave it
+_Values = dict[tuple[str, tuple[int, ...], str], _Value]
+
+
+def _parse(tp, raw: str):
+    """``raw`` as a value of type ``tp``."""
+    if typing.get_origin(tp) is types.UnionType:  # X | None; a written value is never None
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    if typing.get_origin(tp) is tuple:
+        parts, args = raw.split(","), typing.get_args(tp)
+        if len(parts) != len(args):
+            raise ValueError(f"needs {len(args)} comma-separated values")
+        return tuple(_parse(a, p) for a, p in zip(args, parts))
+    if tp is int:
+        return int(raw, 0)  # accepts decimal and 0x...
+    if issubclass(tp, Enum) and raw not in {m.value for m in tp}:
+        raise ValueError(f"must be one of {sorted(m.value for m in tp)}")
+    return tp(raw)
+
+
+def _slot(key: str) -> tuple[str, tuple[int, ...], str] | None:
+    """The (section, indexes, field) a key sets, or None for an unknown key."""
+    m = _KEY.fullmatch(key)
+    if m is None:
+        return None
+    head, name = m["head"], m["name"]
+    section = "msg" if m["j"] is not None and head == "ecu" else head
+    indexes = tuple(int(x) for x in (m["i"], m["j"]) if x is not None)
+    if section not in _SECTIONS or len(indexes) != _INDEXES.get(section, 0):
+        return None
+    if name not in _SECTIONS[section][1] and key != "scenario.preset":
+        return None
+    return section, indexes, _FIELD.get(name, name)
+
+
+def _parse_lines(text: str) -> _Values:
+    values: _Values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -113,186 +137,122 @@ def _parse_lines(text: str) -> dict[str, tuple[object, int]]:
         if "=" not in stripped:
             raise ConfigError("expected key = value", line=lineno)
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key in values:
-            raise ConfigError(f"duplicate key {key}", line=lineno)
-        for pattern, parser, choices in _SCHEMA:
-            if pattern.match(key):
-                try:
-                    value = parser(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}", line=lineno) from None
-                if choices and value not in _CHOICES[choices]:
-                    raise ConfigError(
-                        f"{key}: must be one of {sorted(_CHOICES[choices])}", line=lineno
-                    )
-                values[key] = (value, lineno)
-                break
-        else:
+        key, raw = key.strip(), raw.strip()
+        slot = _slot(key)
+        if slot is None:
             raise ConfigError(f"unknown key {key}", line=lineno)
+        if slot in values:
+            raise ConfigError(f"duplicate key {key}", line=lineno)
+        section, _, field = slot
+        tp = typing.get_type_hints(_SECTIONS[section][0]).get(field, str)  # str: scenario.preset
+        try:
+            values[slot] = _Value(key, _parse(tp, raw), lineno)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}", line=lineno) from None
     return values
 
 
-class _View:
-    """Typed access to parsed values with defaults."""
-
-    def __init__(self, values: dict[str, tuple[object, int]]):
-        self._values = values
-
-    def get(self, key: str, default=None):
-        if key in self._values:
-            return self._values[key][0]
-        return default
-
-    def keys_under(self, prefix: str) -> list[str]:
-        return [k for k in self._values if k.startswith(prefix)]
-
-    def indexes(self, head: str) -> list[int]:
-        found = set()
-        pattern = re.compile(rf"^{head}\.(\d+)\.")
-        for k in self._values:
-            m = pattern.match(k)
-            if m:
-                found.add(int(m.group(1)))
-        return sorted(found)
+def _pop(values: _Values, section: str, indexes=(), fields=None) -> dict[str, _Value]:
+    """Remove and return one object's values by field name (only ``fields``, if given)."""
+    slots = [
+        s for s in values if s[:2] == (section, indexes) and (fields is None or s[2] in fields)
+    ]
+    return {s[2]: values.pop(s) for s in slots}
 
 
-def _build_attacks(view: _View) -> tuple[AttackSpec, ...]:
-    attacks = []
-    for i in view.indexes("attack"):
-        kind = view.get(f"attack.{i}.kind")
-        if kind is None:
-            raise ConfigError(f"attack.{i}.kind is required")
-        spoofed = view.get(f"attack.{i}.spoofed_sa")
-        if spoofed is None:
-            raise ConfigError(f"attack.{i}.spoofed_sa is required")
-        kw = dict(
-            kind=AttackKind(kind),
-            spoofed_sa=spoofed,
-            attacker=view.get(f"attack.{i}.attacker"),
-            count=view.get(f"attack.{i}.count", 0),
-            victim_sa=view.get(f"attack.{i}.victim_sa"),
+def _indexes(values: _Values, section: str) -> list[tuple[int, ...]]:
+    return sorted({s[1] for s in values if s[0] == section})
+
+
+def _build(target, name: str, given: dict[str, _Value], line: int | None = None, **fixed):
+    """Call ``target`` (a dataclass or preset) or replace fields of it (a dataclass instance).
+
+    ``fixed`` and then the given values are its arguments. A missing required field or a
+    ValueError is a ConfigError at ``line``, by default the last given line.
+    """
+    kw = {**fixed, **{field: v.value for field, v in given.items()}}
+    if line is None:
+        line = max((v.line for v in given.values()), default=None)
+    if isinstance(target, type):
+        for f in dataclasses.fields(target):
+            required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+            if required and f.name not in kw:
+                raise ConfigError(f"{name}.{_KEY_NAME.get(f.name, f.name)} is required", line=line)
+    elif dataclasses.is_dataclass(target):
+        target = functools.partial(dataclasses.replace, target)
+    try:
+        return target(**kw)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}", line=line) from None
+
+
+def _custom_ecus(values: _Values) -> list[EcuSpec]:
+    """One ECU per ``k`` with a stream per ``ecu.<k>.msg.<j>``, under the per-index defaults."""
+    streams: dict[int, list[MessageSchedule]] = {}
+    for k, j in _indexes(values, "msg"):
+        given = _pop(values, "msg", (k, j))
+        streams.setdefault(k, []).append(
+            _build(MessageSchedule, f"ecu.{k}.msg.{j}", given, id_prefix=0x00F0 + k)
         )
-        prefix = view.get(f"attack.{i}.prefix")
-        if prefix is not None:
-            kw["id_prefix"] = prefix
-        attacks.append(AttackSpec(**kw))
-    return tuple(attacks)
-
-
-def _build_custom_scenario(view: _View) -> Scenario:
-    ecu_ids = view.indexes("ecu")
-    if not ecu_ids:
+    if not streams:
         raise ConfigError("custom scenario needs at least one ecu.<k>.msg.<j> stream")
-    duration = view.get("sim.duration")
-    if duration is None:
-        raise ConfigError("sim.duration is required for custom scenarios")
-    ecus = []
-    for k in ecu_ids:
-        profile = PowerProfile(
-            baseline_mean=view.get(f"ecu.{k}.baseline_mean", 1.0),
-            baseline_noise=view.get(f"ecu.{k}.baseline_noise", 0.08),
-            signature_amplitude=view.get(f"ecu.{k}.signature_amplitude", 1.0),
-            ripple_frequency_hz=view.get(f"ecu.{k}.ripple_frequency", 60e3 + 70e3 * k),
-            ripple_amplitude=view.get(f"ecu.{k}.ripple_amplitude", 0.2),
-            reception_ripple=view.get(f"ecu.{k}.reception_ripple", 0.15),
-            noise_floor_offset=view.get(f"ecu.{k}.noise_floor", 0.0),
-            program=ProgramActivity(view.get(f"ecu.{k}.program", "uniform")),
-        )
-        schedules = []
-        pattern = re.compile(rf"^ecu\.{k}\.msg\.(\d+)\.")
-        msg_ids = sorted({int(m.group(1)) for key in view.keys_under(f"ecu.{k}.msg.")
-                          if (m := pattern.match(key))})
-        for j in msg_ids:
-            sa = view.get(f"ecu.{k}.msg.{j}.sa")
-            period = view.get(f"ecu.{k}.msg.{j}.period")
-            if sa is None or period is None:
-                raise ConfigError(f"ecu.{k}.msg.{j} needs both sa and period")
-            schedules.append(
-                MessageSchedule(
-                    sa=sa,
-                    period_s=period,
-                    offset_s=view.get(f"ecu.{k}.msg.{j}.offset", 0.0),
-                    dlc=view.get(f"ecu.{k}.msg.{j}.dlc", 8),
-                    id_prefix=view.get(f"ecu.{k}.msg.{j}.prefix", 0x00F0 + k),
-                    count=view.get(f"ecu.{k}.msg.{j}.count"),
-                )
-            )
-        if not schedules:
-            raise ConfigError(f"ecu.{k} defines no message streams")
-        ecus.append(EcuSpec(index=k, schedules=tuple(schedules), profile=profile))
-    bus = BusConfig(
-        bitrate=view.get("bus.bitrate", 125_000.0),
-        format=FrameFormat(view.get("bus.format", "extended")),
-        sample_rate=view.get("bus.sample_rate", 10e6),
-        voltage_noise=view.get("bus.voltage_noise", 0.05),
-    )
-    return Scenario(
-        bus=bus,
-        ecus=tuple(ecus),
-        duration=duration,
-        seed=view.get("sim.seed", 0),
-        attacks=_build_attacks(view),
-    )
+    return [
+        EcuSpec(k, tuple(s), PowerProfile(ripple_frequency_hz=60e3 + 70e3 * k))
+        for k, s in streams.items()
+    ]
 
 
-def _build_preset_scenario(view: _View, preset: str) -> Scenario:
-    attacks = _build_attacks(view)
-    common = dict(
-        frames_per_sa=view.get("scenario.frames_per_sa", 1000),
-        seed=view.get("sim.seed", 7 if preset == "lab" else 21),
-        attacks=attacks,
+def _override_ecu(ecu: EcuSpec, values: _Values, program: dict[str, _Value]) -> EcuSpec:
+    k = ecu.index
+    profile = _build(ecu.profile, f"ecu.{k}", {**program, **_pop(values, "ecu", (k,))})
+    schedules = tuple(
+        _build(s, f"ecu.{k}.msg.{j}", _pop(values, "msg", (k, j)))
+        for j, s in enumerate(ecu.schedules)
     )
-    if preset == "lab":
-        scenario = lab_scenario(
-            sample_rate=view.get("bus.sample_rate", 2e6),
-            bitrate=view.get("bus.bitrate", 125_000.0),
-            fmt=FrameFormat(view.get("bus.format", "extended")),
-            program=ProgramActivity(view.get("scenario.program", "uniform")),
-            **common,
-        )
+    return dataclasses.replace(ecu, profile=profile, schedules=schedules)
+
+
+def _scenario(preset: str, values: _Values) -> Scenario:
+    lines = [v.line for s, v in values.items() if s[0] not in ("pipeline", "train")]
+    line = max(lines, default=None)
+    make = _PRESETS[preset]
+    if make is None:
+        base, bus, ecus = Scenario, BusConfig(), _custom_ecus(values)
     else:
-        scenario = truck_scenario(
-            sample_rate=view.get("bus.sample_rate", 3e6),
-            **common,
-        )
-    duration = view.get("sim.duration")
-    if duration is not None:
-        import dataclasses
-
-        scenario = dataclasses.replace(scenario, duration=duration)
-    return scenario
+        params = set(inspect.signature(make).parameters)
+        given = {}
+        for section in ("scenario", "bus", "sim"):
+            given.update(_pop(values, section, fields=params))
+        base = _build(make, f"{preset} preset", given)
+        bus, ecus = base.bus, base.ecus
+    program = _pop(values, "scenario", fields={"program"})
+    return _build(
+        base,
+        "sim",
+        _pop(values, "sim"),
+        line=line,
+        bus=_build(bus, "bus", _pop(values, "bus")),
+        ecus=tuple(_override_ecu(ecu, values, program) for ecu in ecus),
+        attacks=tuple(
+            _build(AttackSpec, f"attack.{i}", _pop(values, "attack", (i,)))
+            for (i,) in _indexes(values, "attack")
+        ),
+    )
 
 
 def parse_config_text(text: str) -> RunConfig:
     values = _parse_lines(text)
-    view = _View(values)
-    preset = view.get("scenario.preset", "lab" if not view.indexes("ecu") else "custom")
-    try:
-        if preset == "custom":
-            scenario = _build_custom_scenario(view)
-        else:
-            scenario = _build_preset_scenario(view, preset)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    pipeline = PipelineConfig(
-        n_components=view.get("pipeline.components", 50),
-        tukey_alpha=view.get("pipeline.tukey_alpha", 0.25),
-        delta=view.get("pipeline.delta", 0.5),
-        calib_len=view.get("pipeline.calib_len", 100_000),
-    )
-    train = TrainConfig(
-        epsilon=view.get("train.epsilon", 1e-4),
-        max_iters=view.get("train.max_iters", 400),
-        c=view.get("train.c", 1.0),
-        split=view.get("train.split", (0.6, 0.2, 0.2)),
-        bootstrap_rounds=view.get("train.bootstrap_rounds", 100),
-        seed=view.get("sim.seed", scenario.seed),
-        batch_size=view.get("train.batch_size", 64),
-    )
+    chosen = values.pop(("scenario", (), "preset"), None)
+    default = "custom" if any(s[0] in ("ecu", "msg") for s in values) else "lab"
+    preset = chosen.value if chosen else default
+    if preset not in _PRESETS:
+        raise ConfigError(f"scenario.preset: must be one of {sorted(_PRESETS)}", line=chosen.line)
+    scenario = _scenario(preset, values)
+    pipeline = _build(PipelineConfig, "pipeline", _pop(values, "pipeline"))
+    train = _build(TrainConfig, "train", _pop(values, "train"), seed=scenario.seed)
+    if values:
+        first = min(values.values(), key=lambda v: v.line)
+        raise ConfigError(f"{first.key} does not apply to the {preset} scenario", line=first.line)
     return RunConfig(scenario=scenario, pipeline=pipeline, train=train)
 
 

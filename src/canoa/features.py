@@ -23,6 +23,7 @@ from .frames import DecodedTransmission, SourceAddressMap
 from .trace import SampledTrace
 
 DEFAULT_CALIB_LEN = 100_000
+MIN_CALIB_LEN = 1000
 DEFAULT_COMPONENTS = 50
 # Segments are normalized, tapered and transformed in blocks of rows whose
 # float64 copy is about this size, so a block stays in cache between steps.
@@ -110,8 +111,8 @@ class FeatureDataset:
 
 def estimate_norm_stats(trace: SampledTrace, calib_len: int = DEFAULT_CALIB_LEN) -> NormStats:
     """Sample mean and unbiased standard deviation over a calibration prefix."""
-    if calib_len < 1000:
-        raise ValueError("calibration sample must cover at least 1000 samples")
+    if calib_len < MIN_CALIB_LEN:
+        raise ValueError(f"calibration sample must cover at least {MIN_CALIB_LEN} samples")
     prefix = np.asarray(trace.samples[:calib_len], dtype=np.float64)
     if prefix.size < 2:
         raise ValueError("trace shorter than two samples")

@@ -32,9 +32,17 @@ class TrainConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if abs(sum(self.split) - 1.0) > 1e-9:
+        if not self.c > 0:
+            raise ValueError("c must be positive")
+        if self.max_iters < 1 or self.batch_size < 1:
+            raise ValueError("max_iters and batch_size must be at least 1")
+        if self.bootstrap_rounds < 10:
+            raise ValueError("bootstrapping needs at least 10 rounds")
+        if len(self.split) != 3:
+            raise ValueError("split needs exactly three ratios")
+        if not abs(sum(self.split) - 1.0) <= 1e-9:
             raise ValueError("split ratios must sum to 1")
         if any(r < 0 for r in self.split) or self.split[0] <= 0 or self.split[1] <= 0:
             raise ValueError("train and validation ratios must be positive")
@@ -329,8 +337,6 @@ def train(ds: FeatureDataset, cfg: TrainConfig) -> tuple[SvmModel, LearningCurve
 
 def bootstrap_accuracy(ds: FeatureDataset, cfg: TrainConfig) -> BootstrapSummary:
     """Validation accuracies over B bootstrap resamples of the training split."""
-    if cfg.bootstrap_rounds < 10:
-        raise ValueError("bootstrapping needs at least 10 rounds")
     rng = np.random.default_rng(cfg.seed)
     splits = _prepare(ds, cfg, rng)
     accuracies = []

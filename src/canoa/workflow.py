@@ -21,6 +21,9 @@ from .bus import AttackKind, GroundTruthLog, ProgramActivity, Scenario, simulate
 from .errors import BundleMismatch, MissingChannel
 from .evaluate import ConfusionMatrix, FactorCell, MetricReport, confusion, metrics
 from .features import (
+    DEFAULT_CALIB_LEN,
+    DEFAULT_COMPONENTS,
+    MIN_CALIB_LEN,
     FeatureDataset,
     Tau,
     TukeyParams,
@@ -36,10 +39,19 @@ log = logging.getLogger("canoa.workflow")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    n_components: int = 50
+    n_components: int = DEFAULT_COMPONENTS
     tukey_alpha: float = 0.25
     delta: float = 0.5
-    calib_len: int = 100_000
+    calib_len: int = DEFAULT_CALIB_LEN
+
+    def __post_init__(self):
+        if self.n_components < 1:
+            raise ValueError("n_components must be at least 1")
+        TukeyParams(self.tukey_alpha)  # alpha must be in [0, 1]
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        if self.calib_len < MIN_CALIB_LEN:
+            raise ValueError(f"calib_len must be at least {MIN_CALIB_LEN}")
 
 
 @dataclass

@@ -494,3 +494,28 @@ def test_simulate_pinned_to_one_cpu_gives_the_same_bytes():
     workers, digest = done.stdout.split()
     assert workers == "1"
     assert digest == _simulation_digest(SCENARIOS["lab"]())
+
+
+@pytest.mark.parametrize("fmt", [FrameFormat.STANDARD, FrameFormat.EXTENDED])
+def test_attack_frame_id_follows_the_schedule_rule(fmt):
+    atk = AttackSpec(kind=AttackKind.ADDED_MODULE, spoofed_sa=0x2B, id_prefix=0x1234D)
+    sched = MessageSchedule(sa=0x2B, period_s=0.01, id_prefix=0x1234D)
+    assert atk.frame_id(fmt) == sched.frame_id(fmt)
+    ecu = EcuSpec(index=0, schedules=(MessageSchedule(sa=0x2B, period_s=0.01),))
+    sc = Scenario(bus=BusConfig(format=fmt), ecus=(ecu,), duration=1.0, attacks=(atk,))
+    assert sc.source_map().resolve(atk.frame_id(fmt)) == (0x2B, 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BusConfig(bitrate=0.0),
+        lambda: BusConfig(sample_rate=float("nan")),
+        lambda: BusConfig(voltage_noise=-0.1),
+        lambda: MessageSchedule(sa=1, period_s=0.0),
+        lambda: lab_scenario(bitrate=0.0),
+    ],
+)
+def test_bus_and_schedule_reject_values_the_simulator_cannot_run(make):
+    with pytest.raises(ValueError):
+        make()

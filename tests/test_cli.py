@@ -1,6 +1,7 @@
 """Command-line behavior: stage outputs, exit codes, determinism."""
 
 import filecmp
+import json
 import os
 import re
 import struct
@@ -206,6 +207,35 @@ def test_bundle_without_meta_section_is_data_error(cfg_path, tmp_path, capsys):
     )
     assert rc == 2
     assert "missing section 'meta'" in capsys.readouterr().err
+
+
+def test_bundle_entry_naming_another_ecu_is_data_error(cfg_path, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
+    assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
+    bundle = out / "bundle.cbnd"
+    sections = _parse_sections(bundle.read_bytes()[:-8], bundle)
+    meta = json.loads(sections["meta"])
+    meta["entries"][0]["ecu"] = 7
+    sections["meta"] = json.dumps(meta, sort_keys=True).encode()
+    blob = _sections_bytes(list(sections.items()))
+    bundle.write_bytes(blob + BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob)))
+    capsys.readouterr()
+    rc = run_cli(
+        "authenticate", "--traces", out, "--bundle", bundle, "--out", out, "--bitrate", 125000
+    )
+    assert rc == 2
+    assert "ECU 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["train.max_iters = 0", "train.batch_size = 0"])
+def test_bad_training_value_fails_before_simulating(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CONFIG.replace("train.max_iters = 150", line))
+    out = tmp_path / "all"
+    assert run_cli("all", "--config", cfg, "--out", out) == 2
+    assert "line" in capsys.readouterr().err
+    assert not (out / "voltage.ctrc").exists()
 
 
 def test_bundle_on_traces_at_another_sample_rate_is_a_mismatch(cfg_path, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Run-configuration parsing tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canoa.bus import AttackKind, ProgramActivity
 from canoa.config import parse_config_text
@@ -128,3 +130,168 @@ def test_shipped_configs_parse():
     for name in ("lab.cfg", "truck.cfg", "truck_attack.cfg", "sweep.cfg"):
         run = parse_config_text((Path(__file__).parent.parent / "configs" / name).read_text())
         assert run.scenario.duration > 0
+
+
+# Every config key (index 0 standing for any index) with a value no preset,
+# custom default or base text below gives it.
+NON_DEFAULT = {
+    "scenario.frames_per_sa": "30",
+    "scenario.program": "heterogeneous",
+    "bus.bitrate": "500000",
+    "bus.format": "standard",
+    "bus.sample_rate": "5000000",
+    "bus.voltage_noise": "0.3",
+    "sim.duration": "0.75",
+    "sim.seed": "1234",
+    "ecu.0.baseline_mean": "1.7",
+    "ecu.0.baseline_noise": "0.01",
+    "ecu.0.signature_amplitude": "2.5",
+    "ecu.0.ripple_frequency": "333000",
+    "ecu.0.ripple_amplitude": "0.45",
+    "ecu.0.reception_ripple": "0.05",
+    "ecu.0.noise_floor": "0.5",
+    "ecu.0.program": "heterogeneous",
+    "ecu.0.msg.0.sa": "0x40",
+    "ecu.0.msg.0.period": "0.1",
+    "ecu.0.msg.0.offset": "0.0005",
+    "ecu.0.msg.0.dlc": "3",
+    "ecu.0.msg.0.prefix": "0x0123",
+    "ecu.0.msg.0.count": "17",
+    "attack.0.kind": "hijack_transmission",
+    "attack.0.spoofed_sa": "2",
+    "attack.0.attacker": "1",
+    "attack.0.count": "5",
+    "attack.0.victim_sa": "2",
+    "attack.0.prefix": "0x00AA",
+    "pipeline.components": "20",
+    "pipeline.tukey_alpha": "0.5",
+    "pipeline.delta": "0.3",
+    "pipeline.calib_len": "50000",
+    "train.epsilon": "1e-3",
+    "train.max_iters": "50",
+    "train.c": "2.5",
+    "train.split": "0.5,0.3,0.2",
+    "train.bootstrap_rounds": "30",
+    "train.batch_size": "16",
+}
+
+ATTACK = {"attack.0.kind": "added_module", "attack.0.spoofed_sa": "1"}
+BASES = {
+    "lab": {"scenario.preset": "lab", **ATTACK},
+    "truck": {"scenario.preset": "truck", "attack.0.kind": "added_module", "attack.0.spoofed_sa": "0"},
+    "custom": {
+        "sim.duration": "0.5",
+        "ecu.0.msg.0.sa": "1",
+        "ecu.0.msg.0.period": "0.01",
+        "ecu.1.msg.0.sa": "2",
+        "ecu.1.msg.0.period": "0.01",
+        **ATTACK,
+    },
+}
+
+
+def as_text(pairs):
+    return "\n".join(f"{k} = {v}" for k, v in pairs.items())
+
+
+@pytest.mark.parametrize("preset", sorted(BASES))
+@pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+def test_every_key_applies_or_is_rejected_at_its_line(key, preset):
+    base = BASES[preset]
+    pairs = {k: v for k, v in base.items() if k != key}
+    pairs[key] = NON_DEFAULT[key]  # always the last line
+    try:
+        run = parse_config_text(as_text(pairs))
+    except ConfigError as err:
+        assert err.line == len(pairs), str(err)
+        return
+    assert run != parse_config_text(as_text(base))
+
+
+def test_preset_takes_the_keys_it_would_otherwise_drop():
+    lab = parse_config_text(
+        "scenario.preset = lab\necu.0.noise_floor = 0.5\nbus.voltage_noise = 0.3\n"
+        "ecu.0.msg.0.period = 0.1\n"
+    )
+    assert lab.scenario.ecus[0].profile.noise_floor_offset == 0.5
+    assert lab.scenario.ecus[1].profile.noise_floor_offset == 0.0
+    assert lab.scenario.bus.voltage_noise == 0.3
+    assert lab.scenario.ecus[0].schedules[0].period_s == 0.1
+    truck = parse_config_text(
+        "scenario.preset = truck\nbus.bitrate = 500000\nbus.format = standard\n"
+        "scenario.program = heterogeneous\necu.1.program = uniform\n"
+    )
+    assert truck.scenario.bus.bitrate == 500_000.0
+    assert truck.scenario.bus.format is FrameFormat.STANDARD
+    programs = [e.profile.program for e in truck.scenario.ecus]
+    assert programs == [ProgramActivity.HETEROGENEOUS, ProgramActivity.UNIFORM]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "scenario.preset = lab\necu.9.noise_floor = 0.5",
+        "scenario.preset = truck\necu.1.msg.1.period = 0.01",
+        "sim.duration = 0.5\necu.0.msg.0.sa = 1\necu.0.msg.0.period = 0.01\n"
+        "scenario.frames_per_sa = 10",
+    ],
+)
+def test_inapplicable_key_is_rejected_with_its_line(text):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.line == len(text.splitlines())
+    assert "does not apply" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "train.max_iters = 0",
+        "train.batch_size = 0",
+        "train.epsilon = 0",
+        "train.c = 0",
+        "train.bootstrap_rounds = 9",
+        "train.split = 0.5,0.5",
+        "pipeline.tukey_alpha = 2",
+        "pipeline.components = 0",
+        "pipeline.delta = 1",
+        "pipeline.calib_len = 10",
+        "bus.bitrate = 0",
+        "ecu.0.msg.0.period = 0",
+    ],
+)
+def test_bad_training_and_pipeline_values_fail_at_parse_time(line):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"scenario.preset = lab\n{line}\n")
+    assert err.value.line == 2
+
+
+KEYS = [k.replace(".0.", ".{i}.") for k in NON_DEFAULT] + ["scenario.preset"]
+VALUES = sorted(set(NON_DEFAULT.values())) + [
+    "0", "-1", "nan", "inf", "-inf", "1e400", "0x10", "lab", "truck", "custom", "normal",
+    "added_module", "compromised_ecu", "1,2", "0.6,0.2,0.2", "nan,nan,nan", "",
+]
+
+
+@st.composite
+def config_lines(draw):
+    key = draw(st.sampled_from(KEYS)).format(i=draw(st.sampled_from([0, 1, 2, 15])))
+    value = draw(
+        st.one_of(
+            st.sampled_from(VALUES),
+            st.integers(-2, 2).map(str),
+            st.integers(-(10**6), 10**6).map(str),
+            st.floats().map(repr),
+            st.text(max_size=6),
+        )
+    )
+    return f"{key} = {value}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(config_lines(), max_size=8))
+def test_drawn_configs_parse_or_raise_config_error(lines):
+    try:
+        parse_config_text("\n".join(lines))
+    except ConfigError:
+        pass

@@ -186,3 +186,22 @@ def test_bootstrap_requires_ten_rounds():
     ds = blob_dataset()
     with pytest.raises(ValueError):
         bootstrap_accuracy(ds, TrainConfig(bootstrap_rounds=5))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_iters": 0},
+        {"batch_size": 0},
+        {"c": 0.0},
+        {"c": float("nan")},
+        {"epsilon": float("nan")},
+        {"split": (0.5, 0.5)},
+        {"split": (0.5, 0.3, 0.1, 0.1)},
+        {"split": (float("nan"),) * 3},
+        {"bootstrap_rounds": 9},
+    ],
+)
+def test_train_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)

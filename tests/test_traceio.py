@@ -207,6 +207,10 @@ def _drop_sample_rate(sections, meta):
     del meta["sample_rate"]
 
 
+def _entry_ecu_not_owner(sections, meta):
+    meta["entries"][0]["ecu"] = 7  # the map still names the SA's real owner
+
+
 BUNDLE_FAULTS = {
     "missing_meta": (_drop_meta, b""),
     "missing_map_owners": (_drop_owners, b""),
@@ -215,6 +219,7 @@ BUNDLE_FAULTS = {
     "weights_one_short": (_short_weights, b""),
     "zero_sample_rate": (_zero_sample_rate, b""),
     "missing_sample_rate": (_drop_sample_rate, b""),
+    "entry_ecu_not_owner": (_entry_ecu_not_owner, b""),
     "truncated_name_length": (None, b"\x07"),
     "truncated_section_header": (None, b"\x07\x00wei"),
     "section_past_the_end": (None, struct.pack("<H", 1) + b"x" + struct.pack("<Q", 64) + b"abc"),
