@@ -37,13 +37,9 @@ from .bus import (
 from .config import RunConfig, parse_config, parse_config_text
 from .evaluate import (
     ConfusionMatrix,
-    FactorCell,
-    FactorGrid,
     MetricReport,
     SeparabilityReport,
     confusion,
-    factor_sweep,
-    grid_cells,
     metrics,
     separability,
     student_t_sf,
@@ -84,6 +80,14 @@ from .svm import (
     train,
 )
 from .trace import SampledTrace
-from .workflow import PipelineConfig, TrainResult, build_bundle
+from .workflow import (
+    FactorCell,
+    FactorGrid,
+    PipelineConfig,
+    TrainResult,
+    build_bundle,
+    factor_sweep,
+    grid_cells,
+)
 
 __version__ = "0.1.0"

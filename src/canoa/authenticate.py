@@ -121,8 +121,13 @@ def score(
     """Calibrated transmission probabilities, one row per transmission.
 
     Column k belongs to ``bundle.entries[k]``. Spectra are computed once
-    per ECU and shared by its addresses.
+    per ECU and shared by its addresses. Every ECU the bundle's map names
+    needs a power trace at the bundle's sample rate.
     """
+    if not set(bundle.samap.ecus).issubset(powers):
+        raise BundleMismatch(
+            f"bundle expects power channels {bundle.samap.ecus}, found {sorted(powers)}"
+        )
     columns_by_ecu: dict[int, list[int]] = {}
     for k, entry in enumerate(bundle.entries):
         columns_by_ecu.setdefault(entry.ecu, []).append(k)

@@ -26,6 +26,7 @@ import numpy as np
 from .frames import (
     DOMINANT_VOLTS,
     INTERFRAME_BITS,
+    MIN_SAMPLES_PER_BIT,
     CanFrame,
     DerivationRule,
     FrameFormat,
@@ -71,6 +72,8 @@ class PowerProfile:
     noise_floor_offset: float = 0.0
 
     def __post_init__(self):
+        if not self.baseline_noise >= 0:
+            raise ValueError("baseline noise must be non-negative")
         if self.baseline_noise > 0 and self.signature_amplitude <= 3 * self.baseline_noise:
             raise ValueError(
                 "signature amplitude must exceed 3x baseline noise to be distinguishable"
@@ -102,6 +105,8 @@ class MessageSchedule:
     def __post_init__(self):
         if not self.period_s > 0:
             raise ValueError("period must be positive")
+        if not 0 <= self.dlc <= 8:
+            raise ValueError("dlc must be 0..8")
 
     def frame_id(self, fmt: FrameFormat) -> int:
         return _frame_id(self.id_prefix, self.sa, fmt)
@@ -134,7 +139,6 @@ class AttackSpec:
     spoofed_sa: int
     attacker: int | None = None
     count: int = 0
-    trigger_times: tuple[float, ...] = ()
     victim_sa: int | None = None
     id_prefix: int = 0x00D5
 
@@ -459,17 +463,15 @@ def _stream_requests(
     for atk in scenario.attacks:
         if atk.kind is AttackKind.HIJACK_TRANSMISSION:
             continue  # realized post-arbitration
+        if atk.count <= 0:
+            continue
         fid = atk.frame_id(fmt)
-        times = list(atk.trigger_times)
-        if atk.count > len(times):
-            extra = atk.count - len(times)
-            lo, hi = 0.02 * horizon, horizon
-            grid = lo + (np.arange(extra) + 0.5) * (hi - lo) / extra
-            grid = grid + rng.uniform(-0.1, 0.1) * (hi - lo) / max(extra, 1)
-            times.extend(float(t) for t in grid)
+        lo, hi = 0.02 * horizon, horizon
+        times = lo + (np.arange(atk.count) + 0.5) * (hi - lo) / atk.count
+        times = times + rng.uniform(-0.1, 0.1) * (hi - lo) / atk.count
         for t in times:
             payload = bytes(rng.integers(0, 256, 8).tolist())
-            requests.append((CanFrame(fid, payload, fmt), t, atk.attacker, atk.kind))
+            requests.append((CanFrame(fid, payload, fmt), float(t), atk.attacker, atk.kind))
     return requests
 
 
@@ -486,7 +488,7 @@ def _apply_hijacks(
     for atk in scenario.attacks:
         if atk.kind is not AttackKind.HIJACK_TRANSMISSION:
             continue
-        remaining = max(atk.count, len(atk.trigger_times)) or 1
+        remaining = atk.count or 1
         for i, slot in enumerate(slots):
             if remaining == 0:
                 break
@@ -495,10 +497,6 @@ def _apply_hijacks(
             if atk.victim_sa is not None and slot.claimed_sa != atk.victim_sa:
                 continue
             if slot.claimed_sa == atk.spoofed_sa:
-                continue
-            if atk.trigger_times and not any(
-                t <= slot.start <= t + 0.2 for t in atk.trigger_times
-            ):
                 continue
             crafted = _craft_hijack_id(slot.frame.frame_id, atk.spoofed_sa)
             if crafted is None:
@@ -566,6 +564,12 @@ def simulate(
     scenario: Scenario,
 ) -> tuple[SampledTrace, list[SampledTrace], GroundTruthLog]:
     """Run a scenario: voltage trace, one power trace per ECU, ground truth."""
+    bus = scenario.bus
+    if bus.sample_rate < MIN_SAMPLES_PER_BIT * bus.bitrate:
+        raise ValueError(
+            f"sample rate {bus.sample_rate:.0f} Hz is below {MIN_SAMPLES_PER_BIT}x "
+            f"the bitrate {bus.bitrate:.0f} bps"
+        )
     ss = np.random.SeedSequence(scenario.seed)
     payload_ss, voltage_ss, hijack_ss, *power_ss = ss.spawn(3 + len(scenario.ecus))
     rng_payload = np.random.default_rng(payload_ss)

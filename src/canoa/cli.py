@@ -19,8 +19,8 @@ from . import traceio
 from .authenticate import authenticate_all
 from .bus import simulate
 from .config import RunConfig, parse_config
-from .errors import BundleMismatch, CanoaError, ConfigError, EmptyInput
-from .evaluate import ConfusionMatrix, MetricReport, factor_sweep, grid_cells, metrics
+from .errors import CanoaError, ConfigError, EmptyInput
+from .evaluate import ConfusionMatrix, MetricReport, metrics
 from .frames import decode_transmissions
 from .svm import bootstrap_accuracy
 from .trace import SampledTrace
@@ -28,6 +28,8 @@ from .traceio import TraceKind
 from .workflow import (
     attack_confusion,
     build_bundle,
+    factor_sweep,
+    grid_cells,
     normal_transmissions,
     sender_confusion,
     usable_transmissions,
@@ -107,8 +109,9 @@ def _load_run(args) -> RunConfig:
             scenario=dataclasses.replace(run.scenario, seed=args.seed),
             train=dataclasses.replace(run.train, seed=args.seed),
         )
-    if args.delta is not None:
-        run = dataclasses.replace(run, pipeline=dataclasses.replace(run.pipeline, delta=args.delta))
+    delta = getattr(args, "delta", None)  # simulate takes no --delta
+    if delta is not None:
+        run = dataclasses.replace(run, pipeline=dataclasses.replace(run.pipeline, delta=delta))
     return run
 
 
@@ -208,11 +211,6 @@ def cmd_authenticate(args) -> int:
     if args.delta is not None:
         bundle = dataclasses.replace(bundle, delta=args.delta)
     voltage, powers = _read_traces(traces_dir)
-    expected = set(bundle.samap.ecus)
-    if not expected.issubset(powers):
-        raise BundleMismatch(
-            f"bundle expects power channels {sorted(expected)}, found {sorted(powers)}"
-        )
     decoded = decode_transmissions(voltage, args.bitrate, bundle.samap)
     usable = usable_transmissions(decoded, powers, bundle.tau)
     if not usable:
@@ -256,29 +254,27 @@ def cmd_sweep(args) -> int:
         train_cfg=run.train,
         jobs=args.jobs,
     )
-    ext = "csv" if args.format == "csv" else "txt"
-    lines_csv = ["bitrate,format,program,accuracy,precision,recall,f_measure,error"]
-    lines_txt = [
-        f"{'bitrate':>8} {'format':>9} {'program':>14} {'accuracy':>9} {'precision':>10} "
-        f"{'recall':>8} {'f':>8}"
-    ]
+    # one row per cell: its levels, then its metrics or the error that stopped it
+    if args.format == "csv":
+        ext, levels, failed = "csv", "{},{},{},", ",,,,{}"
+        scores = "{:.6f},{:.6f},{:.6f},{:.6f},"
+        lines = ["bitrate,format,program,accuracy,precision,recall,f_measure,error"]
+    else:
+        ext, levels, failed = "txt", "{:>8} {:>9} {:>14} ", "FAILED: {}"
+        scores = "{:>9.4f} {:>10.4f} {:>8.4f} {:>8.4f}"
+        lines = [
+            f"{'bitrate':>8} {'format':>9} {'program':>14} {'accuracy':>9} {'precision':>10} "
+            f"{'recall':>8} {'f':>8}"
+        ]
     for cell in cells:
-        key = cell.key()
-        if key in grid.reports:
-            rep = grid.reports[key]
-            lines_csv.append(
-                f"{key[0]},{key[1]},{key[2]},{rep.accuracy:.6f},{rep.macro_precision:.6f},"
-                f"{rep.macro_recall:.6f},{rep.macro_f:.6f},"
-            )
-            lines_txt.append(
-                f"{key[0]:>8} {key[1]:>9} {key[2]:>14} {rep.accuracy:>9.4f} "
-                f"{rep.macro_precision:>10.4f} {rep.macro_recall:>8.4f} {rep.macro_f:>8.4f}"
-            )
+        row = levels.format(int(cell.bitrate), cell.frame_format.value, cell.program.value)
+        rep = grid.reports.get(cell)
+        if rep is None:
+            row += failed.format(grid.errors[cell])
         else:
-            err = grid.errors.get(key, "unknown failure")
-            lines_csv.append(f"{key[0]},{key[1]},{key[2]},,,,,{err}")
-            lines_txt.append(f"{key[0]:>8} {key[1]:>9} {key[2]:>14} FAILED: {err}")
-    content = "\n".join(lines_csv if args.format == "csv" else lines_txt) + "\n"
+            row += scores.format(rep.accuracy, rep.macro_precision, rep.macro_recall, rep.macro_f)
+        lines.append(row)
+    content = "\n".join(lines) + "\n"
     (out / f"sweep_grid.{ext}").write_text(content)
     print(content, end="")
     print(f"wrote sweep_grid.{ext} in {out} ({len(grid.reports)}/{len(cells)} cells complete)")
@@ -286,57 +282,53 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_all(args) -> int:
-    rc = cmd_simulate(args)
-    if rc:
-        return rc
-    train_args = argparse.Namespace(**vars(args))
-    train_args.traces = args.out
-    rc = cmd_train(train_args)
-    if rc:
-        return rc
-    run = _load_run(args)
-    auth_args = argparse.Namespace(**vars(args))
-    auth_args.traces = args.out
-    auth_args.bundle = str(Path(args.out) / BUNDLE_FILE)
-    auth_args.bitrate = run.scenario.bus.bitrate
-    return cmd_authenticate(auth_args)
+    cmd_simulate(args)
+    args.traces = args.out
+    cmd_train(args)
+    args.bundle = str(Path(args.out) / BUNDLE_FILE)
+    args.bitrate = _load_run(args).scenario.bus.bitrate
+    return cmd_authenticate(args)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="canoa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="key=value run configuration")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--delta", type=float, default=None, help="override the decision threshold")
-        p.add_argument("--format", choices=("csv", "text"), default="text")
+    shared = {
+        "config": dict(required=True, help="key=value run configuration"),
+        "out": dict(required=True, help="output directory"),
+        "seed": dict(type=int, default=None, help="override the scenario seed"),
+        "delta": dict(type=float, default=None, help="override the decision threshold"),
+        "format": dict(choices=("csv", "text"), default="text"),
+    }
+
+    def options(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", **shared[name])
 
     p_sim = sub.add_parser("simulate", help="synthesize traces and ground truth")
-    common(p_sim)
+    options(p_sim, "config", "out", "seed")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_train = sub.add_parser("train", help="decode traces and train the per-SA models")
-    common(p_train)
+    options(p_train, "config", "out", "seed", "delta")
     p_train.add_argument("--traces", required=True, help="directory with trace files")
     p_train.set_defaults(func=cmd_train)
 
     p_auth = sub.add_parser("authenticate", help="attribute senders and classify attacks")
-    common(p_auth, config=False)
+    options(p_auth, "out", "delta", "format")
     p_auth.add_argument("--traces", required=True, help="directory with trace files")
     p_auth.add_argument("--bundle", required=True, help="trained model bundle")
     p_auth.add_argument("--bitrate", type=float, required=True, help="bus bitrate in bits/s")
     p_auth.set_defaults(func=cmd_authenticate)
 
     p_sweep = sub.add_parser("sweep", help="run the bus-speed x format x program grid")
-    common(p_sweep)
+    options(p_sweep, "config", "out", "seed", "delta", "format")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_all = sub.add_parser("all", help="simulate, train, and authenticate in one directory")
-    common(p_all)
+    options(p_all, "config", "out", "seed", "delta", "format")
     p_all.set_defaults(func=cmd_all)
     return parser
 

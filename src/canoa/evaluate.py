@@ -1,5 +1,7 @@
-"""Evaluation artifacts: confusion matrices, metrics, separability, sweeps.
+"""Evaluation statistics: confusion matrices, metrics and separability.
 
+They are plain functions of labels and feature matrices; the module imports
+nothing from the pipeline (the factor sweep lives in :mod:`canoa.workflow`).
 The two-sample separability statistic is Welch's t on the first
 principal coordinate, with the p-value from a self-contained Student-t
 survival function (regularized incomplete beta via continued fractions),
@@ -8,18 +10,13 @@ so no statistics dependency is needed.
 
 from __future__ import annotations
 
-import logging
 import math
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from .errors import LengthMismatch, ZeroVariance
-
-log = logging.getLogger("canoa.evaluate")
 
 
 @dataclass(frozen=True)
@@ -224,96 +221,3 @@ def separability(pos: np.ndarray, neg: np.ndarray) -> SeparabilityReport:
     dof = se2**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     p = 2.0 * student_t_sf(abs(t), dof)
     return SeparabilityReport(t_score=t, p_value=min(p, 1.0), dof=float(dof))
-
-
-# ------------------------------------------------------------- factor sweep
-
-
-@dataclass(frozen=True)
-class FactorCell:
-    bitrate: float
-    frame_format: str  # "standard" | "extended"
-    program: str       # "uniform" | "heterogeneous"
-
-    def key(self) -> tuple:
-        return (int(self.bitrate), self.frame_format, self.program)
-
-
-@dataclass
-class FactorGrid:
-    """Per-cell metric reports for the bus-speed x format x program sweep."""
-
-    reports: dict[tuple, MetricReport] = field(default_factory=dict)
-    errors: dict[tuple, str] = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        return not self.errors and bool(self.reports)
-
-
-DEFAULT_BITRATES = (125_000.0, 250_000.0, 500_000.0)
-DEFAULT_FORMATS = ("standard", "extended")
-DEFAULT_PROGRAMS = ("uniform", "heterogeneous")
-
-
-def grid_cells(
-    bitrates: Sequence[float] = DEFAULT_BITRATES,
-    formats: Sequence[str] = DEFAULT_FORMATS,
-    programs: Sequence[str] = DEFAULT_PROGRAMS,
-) -> list[FactorCell]:
-    return [
-        FactorCell(bitrate=br, frame_format=fmt, program=prog)
-        for br in bitrates
-        for fmt in formats
-        for prog in programs
-    ]
-
-
-def _run_cell(scenario, pipeline_cfg, train_cfg) -> tuple[MetricReport | None, str | None]:
-    """One sweep cell's report, or the error that stopped it."""
-    from . import workflow  # deferred: workflow builds on this module
-
-    try:
-        return workflow.run_cell(scenario, pipeline_cfg, train_cfg), None
-    except Exception as exc:  # recorded, not fatal
-        return None, str(exc)
-
-
-def factor_sweep(
-    base,
-    cells: Sequence[FactorCell] | None = None,
-    seeds: Sequence[int] | None = None,
-    pipeline_cfg=None,
-    train_cfg=None,
-    jobs: int = 1,
-) -> FactorGrid:
-    """Run the full pipeline once per factor cell and collect metrics.
-
-    Per-cell failures are logged and recorded in the grid's ``errors``
-    rather than aborting the sweep. Cells run in a process pool when
-    ``jobs > 1``; the grid is the same whatever the job count.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    from . import workflow
-
-    if cells is None:
-        cells = grid_cells()
-    if seeds is None:
-        seeds = [base.seed + 101 * i for i in range(len(cells))]
-    if len(seeds) != len(cells):
-        raise ValueError("one seed per cell required")
-    scenarios = [workflow.scenario_for_cell(base, cell, seed) for cell, seed in zip(cells, seeds)]
-    run = partial(_run_cell, pipeline_cfg=pipeline_cfg, train_cfg=train_cfg)
-    grid = FactorGrid()
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(jobs, spawn) if jobs > 1 else nullcontext() as pool:
-        results = pool.map(run, scenarios) if pool else map(run, scenarios)
-        for cell, (report, error) in zip(cells, results):
-            if error is None:
-                grid.reports[cell.key()] = report
-            else:
-                log.warning("sweep cell %s failed: %s", cell, error)
-                grid.errors[cell.key()] = error
-    return grid

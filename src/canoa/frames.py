@@ -24,6 +24,7 @@ DOMINANT_VOLTS = 2.0
 DECODE_THRESHOLD_VOLTS = 1.0
 TRAILER_BITS = 10     # CRC delimiter + ACK slot + ACK delimiter + 7 EOF
 INTERFRAME_BITS = 3   # intermission after EOF before the next SOF
+MIN_SAMPLES_PER_BIT = 10  # the decoder's floor on sample rate / bitrate
 
 Bits = list[int]
 
@@ -389,12 +390,12 @@ def decode_transmissions(
 
     A frame start is a rising (recessive-to-dominant) edge preceded by at
     least seven bit times of recessive bus. Requires
-    ``trace.sample_rate >= 10 * bitrate``.
+    ``trace.sample_rate >= MIN_SAMPLES_PER_BIT * bitrate``.
     """
     if trace.samples.size == 0:
         raise EmptyTrace("voltage trace has no samples")
-    if trace.sample_rate < 10 * bitrate:
-        raise ValueError("sample rate must be at least 10x the bitrate")
+    if trace.sample_rate < MIN_SAMPLES_PER_BIT * bitrate:
+        raise ValueError(f"sample rate must be at least {MIN_SAMPLES_PER_BIT}x the bitrate")
     dominant = trace.samples > DECODE_THRESHOLD_VOLTS
     spb = trace.sample_rate / bitrate
     quiet = int(round(7 * spb))

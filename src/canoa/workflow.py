@@ -1,17 +1,22 @@
-"""End-to-end pipeline glue shared by the CLI, the factor sweep, and tests.
+"""End-to-end pipeline glue shared by the CLI, the benchmark, and tests.
 
 Decode a voltage trace, estimate the transmission window, build labeled
 feature datasets, train one classifier per source address, and evaluate
 sender attribution. Train/validation/test portions are contiguous
 transmission-index slices, so evaluation always runs on the newest
 traffic the models never saw labels for.
+
+:func:`factor_sweep` runs that pipeline once per :class:`FactorCell` (a
+bus speed, frame format and program activity) into a :class:`FactorGrid`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,7 +24,7 @@ import numpy as np
 from .authenticate import Decision, ModelBundle, SaEntry, Verdict, authenticate_all
 from .bus import AttackKind, GroundTruthLog, ProgramActivity, Scenario, simulate
 from .errors import BundleMismatch, MissingChannel
-from .evaluate import ConfusionMatrix, FactorCell, MetricReport, confusion, metrics
+from .evaluate import ConfusionMatrix, MetricReport, confusion, metrics
 from .features import (
     DEFAULT_CALIB_LEN,
     DEFAULT_COMPONENTS,
@@ -214,13 +219,45 @@ def attack_confusion(
     return confusion(truth_labels, predicted, labels=("normal", "attack"))
 
 
+# ------------------------------------------------------------- factor sweep
+
+
+@dataclass(frozen=True)
+class FactorCell:
+    """One level of each swept factor."""
+
+    bitrate: float
+    frame_format: FrameFormat
+    program: ProgramActivity
+
+
+@dataclass
+class FactorGrid:
+    """Per-cell metric reports for the bus-speed x format x program sweep."""
+
+    reports: dict[FactorCell, MetricReport] = field(default_factory=dict)
+    errors: dict[FactorCell, str] = field(default_factory=dict)
+
+    @property
+    def complete(self) -> bool:
+        return not self.errors and bool(self.reports)
+
+
+def grid_cells() -> list[FactorCell]:
+    """The twelve cells: three bus speeds x both frame formats x both programs."""
+    return [
+        FactorCell(bitrate, fmt, program)
+        for bitrate in (125_000.0, 250_000.0, 500_000.0)
+        for fmt in FrameFormat
+        for program in ProgramActivity
+    ]
+
+
 def scenario_for_cell(base: Scenario, cell: FactorCell, seed: int) -> Scenario:
     """Clone a scenario with one factor cell's bus and program levels."""
-    fmt = FrameFormat(cell.frame_format)
-    program = ProgramActivity(cell.program)
-    bus = dataclasses.replace(base.bus, bitrate=cell.bitrate, format=fmt)
+    bus = dataclasses.replace(base.bus, bitrate=cell.bitrate, format=cell.frame_format)
     ecus = tuple(
-        dataclasses.replace(ecu, profile=dataclasses.replace(ecu.profile, program=program))
+        dataclasses.replace(ecu, profile=dataclasses.replace(ecu.profile, program=cell.program))
         for ecu in base.ecus
     )
     return dataclasses.replace(base, bus=bus, ecus=ecus, seed=seed)
@@ -241,3 +278,49 @@ def run_cell(
     held_out = holdout_transmissions(result, tcfg)
     verdicts = authenticate_all(held_out, power_map, result.bundle)
     return metrics(sender_confusion(verdicts, samap))
+
+
+def _run_cell(scenario, pipeline_cfg, train_cfg) -> tuple[MetricReport | None, str | None]:
+    """One sweep cell's report, or the error that stopped it."""
+    try:
+        return run_cell(scenario, pipeline_cfg, train_cfg), None
+    except Exception as exc:  # recorded, not fatal
+        return None, str(exc)
+
+
+def factor_sweep(
+    base: Scenario,
+    cells: Sequence[FactorCell] | None = None,
+    seeds: Sequence[int] | None = None,
+    pipeline_cfg: PipelineConfig | None = None,
+    train_cfg: TrainConfig | None = None,
+    jobs: int = 1,
+) -> FactorGrid:
+    """Run the full pipeline once per factor cell and collect metrics.
+
+    Per-cell failures are logged and recorded in the grid's ``errors``
+    rather than aborting the sweep. Cells run in a process pool when
+    ``jobs > 1``; the grid is the same whatever the job count.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if cells is None:
+        cells = grid_cells()
+    if seeds is None:
+        seeds = [base.seed + 101 * i for i in range(len(cells))]
+    if len(seeds) != len(cells):
+        raise ValueError("one seed per cell required")
+    scenarios = [scenario_for_cell(base, cell, seed) for cell, seed in zip(cells, seeds)]
+    run = partial(_run_cell, pipeline_cfg=pipeline_cfg, train_cfg=train_cfg)
+    grid = FactorGrid()
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(jobs, spawn) if jobs > 1 else nullcontext() as pool:
+        results = pool.map(run, scenarios) if pool else map(run, scenarios)
+        for cell, (report, error) in zip(cells, results):
+            if error is None:
+                grid.reports[cell] = report
+            else:
+                log.warning("sweep cell %s failed: %s", cell, error)
+                grid.errors[cell] = error
+    return grid

@@ -14,11 +14,12 @@ from canoa.authenticate import Decision, attribute, authenticate_all, softmax
 from canoa.bus import (
     AttackKind,
     AttackSpec,
+    ProgramActivity,
     lab_scenario,
     simulate,
     truck_scenario,
 )
-from canoa.evaluate import factor_sweep, separability
+from canoa.evaluate import separability
 from canoa.features import TukeyParams, fit_pca, spectrum, tukey_window
 from canoa.frames import (
     ArbitratedFrame,
@@ -39,10 +40,12 @@ from canoa.traceio import (
     write_trace_file,
 )
 from canoa.workflow import (
+    FactorCell,
     PipelineConfig,
     align_truth,
     attack_confusion,
     build_bundle,
+    factor_sweep,
     sender_confusion,
     holdout_transmissions,
     usable_transmissions,
@@ -373,8 +376,10 @@ def test_criterion_7_factor_sweep():
     )
     elapsed = time.monotonic() - t0
     complete = grid.complete and len(grid.reports) == 12
-    simplest = grid.reports.get((125_000, "standard", "uniform"))
-    hardest = grid.reports.get((500_000, "extended", "heterogeneous"))
+    simplest = grid.reports.get(FactorCell(125_000, FrameFormat.STANDARD, ProgramActivity.UNIFORM))
+    hardest = grid.reports.get(
+        FactorCell(500_000, FrameFormat.EXTENDED, ProgramActivity.HETEROGENEOUS)
+    )
     ordering = simplest is not None and hardest is not None and simplest.accuracy >= hardest.accuracy
     floor_ok = hardest is not None and hardest.accuracy >= 0.95
     report(

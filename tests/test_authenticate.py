@@ -227,6 +227,13 @@ def test_score_rejects_traces_at_another_sample_rate(truck_run):
         build_bundle(resampled, decoded, sc.source_map())
 
 
+def test_score_needs_a_power_trace_for_every_ecu_of_the_bundle(truck_run):
+    sc, power_map, decoded, result = truck_run
+    usable = usable_transmissions(decoded, power_map, result.tau)[:5]
+    with pytest.raises(BundleMismatch, match=r"bundle expects power channels \[0, 1\], found \[0\]"):
+        authenticate_all(usable, {0: power_map[0]}, result.bundle)
+
+
 # ------------------------------------------------------------ fold oracle
 
 

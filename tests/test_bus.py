@@ -519,3 +519,9 @@ def test_attack_frame_id_follows_the_schedule_rule(fmt):
 def test_bus_and_schedule_reject_values_the_simulator_cannot_run(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_simulate_rejects_fewer_than_ten_samples_per_bit():
+    sc = lab_scenario(frames_per_sa=5, sample_rate=1e6)
+    with pytest.raises(ValueError, match="1000000 Hz is below 10x the bitrate 125000 bps"):
+        simulate(sc)

@@ -148,6 +148,52 @@ def test_sweep_command_writes_full_grid(tmp_path):
         assert 0.0 <= float(fields[3]) <= 1.0
 
 
+def test_simulate_below_ten_samples_per_bit_writes_no_capture(tmp_path, capsys):
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text(TINY_CONFIG.replace("bus.sample_rate = 2000000", "bus.sample_rate = 1000000"))
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg, "--out", out) == 2
+    assert "1000000 Hz" in capsys.readouterr().err
+    assert not (out / "voltage.ctrc").exists()
+
+
+def test_sweep_renders_failed_cells(tmp_path):
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text(TINY_CONFIG.replace("bus.sample_rate = 2000000", "bus.sample_rate = 1000000"))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    rows = (out / "sweep_grid.txt").read_text().splitlines()[1:]
+    assert len(rows) == 12
+    assert rows[0] == (
+        "  125000  standard        uniform FAILED: sample rate 1000000 Hz is below 10x the bitrate 125000 bps"
+    )
+    assert all(" FAILED: sample rate 1000000 Hz is below 10x" in row for row in rows)
+    assert run_cli("sweep", "--config", cfg, "--out", out, "--format", "csv") == 0
+    rows = (out / "sweep_grid.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12
+    assert rows[-1] == (
+        "500000,extended,heterogeneous,,,,,sample rate 1000000 Hz is below 10x the bitrate 500000 bps"
+    )
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == 8 and fields[3:7] == ["", "", "", ""]
+        assert fields[7].startswith("sample rate 1000000 Hz")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "x.cfg", "--out", "o", "--delta", "0.4"],
+        ["train", "--config", "x.cfg", "--traces", "t", "--out", "o", "--format", "csv"],
+        ["authenticate", "--traces", "t", "--bundle", "b", "--out", "o", "--bitrate", "125000",
+         "--seed", "3"],
+    ],
+)
+def test_subcommands_reject_options_they_do_not_read(argv, capsys):
+    assert run_cli(*argv) == 1
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code_1():
     assert run_cli("simulate", "--config", "x.cfg") == 1  # missing --out
     assert run_cli("frobnicate") == 1

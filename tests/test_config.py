@@ -258,6 +258,10 @@ def test_inapplicable_key_is_rejected_with_its_line(text):
         "pipeline.calib_len = 10",
         "bus.bitrate = 0",
         "ecu.0.msg.0.period = 0",
+        "ecu.0.msg.0.dlc = 9",
+        "ecu.0.msg.0.dlc = -1",
+        "ecu.0.baseline_noise = nan",
+        "ecu.0.baseline_noise = -0.01",
     ],
 )
 def test_bad_training_and_pipeline_values_fail_at_parse_time(line):

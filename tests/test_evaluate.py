@@ -7,19 +7,11 @@ import pytest
 
 from canoa.bus import lab_scenario
 from canoa.errors import LengthMismatch, ZeroVariance
-from canoa.evaluate import (
-    FactorCell,
-    confusion,
-    factor_sweep,
-    grid_cells,
-    metrics,
-    separability,
-    student_t_sf,
-)
+from canoa.evaluate import confusion, metrics, separability, student_t_sf
 from canoa.frames import FrameFormat
 from canoa.bus import ProgramActivity
 from canoa.svm import TrainConfig
-from canoa.workflow import PipelineConfig, scenario_for_cell
+from canoa.workflow import FactorCell, PipelineConfig, factor_sweep, grid_cells, scenario_for_cell
 
 
 # ---------------------------------------------------------------- confusion
@@ -188,12 +180,14 @@ def test_zero_variance_error_and_constant_difference():
 def test_grid_has_twelve_cells():
     cells = grid_cells()
     assert len(cells) == 12
-    assert len({c.key() for c in cells}) == 12
+    assert len(set(cells)) == 12
 
 
 def test_scenario_for_cell_applies_levels():
     base = lab_scenario(frames_per_sa=5, sample_rate=2e6, seed=1)
-    cell = FactorCell(bitrate=500_000.0, frame_format="standard", program="heterogeneous")
+    cell = FactorCell(
+        bitrate=500_000.0, frame_format=FrameFormat.STANDARD, program=ProgramActivity.HETEROGENEOUS
+    )
     sc = scenario_for_cell(base, cell, seed=99)
     assert sc.bus.bitrate == 500_000.0
     assert sc.bus.format is FrameFormat.STANDARD
@@ -206,8 +200,8 @@ def test_scenario_for_cell_applies_levels():
 def test_mini_sweep_completes_and_records_failures():
     base = lab_scenario(frames_per_sa=60, sample_rate=4e6, seed=2)
     cells = [
-        FactorCell(125_000.0, "extended", "uniform"),
-        FactorCell(250_000.0, "extended", "heterogeneous"),
+        FactorCell(125_000.0, FrameFormat.EXTENDED, ProgramActivity.UNIFORM),
+        FactorCell(250_000.0, FrameFormat.EXTENDED, ProgramActivity.HETEROGENEOUS),
     ]
     grid = factor_sweep(
         base,
@@ -217,21 +211,21 @@ def test_mini_sweep_completes_and_records_failures():
     )
     assert grid.complete
     for cell in cells:
-        rep = grid.reports[cell.key()]
+        rep = grid.reports[cell]
         assert 0.0 <= rep.accuracy <= 1.0
     # a broken cell is recorded, not raised
-    bad = [FactorCell(125_000.0, "extended", "uniform")]
+    bad = [FactorCell(125_000.0, FrameFormat.EXTENDED, ProgramActivity.UNIFORM)]
     tiny = lab_scenario(frames_per_sa=2, sample_rate=2e6, seed=3)
     grid2 = factor_sweep(
         tiny, cells=bad, pipeline_cfg=PipelineConfig(n_components=50), train_cfg=TrainConfig()
     )
-    assert bad[0].key() in grid2.errors
+    assert bad[0] in grid2.errors
     assert not grid2.complete
 
 
 def test_sweep_is_deterministic_under_fixed_seeds():
     base = lab_scenario(frames_per_sa=40, sample_rate=4e6, seed=8)
-    cells = [FactorCell(125_000.0, "extended", "uniform")]
+    cells = [FactorCell(125_000.0, FrameFormat.EXTENDED, ProgramActivity.UNIFORM)]
     kw = dict(
         cells=cells,
         seeds=[123],
@@ -240,5 +234,12 @@ def test_sweep_is_deterministic_under_fixed_seeds():
     )
     g1 = factor_sweep(base, **kw)
     g2 = factor_sweep(base, jobs=2, **kw)
-    key = cells[0].key()
-    assert g1.reports[key] == g2.reports[key]
+    assert g1.reports[cells[0]] == g2.reports[cells[0]]
+
+
+def test_sweep_records_a_cell_below_ten_samples_per_bit():
+    base = lab_scenario(frames_per_sa=5, sample_rate=4e6, seed=2)
+    cells = [FactorCell(500_000.0, FrameFormat.EXTENDED, ProgramActivity.UNIFORM)]
+    grid = factor_sweep(base, cells=cells)
+    assert not grid.reports
+    assert "4000000 Hz" in grid.errors[cells[0]] and "500000 bps" in grid.errors[cells[0]]
