@@ -3,7 +3,9 @@
 One command per pipeline stage (simulate, train, authenticate, sweep)
 plus an ``all`` convenience command. Every command is deterministic
 under a fixed seed; exit codes are 0 on success, 1 on usage errors, and
-2 on data errors. ``CANOA_LOG`` selects the log level.
+2 on data errors (a sweep in which no cell completes is one). A run that
+fails before its first write leaves no ``--out`` directory. ``CANOA_LOG``
+selects the log level.
 """
 
 from __future__ import annotations
@@ -132,11 +134,17 @@ def _read_traces(traces_dir: Path) -> tuple[SampledTrace, dict[int, SampledTrace
 # ----------------------------------------------------------------- commands
 
 
-def cmd_simulate(args) -> int:
-    run = _load_run(args)
+def _out_dir(args) -> Path:
+    """The ``--out`` directory, made just before the first write so a failed run leaves none."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cmd_simulate(args) -> int:
+    run = _load_run(args)
     voltage, powers, truth = simulate(run.scenario)
+    out = _out_dir(args)
     traceio.write_trace_file(
         out / VOLTAGE_FILE, voltage.samples, TraceKind.VOLTAGE, voltage.sample_rate
     )
@@ -156,8 +164,6 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     run = _load_run(args)
     traces_dir = Path(args.traces)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if not (traces_dir / GROUND_TRUTH_FILE).exists():
         raise CanoaError(f"missing {traces_dir / GROUND_TRUTH_FILE}")
     voltage, powers = _read_traces(traces_dir)
@@ -171,6 +177,7 @@ def cmd_train(args) -> int:
             "per the ground-truth log"
         )
     result = build_bundle(powers, training_set, samap, run.pipeline, run.train)
+    out = _out_dir(args)
     traceio.save_bundle(out / BUNDLE_FILE, result.bundle)
 
     report_lines = [
@@ -205,8 +212,6 @@ def cmd_train(args) -> int:
 
 def cmd_authenticate(args) -> int:
     traces_dir = Path(args.traces)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bundle = traceio.load_bundle(args.bundle)
     if args.delta is not None:
         bundle = dataclasses.replace(bundle, delta=args.delta)
@@ -220,6 +225,7 @@ def cmd_authenticate(args) -> int:
             f"{len(decoded)} decoded, {crc_failed} failed the CRC"
         )
     verdicts = authenticate_all(usable, powers, bundle)
+    out = _out_dir(args)
     traceio.write_verdicts(out / "verdicts.csv", verdicts, bundle.sas)
     ext = "csv" if args.format == "csv" else "txt"
 
@@ -244,8 +250,6 @@ def cmd_authenticate(args) -> int:
 
 def cmd_sweep(args) -> int:
     run = _load_run(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cells = grid_cells()
     grid = factor_sweep(
         run.scenario,
@@ -275,9 +279,12 @@ def cmd_sweep(args) -> int:
             row += scores.format(rep.accuracy, rep.macro_precision, rep.macro_recall, rep.macro_f)
         lines.append(row)
     content = "\n".join(lines) + "\n"
+    out = _out_dir(args)
     (out / f"sweep_grid.{ext}").write_text(content)
     print(content, end="")
     print(f"wrote sweep_grid.{ext} in {out} ({len(grid.reports)}/{len(cells)} cells complete)")
+    if not grid.reports:
+        raise EmptyInput(f"no sweep cell completed: {len(grid.errors)} of {len(cells)} failed")
     return 0
 
 

@@ -2,15 +2,18 @@
 
 Training uses deterministic seeded mini-batch subgradient descent on the
 hinge loss with L2 regularization (lambda = 1/(C * n_train)) and a fixed
-geometric learning-rate schedule. A Platt-style sigmoid fitted on the
-validation split maps margins to transmission probabilities. Classes are
-balanced by subsampling the majority class before optimization.
+geometric learning-rate schedule. One loop advances a stack of models in
+lockstep: ``train`` is a stack of one, the bootstrap one model per round.
+A Platt-style sigmoid fitted on the validation split maps margins to
+transmission probabilities. Classes are balanced by subsampling the
+majority class before optimization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,30 +129,36 @@ class BootstrapSummary:
         return q3 - q1
 
 
+def _margins(w: np.ndarray, b, x: np.ndarray, y_pm: np.ndarray) -> np.ndarray:
+    """y * (x . w + b) per row; leading dimensions of all four stack problems."""
+    return y_pm * (np.matmul(x, w[..., None])[..., 0] + np.asarray(b)[..., None])
+
+
+def hinge_loss(w: np.ndarray, b, x: np.ndarray, y_pm: np.ndarray) -> np.ndarray | float:
+    """Plain mean hinge loss (the learning-curve quantity)."""
+    return np.maximum(0.0, 1.0 - _margins(w, b, x, y_pm)).mean(axis=-1)
+
+
 def svm_objective(
     w: np.ndarray, b: float, x: np.ndarray, y_pm: np.ndarray, lam: float
 ) -> float:
     """Mean hinge loss plus (lam/2) * |w|^2."""
-    margins = y_pm * (x @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return float(hinge.mean() + 0.5 * lam * (w @ w))
+    return float(hinge_loss(w, b, x, y_pm) + 0.5 * lam * (w @ w))
 
 
 def svm_subgradient(
-    w: np.ndarray, b: float, x: np.ndarray, y_pm: np.ndarray, lam: float
-) -> tuple[np.ndarray, float]:
-    """Analytic subgradient of :func:`svm_objective` at (w, b)."""
-    margins = y_pm * (x @ w + b)
-    active = margins < 1.0
-    n = y_pm.size
-    gw = lam * w - (y_pm[active][:, None] * x[active]).sum(axis=0) / n
-    gb = -float(y_pm[active].sum()) / n
+    w: np.ndarray, b, x: np.ndarray, y_pm: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """Analytic subgradient of :func:`svm_objective` at (w, b).
+
+    Leading dimensions stack independent problems: ``w (..., m)``, ``b (...)``,
+    ``x (..., n, m)`` and ``y_pm (..., n)`` give ``gw (..., m)`` and ``gb (...)``.
+    """
+    coef = np.where(_margins(w, b, x, y_pm) < 1.0, y_pm, 0.0)
+    n = y_pm.shape[-1]
+    gw = lam * w - np.matmul(coef[..., None, :], x)[..., 0, :] / n
+    gb = -coef.sum(axis=-1) / n
     return gw, gb
-
-
-def hinge_loss(w: np.ndarray, b: float, x: np.ndarray, y_pm: np.ndarray) -> float:
-    """Plain mean hinge loss (the learning-curve quantity)."""
-    return float(np.maximum(0.0, 1.0 - y_pm * (x @ w + b)).mean())
 
 
 def _balance(
@@ -192,50 +201,76 @@ def _prepare(ds: FeatureDataset, cfg: TrainConfig, rng: np.random.Generator) -> 
     return _Splits(x_train, y_train, x_val, y_val)
 
 
-def _optimize(
-    splits: _Splits, cfg: TrainConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, float, list[float], list[float], bool, int]:
-    """Core seeded subgradient descent in standardized feature space."""
-    mu = splits.x_train.mean(axis=0)
-    sigma = splits.x_train.std(axis=0)
-    sigma = np.where(sigma > 0, sigma, 1.0)
-    xt = (splits.x_train - mu) / sigma
-    xv = (splits.x_val - mu) / sigma
-    yt = splits.y_train.astype(np.float64) * 2.0 - 1.0
-    yv = splits.y_val.astype(np.float64) * 2.0 - 1.0
+class _Fit(NamedTuple):
+    """R linear SVMs trained in lockstep, acting on raw features."""
 
-    n, m = xt.shape
+    weights: np.ndarray  # (R, m)
+    bias: np.ndarray  # (R,)
+    epochs: np.ndarray  # (R,) epochs each model ran
+    converged: np.ndarray  # (R,) bool
+    val_loss: np.ndarray  # (R, max_iters); NaN past a model's last epoch
+    train_loss: np.ndarray | None  # like val_loss, when asked for
+
+
+def _sgd(
+    x: np.ndarray, y: np.ndarray, x_val: np.ndarray, y_val: np.ndarray,
+    cfg: TrainConfig, rngs: list[np.random.Generator], train_curve: bool = False,
+) -> _Fit:
+    """Seeded mini-batch subgradient descent on R problems in lockstep.
+
+    ``x (R, n, m)`` and ``y (R, n)`` hold R training sets of one size, and
+    ``rngs`` one generator per set, which draws that model's epoch
+    permutations. The validation split ``(nv, m)`` is shared. Each model
+    runs in its own standardized feature space and leaves the active set
+    when its validation-loss delta drops below epsilon.
+    """
+    mu = x.mean(axis=1, keepdims=True)
+    sigma = x.std(axis=1, keepdims=True)
+    sigma = np.where(sigma > 0, sigma, 1.0)
+    xt = x - mu
+    xt /= sigma
+    xv = (x_val - mu) / sigma
+    yt = y.astype(np.float64) * 2.0 - 1.0
+    yv = y_val.astype(np.float64) * 2.0 - 1.0
+
+    r, n, m = xt.shape
+    x_rows, y_rows = xt.reshape(r * n, m), yt.reshape(r * n)
     lam = 1.0 / (cfg.c * n)
     radius = 1.0 / math.sqrt(lam)
-    w = np.zeros(m)
-    b = 0.0
-    train_curve: list[float] = []
-    val_curve: list[float] = []
-    converged = False
-    conv_index = 0
+    w = np.zeros((r, m))
+    b = np.zeros(r)
+    val_loss = np.full((r, cfg.max_iters), np.nan)
+    train_loss = np.full((r, cfg.max_iters), np.nan) if train_curve else None
+    epochs = np.full(r, cfg.max_iters)
+    converged = np.zeros(r, dtype=bool)
+    active = np.arange(r)
     for epoch in range(cfg.max_iters):
-        eta = ETA0 * ETA_DECAY**epoch
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            gw, gb = svm_subgradient(w, b, xt[batch], yt[batch], lam)
-            w -= eta * gw
-            b -= eta * gb
-            norm = math.sqrt(float(w @ w))
-            if norm > radius:
-                w *= radius / norm
-        train_curve.append(hinge_loss(w, b, xt, yt))
-        val_curve.append(hinge_loss(w, b, xv, yv))
-        if epoch >= 1 and abs(val_curve[-1] - val_curve[-2]) < cfg.epsilon:
-            converged = True
-            conv_index = epoch
+        if active.size == 0:
             break
-    if not converged:
-        conv_index = len(val_curve) - 1
-    # fold standardization back so the model acts on raw features
-    w_raw = w / sigma
-    b_raw = b - float((w * mu / sigma).sum())
-    return w_raw, b_raw, train_curve, val_curve, converged, conv_index
+        eta = ETA0 * ETA_DECAY**epoch
+        # each active model's epoch order, as rows of the flattened stack;
+        # batches are gathered one at a time so they are still in cache
+        rows = active[:, None] * n + np.stack([rngs[i].permutation(n) for i in active])
+        wa, ba = w[active], b[active]
+        for lo in range(0, n, cfg.batch_size):
+            batch = rows[:, lo : lo + cfg.batch_size]
+            gw, gb = svm_subgradient(wa, ba, np.take(x_rows, batch, axis=0), y_rows[batch], lam)
+            wa -= eta * gw
+            ba -= eta * gb
+            norm = np.sqrt(np.einsum("rm,rm->r", wa, wa))
+            wa *= (radius / np.maximum(norm, radius))[:, None]  # 1.0 inside the ball
+        w[active], b[active] = wa, ba
+        val_loss[active, epoch] = hinge_loss(w, b, xv, yv)[active]
+        if train_loss is not None:
+            train_loss[active, epoch] = hinge_loss(w, b, xt, yt)[active]
+        if epoch >= 1:
+            done = np.abs(val_loss[active, epoch] - val_loss[active, epoch - 1]) < cfg.epsilon
+            converged[active[done]] = True
+            epochs[active[done]] = epoch + 1
+            active = active[~done]
+    # fold standardization back so each model acts on raw features
+    mu, sigma = mu[:, 0], sigma[:, 0]
+    return _Fit(w / sigma, b - (w * mu / sigma).sum(axis=1), epochs, converged, val_loss, train_loss)
 
 
 def platt_proba(margins, a: float, b: float) -> np.ndarray:
@@ -314,40 +349,49 @@ def train(ds: FeatureDataset, cfg: TrainConfig) -> tuple[SvmModel, LearningCurve
         raise SingleClass("dataset does not contain both classes")
     rng = np.random.default_rng(cfg.seed)
     splits = _prepare(ds, cfg, rng)
-    w, b, train_curve, val_curve, converged, conv_index = _optimize(splits, cfg, rng)
+    fit = _sgd(
+        splits.x_train[None], splits.y_train[None], splits.x_val, splits.y_val, cfg, [rng],
+        train_curve=True,
+    )
+    w, b, iterations = fit.weights[0], float(fit.bias[0]), int(fit.epochs[0])
     val_margins = splits.x_val @ w + b
     calibration = platt_fit(val_margins, splits.y_val)
     val_accuracy = float(((val_margins > 0).astype(np.int8) == splits.y_val).mean())
+    val_curve = fit.val_loss[0, :iterations]
     meta = TrainingMeta(
-        iterations=len(val_curve),
-        final_loss=val_curve[-1],
+        iterations=iterations,
+        final_loss=float(val_curve[-1]),
         epsilon=cfg.epsilon,
-        converged=converged,
-        convergence_index=conv_index,
+        converged=bool(fit.converged[0]),
+        convergence_index=iterations - 1,
         validation_accuracy=val_accuracy,
     )
-    model = SvmModel(weights=w, bias=float(b), calibration=calibration, meta=meta)
+    model = SvmModel(weights=w, bias=b, calibration=calibration, meta=meta)
     curve = LearningCurve(
-        train_loss=np.asarray(train_curve),
-        val_loss=np.asarray(val_curve),
-        convergence_index=conv_index,
+        train_loss=fit.train_loss[0, :iterations],
+        val_loss=val_curve,
+        convergence_index=iterations - 1,
     )
     return model, curve
 
 
 def bootstrap_accuracy(ds: FeatureDataset, cfg: TrainConfig) -> BootstrapSummary:
-    """Validation accuracies over B bootstrap resamples of the training split."""
+    """Validation accuracies over B bootstrap resamples of the training split.
+
+    Round i resamples with the ``cfg.seed`` generator and shuffles with its
+    own child stream (``SeedSequence(cfg.seed).spawn``); the rounds with
+    both classes train together in one lockstep run.
+    """
     rng = np.random.default_rng(cfg.seed)
     splits = _prepare(ds, cfg, rng)
-    accuracies = []
-    for _ in range(cfg.bootstrap_rounds):
-        idx = rng.integers(0, splits.y_train.size, size=splits.y_train.size)
-        resampled = _Splits(
-            splits.x_train[idx], splits.y_train[idx], splits.x_val, splits.y_val
-        )
-        if len(np.unique(resampled.y_train)) < 2:
-            continue
-        w, b, *_ = _optimize(resampled, cfg, rng)
-        pred = (resampled.x_val @ w + b > 0).astype(np.int8)
-        accuracies.append(float((pred == resampled.y_val).mean()))
-    return BootstrapSummary(accuracies=np.asarray(accuracies))
+    n = splits.y_train.size
+    idx = rng.integers(0, n, size=(cfg.bootstrap_rounds, n))
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.bootstrap_rounds)
+    y = splits.y_train[idx]
+    both = y.min(axis=1) != y.max(axis=1)
+    fit = _sgd(
+        splits.x_train[idx[both]], y[both], splits.x_val, splits.y_val, cfg,
+        [np.random.default_rng(s) for s, keep in zip(streams, both) if keep],
+    )
+    pred = (np.matmul(splits.x_val, fit.weights.T) + fit.bias > 0).astype(np.int8)
+    return BootstrapSummary(accuracies=(pred == splits.y_val[:, None]).mean(axis=0))

@@ -161,14 +161,14 @@ def test_sweep_renders_failed_cells(tmp_path):
     cfg = tmp_path / "slow.cfg"
     cfg.write_text(TINY_CONFIG.replace("bus.sample_rate = 2000000", "bus.sample_rate = 1000000"))
     out = tmp_path / "sweep"
-    assert run_cli("sweep", "--config", cfg, "--out", out) == 0
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 2
     rows = (out / "sweep_grid.txt").read_text().splitlines()[1:]
     assert len(rows) == 12
     assert rows[0] == (
         "  125000  standard        uniform FAILED: sample rate 1000000 Hz is below 10x the bitrate 125000 bps"
     )
     assert all(" FAILED: sample rate 1000000 Hz is below 10x" in row for row in rows)
-    assert run_cli("sweep", "--config", cfg, "--out", out, "--format", "csv") == 0
+    assert run_cli("sweep", "--config", cfg, "--out", out, "--format", "csv") == 2
     rows = (out / "sweep_grid.csv").read_text().splitlines()[1:]
     assert len(rows) == 12
     assert rows[-1] == (
@@ -178,6 +178,35 @@ def test_sweep_renders_failed_cells(tmp_path):
         fields = row.split(",")
         assert len(fields) == 8 and fields[3:7] == ["", "", "", ""]
         assert fields[7].startswith("sample rate 1000000 Hz")
+
+
+def test_sweep_with_no_completed_cell_names_the_failed_count(tmp_path, capsys):
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text(TINY_CONFIG.replace("bus.sample_rate = 2000000", "bus.sample_rate = 1000000"))
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sweep") == 2
+    captured = capsys.readouterr()
+    assert "(0/12 cells complete)" in captured.out
+    assert "error: no sweep cell completed: 12 of 12 failed" in captured.err
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "authenticate", "sweep"])
+def test_failed_run_leaves_no_out_directory(command, tmp_path, capsys):
+    slow = tmp_path / "slow.cfg"
+    slow.write_text(TINY_CONFIG.replace("bus.sample_rate = 2000000", "bus.sample_rate = 1000000"))
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG.replace("train.max_iters = 150", "train.max_iters = 0"))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["--config", slow],  # the simulator rejects the sample rate
+        "train": ["--config", slow, "--traces", empty],  # no ground truth to train on
+        "authenticate": ["--traces", empty, "--bundle", empty / "bundle.cbnd", "--bitrate", 125000],
+        "sweep": ["--config", bad],  # a sweep whose cells all fail still writes its grid
+    }[command]
+    assert run_cli(command, *argv, "--out", out) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

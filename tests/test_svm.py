@@ -1,12 +1,20 @@
 """Classifier tests: optimization, calibration, bootstrap, determinism."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canoa.errors import DimensionMismatch, SingleClass
 from canoa.features import FeatureDataset
 from canoa.svm import (
+    ETA0,
+    ETA_DECAY,
     TrainConfig,
+    _prepare,
+    _sgd,
     bootstrap_accuracy,
     platt_fit,
     platt_proba,
@@ -205,3 +213,137 @@ def test_bootstrap_requires_ten_rounds():
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         TrainConfig(**bad)
+
+
+# ------------------------------------------------ lockstep loop vs oracle
+
+
+def optimize_oracle(x_train, y_train, x_val, y_val, cfg, rng):
+    """The per-model SGD loop the lockstep loop replaced, kept as its oracle.
+
+    Returns (w, b, train_curve, val_curve, converged, convergence_index) on
+    raw features, with its own 2-D subgradient and hinge loss.
+    """
+
+    def subgradient(w, b, x, y_pm, lam):
+        active = y_pm * (x @ w + b) < 1.0
+        gw = lam * w - (y_pm[active][:, None] * x[active]).sum(axis=0) / y_pm.size
+        return gw, -float(y_pm[active].sum()) / y_pm.size
+
+    def hinge(w, b, x, y_pm):
+        return float(np.maximum(0.0, 1.0 - y_pm * (x @ w + b)).mean())
+
+    mu = x_train.mean(axis=0)
+    sigma = x_train.std(axis=0)
+    sigma = np.where(sigma > 0, sigma, 1.0)
+    xt = (x_train - mu) / sigma
+    xv = (x_val - mu) / sigma
+    yt = y_train.astype(np.float64) * 2.0 - 1.0
+    yv = y_val.astype(np.float64) * 2.0 - 1.0
+    n, m = xt.shape
+    lam = 1.0 / (cfg.c * n)
+    radius = 1.0 / math.sqrt(lam)
+    w = np.zeros(m)
+    b = 0.0
+    train_curve, val_curve = [], []
+    converged = False
+    for epoch in range(cfg.max_iters):
+        eta = ETA0 * ETA_DECAY**epoch
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            batch = order[lo : lo + cfg.batch_size]
+            gw, gb = subgradient(w, b, xt[batch], yt[batch], lam)
+            w -= eta * gw
+            b -= eta * gb
+            norm = math.sqrt(float(w @ w))
+            if norm > radius:
+                w *= radius / norm
+        train_curve.append(hinge(w, b, xt, yt))
+        val_curve.append(hinge(w, b, xv, yv))
+        if epoch >= 1 and abs(val_curve[-1] - val_curve[-2]) < cfg.epsilon:
+            converged = True
+            break
+    w_raw = w / sigma
+    b_raw = b - float((w * mu / sigma).sum())
+    return w_raw, b_raw, train_curve, val_curve, converged, len(val_curve) - 1
+
+
+LOCKSTEP_CASES = [
+    (blob_dataset(gap=1.5, seed=7), TrainConfig(seed=8)),  # overlapping: many epochs
+    (blob_dataset(n=333, m=5, gap=5.0, seed=3), TrainConfig(seed=4, batch_size=50)),
+    (blob_dataset(gap=1.0, seed=5), TrainConfig(seed=6, max_iters=7, epsilon=1e-9)),  # no convergence
+    (blob_dataset(gap=2.0, seed=9), TrainConfig(seed=10, c=1e-3)),  # |w| held at the radius
+]
+
+
+@pytest.mark.parametrize("ds, cfg", LOCKSTEP_CASES)
+def test_train_is_the_oracle_loop_run_as_a_stack_of_one(ds, cfg):
+    model, curve = train(ds, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    s = _prepare(ds, cfg, rng)
+    w, b, train_curve, val_curve, converged, conv_index = optimize_oracle(
+        s.x_train, s.y_train, s.x_val, s.y_val, cfg, rng
+    )
+    np.testing.assert_allclose(model.weights, w, rtol=1e-12, atol=0)
+    assert model.bias == pytest.approx(b, rel=1e-12)
+    np.testing.assert_allclose(curve.train_loss, train_curve, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(curve.val_loss, val_curve, rtol=1e-12, atol=0)
+    assert curve.convergence_index == model.meta.convergence_index == conv_index
+    assert model.meta.converged == converged
+
+
+@pytest.mark.parametrize("ds, cfg", LOCKSTEP_CASES)
+def test_each_bootstrap_round_is_the_oracle_on_its_resample_and_stream(ds, cfg):
+    summary = bootstrap_accuracy(ds, cfg)
+    # the draw contract: balance and resample with the seed's generator, one child stream per round
+    rng = np.random.default_rng(cfg.seed)
+    s = _prepare(ds, cfg, rng)
+    n = s.y_train.size
+    idx = rng.integers(0, n, size=(cfg.bootstrap_rounds, n))
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.bootstrap_rounds)
+    rounds = [i for i in range(cfg.bootstrap_rounds) if len(np.unique(s.y_train[idx[i]])) == 2]
+    fit = _sgd(
+        s.x_train[idx[rounds]], s.y_train[idx[rounds]], s.x_val, s.y_val, cfg,
+        [np.random.default_rng(streams[i]) for i in rounds],
+    )
+    assert summary.accuracies.size == len(rounds) == fit.epochs.size
+    for k, i in enumerate(rounds):
+        w, b, _, val_curve, converged, _ = optimize_oracle(
+            s.x_train[idx[i]], s.y_train[idx[i]], s.x_val, s.y_val, cfg,
+            np.random.default_rng(streams[i]),
+        )
+        pred = (s.x_val @ w + b > 0).astype(np.int8)
+        assert summary.accuracies[k] == float((pred == s.y_val).mean())
+        assert fit.epochs[k] == len(val_curve)
+        assert fit.converged[k] == converged
+        np.testing.assert_allclose(fit.weights[k], w, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(1, 6),
+    batch=st.integers(1, 20),
+    m=st.integers(1, 6),
+    data=st.data(),
+)
+def test_stacked_subgradient_equals_the_2d_call_row_by_row(r, batch, m, data):
+    """Rows hinge-active or not by a drawn mask; models in the stack or not by another."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    hinge_on = np.array(data.draw(st.lists(st.booleans(), min_size=r * batch, max_size=r * batch)))
+    in_stack = np.array(data.draw(st.lists(st.booleans(), min_size=r, max_size=r)))
+    in_stack[rng.integers(r)] = True
+    w = rng.normal(size=(r, m)) + 0.1
+    b = rng.normal(size=r)
+    y = np.where(rng.uniform(size=(r, batch)) < 0.5, -1.0, 1.0)
+    x = rng.normal(size=(r, batch, m))
+    # move each row along w until its margin is 0.5 (hinge active) or 1.5 (not)
+    target = np.where(hinge_on.reshape(r, batch), 0.5, 1.5)
+    shift = (target * y - b[:, None] - np.einsum("rnm,rm->rn", x, w)) / (w * w).sum(axis=1)[:, None]
+    x += shift[..., None] * w[:, None, :]
+    lam = 0.05
+    gw, gb = svm_subgradient(w[in_stack], b[in_stack], x[in_stack], y[in_stack], lam)
+    for k, i in enumerate(np.flatnonzero(in_stack)):
+        gw1, gb1 = svm_subgradient(w[i], float(b[i]), x[i], y[i], lam)
+        np.testing.assert_allclose(gw[k], gw1, rtol=1e-12, atol=1e-14)
+        assert gb[k] == pytest.approx(gb1, rel=1e-12, abs=1e-14)
+        assert gb1 == -y[i][hinge_on.reshape(r, batch)[i]].sum() / batch
