@@ -8,8 +8,8 @@ impersonation (compromised ECU / added module) attack.
 
 from .authenticate import (
     Decision,
+    EcuModel,
     ModelBundle,
-    SaEntry,
     Verdict,
     attribute,
     authenticate_all,

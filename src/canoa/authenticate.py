@@ -1,12 +1,13 @@
 """Sender attribution and impersonation-attack classification.
 
 Scoring has one path. :func:`score` gives every source address's
-calibrated transmission probability for a batch of transmissions, from
-the magnitude spectrum of its owning ECU's power trace at each
-transmission start, through a linear model with the training PCA folded in.
-:func:`decide` turns one row of that matrix into a :class:`Verdict`.
-:func:`authenticate_all` is ``score`` then ``decide`` per row, and
-:func:`attribute` is the same for a batch of one.
+calibrated transmission probability for a batch of transmissions: each
+ECU's model scores all of its addresses on the magnitude spectra of its
+power trace at the transmission starts, with one product by a weight
+matrix that has the training PCA folded in. :func:`decide` turns one row
+of that matrix into a :class:`Verdict`. :func:`authenticate_all` is
+``score`` then ``decide`` per row, and :func:`attribute` is the same for
+a batch of one.
 
 The winning model (highest calibrated transmission probability, above
 the decision threshold delta) names the actual sender:
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import BundleMismatch
 from .features import NormStats, Tau, TukeyParams, ecu_spectra
 from .frames import DecodedTransmission, SourceAddressMap
-from .svm import SvmModel, platt_proba
+from .svm import TrainingMeta, platt_proba
 from .trace import SampledTrace
 
 TIE_TOLERANCE = 1e-12
@@ -46,20 +47,28 @@ class Decision(Enum):
 
 
 @dataclass(frozen=True)
-class SaEntry:
-    """Everything needed to score one source address from its ECU's spectra."""
+class EcuModel:
+    """The models of one ECU's source addresses, scored together on its spectra.
 
-    sa: int
+    Column j of ``weights`` (one row per spectrum bin), ``bias[j]``,
+    ``calibration[j]`` (the Platt pair ``(A, B)``) and ``meta[j]`` belong
+    to ``sas[j]``.
+    """
+
     ecu: int
-    model: SvmModel
+    sas: tuple[int, ...]
     stats: NormStats
+    weights: np.ndarray  # (F, k)
+    bias: np.ndarray  # (k,)
+    calibration: np.ndarray  # (k, 2)
+    meta: tuple[TrainingMeta, ...]
 
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Per-SA classifiers plus the shared pipeline parameters."""
+    """One model per ECU of the map, for its SAs, plus the shared pipeline parameters."""
 
-    entries: tuple[SaEntry, ...]
+    ecus: tuple[EcuModel, ...]
     samap: SourceAddressMap
     tau: Tau
     window: TukeyParams
@@ -71,18 +80,36 @@ class ModelBundle:
             raise ValueError("sample rate must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if {e.sa for e in self.entries} != set(self.samap.owners):
-            raise ValueError("bundle SA set must match the source address map")
-        for e in self.entries:
-            if e.ecu != self.samap.owners[e.sa]:
+        n_bins = self.tau.sample_count(self.sample_rate) // 2 + 1
+        sas = self.samap.sas
+        for e in self.ecus:
+            owned = tuple(sa for sa in sas if self.samap.owners[sa] == e.ecu)
+            if e.sas != owned:
                 raise ValueError(
-                    f"SA {e.sa} entry names ECU {e.ecu}, but the map's owner is "
-                    f"ECU {self.samap.owners[e.sa]}"
+                    f"ECU {e.ecu} scores SAs {list(e.sas)}, but the map gives it {list(owned)}"
                 )
+            k = len(e.sas)
+            shapes = (e.weights.shape, e.bias.shape, e.calibration.shape, len(e.meta))
+            if shapes != ((n_bins, k), (k,), (k, 2), k):
+                raise ValueError(
+                    f"ECU {e.ecu} weights, biases, calibrations and training records have "
+                    f"shapes {shapes}, but {k} SAs and a {self.tau.value} s segment at "
+                    f"{self.sample_rate} Hz ({n_bins} spectrum bins) need "
+                    f"{((n_bins, k), (k,), (k, 2), k)}"
+                )
+        if [e.ecu for e in self.ecus] != self.samap.ecus:
+            raise ValueError(f"the map's ECUs {self.samap.ecus} need one model each, in order")
 
     @property
     def sas(self) -> list[int]:
-        return [e.sa for e in self.entries]
+        """Every source address, in the column order of :func:`score`."""
+        return self.samap.sas
+
+    @property
+    def training(self) -> dict[int, TrainingMeta]:
+        """Each SA's training record, in SA order."""
+        meta = {sa: m for e in self.ecus for sa, m in zip(e.sas, e.meta)}
+        return {sa: meta[sa] for sa in self.sas}
 
 
 @dataclass(frozen=True)
@@ -120,34 +147,32 @@ def score(
 ) -> np.ndarray:
     """Calibrated transmission probabilities, one row per transmission.
 
-    Column k belongs to ``bundle.entries[k]``. Spectra are computed once
-    per ECU and shared by its addresses. Every ECU the bundle's map names
-    needs a power trace at the bundle's sample rate.
+    Column k belongs to ``bundle.sas[k]``. Each ECU's spectra are computed
+    once and scored for all of its addresses with one matrix product.
+    Every ECU of the bundle needs a power trace at the bundle's sample rate.
     """
     if not set(bundle.samap.ecus).issubset(powers):
         raise BundleMismatch(
             f"bundle expects power channels {bundle.samap.ecus}, found {sorted(powers)}"
         )
-    columns_by_ecu: dict[int, list[int]] = {}
-    for k, entry in enumerate(bundle.entries):
-        columns_by_ecu.setdefault(entry.ecu, []).append(k)
-    for ecu in columns_by_ecu:
-        rate = powers[ecu].sample_rate
+    for model in bundle.ecus:
+        rate = powers[model.ecu].sample_rate
         if rate != bundle.sample_rate:
             raise BundleMismatch(
-                f"power trace of ECU {ecu} is sampled at {rate:.0f} Hz, "
+                f"power trace of ECU {model.ecu} is sampled at {rate:.0f} Hz, "
                 f"the bundle was trained at {bundle.sample_rate:.0f} Hz"
             )
-    p = np.empty((len(transmissions), len(bundle.entries)))
+    sas = bundle.sas
+    p = np.empty((len(transmissions), len(sas)))
     if not transmissions:
         return p
     # one ECU's spectra at a time: they are the largest arrays scoring makes
-    for ecu, columns in columns_by_ecu.items():
-        stats = bundle.entries[columns[0]].stats
-        spectra = ecu_spectra(powers[ecu], stats, transmissions, bundle.tau, bundle.window)
-        for k in columns:
-            model = bundle.entries[k].model
-            p[:, k] = platt_proba(model.margin(spectra), *model.calibration)
+    for model in bundle.ecus:
+        spectra = ecu_spectra(
+            powers[model.ecu], model.stats, transmissions, bundle.tau, bundle.window
+        )
+        margins = spectra @ model.weights + model.bias
+        p[:, np.searchsorted(sas, model.sas)] = platt_proba(margins, *model.calibration.T)
     return p
 
 

@@ -183,15 +183,14 @@ def cmd_train(args) -> int:
     report_lines = [
         f"transmissions: {len(result.transmissions)} (tau = {result.tau.value * 1e3:.4f} ms)"
     ]
-    for entry in result.bundle.entries:
-        meta = entry.model.meta
-        curve = result.curves[entry.sa]
+    for sa, meta in result.bundle.training.items():
+        curve = result.curves[sa]
         report_lines.append(
-            f"sa {entry.sa} (ecu {entry.ecu}): val_accuracy={meta.validation_accuracy:.4f} "
+            f"sa {sa} (ecu {samap.owners[sa]}): val_accuracy={meta.validation_accuracy:.4f} "
             f"iterations={meta.iterations} converged={meta.converged} "
             f"convergence_index={curve.convergence_index} final_loss={meta.final_loss:.6f}"
         )
-        with open(out / f"learning_curve_{entry.sa}.csv", "w") as fh:
+        with open(out / f"learning_curve_{sa}.csv", "w") as fh:
             fh.write("iteration,train_loss,val_loss\n")
             for i, (tr, va) in enumerate(zip(curve.train_loss, curve.val_loss)):
                 fh.write(f"{i},{float(tr)!r},{float(va)!r}\n")

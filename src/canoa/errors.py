@@ -37,10 +37,6 @@ class SingleClass(CanoaError):
     """Training data contains only one class."""
 
 
-class DimensionMismatch(CanoaError):
-    """Feature vector length does not match the model dimension."""
-
-
 class LengthMismatch(CanoaError):
     """Paired sequences have different lengths."""
 

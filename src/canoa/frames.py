@@ -98,8 +98,8 @@ class SourceAddressMap:
             sa = frame_id & 0xFF
         else:
             sa = self.table.get(frame_id)
-        if sa is None or sa not in self.owners:
-            return (sa, None) if sa in self.owners else (None, None)
+        if sa not in self.owners:
+            return None, None
         return sa, self.owners[sa]
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingleClass
+from .errors import SingleClass
 from .features import FeatureDataset
 
 ETA0 = 0.5
@@ -58,33 +58,21 @@ class TrainingMeta:
     epsilon: float
     converged: bool
     convergence_index: int
-    validation_accuracy: float = 0.0
+    validation_accuracy: float
 
 
 @dataclass(frozen=True)
 class SvmModel:
     """Linear decision function on raw feature vectors plus calibration.
 
-    ``calibration = (A, B)`` maps a margin m to the transmission
-    probability 1 / (1 + exp(A*m + B)).
+    ``calibration = (A, B)`` maps a margin m = x @ weights + bias to the
+    transmission probability 1 / (1 + exp(A*m + B)).
     """
 
     weights: np.ndarray
     bias: float
     calibration: tuple[float, float]
     meta: TrainingMeta
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[0]
-
-    def margin(self, x: np.ndarray) -> np.ndarray | float:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.n_features:
-            raise DimensionMismatch(
-                f"expected {self.n_features} features, got {x.shape[-1]}"
-            )
-        return x @ self.weights + self.bias
 
 
 @dataclass(frozen=True)
@@ -273,10 +261,11 @@ def _sgd(
     return _Fit(w / sigma, b - (w * mu / sigma).sum(axis=1), epochs, converged, val_loss, train_loss)
 
 
-def platt_proba(margins, a: float, b: float) -> np.ndarray:
+def platt_proba(margins, a, b) -> np.ndarray:
     """Calibrated transmission probability 1 / (1 + exp(a*m + b)) per margin.
 
-    Both branches use exp(-|a*m + b|), which never overflows.
+    ``a`` and ``b`` are scalars, or one per column of ``margins``. Both
+    branches use exp(-|a*m + b|), which never overflows.
     """
     f = a * np.asarray(margins, dtype=np.float64) + b
     z = np.exp(-np.abs(f))
@@ -338,6 +327,11 @@ def platt_fit(margins: np.ndarray, labels: np.ndarray, max_iter: int = 100) -> t
     return a, b
 
 
+def _seed(ds: FeatureDataset, cfg: TrainConfig) -> int:
+    """SA ``ds.sa``'s seed: it balances the split, shuffles epochs and draws the bootstrap."""
+    return cfg.seed + 9973 * ds.sa
+
+
 def train(ds: FeatureDataset, cfg: TrainConfig) -> tuple[SvmModel, LearningCurve]:
     """Train one transmission/non-transmission classifier for a dataset.
 
@@ -347,7 +341,7 @@ def train(ds: FeatureDataset, cfg: TrainConfig) -> tuple[SvmModel, LearningCurve
     """
     if len(np.unique(ds.y)) < 2:
         raise SingleClass("dataset does not contain both classes")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_seed(ds, cfg))
     splits = _prepare(ds, cfg, rng)
     fit = _sgd(
         splits.x_train[None], splits.y_train[None], splits.x_val, splits.y_val, cfg, [rng],
@@ -378,15 +372,16 @@ def train(ds: FeatureDataset, cfg: TrainConfig) -> tuple[SvmModel, LearningCurve
 def bootstrap_accuracy(ds: FeatureDataset, cfg: TrainConfig) -> BootstrapSummary:
     """Validation accuracies over B bootstrap resamples of the training split.
 
-    Round i resamples with the ``cfg.seed`` generator and shuffles with its
-    own child stream (``SeedSequence(cfg.seed).spawn``); the rounds with
-    both classes train together in one lockstep run.
+    Round i resamples the split :func:`train` uses with the SA's generator
+    and shuffles with its own child stream (``SeedSequence.spawn``); the
+    rounds with both classes train together in one lockstep run.
     """
-    rng = np.random.default_rng(cfg.seed)
+    seed = _seed(ds, cfg)
+    rng = np.random.default_rng(seed)
     splits = _prepare(ds, cfg, rng)
     n = splits.y_train.size
     idx = rng.integers(0, n, size=(cfg.bootstrap_rounds, n))
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.bootstrap_rounds)
+    streams = np.random.SeedSequence(seed).spawn(cfg.bootstrap_rounds)
     y = splits.y_train[idx]
     both = y.min(axis=1) != y.max(axis=1)
     fit = _sgd(

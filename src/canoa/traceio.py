@@ -2,9 +2,11 @@
 
 Trace files ("CTRC") store channel-major 32-bit little-endian floats
 behind a fixed header; bundles ("CBND") are length-prefixed named
-sections with a CRC-32 footer. Sample data goes to the binary format
-because multi-megasample traces are large; CSV is reserved for logs and
-reports.
+sections with a CRC-32 footer; version 3 stores one model per ECU (its
+SAs, normalization, biases and calibrations in the JSON ``meta``, and a
+``weights/<ecu>`` float64 matrix, one row per spectrum bin and one column
+per SA). Sample data goes to the binary format because multi-megasample
+traces are large; CSV is reserved for logs and reports.
 """
 
 from __future__ import annotations
@@ -15,19 +17,19 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .authenticate import ModelBundle, SaEntry, Verdict
+from .authenticate import EcuModel, ModelBundle, Verdict
 from .bus import AttackKind, GroundTruthEntry, GroundTruthLog
 from .errors import FileFormatError
 from .features import NormStats, Tau, TukeyParams
 from .frames import DerivationRule, SourceAddressMap
-from .svm import SvmModel, TrainingMeta
+from .svm import TrainingMeta
 
 TRACE_MAGIC = b"CTRC"
 TRACE_VERSION = 1
@@ -35,8 +37,7 @@ _TRACE_HEADER = struct.Struct("<4sHBHIQQ")
 
 BUNDLE_MAGIC = b"CBND"
 BUNDLE_FOOTER = b"CEND"
-BUNDLE_VERSION = 2
-_TRAINING_META_FIELDS = {f.name for f in fields(TrainingMeta)}
+BUNDLE_VERSION = 3
 
 GROUND_TRUTH_HEADER = ["t_sec", "frame_id", "claimed_sa", "true_source", "attack_kind"]
 ADDED_MODULE_SOURCE = "added_module"
@@ -214,23 +215,21 @@ def save_bundle(path: Path | str, bundle: ModelBundle) -> None:
             "owners": {str(sa): ecu for sa, ecu in bundle.samap.owners.items()},
             "table": {str(fid): sa for fid, sa in bundle.samap.table.items()},
         },
-        "entries": [],
-    }
-    sections: list[tuple[str, bytes]] = []
-    for e in bundle.entries:
-        meta["entries"].append(
+        "ecus": [
             {
-                "sa": e.sa,
                 "ecu": e.ecu,
-                "bias": e.model.bias,
-                "calibration": list(e.model.calibration),
+                "sas": list(e.sas),
                 "norm_mean": e.stats.mean,
                 "norm_std": e.stats.std,
-                "meta": asdict(e.model.meta),
+                "bias": e.bias.tolist(),
+                "calibration": e.calibration.tolist(),
+                "meta": [asdict(m) for m in e.meta],
             }
-        )
-        sections.append((f"weights/{e.sa}", np.asarray(e.model.weights, "<f8").tobytes()))
-    sections.insert(0, ("meta", json.dumps(meta, sort_keys=True).encode()))
+            for e in bundle.ecus
+        ],
+    }
+    sections = [("meta", json.dumps(meta, sort_keys=True).encode())]
+    sections += [(f"weights/{e.ecu}", np.asarray(e.weights, "<f8").tobytes()) for e in bundle.ecus]
     blob = _sections_bytes(sections)
     footer = BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
     Path(path).write_bytes(blob + footer)
@@ -279,56 +278,36 @@ def load_bundle(path: Path | str) -> ModelBundle:
     # by another tool (or edited and re-checksummed) can still lack keys or
     # hold values of the wrong type, which must not escape as KeyError.
     try:
-        return _bundle_from_meta(json.loads(sections["meta"].decode()), sections, path)
+        return _bundle_from_meta(json.loads(sections["meta"].decode()), sections)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"{path}: malformed bundle meta: {exc!r}") from exc
+        raise FileFormatError(f"{path}: malformed bundle: {exc!r}") from exc
 
 
-def _bundle_from_meta(meta: dict, sections: dict[str, bytes], path) -> ModelBundle:
+def _bundle_from_meta(meta: dict, sections: dict[str, bytes]) -> ModelBundle:
     samap = SourceAddressMap(
         owners={int(sa): ecu for sa, ecu in meta["map"]["owners"].items()},
         rule=DerivationRule(meta["map"]["rule"]),
         table={int(fid): sa for fid, sa in meta["map"]["table"].items()},
     )
-    sample_rate = meta["sample_rate"]
-    if not sample_rate > 0:
-        raise FileFormatError(f"{path}: sample rate {sample_rate!r} is not positive")
-    tau = Tau(meta["tau"])
-    # one weight per one-sided spectrum bin of a tau-length segment
-    n_bins = tau.sample_count(sample_rate) // 2 + 1
-    entries = []
-    for em in meta["entries"]:
-        sa = em["sa"]
-        payload = sections.get(f"weights/{sa}")
-        if payload is None or len(payload) != 8 * n_bins:
-            raise FileFormatError(
-                f"{path}: section 'weights/{sa}' is missing or does not hold "
-                f"{n_bins} float64 values, one per spectrum bin"
-            )
-        if set(em["meta"]) != _TRAINING_META_FIELDS:
-            raise FileFormatError(
-                f"{path}: SA {sa} training meta has fields {sorted(em['meta'])}, "
-                f"expected {sorted(_TRAINING_META_FIELDS)}"
-            )
-        model = SvmModel(
-            weights=np.frombuffer(payload, dtype="<f8"),
-            bias=em["bias"],
-            calibration=tuple(em["calibration"]),
-            meta=TrainingMeta(**em["meta"]),
-        )
-        entries.append(
-            SaEntry(
-                sa=sa,
+    ecus = []
+    for em in meta["ecus"]:
+        weights = np.frombuffer(sections[f"weights/{em['ecu']}"], dtype="<f8")
+        ecus.append(
+            EcuModel(
                 ecu=em["ecu"],
-                model=model,
+                sas=tuple(em["sas"]),
                 stats=NormStats(mean=em["norm_mean"], std=em["norm_std"]),
+                weights=weights.reshape(-1, len(em["sas"])),
+                bias=np.asarray(em["bias"], dtype=np.float64),
+                calibration=np.asarray(em["calibration"], dtype=np.float64),
+                meta=tuple(TrainingMeta(**m) for m in em["meta"]),
             )
         )
     return ModelBundle(
-        entries=tuple(entries),
+        ecus=tuple(ecus),
         samap=samap,
-        tau=tau,
+        tau=Tau(meta["tau"]),
         window=TukeyParams(meta["tukey_alpha"]),
-        sample_rate=sample_rate,
+        sample_rate=meta["sample_rate"],
         delta=meta["delta"],
     )

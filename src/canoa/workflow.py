@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .authenticate import Decision, ModelBundle, SaEntry, Verdict, authenticate_all
+from .authenticate import Decision, EcuModel, ModelBundle, Verdict, authenticate_all
 from .bus import AttackKind, GroundTruthLog, ProgramActivity, Scenario, simulate
 from .errors import BundleMismatch, MissingChannel
 from .evaluate import ConfusionMatrix, MetricReport, confusion, metrics
@@ -40,6 +40,8 @@ from .svm import LearningCurve, TrainConfig, split_indices, train
 from .trace import SampledTrace
 
 log = logging.getLogger("canoa.workflow")
+
+TRUTH_TOLERANCE = 2e-4  # s between a decoded frame's start and its ground-truth entry's
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class TrainResult:
 
     @property
     def validation_accuracies(self) -> dict[int, float]:
-        return {e.sa: e.model.meta.validation_accuracy for e in self.bundle.entries}
+        return {sa: m.validation_accuracy for sa, m in self.bundle.training.items()}
 
 
 def usable_transmissions(
@@ -94,7 +96,7 @@ def build_bundle(
     pipeline_cfg: PipelineConfig | None = None,
     train_cfg: TrainConfig | None = None,
 ) -> TrainResult:
-    """Train the per-SA model set from decoded traffic and power traces.
+    """Train one model per ECU, for its SAs, from decoded traffic and power traces.
 
     Each SVM is trained on its ECU's principal coordinates and then folded
     into a model of the spectrum s: ((s - mu) Vᵀ) w + b = s (Vᵀ w) + (b - mu Vᵀ w).
@@ -120,19 +122,23 @@ def build_bundle(
         n_components=pcfg.n_components,
         calib_len=pcfg.calib_len,
     )
-    entries = []
+    ecus = []
     curves: dict[int, LearningCurve] = {}
-    for (ecu, sa) in sorted(datasets, key=lambda k: k[1]):
-        cfg = dataclasses.replace(tcfg, seed=tcfg.seed + 9973 * sa)
-        model, curve = train(datasets[(ecu, sa)], cfg)
-        if not model.meta.converged:
-            log.warning("model for SA %d did not converge in %d iterations", sa, cfg.max_iters)
-        w = bases[ecu].components.T @ model.weights
-        model = dataclasses.replace(model, weights=w, bias=float(model.bias - bases[ecu].mean @ w))
-        entries.append(SaEntry(sa=sa, ecu=ecu, model=model, stats=stats[ecu]))
-        curves[sa] = curve
+    for ecu in samap.ecus:
+        sas = tuple(sa for e, sa in sorted(datasets) if e == ecu)
+        models = []
+        for sa in sas:
+            model, curves[sa] = train(datasets[(ecu, sa)], tcfg)
+            if not model.meta.converged:
+                log.warning("model for SA %d did not converge in %d iterations", sa, tcfg.max_iters)
+            models.append(model)
+        w = bases[ecu].components.T @ np.column_stack([m.weights for m in models])
+        bias = np.array([m.bias for m in models]) - bases[ecu].mean @ w
+        calibration = np.array([m.calibration for m in models])
+        meta = tuple(m.meta for m in models)
+        ecus.append(EcuModel(ecu, sas, stats[ecu], w, bias, calibration, meta))
     bundle = ModelBundle(
-        tuple(entries), samap, tau, window, sample_rate=rates[0], delta=pcfg.delta
+        tuple(ecus), samap, tau, window, sample_rate=rates[0], delta=pcfg.delta
     )
     return TrainResult(
         bundle=bundle, curves=curves, datasets=datasets, transmissions=usable, tau=tau
@@ -170,7 +176,6 @@ def _nearest_time(times, queries) -> tuple[np.ndarray, np.ndarray]:
 def normal_transmissions(
     decoded: Sequence[DecodedTransmission],
     truth: GroundTruthLog,
-    tolerance: float = 2e-4,
 ) -> list[DecodedTransmission]:
     """Drop decoded transmissions that ground truth marks as attacks.
 
@@ -180,17 +185,18 @@ def normal_transmissions(
     """
     attack_times = sorted(e.t for e in truth.entries if e.kind is not AttackKind.NORMAL)
     _, dist = _nearest_time(attack_times, [d.t for d in decoded])
-    return [d for d, near in zip(decoded, dist) if near > tolerance]
+    return [d for d, near in zip(decoded, dist) if near > TRUTH_TOLERANCE]
 
 
 def align_truth(
-    verdicts: Sequence[Verdict], truth: GroundTruthLog, tolerance: float = 2e-4
+    verdicts: Sequence[Verdict], truth: GroundTruthLog
 ) -> list[tuple[Verdict, "AttackKind"]]:
     """Pair each verdict with the ground-truth kind of the nearest frame."""
     idx, dist = _nearest_time([e.t for e in truth.entries], [v.t for v in verdicts])
-    far = np.flatnonzero(dist > tolerance)
+    far = np.flatnonzero(dist > TRUTH_TOLERANCE)
     if far.size:
-        raise ValueError(f"no ground-truth frame within {tolerance}s of t={verdicts[far[0]].t}")
+        t = verdicts[far[0]].t
+        raise ValueError(f"no ground-truth frame within {TRUTH_TOLERANCE}s of t={t}")
     return [(v, truth.entries[i]) for v, i in zip(verdicts, idx)]
 
 

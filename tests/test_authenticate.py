@@ -8,8 +8,8 @@ import pytest
 
 from canoa.authenticate import (
     Decision,
+    EcuModel,
     ModelBundle,
-    SaEntry,
     attribute,
     authenticate_all,
     decide,
@@ -20,7 +20,7 @@ from canoa.bus import AttackKind, AttackSpec, lab_scenario, truck_scenario, simu
 from canoa.errors import BundleMismatch
 from canoa.features import NormStats, Tau, TukeyParams, build_datasets, ecu_spectra, estimate_tau
 from canoa.frames import SourceAddressMap, decode_transmissions
-from canoa.svm import SvmModel, TrainConfig, TrainingMeta, platt_proba, train
+from canoa.svm import TrainConfig, TrainingMeta, platt_proba, train
 from canoa.trace import SampledTrace
 from canoa.workflow import (
     PipelineConfig,
@@ -64,22 +64,21 @@ def test_softmax_rejects_empty_and_nonfinite():
 def stub_bundle(owners: dict[int, int], delta: float = 0.5) -> ModelBundle:
     """Bundle with placeholder models; decisions only need the map and delta."""
     samap = SourceAddressMap(owners=owners)
+    tau, rate = Tau(1e-3), 2e6
+    n_bins = tau.sample_count(rate) // 2 + 1
     meta = TrainingMeta(1, 0.0, 1e-4, True, 0, 1.0)
-    entries = tuple(
-        SaEntry(
-            sa=sa,
-            ecu=ecu,
-            model=SvmModel(np.zeros(2), 0.0, (0.0, 0.0), meta),
-            stats=NormStats(0.0, 1.0),
-        )
-        for sa, ecu in sorted(owners.items())
-    )
+    models = []
+    for ecu in samap.ecus:
+        sas = tuple(sa for sa in sorted(owners) if owners[sa] == ecu)
+        k = len(sas)
+        zeros = np.zeros((n_bins, k)), np.zeros(k), np.zeros((k, 2))
+        models.append(EcuModel(ecu, sas, NormStats(0.0, 1.0), *zeros, meta=(meta,) * k))
     return ModelBundle(
-        entries=entries,
+        ecus=tuple(models),
         samap=samap,
-        tau=Tau(1e-3),
+        tau=tau,
         window=TukeyParams(0.25),
-        sample_rate=2e6,
+        sample_rate=rate,
         delta=delta,
     )
 
@@ -157,7 +156,7 @@ def test_bundle_validation():
     good = stub_bundle({1: 0, 2: 1})
     with pytest.raises(ValueError):
         ModelBundle(
-            entries=good.entries[:1],
+            ecus=good.ecus[:1],
             samap=samap,
             tau=Tau(1e-3),
             window=TukeyParams(),
@@ -167,6 +166,30 @@ def test_bundle_validation():
     for rate in (0.0, -2e6, float("nan")):
         with pytest.raises(ValueError, match="sample rate"):
             dataclasses.replace(good, sample_rate=rate)
+    # one weight row per spectrum bin: 1001 at 1 ms and 2 MHz, 751 at 1.5 MHz
+    with pytest.raises(ValueError, match=r"\(1001, 1\).*751 spectrum bins"):
+        dataclasses.replace(good, sample_rate=1.5e6)
+    truck = stub_bundle(TRUCK_OWNERS)
+    ecu0 = truck.ecus[0]
+    short_bias = dataclasses.replace(ecu0, bias=ecu0.bias[:1])
+    with pytest.raises(ValueError, match=r"2 SAs .* need \(\(1001, 2\), \(2,\), \(2, 2\), 2\)"):
+        dataclasses.replace(truck, ecus=(short_bias,) + truck.ecus[1:])
+    # two models of one ECU could disagree on its normalization
+    halves = tuple(
+        dataclasses.replace(
+            ecu0,
+            sas=(sa,),
+            weights=ecu0.weights[:, [j]],
+            bias=ecu0.bias[[j]],
+            calibration=ecu0.calibration[[j]],
+            meta=ecu0.meta[j : j + 1],
+        )
+        for j, sa in enumerate(ecu0.sas)
+    )
+    with pytest.raises(ValueError, match=r"ECU 0 scores SAs \[0\], but the map gives it \[0, 15\]"):
+        dataclasses.replace(truck, ecus=halves + truck.ecus[1:])
+    with pytest.raises(ValueError, match="need one model each"):
+        dataclasses.replace(truck, ecus=truck.ecus[1:] + truck.ecus[:1])
 
 
 # ---------------------------------------------------------- integration path
@@ -252,7 +275,7 @@ def unfolded_scores(powers, decoded, samap, pcfg, tcfg, transmissions):
     )
     columns = []
     for ecu, sa in sorted(datasets, key=lambda k: k[1]):
-        model, _ = train(datasets[(ecu, sa)], dataclasses.replace(tcfg, seed=tcfg.seed + 9973 * sa))
+        model, _ = train(datasets[(ecu, sa)], tcfg)
         spectra = ecu_spectra(powers[ecu], stats[ecu], transmissions, tau, window)
         margins = bases[ecu].transform(spectra) @ model.weights + model.bias
         columns.append(platt_proba(margins, *model.calibration))

@@ -291,7 +291,10 @@ def test_bundle_entry_naming_another_ecu_is_data_error(cfg_path, tmp_path, capsy
     bundle = out / "bundle.cbnd"
     sections = _parse_sections(bundle.read_bytes()[:-8], bundle)
     meta = json.loads(sections["meta"])
-    meta["entries"][0]["ecu"] = 7
+    # an ECU's model, weights and all, listed under ECU 7, which owns none of its SAs
+    model = meta["ecus"][0]
+    sections["weights/7"] = sections.pop(f"weights/{model['ecu']}")
+    model["ecu"] = 7
     sections["meta"] = json.dumps(meta, sort_keys=True).encode()
     blob = _sections_bytes(list(sections.items()))
     bundle.write_bytes(blob + BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob)))

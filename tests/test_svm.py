@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canoa.errors import DimensionMismatch, SingleClass
+from canoa import svm
+from canoa.bus import simulate, truck_scenario
+from canoa.errors import SingleClass
 from canoa.features import FeatureDataset
+from canoa.frames import decode_transmissions
 from canoa.svm import (
     ETA0,
     ETA_DECAY,
@@ -22,6 +25,7 @@ from canoa.svm import (
     svm_subgradient,
     train,
 )
+from canoa.workflow import PipelineConfig, build_bundle
 
 
 def blob_dataset(n=400, m=8, gap=5.0, noise=1.0, seed=0, flip=False):
@@ -117,23 +121,23 @@ def test_probabilities_sum_to_one_and_boundary_value():
     ds = blob_dataset(seed=9)
     model, _ = train(ds, TrainConfig(seed=10))
     x = ds.x[0]
-    p1 = float(platt_proba(model.margin(x), *model.calibration))
+    p1 = float(platt_proba(x @ model.weights + model.bias, *model.calibration))
     p0 = 1.0 - p1
     assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
     # a point on the decision boundary maps to 1/(1+exp(B))
     a, b = model.calibration
     w = model.weights
     x_boundary = -model.bias * w / float(w @ w)
-    assert model.margin(x_boundary) == pytest.approx(0.0, abs=1e-9)
-    p_tx = float(platt_proba(model.margin(x_boundary), *model.calibration))
+    assert x_boundary @ w + model.bias == pytest.approx(0.0, abs=1e-9)
+    p_tx = float(platt_proba(x_boundary @ w + model.bias, *model.calibration))
     assert p_tx == pytest.approx(1.0 / (1.0 + np.exp(b)), abs=1e-9)
 
 
 def test_probability_monotone_in_margin():
     ds = blob_dataset(seed=11)
     model, _ = train(ds, TrainConfig(seed=12))
-    margins = np.asarray(model.margin(ds.x))
-    probs = np.array([platt_proba(model.margin(row), *model.calibration) for row in ds.x])
+    margins = ds.x @ model.weights + model.bias
+    probs = np.array([platt_proba(m, *model.calibration) for m in margins])
     order = np.argsort(margins)
     assert np.all(np.diff(probs[order]) >= -1e-12)
 
@@ -141,15 +145,8 @@ def test_probability_monotone_in_margin():
 def test_calibration_separates_validation_classes():
     ds = blob_dataset(gap=3.0, seed=13)
     model, _ = train(ds, TrainConfig(seed=14))
-    p = np.array([platt_proba(model.margin(row), *model.calibration) for row in ds.x])
+    p = platt_proba(ds.x @ model.weights + model.bias, *model.calibration)
     assert p[ds.y == 1].mean() > p[ds.y == 0].mean()
-
-
-def test_dimension_mismatch():
-    ds = blob_dataset()
-    model, _ = train(ds, TrainConfig())
-    with pytest.raises(DimensionMismatch):
-        platt_proba(model.margin(np.zeros(3)), *model.calibration)
 
 
 def test_platt_fit_on_synthetic_margins():
@@ -196,6 +193,30 @@ def test_bootstrap_requires_ten_rounds():
         bootstrap_accuracy(ds, TrainConfig(bootstrap_rounds=5))
 
 
+def test_bootstrap_resamples_the_split_of_the_shipped_model(monkeypatch):
+    """``canoa train`` bootstraps each dataset with the run's config, as built."""
+    sc = truck_scenario(frames_per_sa=100, sample_rate=3e6, seed=5)
+    voltage, powers, _ = simulate(sc)
+    samap = sc.source_map()
+    decoded = decode_transmissions(voltage, sc.bus.bitrate, samap)
+    power_map = {e.index: p for e, p in zip(sc.ecus, powers)}
+    splits = {}
+    prepare = svm._prepare
+
+    def recording(ds, cfg, rng):
+        splits[ds.sa] = prepare(ds, cfg, rng)
+        return splits[ds.sa]
+
+    monkeypatch.setattr(svm, "_prepare", recording)
+    tcfg = TrainConfig(seed=4, bootstrap_rounds=10)
+    result = build_bundle(power_map, decoded, samap, PipelineConfig(calib_len=40_000), tcfg)
+    # SA 0's seed is the run's own, so only another SA can tell the splits apart
+    shipped = splits[15]
+    bootstrap_accuracy(result.datasets[(0, 15)], tcfg)
+    for name in ("x_train", "y_train", "x_val", "y_val"):
+        np.testing.assert_array_equal(getattr(splits[15], name), getattr(shipped, name))
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -226,9 +247,9 @@ def optimize_oracle(x_train, y_train, x_val, y_val, cfg, rng):
     """
 
     def subgradient(w, b, x, y_pm, lam):
-        active = y_pm * (x @ w + b) < 1.0
-        gw = lam * w - (y_pm[active][:, None] * x[active]).sum(axis=0) / y_pm.size
-        return gw, -float(y_pm[active].sum()) / y_pm.size
+        # one coefficient-vector product, so the rows add in the lockstep loop's order
+        coef = np.where(y_pm * (x @ w + b) < 1.0, y_pm, 0.0)
+        return lam * w - coef @ x / y_pm.size, -float(coef.sum()) / y_pm.size
 
     def hinge(w, b, x, y_pm):
         return float(np.maximum(0.0, 1.0 - y_pm * (x @ w + b)).mean())
@@ -279,7 +300,7 @@ LOCKSTEP_CASES = [
 @pytest.mark.parametrize("ds, cfg", LOCKSTEP_CASES)
 def test_train_is_the_oracle_loop_run_as_a_stack_of_one(ds, cfg):
     model, curve = train(ds, cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 9973 * ds.sa)  # each SA has its own seed
     s = _prepare(ds, cfg, rng)
     w, b, train_curve, val_curve, converged, conv_index = optimize_oracle(
         s.x_train, s.y_train, s.x_val, s.y_val, cfg, rng
@@ -295,12 +316,13 @@ def test_train_is_the_oracle_loop_run_as_a_stack_of_one(ds, cfg):
 @pytest.mark.parametrize("ds, cfg", LOCKSTEP_CASES)
 def test_each_bootstrap_round_is_the_oracle_on_its_resample_and_stream(ds, cfg):
     summary = bootstrap_accuracy(ds, cfg)
-    # the draw contract: balance and resample with the seed's generator, one child stream per round
-    rng = np.random.default_rng(cfg.seed)
+    # the draw contract: balance and resample with the SA's generator, one child stream per round
+    seed = cfg.seed + 9973 * ds.sa
+    rng = np.random.default_rng(seed)
     s = _prepare(ds, cfg, rng)
     n = s.y_train.size
     idx = rng.integers(0, n, size=(cfg.bootstrap_rounds, n))
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.bootstrap_rounds)
+    streams = np.random.SeedSequence(seed).spawn(cfg.bootstrap_rounds)
     rounds = [i for i in range(cfg.bootstrap_rounds) if len(np.unique(s.y_train[idx[i]])) == 2]
     fit = _sgd(
         s.x_train[idx[rounds]], s.y_train[idx[rounds]], s.x_val, s.y_val, cfg,

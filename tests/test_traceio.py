@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from canoa.bus import AttackKind, GroundTruthEntry, GroundTruthLog, truck_scenario, simulate
 from canoa.errors import FileFormatError
+from canoa.features import ecu_spectra
 from canoa.frames import decode_transmissions
-from canoa.svm import TrainConfig
+from canoa.svm import TrainConfig, platt_proba
 from canoa.traceio import (
     BUNDLE_FOOTER,
     TraceKind,
@@ -26,7 +27,7 @@ from canoa.traceio import (
     write_trace_file,
     write_verdicts,
 )
-from canoa.authenticate import ModelBundle, authenticate_all
+from canoa.authenticate import ModelBundle, authenticate_all, score
 from canoa.workflow import PipelineConfig, build_bundle, usable_transmissions
 
 
@@ -160,7 +161,7 @@ def test_bundle_with_malformed_training_meta_is_a_format_error(trained, tmp_path
     save_bundle(path, result.bundle)
     sections = _parse_sections(path.read_bytes()[:-8], path)
     meta = json.loads(sections["meta"])
-    training_meta = meta["entries"][0]["meta"]
+    training_meta = meta["ecus"][0]["meta"][0]
     if edit == "drop_field":
         del training_meta["converged"]
     else:
@@ -186,7 +187,7 @@ def _drop_owners(sections, meta):
 
 
 def _drop_weights(sections, meta):
-    del sections[f"weights/{meta['entries'][0]['sa']}"]
+    del sections[f"weights/{meta['ecus'][0]['ecu']}"]
 
 
 def _other_sample_rate(sections, meta):
@@ -195,8 +196,15 @@ def _other_sample_rate(sections, meta):
 
 
 def _short_weights(sections, meta):
-    name = f"weights/{meta['entries'][0]['sa']}"
+    name = f"weights/{meta['ecus'][0]['ecu']}"
     sections[name] = sections[name][:-8]
+
+
+def _weights_wrong_shape(sections, meta):
+    # one row too many: a whole number of columns, but not one row per spectrum bin
+    model = meta["ecus"][0]
+    name = f"weights/{model['ecu']}"
+    sections[name] += bytes(8 * len(model["sas"]))
 
 
 def _zero_sample_rate(sections, meta):
@@ -208,7 +216,10 @@ def _drop_sample_rate(sections, meta):
 
 
 def _entry_ecu_not_owner(sections, meta):
-    meta["entries"][0]["ecu"] = 7  # the map still names the SA's real owner
+    # ECU 0's model, weights and all, moved to ECU 7; the map still names the real owner
+    model = meta["ecus"][0]
+    sections["weights/7"] = sections.pop(f"weights/{model['ecu']}")
+    model["ecu"] = 7
 
 
 BUNDLE_FAULTS = {
@@ -220,6 +231,7 @@ BUNDLE_FAULTS = {
     "zero_sample_rate": (_zero_sample_rate, b""),
     "missing_sample_rate": (_drop_sample_rate, b""),
     "entry_ecu_not_owner": (_entry_ecu_not_owner, b""),
+    "weights_wrong_shape": (_weights_wrong_shape, b""),
     "truncated_name_length": (None, b"\x07"),
     "truncated_section_header": (None, b"\x07\x00wei"),
     "section_past_the_end": (None, struct.pack("<H", 1) + b"x" + struct.pack("<Q", 64) + b"abc"),
@@ -243,29 +255,45 @@ def test_structurally_malformed_bundle_is_a_format_error(trained, tmp_path, faul
         load_bundle(path)
 
 
-def test_v2_bundle_holds_one_weight_vector_per_sa_and_no_pca(trained, tmp_path):
+def test_v3_bundle_holds_one_weight_matrix_per_ecu_and_no_pca(trained, tmp_path):
     sc, power_map, decoded, result = trained
     path = tmp_path / "b.cbnd"
     save_bundle(path, result.bundle)
     blob = path.read_bytes()[:-8]
-    assert struct.unpack_from("<H", blob, 4) == (2,)
+    assert struct.unpack_from("<H", blob, 4) == (3,)
     sections = _parse_sections(blob, path)
-    assert sorted(sections) == ["meta"] + sorted(f"weights/{sa}" for sa in result.bundle.sas)
+    # truck: ECU 0 owns SAs 0 and 15, ECU 1 owns SA 11
+    assert sorted(sections) == ["meta", "weights/0", "weights/1"]
     n_bins = result.tau.sample_count(3e6) // 2 + 1
-    assert all(len(sections[f"weights/{sa}"]) == 8 * n_bins for sa in result.bundle.sas)
+    assert len(sections["weights/0"]) == 8 * n_bins * 2
+    assert len(sections["weights/1"]) == 8 * n_bins
     meta = json.loads(sections["meta"])
     assert meta["sample_rate"] == 3e6
-    assert not any("pca" in key for entry in meta["entries"] for key in entry)
+    assert [(m["ecu"], m["sas"]) for m in meta["ecus"]] == [(0, [0, 15]), (1, [11])]
+    # each ECU's normalization is stored once, beside its SAs
+    assert all("norm_mean" in m and "norm_std" in m for m in meta["ecus"])
+    assert not any("pca" in key for m in meta["ecus"] for key in m)
+    column = result.bundle.sas.index(15)
+    weights = np.frombuffer(sections["weights/0"], "<f8").reshape(n_bins, 2)
+    loaded = load_bundle(path)
+    np.testing.assert_array_equal(loaded.ecus[0].weights[:, 1], weights[:, 1])
+    usable = usable_transmissions(decoded, power_map, result.tau)[:20]
+    p = score(usable, power_map, loaded)
+    spectra = ecu_spectra(power_map[0], loaded.ecus[0].stats, usable, loaded.tau, loaded.window)
+    a, b = loaded.ecus[0].calibration[1]
+    margins = spectra @ weights[:, 1] + loaded.ecus[0].bias[1]
+    np.testing.assert_allclose(p[:, column], platt_proba(margins, a, b), rtol=1e-12, atol=0)
 
 
-def test_v1_bundle_is_a_format_error_naming_the_version(trained, tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_bundle_is_a_format_error_naming_the_version(trained, tmp_path, version):
     sc, power_map, decoded, result = trained
     path = tmp_path / "b.cbnd"
     save_bundle(path, result.bundle)
     blob = bytearray(path.read_bytes()[:-8])
-    blob[4:6] = struct.pack("<H", 1)
+    blob[4:6] = struct.pack("<H", version)
     path.write_bytes(rechecksummed(bytes(blob)))
-    with pytest.raises(FileFormatError, match="unsupported bundle version 1"):
+    with pytest.raises(FileFormatError, match=f"unsupported bundle version {version}"):
         load_bundle(path)
 
 
