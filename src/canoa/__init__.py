@@ -55,7 +55,6 @@ from .features import (
     estimate_tau,
     extract_feature,
     fit_pca,
-    spectrum,
     tukey_window,
 )
 from .frames import (

@@ -2,11 +2,12 @@
 
 Trace files ("CTRC") store channel-major 32-bit little-endian floats
 behind a fixed header; bundles ("CBND") are length-prefixed named
-sections with a CRC-32 footer; version 3 stores one model per ECU (its
+sections with a CRC-32 footer; version 4 stores one model per ECU (its
 SAs, normalization, biases and calibrations in the JSON ``meta``, and a
-``weights/<ecu>`` float64 matrix, one row per spectrum bin and one column
-per SA). Sample data goes to the binary format because multi-megasample
-traces are large; CSV is reserved for logs and reports.
+``weights/<ecu>`` float64 matrix, one row per spectrum bin of the
+5-smooth segment length and one column per SA). Sample data goes to the
+binary format because multi-megasample traces are large; CSV is reserved
+for logs and reports.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ _TRACE_HEADER = struct.Struct("<4sHBHIQQ")
 
 BUNDLE_MAGIC = b"CBND"
 BUNDLE_FOOTER = b"CEND"
-BUNDLE_VERSION = 3
+BUNDLE_VERSION = 4
 
 GROUND_TRUTH_HEADER = ["t_sec", "frame_id", "claimed_sa", "true_source", "attack_kind"]
 ADDED_MODULE_SOURCE = "added_module"

@@ -34,6 +34,7 @@ from .features import (
     TukeyParams,
     build_datasets,
     estimate_tau,
+    segments_fit,
 )
 from .frames import DecodedTransmission, FrameFormat, SourceAddressMap, decode_transmissions
 from .svm import LearningCurve, TrainConfig, split_indices, train
@@ -79,14 +80,13 @@ def usable_transmissions(
     powers: Mapping[int, SampledTrace],
     tau: Tau,
 ) -> list[DecodedTransmission]:
-    """Valid transmissions whose feature window fits inside every trace."""
-    end = min(p.end_time for p in powers.values())
-    start = max(p.start_time for p in powers.values())
-    return [
-        d
-        for d in decoded
-        if d.crc_ok and d.sa is not None and d.t >= start and d.t + tau.value <= end
-    ]
+    """Valid transmissions whose feature segment fits inside every trace."""
+    valid = [d for d in decoded if d.crc_ok and d.sa is not None]
+    times = [d.t for d in valid]
+    fits = np.ones(len(valid), dtype=bool)
+    for trace in powers.values():
+        fits &= segments_fit(trace, times, tau)[1]
+    return [d for d, ok in zip(valid, fits.tolist()) if ok]
 
 
 def build_bundle(

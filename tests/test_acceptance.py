@@ -20,10 +20,11 @@ from canoa.bus import (
     truck_scenario,
 )
 from canoa.evaluate import separability
-from canoa.features import TukeyParams, fit_pca, spectrum, tukey_window
+from canoa.features import NormStats, Tau, TukeyParams, ecu_spectra, fit_pca, tukey_window
 from canoa.frames import (
     ArbitratedFrame,
     CanFrame,
+    DecodedTransmission,
     FrameFormat,
     SourceAddressMap,
     arbitrate,
@@ -302,9 +303,13 @@ def test_criterion_5_convergence(lab_run, truck_attack_run):
 
 def test_criterion_6_numerical_suites():
     rng = np.random.default_rng(606)
-    # Parseval within 1e-6 relative
+    # Parseval within 1e-6 relative, on the feature path's spectrum of one
+    # segment with identity normalization and a rectangular window
     x = rng.normal(size=1024)
-    mags = spectrum(x)
+    segment = DecodedTransmission(t=0.0, sa=0, frame_id=0, duration=1024.0, crc_ok=True)
+    mags = ecu_spectra(
+        SampledTrace(x, 1.0), NormStats(0.0, 1.0), [segment], Tau(1024.0), TukeyParams(0.0)
+    )[0]
     two_sided = mags[0] ** 2 + 2 * (mags[1:-1] ** 2).sum() + mags[-1] ** 2
     parseval_err = abs((x**2).sum() - two_sided / x.size) / (x**2).sum()
     # Tukey endpoints exactly zero

@@ -257,6 +257,23 @@ def test_score_needs_a_power_trace_for_every_ecu_of_the_bundle(truck_run):
         authenticate_all(usable, {0: power_map[0]}, result.bundle)
 
 
+def test_frame_whose_segment_overruns_a_truncated_capture_is_out_of_window(truck_run):
+    sc, power_map, decoded, result = truck_run
+    rate, tau = 3e6, result.tau
+    # the segment is longer than the window it covers, so a capture that ends
+    # one sample after the last frame's t + tau holds the window, not the segment
+    assert tau.sample_count(rate) > round(tau.value * rate)
+    usable = usable_transmissions(decoded, power_map, tau)
+    end = usable[-1].t + tau.value
+    truncated = {
+        e: SampledTrace(p.samples[: p.index_of(end) + 1], p.sample_rate, p.start_time)
+        for e, p in power_map.items()
+    }
+    kept = usable_transmissions(decoded, truncated, tau)
+    assert kept == usable[:-1]
+    assert len(authenticate_all(kept, truncated, result.bundle)) == len(kept)
+
+
 # ------------------------------------------------------------ fold oracle
 
 

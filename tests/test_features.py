@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from canoa.bus import lab_scenario, simulate, truck_scenario
 from canoa.errors import DegenerateTrace, EmptyInput, OutOfBounds, RankDeficient
@@ -16,7 +18,6 @@ from canoa.features import (
     estimate_tau,
     extract_feature,
     fit_pca,
-    spectrum,
     tukey_window,
 )
 from canoa.frames import DecodedTransmission, decode_transmissions
@@ -88,6 +89,33 @@ def test_truck_shape_tau_at_250kbps():
     assert 0.50e-3 <= tau.value <= 0.56e-3
 
 
+# --------------------------------------------------------- segment length
+
+
+def is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 100_000))
+@example(2147)  # lab.cfg -> 2160
+@example(1576)  # truck_attack.cfg -> 1600
+def test_segment_length_is_the_smallest_5_smooth_integer_at_least_n(n):
+    got = Tau(float(n)).sample_count(1.0)
+    assert got >= n
+    assert is_5_smooth(got)
+    assert not any(is_5_smooth(m) for m in range(n, got))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(1e-5, 1e-2), st.floats(1e4, 1e7))
+def test_segment_is_never_shorter_than_the_window(tau, rate):
+    assert Tau(tau).sample_count(rate) >= round(tau * rate)
+
+
 # ----------------------------------------------------------------- window
 
 
@@ -130,9 +158,18 @@ def test_tukey_window_is_cached_read_only_and_closed_form():
 # --------------------------------------------------------------- spectrum
 
 
+def one_spectrum(x):
+    """``x``'s magnitude spectrum through ecu_spectra: identity normalization,
+    a rectangular window, and a trace exactly one segment long, so ``x.size``
+    must be 5-smooth."""
+    trace = SampledTrace(np.asarray(x, dtype=np.float64), 1.0)
+    win = TukeyParams(0.0)
+    return ecu_spectra(trace, NormStats(0.0, 1.0), [tx(0.0, 1)], Tau(float(x.size)), win)[0]
+
+
 def test_spectrum_constant_vector_is_dc_only():
     n, c = 64, 2.5
-    mags = spectrum(np.full(n, c))
+    mags = one_spectrum(np.full(n, c))
     assert mags.shape == (n // 2 + 1,)
     assert mags[0] == pytest.approx(n * c, abs=1e-9)
     assert np.all(mags[1:] < 1e-9)
@@ -141,17 +178,17 @@ def test_spectrum_constant_vector_is_dc_only():
 def test_spectrum_pure_sinusoid_hits_single_bin():
     n, k0 = 128, 17
     x = np.cos(2 * np.pi * k0 * np.arange(n) / n)
-    mags = spectrum(x)
+    mags = one_spectrum(x)
     assert mags[k0] == pytest.approx(n / 2, rel=1e-6)
     others = np.delete(mags, k0)
     assert np.all(others < 1e-6 * mags[k0])
 
 
-@pytest.mark.parametrize("n", [64, 101])
+@pytest.mark.parametrize("n", [64, 75])
 def test_parseval_identity(n):
     rng = np.random.default_rng(n)
     x = rng.normal(size=n)
-    mags = spectrum(x)
+    mags = one_spectrum(x)
     # reconstruct the two-sided energy from the one-sided magnitudes
     two_sided = mags[0] ** 2 + 2 * (mags[1:-1] ** 2).sum()
     if n % 2 == 0:
@@ -162,7 +199,7 @@ def test_parseval_identity(n):
 
 
 def test_spectrum_odd_length_output():
-    assert spectrum(np.ones(7)).shape == (4,)
+    assert one_spectrum(np.ones(15)).shape == (8,)
 
 
 # -------------------------------------------------------------------- PCA

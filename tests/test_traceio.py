@@ -255,12 +255,12 @@ def test_structurally_malformed_bundle_is_a_format_error(trained, tmp_path, faul
         load_bundle(path)
 
 
-def test_v3_bundle_holds_one_weight_matrix_per_ecu_and_no_pca(trained, tmp_path):
+def test_v4_bundle_holds_one_weight_matrix_per_ecu_and_no_pca(trained, tmp_path):
     sc, power_map, decoded, result = trained
     path = tmp_path / "b.cbnd"
     save_bundle(path, result.bundle)
     blob = path.read_bytes()[:-8]
-    assert struct.unpack_from("<H", blob, 4) == (3,)
+    assert struct.unpack_from("<H", blob, 4) == (4,)
     sections = _parse_sections(blob, path)
     # truck: ECU 0 owns SAs 0 and 15, ECU 1 owns SA 11
     assert sorted(sections) == ["meta", "weights/0", "weights/1"]
@@ -285,7 +285,7 @@ def test_v3_bundle_holds_one_weight_matrix_per_ecu_and_no_pca(trained, tmp_path)
     np.testing.assert_allclose(p[:, column], platt_proba(margins, a, b), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_older_bundle_is_a_format_error_naming_the_version(trained, tmp_path, version):
     sc, power_map, decoded, result = trained
     path = tmp_path / "b.cbnd"
