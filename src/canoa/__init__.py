@@ -67,6 +67,7 @@ from .frames import (
     compute_crc15,
     decode_transmissions,
     serialize_frame,
+    serialize_frames,
     stuff_bits,
     unstuff_bits,
 )

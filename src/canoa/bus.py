@@ -20,6 +20,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -264,13 +265,49 @@ class _BusSlot:
         return len(self.wire)
 
 
+# longest span of samples one block of slots adds at once: a 1 MB float32
+# array, small enough that synthesis does not raise the process's peak memory
+_VOLTAGE_BLOCK_SAMPLES = 1 << 18
+
+
+def _add_slot_block(
+    samples: np.ndarray, wires: list[list[int]], nbits: np.ndarray, first: np.ndarray,
+    last: np.ndarray, edges: np.ndarray,
+) -> None:
+    """Add the levels of slots that follow one another without overlap, in one pass.
+
+    The block's span is a run of samples per bit, at that bit's level, and
+    before each slot but the first a run over the idle gap at -0.0: adding
+    -0.0 leaves every sample as it is, where +0.0 would turn a -0.0 noise
+    sample into +0.0.
+    """
+    runs = nbits + 1
+    gap_at = np.cumsum(runs) - runs  # each slot's gap run; its bit runs follow
+    is_bit = np.ones(runs.sum(), dtype=bool)
+    is_bit[gap_at] = False
+    counts = np.empty(runs.sum(), dtype=np.int64)
+    levels = np.empty(runs.sum(), dtype=np.float32)
+    counts[gap_at] = first - np.append(first[0], last[:-1])
+    levels[gap_at] = -0.0
+    k = np.arange(nbits.sum()) - np.repeat(np.cumsum(nbits) - nbits, nbits)  # bit within its slot
+    counts[is_bit] = edges[k + 1] - edges[k]
+    bits = np.fromiter(chain.from_iterable(wires), dtype=np.uint8, count=nbits.sum())
+    levels[is_bit] = np.where(bits == 0, np.float32(DOMINANT_VOLTS), np.float32(0.0))
+    a, b = first[0], min(last[-1], samples.size)
+    if b > a:
+        samples[a:b] += np.repeat(levels, counts)[: b - a]
+
+
 def synth_voltage(
     order: list[_BusSlot], cfg: BusConfig, duration: float, rng: np.random.Generator
 ) -> SampledTrace:
     """Differential bus voltage for a resolved transmission order.
 
     Dominant bits drive ~2 V, recessive/idle stays at ~0 V, with additive
-    Gaussian noise; bit edges are aligned to the sample grid.
+    Gaussian noise; bit edges are aligned to the sample grid. Each slot
+    adds its bits' levels (recessive bits add 0.0) to the samples it spans,
+    in order; slots that follow one another without overlap are added in
+    blocks of at most ``_VOLTAGE_BLOCK_SAMPLES`` samples.
     """
     n = int(round(duration * cfg.sample_rate))
     if cfg.voltage_noise > 0:
@@ -278,16 +315,28 @@ def synth_voltage(
         samples *= np.float32(cfg.voltage_noise)
     else:
         samples = np.zeros(n, dtype=np.float32)
+    if not order:
+        return SampledTrace(samples, cfg.sample_rate)
     spb = cfg.sample_rate / cfg.bitrate
-    for slot in order:
-        s0 = int(round(slot.start * cfg.sample_rate))
-        bits = np.asarray(slot.wire, dtype=np.int8)
-        bounds = s0 + np.round(np.arange(bits.size + 1) * spb).astype(np.int64)
-        counts = np.diff(bounds)
-        level = np.where(bits == 0, np.float32(DOMINANT_VOLTS), np.float32(0.0))
-        seg = np.repeat(level, counts)
-        a, b = bounds[0], min(bounds[-1], n)
-        samples[a:b] += seg[: b - a]
+    wires = [slot.wire for slot in order]
+    nbits = np.array([len(w) for w in wires])
+    # bit k of a slot spans samples [edges[k], edges[k + 1]) past the slot's first sample
+    edges = np.round(np.arange(nbits.max() + 1) * spb).astype(np.int64)
+    first = np.array([int(round(slot.start * cfg.sample_rate)) for slot in order])
+    last = first + edges[nbits]
+    starts, ends = first.tolist(), last.tolist()
+    lo = 0
+    while lo < len(order):
+        hi = lo + 1
+        while (
+            hi < len(order)
+            and ends[hi - 1] <= starts[hi]
+            and ends[hi] - starts[lo] <= _VOLTAGE_BLOCK_SAMPLES
+        ):
+            hi += 1
+        block = slice(lo, hi)
+        _add_slot_block(samples, wires[block], nbits[block], first[block], last[block], edges)
+        lo = hi
     return SampledTrace(samples, cfg.sample_rate)
 
 

@@ -53,6 +53,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def positive_int(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def power_file(index: int) -> str:
     return f"power_{index:03d}.ctrc"
 
@@ -330,7 +337,7 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="run the bus-speed x format x program grid")
     options(p_sweep, "config", "out", "seed", "delta", "format")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_sweep.add_argument("--jobs", type=positive_int, default=1, help="parallel worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_all = sub.add_parser("all", help="simulate, train, and authenticate in one directory")

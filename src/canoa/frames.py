@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -219,14 +220,106 @@ def frame_body_bits(frame: CanFrame) -> Bits:
     return bits
 
 
+# Longest stuffable region: SOF, 29-bit ID with SRR/IDE, RTR/r1/r0, DLC,
+# 8 data bytes and the CRC. The first stuff bit follows 5 equal bits and
+# each later one at least 4 more logical bits, so the wire holds at most
+# (_MAX_LOGICAL_BITS - 1) // 4 stuff bits before the fixed-form trailer.
+_MAX_LOGICAL_BITS = 1 + 11 + 2 + 18 + 3 + 4 + 64 + 15
+_MAX_BODY_BITS = _MAX_LOGICAL_BITS - 15
+_MAX_WIRE_BITS = _MAX_LOGICAL_BITS + (_MAX_LOGICAL_BITS - 1) // 4 + TRAILER_BITS
+_TRAILER = np.array([1, 0, 1] + [1] * 7, dtype=np.uint8)  # CRC del, ACK slot, ACK del, EOF
+# CRC-15 is linear with a zero initial value: a set body bit followed by k
+# more body bits contributes x^(k+15) mod g.
+_CRC_TERMS = np.array([compute_crc15([1] + [0] * k) for k in range(_MAX_BODY_BITS)])
+_PARSE_BLOCK = 4096  # candidate frames parsed together; bounds the gather matrices
+# frames encoded together: each temporary stays under 1 MB, so encoding a
+# capture's requests does not raise the process's peak memory
+_ENCODE_BLOCK = 1024
+
+
+def _msb_first(field: np.ndarray) -> np.ndarray:
+    """Per row, the integer whose MSB-first bits are the row of ``field``."""
+    return field.astype(np.int64) @ (1 << np.arange(field.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+def _msb_first_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Per value, its ``width`` low bits MSB-first: the inverse of :func:`_msb_first`."""
+    return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def _crc15_rows(bits: np.ndarray, body_len: np.ndarray) -> np.ndarray:
+    """Per row, the CRC-15 of its first ``body_len`` bits: the terms of its set bits XOR-ed."""
+    place = np.arange(_MAX_BODY_BITS)
+    in_body = (place < body_len[:, None]) & (bits[:, :_MAX_BODY_BITS] == 1)
+    terms = _CRC_TERMS[np.maximum(body_len[:, None] - 1 - place, 0)]
+    return np.bitwise_xor.reduce(np.where(in_body, terms, 0), axis=1)
+
+
+def _serialize_block(frames: Sequence[CanFrame]) -> list[Bits]:
+    """Wire images of up to ``_ENCODE_BLOCK`` frames, all frames column by column."""
+    m = len(frames)
+    extended = np.array([f.format is FrameFormat.EXTENDED for f in frames], dtype=bool)
+    frame_id = np.array([f.frame_id for f in frames], dtype=np.int64)
+    dlc = np.array([f.dlc for f in frames], dtype=np.int64)
+    payload = np.frombuffer(b"".join(f.payload.ljust(8, b"\0") for f in frames), dtype=np.uint8)
+
+    # the logical bits SOF through CRC by index; SOF, RTR and reserved bits are 0
+    bits = np.zeros((m, _MAX_LOGICAL_BITS), dtype=np.uint8)
+    bits[:, 1:12] = _msb_first_bits(np.where(extended, frame_id >> 18, frame_id), 11)
+    bits[extended, 12:14] = 1  # SRR, IDE
+    bits[extended, 14:32] = _msb_first_bits(frame_id[extended] & 0x3FFFF, 18)
+    dlc_at = np.where(extended, 35, 15)
+    fields = np.hstack((_msb_first_bits(dlc, 4), np.unpackbits(payload.reshape(m, 8), axis=1)))
+    np.put_along_axis(bits, dlc_at[:, None] + np.arange(fields.shape[1]), fields, axis=1)
+    body_len = dlc_at + 4 + 8 * dlc  # the zero padding past it adds no CRC term
+    crc = _msb_first_bits(_crc15_rows(bits, body_len), 15)
+    np.put_along_axis(bits, body_len[:, None] + np.arange(15), crc, axis=1)
+
+    # stuff one logical bit position at a time across all frames, then place
+    # every logical bit and every stuff bit on the wire by index
+    stuffed_len = body_len + 15
+    width = stuffed_len.max()
+    due = np.empty((width, m), dtype=bool)  # a stuff bit follows logical bit k
+    run_val = np.full(m, 2, dtype=np.uint8)
+    run_len = np.zeros(m, dtype=np.uint8)
+    for k, bit in enumerate(np.ascontiguousarray(bits[:, :width].T)):
+        run_len = np.where(bit == run_val, run_len + 1, 1)
+        stuffed = due[k] = run_len == 5
+        # the complement stuff bit starts the next run
+        run_val = bit ^ stuffed
+        run_len[stuffed] = 1
+    due = due.T & (np.arange(width) < stuffed_len[:, None])
+    stuffs = np.cumsum(due, axis=1, dtype=np.int16)  # stuff bits up to and including bit k
+    rows, cols = np.nonzero(due)
+    stuff = np.zeros((m, _MAX_WIRE_BITS), dtype=bool)
+    stuff[rows, cols + stuffs[rows, cols]] = True
+    # the zero padding past a frame's CRC lands where its trailer goes
+    logical = ~stuff & (np.arange(_MAX_WIRE_BITS) < width + stuffs[:, -1:])
+    wire = np.empty((m, _MAX_WIRE_BITS), dtype=np.uint8)
+    wire[logical] = bits[:, :width].ravel()
+    wire[stuff] = 1 - bits[rows, cols]
+    end = stuffed_len + stuffs[:, -1]
+    np.put_along_axis(wire, end[:, None] + np.arange(TRAILER_BITS), _TRAILER[None, :], axis=1)
+    return [w[:n] for w, n in zip(wire.tolist(), (end + TRAILER_BITS).tolist())]
+
+
+def serialize_frames(frames: Sequence[CanFrame]) -> list[Bits]:
+    """Full on-wire bit images of frames, stuffing applied SOF through CRC.
+
+    Frames are encoded column by column, in blocks of ``_ENCODE_BLOCK``, the
+    way the decoder parses them: body bits placed by index, the CRC-15 from
+    the decoder's table of terms, and bit stuffing one position at a time
+    across all frames.
+    """
+    wires: list[Bits] = []
+    for lo in range(0, len(frames), _ENCODE_BLOCK):
+        wires += _serialize_block(frames[lo : lo + _ENCODE_BLOCK])
+    return wires
+
+
 def serialize_frame(frame: CanFrame) -> Bits:
-    """Full on-wire bit image of a frame, stuffing applied SOF through CRC."""
-    body = frame_body_bits(frame)
-    stuffable = body + _int_bits(compute_crc15(body), 15)
-    wire = stuff_bits(stuffable)
-    # CRC delimiter, ACK slot (driven dominant by receivers), ACK delimiter, EOF
-    wire += [1, 0, 1] + [1] * 7
-    return wire
+    """Full on-wire bit image of one frame: a batch of one."""
+    return serialize_frames([frame])[0]
 
 
 def arbitrate(
@@ -242,6 +335,7 @@ def arbitrate(
     cursor = 0
     contenders: list[tuple[int, int]] = []  # heap of (frame ID, request index)
     contending_ids: set[int] = set()
+    wires = serialize_frames([frame for frame, _ in start_requests])
     order: list[ArbitratedFrame] = []
     free_at = 0.0
     gap = INTERFRAME_BITS / bitrate
@@ -261,30 +355,11 @@ def arbitrate(
         frame_id, winner = heapq.heappop(contenders)
         contending_ids.remove(frame_id)
         frame = start_requests[winner][0]
-        wire = serialize_frame(frame)
+        wire = wires[winner]
         duration = len(wire) / bitrate
         order.append(ArbitratedFrame(winner, frame, instant, wire, duration))
         free_at = instant + duration + gap
     return order
-
-
-# Longest stuffable region: SOF, 29-bit ID with SRR/IDE, RTR/r1/r0, DLC,
-# 8 data bytes and the CRC. The first stuff bit follows 5 equal bits and
-# each later one at least 4 more logical bits, so the wire holds at most
-# (_MAX_LOGICAL_BITS - 1) // 4 stuff bits before the fixed-form trailer.
-_MAX_LOGICAL_BITS = 1 + 11 + 2 + 18 + 3 + 4 + 64 + 15
-_MAX_BODY_BITS = _MAX_LOGICAL_BITS - 15
-_MAX_WIRE_BITS = _MAX_LOGICAL_BITS + (_MAX_LOGICAL_BITS - 1) // 4 + TRAILER_BITS
-_TRAILER = np.array([1, 0, 1] + [1] * 7, dtype=np.uint8)  # CRC del, ACK slot, ACK del, EOF
-# CRC-15 is linear with a zero initial value: a set body bit followed by k
-# more body bits contributes x^(k+15) mod g.
-_CRC_TERMS = np.array([compute_crc15([1] + [0] * k) for k in range(_MAX_BODY_BITS)])
-_PARSE_BLOCK = 4096  # candidate frames parsed together; bounds the gather matrices
-
-
-def _msb_first(field: np.ndarray) -> np.ndarray:
-    """Per row, the integer whose MSB-first bits are the row of ``field``."""
-    return field.astype(np.int64) @ (1 << np.arange(field.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def _columns(bits: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
@@ -339,10 +414,7 @@ def _parse_frames(dominant: np.ndarray, starts: np.ndarray, spb: float):
     body_len = data_at + 8 * dlc
     payload = np.packbits(_columns(bits, data_at, 64), axis=1)
     crc_read = _msb_first(_columns(bits, body_len, 15))
-    place = np.arange(_MAX_BODY_BITS)
-    in_body = (place < body_len[:, None]) & (bits[:, :_MAX_BODY_BITS] == 1)
-    terms = _CRC_TERMS[np.maximum(body_len[:, None] - 1 - place, 0)]
-    crc = np.bitwise_xor.reduce(np.where(in_body, terms, 0), axis=1)
+    crc = _crc15_rows(bits, body_len)
 
     # the stuffed region ends after the CRC and a pending stuff bit; the trailer follows
     last = np.take_along_axis(raw_at, body_len[:, None] + 14, axis=1)[:, 0]

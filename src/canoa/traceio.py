@@ -49,13 +49,28 @@ class TraceKind(Enum):
     POWER = 1
 
 
+def _header_int(name: str, value: float, low: int, high: int, scale: float = 1.0) -> int:
+    """``round(value * scale)`` as a trace header field that holds ``low`` .. ``high - 1``."""
+    try:
+        field = int(round(value * scale))
+    except (OverflowError, ValueError):  # inf, NaN
+        field = low - 1
+    if not low <= field < high:
+        raise ValueError(f"{name} {value!r} is out of range for the trace header")
+    return field
+
+
 def write_trace_file(path: Path | str, samples, kind: TraceKind, sample_rate: float,
                      start_time: float = 0.0) -> None:
     """Write one or more channels of samples as a CTRC file.
 
     ``samples`` is a 1-D array (one channel) or a 2-D channel-major array.
+    The body is written from the array's own buffer, which is copied only
+    when it is not already contiguous little-endian float32. Raises
+    ValueError when the channel count, the sample rate (rounded to Hz) or
+    the start time (rounded to ns) does not fit the header.
     """
-    data = np.asarray(samples, dtype=np.float32)
+    data = np.ascontiguousarray(samples, dtype="<f4")
     if data.ndim == 1:
         data = data[None, :]
     channels, per_channel = data.shape
@@ -63,14 +78,14 @@ def write_trace_file(path: Path | str, samples, kind: TraceKind, sample_rate: fl
         TRACE_MAGIC,
         TRACE_VERSION,
         kind.value,
-        channels,
-        int(round(sample_rate)),
+        _header_int("channel count", channels, 0, 1 << 16),
+        _header_int("sample_rate", sample_rate, 1, 1 << 32),
         per_channel,
-        int(round(start_time * 1e9)),
+        _header_int("start_time", start_time, 0, 1 << 64, scale=1e9),
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(data).astype("<f4", copy=False).tobytes())
+        fh.write(data.data)
 
 
 @dataclass(frozen=True)

@@ -306,11 +306,14 @@ def factor_sweep(
 
     Per-cell failures are logged and recorded in the grid's ``errors``
     rather than aborting the sweep. Cells run in a process pool when
-    ``jobs > 1``; the grid is the same whatever the job count.
+    ``jobs > 1``; the grid is the same whatever the job count. Raises
+    ValueError when ``jobs < 1``.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if cells is None:
         cells = grid_cells()
     if seeds is None:

@@ -31,7 +31,13 @@ from canoa.bus import (
     _BusSlot,
     _timeline,
 )
-from canoa.frames import CanFrame, FrameFormat, decode_transmissions, serialize_frame
+from canoa.frames import (
+    DOMINANT_VOLTS,
+    CanFrame,
+    FrameFormat,
+    decode_transmissions,
+    serialize_frame,
+)
 
 
 def small_lab(**kw):
@@ -404,9 +410,29 @@ def test_synth_power_rejects_a_wrong_out_buffer():
         synth_power(ecu, [], 1e-3, FS, seed=1, out=np.empty(2000, dtype=np.float64))
 
 
-def simulate_serial_reference(scenario, monkeypatch):
-    """``simulate``'s voltage and slots, with every power trace built serially
-    by the reference synthesizer from the same seed children."""
+def synth_voltage_reference(order, cfg, duration, rng):
+    """The voltage trace built one slot at a time: each slot adds its bits' levels."""
+    n = int(round(duration * cfg.sample_rate))
+    if cfg.voltage_noise > 0:
+        samples = rng.standard_normal(n, dtype=np.float32)
+        samples *= np.float32(cfg.voltage_noise)
+    else:
+        samples = np.zeros(n, dtype=np.float32)
+    spb = cfg.sample_rate / cfg.bitrate
+    for slot in order:
+        s0 = int(round(slot.start * cfg.sample_rate))
+        bits = np.asarray(slot.wire, dtype=np.int8)
+        bounds = s0 + np.round(np.arange(bits.size + 1) * spb).astype(np.int64)
+        counts = np.diff(bounds)
+        level = np.where(bits == 0, np.float32(DOMINANT_VOLTS), np.float32(0.0))
+        seg = np.repeat(level, counts)
+        a, b = bounds[0], min(bounds[-1], n)
+        samples[a:b] += seg[: b - a]
+    return samples
+
+
+def simulate_slots(scenario, monkeypatch):
+    """``simulate``'s outputs and the slots it handed to ``synth_voltage``."""
     seen = {}
     real_voltage = bus.synth_voltage
 
@@ -416,12 +442,24 @@ def simulate_serial_reference(scenario, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(bus, "synth_voltage", spy)
-        voltage, _, truth = simulate(scenario)
-    children = np.random.SeedSequence(scenario.seed).spawn(3 + len(scenario.ecus))[3:]
+        voltage, powers, truth = simulate(scenario)
+    return voltage, powers, truth, seen["slots"]
+
+
+def simulate_serial_reference(scenario, monkeypatch):
+    """``simulate``'s ground truth, with the voltage trace and every power trace
+    built serially by the reference synthesizers from the same seed children."""
+    _, _, truth, slots = simulate_slots(scenario, monkeypatch)
+    _, voltage_child, _, *children = np.random.SeedSequence(scenario.seed).spawn(
+        3 + len(scenario.ecus)
+    )
+    voltage = synth_voltage_reference(
+        slots, scenario.bus, scenario.duration, np.random.default_rng(voltage_child)
+    )
     bit_time = 1.0 / scenario.bus.bitrate
     powers = [
         synth_power_reference(
-            ecu, _timeline(seen["slots"], ecu, bit_time), scenario.duration,
+            ecu, _timeline(slots, ecu, bit_time), scenario.duration,
             scenario.bus.sample_rate, child,
         )
         for ecu, child in zip(scenario.ecus, children)
@@ -454,12 +492,66 @@ def test_simulate_equals_serial_reference(name, monkeypatch):
     voltage, powers, truth = simulate(scenario)
     ref_voltage, ref_powers, ref_truth = simulate_serial_reference(scenario, monkeypatch)
     assert truth == ref_truth
-    assert same_bits(voltage.samples, ref_voltage.samples)
+    assert same_bits(voltage.samples, ref_voltage)
     assert len(powers) == len(ref_powers) == len(scenario.ecus)
     for got, want in zip(powers, ref_powers):
         assert same_bits(got.samples, want)
     if name == "hijack":
         assert any(e.kind is AttackKind.HIJACK_TRANSMISSION for e in truth.entries)
+
+
+class NegativeZeroNoise:
+    """An rng whose every noise sample is -0.0, which adding +0.0 would turn into +0.0."""
+
+    def standard_normal(self, n, dtype):
+        return np.full(n, -0.0, dtype=dtype)
+
+
+def _lab_slots(monkeypatch):
+    return simulate_slots(SCENARIOS["lab"](), monkeypatch)[3]
+
+
+@pytest.mark.parametrize("block_samples", [1, 10_000, bus._VOLTAGE_BLOCK_SAMPLES])
+@pytest.mark.parametrize("noise", ["gaussian", "noiseless", "negative_zero"])
+def test_synth_voltage_bit_equal_to_per_slot_reference(block_samples, noise, monkeypatch):
+    slots = _lab_slots(monkeypatch)
+    cfg = BusConfig(sample_rate=2e6, voltage_noise=0.0 if noise == "noiseless" else 0.05)
+    duration = slots[-1].start + 0.01
+
+    def rng():
+        return NegativeZeroNoise() if noise == "negative_zero" else np.random.default_rng(6)
+
+    want = synth_voltage_reference(slots, cfg, duration, rng())
+    monkeypatch.setattr(bus, "_VOLTAGE_BLOCK_SAMPLES", block_samples)
+    got = synth_voltage(slots, cfg, duration, rng())
+    assert same_bits(got.samples, want)
+    if noise == "negative_zero":
+        assert np.signbit(got.samples).any() and not np.signbit(got.samples).all()
+
+
+def test_synth_voltage_on_a_trace_cut_inside_the_last_slot(monkeypatch):
+    slots = _lab_slots(monkeypatch)
+    cfg = BusConfig(sample_rate=2e6)
+    last = slots[-1]
+    duration = last.start + 0.5 * last.duration_bits / cfg.bitrate
+    want = synth_voltage_reference(slots, cfg, duration, np.random.default_rng(2))
+    got = synth_voltage(slots, cfg, duration, np.random.default_rng(2))
+    assert same_bits(got.samples, want)
+
+
+def test_synth_voltage_adds_overlapping_and_unordered_slots_in_order():
+    frames = [CanFrame(0x100 + k, bytes([k] * 4), FrameFormat.STANDARD) for k in range(4)]
+    starts = [1e-3, 0.2e-3, 0.25e-3, 1.1e-3]  # the second overlaps the third, the first the fourth
+    slots = [
+        _BusSlot(start=t, wire=serialize_frame(f), frame=f, claimed_sa=0, transmitter=0,
+                 kind=AttackKind.NORMAL)
+        for f, t in zip(frames, starts)
+    ]
+    cfg = BusConfig(sample_rate=2e6)
+    want = synth_voltage_reference(slots, cfg, 3e-3, np.random.default_rng(5))
+    got = synth_voltage(slots, cfg, 3e-3, np.random.default_rng(5))
+    assert same_bits(got.samples, want)
+    assert (got.samples > 3.0).any()  # dominant bits of two slots summed
 
 
 def _simulation_digest(scenario):

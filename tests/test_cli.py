@@ -223,6 +223,14 @@ def test_subcommands_reject_options_they_do_not_read(argv, capsys):
     assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_with_fewer_than_one_job_is_a_usage_error(cfg_path, tmp_path, jobs, capsys):
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg_path, "--out", out, "--jobs", jobs) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code_1():
     assert run_cli("simulate", "--config", "x.cfg") == 1  # missing --out
     assert run_cli("frobnicate") == 1

@@ -292,7 +292,7 @@ def config_lines(draw):
     return f"{key} = {value}"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(config_lines(), max_size=8))
 def test_drawn_configs_parse_or_raise_config_error(lines):
     try:

@@ -237,6 +237,13 @@ def test_sweep_is_deterministic_under_fixed_seeds():
     assert g1.reports[cells[0]] == g2.reports[cells[0]]
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_rejects_fewer_than_one_job(jobs):
+    base = lab_scenario(frames_per_sa=5, sample_rate=4e6, seed=2)
+    with pytest.raises(ValueError, match="jobs"):
+        factor_sweep(base, cells=[], jobs=jobs)
+
+
 def test_sweep_records_a_cell_below_ten_samples_per_bit():
     base = lab_scenario(frames_per_sa=5, sample_rate=4e6, seed=2)
     cells = [FactorCell(500_000.0, FrameFormat.EXTENDED, ProgramActivity.UNIFORM)]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canoa import frames as frames_module
 from canoa.errors import DuplicateId, EmptyTrace, StuffViolation
 from canoa.frames import (
     DECODE_THRESHOLD_VOLTS,
@@ -20,6 +21,7 @@ from canoa.frames import (
     decode_transmissions,
     frame_body_bits,
     serialize_frame,
+    serialize_frames,
     stuff_bits,
     unstuff_bits,
 )
@@ -340,6 +342,42 @@ def test_standard_dlc8_wire_length_within_stuffing_bounds():
         lengths.append(len(serialize_frame(frame)))
     assert min(lengths) >= 108
     assert max(lengths) <= 127
+
+
+def serialize_scalar(frame):
+    """The wire image from the scalar helpers: stuffed body and CRC, then the trailer."""
+    body = frame_body_bits(frame)
+    crc = compute_crc15(body)
+    return stuff_bits(body + [(crc >> (14 - i)) & 1 for i in range(15)]) + [1, 0, 1] + [1] * 7
+
+
+@st.composite
+def can_frames(draw):
+    fmt = draw(st.sampled_from(FrameFormat))
+    top = (1 << (29 if fmt is FrameFormat.EXTENDED else 11)) - 1
+    frame_id = draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top)))
+    dlc = draw(st.integers(0, 8))
+    payload = draw(
+        st.one_of(st.just(b"\x00" * dlc), st.just(b"\xff" * dlc), st.binary(min_size=dlc, max_size=dlc))
+    )
+    return CanFrame(frame_id, payload, fmt)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(can_frames(), max_size=12))
+def test_batch_encoder_equals_scalar_stuffing(frames):
+    assert serialize_frames(frames) == [serialize_scalar(f) for f in frames]
+
+
+@pytest.mark.parametrize("fmt", list(FrameFormat))
+@pytest.mark.parametrize("fill", [0x00, 0xFF])
+def test_batch_encoder_on_maximal_stuffing_across_blocks(fmt, fill, monkeypatch):
+    # all-equal fields stuff the most; a block of 3 splits the 8 frames unevenly
+    top = (1 << (29 if fmt is FrameFormat.EXTENDED else 11)) - 1
+    frames = [CanFrame(fid, bytes([fill]) * dlc, fmt) for fid in (0, top) for dlc in (0, 3, 7, 8)]
+    monkeypatch.setattr(frames_module, "_ENCODE_BLOCK", 3)
+    assert serialize_frames(frames) == [serialize_scalar(f) for f in frames]
+    assert [serialize_frame(f) for f in frames] == [serialize_scalar(f) for f in frames]
 
 
 def test_crc_property_holds_on_serialized_frames():

@@ -54,6 +54,49 @@ def test_trace_file_multichannel(tmp_path):
     assert np.array_equal(back.samples, data)
 
 
+def test_trace_file_body_is_the_little_endian_float32_array(tmp_path):
+    base = np.random.default_rng(4).normal(size=(2, 9))
+    read_only = base[0].astype(np.float32)
+    read_only.flags.writeable = False
+    strided = base[:, ::2]  # float64, not contiguous
+    for samples in (read_only, strided):
+        path = tmp_path / "b.ctrc"
+        write_trace_file(path, samples, TraceKind.POWER, 2e6, start_time=0.5)
+        rows = np.atleast_2d(samples)
+        header = struct.pack(
+            "<4sHBHIQQ", b"CTRC", 1, 1, rows.shape[0], 2_000_000, rows.shape[1], 500_000_000
+        )
+        body = b"".join(struct.pack("<f", x) for x in rows.ravel())
+        assert path.read_bytes() == header + body
+
+
+@pytest.mark.parametrize(
+    "samples, sample_rate, start_time, field",
+    [
+        (np.zeros(4), 1e6, -1.0, "start_time"),
+        (np.zeros(4), 1e6, float("nan"), "start_time"),
+        (np.zeros(4), 0.4, 0.0, "sample_rate"),
+        (np.zeros(4), 2.0**32, 0.0, "sample_rate"),
+        (np.zeros((1 << 16, 0)), 1e6, 0.0, "channel count"),
+    ],
+    ids=["negative_start_time", "nan_start_time", "rate_rounds_to_zero", "rate_2_pow_32",
+         "65536_channels"],
+)
+def test_trace_header_value_out_of_range_is_a_value_error_naming_it(
+    tmp_path, samples, sample_rate, start_time, field
+):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        write_trace_file(tmp_path / "h.ctrc", samples, TraceKind.VOLTAGE, sample_rate, start_time)
+
+
+def test_trace_header_holds_its_largest_values(tmp_path):
+    path = tmp_path / "h.ctrc"
+    write_trace_file(path, np.zeros((65_535, 0)), TraceKind.VOLTAGE, 2.0**32 - 1, 0.0)
+    back = read_trace_file(path)
+    assert back.samples.shape == (65_535, 0)
+    assert back.sample_rate == 2.0**32 - 1
+
+
 def test_trace_file_rejects_corruption(tmp_path):
     path = tmp_path / "c.ctrc"
     write_trace_file(path, np.zeros(16, dtype=np.float32), TraceKind.VOLTAGE, 1e6)
