@@ -64,12 +64,9 @@ from .frames import (
     FrameFormat,
     SourceAddressMap,
     arbitrate,
-    compute_crc15,
     decode_transmissions,
     serialize_frame,
     serialize_frames,
-    stuff_bits,
-    unstuff_bits,
 )
 from .svm import (
     BootstrapSummary,

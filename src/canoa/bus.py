@@ -20,7 +20,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -248,10 +247,10 @@ class PowerEvent:
 
 @dataclass
 class _BusSlot:
-    """One transmission on the wire with its provenance."""
+    """One transmission on the wire with its provenance; ``wire`` as in ``ArbitratedFrame``."""
 
     start: float
-    wire: list[int]
+    wire: bytes
     frame: CanFrame
     claimed_sa: int
     transmitter: int | None
@@ -271,7 +270,7 @@ _VOLTAGE_BLOCK_SAMPLES = 1 << 18
 
 
 def _add_slot_block(
-    samples: np.ndarray, wires: list[list[int]], nbits: np.ndarray, first: np.ndarray,
+    samples: np.ndarray, wires: list[bytes], nbits: np.ndarray, first: np.ndarray,
     last: np.ndarray, edges: np.ndarray,
 ) -> None:
     """Add the levels of slots that follow one another without overlap, in one pass.
@@ -291,7 +290,7 @@ def _add_slot_block(
     levels[gap_at] = -0.0
     k = np.arange(nbits.sum()) - np.repeat(np.cumsum(nbits) - nbits, nbits)  # bit within its slot
     counts[is_bit] = edges[k + 1] - edges[k]
-    bits = np.fromiter(chain.from_iterable(wires), dtype=np.uint8, count=nbits.sum())
+    bits = np.frombuffer(b"".join(wires), dtype=np.uint8)
     levels[is_bit] = np.where(bits == 0, np.float32(DOMINANT_VOLTS), np.float32(0.0))
     a, b = first[0], min(last[-1], samples.size)
     if b > a:
@@ -631,7 +630,7 @@ def simulate(
     bit_time = 1.0 / scenario.bus.bitrate
     samap = scenario.source_map()
     slots: list[_BusSlot] = []
-    for arb in sorted(order, key=lambda a: a.start_time):
+    for arb in order:
         if arb.start_time + arb.duration + INTERFRAME_BITS * bit_time > scenario.duration:
             continue  # frame would not complete inside the trace
         _, _, transmitter, kind = requests[arb.request_index]
@@ -639,7 +638,7 @@ def simulate(
         slots.append(
             _BusSlot(
                 start=arb.start_time,
-                wire=list(arb.wire),
+                wire=arb.wire,
                 frame=arb.frame,
                 claimed_sa=sa if sa is not None else -1,
                 transmitter=transmitter,

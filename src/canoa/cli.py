@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from . import traceio
 from .authenticate import authenticate_all
 from .bus import simulate
 from .config import RunConfig, parse_config
-from .errors import CanoaError, ConfigError, EmptyInput
+from .errors import CanoaError, ConfigError, EmptyInput, FileFormatError
 from .evaluate import ConfusionMatrix, MetricReport, metrics
 from .frames import decode_transmissions
 from .svm import bootstrap_accuracy
@@ -58,6 +59,13 @@ def positive_int(text: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
     return jobs
+
+
+def positive_finite(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
 
 
 def power_file(index: int) -> str:
@@ -124,17 +132,24 @@ def _load_run(args) -> RunConfig:
     return run
 
 
+def _read_channel(path: Path) -> SampledTrace:
+    """The one channel of a trace file."""
+    contents = traceio.read_trace_file(path)
+    channels = contents.samples.shape[0]
+    if channels != 1:
+        raise FileFormatError(f"{path}: {channels} channels, expected 1")
+    return SampledTrace(contents.samples[0], contents.sample_rate, contents.start_time)
+
+
 def _read_traces(traces_dir: Path) -> tuple[SampledTrace, dict[int, SampledTrace]]:
     voltage_path = traces_dir / VOLTAGE_FILE
     if not voltage_path.exists():
         raise CanoaError(f"missing {voltage_path}")
-    vfile = traceio.read_trace_file(voltage_path)
-    voltage = SampledTrace(vfile.samples[0], vfile.sample_rate, vfile.start_time)
-    powers: dict[int, SampledTrace] = {}
-    for path in sorted(traces_dir.glob("power_*.ctrc")):
-        index = int(path.stem.split("_")[1])
-        pfile = traceio.read_trace_file(path)
-        powers[index] = SampledTrace(pfile.samples[0], pfile.sample_rate, pfile.start_time)
+    voltage = _read_channel(voltage_path)
+    powers = {
+        int(path.stem.split("_")[1]): _read_channel(path)
+        for path in sorted(traces_dir.glob("power_*.ctrc"))
+    }
     return voltage, powers
 
 
@@ -332,7 +347,9 @@ def build_parser() -> _Parser:
     options(p_auth, "out", "delta", "format")
     p_auth.add_argument("--traces", required=True, help="directory with trace files")
     p_auth.add_argument("--bundle", required=True, help="trained model bundle")
-    p_auth.add_argument("--bitrate", type=float, required=True, help="bus bitrate in bits/s")
+    p_auth.add_argument(
+        "--bitrate", type=positive_finite, required=True, help="bus bitrate in bits/s"
+    )
     p_auth.set_defaults(func=cmd_authenticate)
 
     p_sweep = sub.add_parser("sweep", help="run the bus-speed x format x program grid")

@@ -5,10 +5,6 @@ class CanoaError(Exception):
     """Base class for all package errors."""
 
 
-class StuffViolation(CanoaError):
-    """Six consecutive equal bits inside a stuffed region."""
-
-
 class EmptyTrace(CanoaError):
     """A sampled trace with no samples where samples are required."""
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicateId, EmptyTrace, StuffViolation
+from .errors import DuplicateId, EmptyTrace
 from .trace import SampledTrace
 
 CRC15_POLY = 0x4599  # x^15 + x^14 + x^10 + x^8 + x^7 + x^4 + x^3 + 1
@@ -26,8 +26,6 @@ DECODE_THRESHOLD_VOLTS = 1.0
 TRAILER_BITS = 10     # CRC delimiter + ACK slot + ACK delimiter + 7 EOF
 INTERFRAME_BITS = 3   # intermission after EOF before the next SOF
 MIN_SAMPLES_PER_BIT = 10  # the decoder's floor on sample rate / bitrate
-
-Bits = list[int]
 
 
 class FrameFormat(Enum):
@@ -60,10 +58,6 @@ class CanFrame:
     @property
     def dlc(self) -> int:
         return len(self.payload)
-
-    @property
-    def crc(self) -> int:
-        return compute_crc15(frame_body_bits(self))
 
 
 @dataclass(frozen=True)
@@ -125,99 +119,13 @@ class DecodedTransmission:
 
 @dataclass(frozen=True)
 class ArbitratedFrame:
-    """One slot of the resolved transmission order."""
+    """One slot of the resolved transmission order; ``wire`` is one byte per bit, 0 = dominant."""
 
     request_index: int
     frame: CanFrame
     start_time: float
-    wire: Bits
+    wire: bytes
     duration: float
-
-
-def _int_bits(value: int, width: int) -> Bits:
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
-def compute_crc15(bits) -> int:
-    """CRC-15/CAN remainder of a bit sequence (zero initial value).
-
-    Long division of the message augmented with 15 zero bits by the
-    generator polynomial.
-    """
-    rem = 0
-    for b in list(bits) + [0] * 15:
-        rem = (rem << 1) | b
-        if rem & 0x8000:
-            rem ^= 0x8000 | CRC15_POLY
-    return rem
-
-
-def stuff_bits(bits) -> Bits:
-    """Insert a complement bit after every run of five equal bits.
-
-    The inserted bit counts toward the following run, matching the CAN
-    transmitter behaviour.
-    """
-    out: Bits = []
-    run_val = -1
-    run_len = 0
-    for b in bits:
-        out.append(b)
-        if b == run_val:
-            run_len += 1
-        else:
-            run_val, run_len = b, 1
-        if run_len == 5:
-            comp = 1 - b
-            out.append(comp)
-            run_val, run_len = comp, 1
-    return out
-
-
-def unstuff_bits(bits) -> Bits:
-    """Inverse of :func:`stuff_bits` on its image.
-
-    Raises StuffViolation when six consecutive equal bits occur.
-    """
-    out: Bits = []
-    run_val = -1
-    run_len = 0
-    expect_stuff = False
-    for i, b in enumerate(bits):
-        if expect_stuff:
-            if b == run_val:
-                raise StuffViolation(f"six consecutive equal bits at position {i}")
-            run_val, run_len = b, 1
-            expect_stuff = False
-            continue
-        out.append(b)
-        if b == run_val:
-            run_len += 1
-        else:
-            run_val, run_len = b, 1
-        if run_len == 5:
-            expect_stuff = True
-    return out
-
-
-def frame_body_bits(frame: CanFrame) -> Bits:
-    """Unstuffed bits from SOF through the end of the data field.
-
-    This is exactly the CRC input region.
-    """
-    bits = [0]  # SOF
-    if frame.format is FrameFormat.STANDARD:
-        bits += _int_bits(frame.frame_id, 11)
-        bits += [0, 0, 0]  # RTR, IDE, r0
-    else:
-        bits += _int_bits(frame.frame_id >> 18, 11)
-        bits += [1, 1]  # SRR, IDE
-        bits += _int_bits(frame.frame_id & 0x3FFFF, 18)
-        bits += [0, 0, 0]  # RTR, r1, r0
-    bits += _int_bits(frame.dlc, 4)
-    for byte in frame.payload:
-        bits += _int_bits(byte, 8)
-    return bits
 
 
 # Longest stuffable region: SOF, 29-bit ID with SRR/IDE, RTR/r1/r0, DLC,
@@ -228,9 +136,19 @@ _MAX_LOGICAL_BITS = 1 + 11 + 2 + 18 + 3 + 4 + 64 + 15
 _MAX_BODY_BITS = _MAX_LOGICAL_BITS - 15
 _MAX_WIRE_BITS = _MAX_LOGICAL_BITS + (_MAX_LOGICAL_BITS - 1) // 4 + TRAILER_BITS
 _TRAILER = np.array([1, 0, 1] + [1] * 7, dtype=np.uint8)  # CRC del, ACK slot, ACK del, EOF
+
+
+def _crc_terms(count: int) -> np.ndarray:
+    """x^(k+15) mod g for k < count: each term is the one before it shifted once through g."""
+    terms = [CRC15_POLY]
+    while len(terms) < count:
+        terms.append(((terms[-1] << 1) & 0x7FFF) ^ (CRC15_POLY if terms[-1] & 0x4000 else 0))
+    return np.array(terms)
+
+
 # CRC-15 is linear with a zero initial value: a set body bit followed by k
-# more body bits contributes x^(k+15) mod g.
-_CRC_TERMS = np.array([compute_crc15([1] + [0] * k) for k in range(_MAX_BODY_BITS)])
+# more body bits contributes term k.
+_CRC_TERMS = _crc_terms(_MAX_BODY_BITS)
 _PARSE_BLOCK = 4096  # candidate frames parsed together; bounds the gather matrices
 # frames encoded together: each temporary stays under 1 MB, so encoding a
 # capture's requests does not raise the process's peak memory
@@ -255,7 +173,7 @@ def _crc15_rows(bits: np.ndarray, body_len: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(np.where(in_body, terms, 0), axis=1)
 
 
-def _serialize_block(frames: Sequence[CanFrame]) -> list[Bits]:
+def _serialize_block(frames: Sequence[CanFrame]) -> list[bytes]:
     """Wire images of up to ``_ENCODE_BLOCK`` frames, all frames column by column."""
     m = len(frames)
     extended = np.array([f.format is FrameFormat.EXTENDED for f in frames], dtype=bool)
@@ -300,24 +218,22 @@ def _serialize_block(frames: Sequence[CanFrame]) -> list[Bits]:
     wire[stuff] = 1 - bits[rows, cols]
     end = stuffed_len + stuffs[:, -1]
     np.put_along_axis(wire, end[:, None] + np.arange(TRAILER_BITS), _TRAILER[None, :], axis=1)
-    return [w[:n] for w, n in zip(wire.tolist(), (end + TRAILER_BITS).tolist())]
+    return [wire[i, :n].tobytes() for i, n in enumerate(end + TRAILER_BITS)]
 
 
-def serialize_frames(frames: Sequence[CanFrame]) -> list[Bits]:
-    """Full on-wire bit images of frames, stuffing applied SOF through CRC.
+def serialize_frames(frames: Sequence[CanFrame]) -> list[bytes]:
+    """Full on-wire bit images of frames, one byte per bit, stuffing applied SOF through CRC.
 
     Frames are encoded column by column, in blocks of ``_ENCODE_BLOCK``, the
     way the decoder parses them: body bits placed by index, the CRC-15 from
     the decoder's table of terms, and bit stuffing one position at a time
     across all frames.
     """
-    wires: list[Bits] = []
-    for lo in range(0, len(frames), _ENCODE_BLOCK):
-        wires += _serialize_block(frames[lo : lo + _ENCODE_BLOCK])
-    return wires
+    blocks = range(0, len(frames), _ENCODE_BLOCK)
+    return [w for lo in blocks for w in _serialize_block(frames[lo : lo + _ENCODE_BLOCK])]
 
 
-def serialize_frame(frame: CanFrame) -> Bits:
+def serialize_frame(frame: CanFrame) -> bytes:
     """Full on-wire bit image of one frame: a batch of one."""
     return serialize_frames([frame])[0]
 
@@ -464,6 +380,8 @@ def decode_transmissions(
     least seven bit times of recessive bus. Requires
     ``trace.sample_rate >= MIN_SAMPLES_PER_BIT * bitrate``.
     """
+    if not 0 < bitrate < np.inf:
+        raise ValueError(f"bitrate must be a positive finite number, got {bitrate}")
     if trace.samples.size == 0:
         raise EmptyTrace("voltage trace has no samples")
     if trace.sample_rate < MIN_SAMPLES_PER_BIT * bitrate:

@@ -151,20 +151,27 @@ def read_ground_truth(path: Path | str) -> GroundTruthLog:
             raise FileFormatError(f"{path}: unexpected ground-truth header {header}")
         last_t = -np.inf
         for row in reader:
-            t = float(row[0])
-            if t <= last_t:
-                raise FileFormatError(f"{path}: t_sec not strictly increasing at {t}")
-            last_t = t
-            source = None if row[3] == ADDED_MODULE_SOURCE else int(row[3])
-            entries.append(
-                GroundTruthEntry(
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(GROUND_TRUTH_HEADER):
+                raise FileFormatError(
+                    f"{where}: {len(row)} fields, expected {len(GROUND_TRUTH_HEADER)}"
+                )
+            try:
+                t = float(row[0])
+                source = None if row[3] == ADDED_MODULE_SOURCE else int(row[3])
+                entry = GroundTruthEntry(
                     t=t,
                     frame_id=int(row[1]),
                     claimed_sa=int(row[2]),
                     true_source=source,
                     kind=AttackKind(row[4]),
                 )
-            )
+            except ValueError as exc:
+                raise FileFormatError(f"{where}: {exc}") from None
+            if not t > last_t:
+                raise FileFormatError(f"{where}: t_sec not strictly increasing at {t}")
+            last_t = t
+            entries.append(entry)
     return GroundTruthLog(tuple(entries))
 
 

@@ -22,7 +22,6 @@ from canoa.bus import (
 from canoa.evaluate import separability
 from canoa.features import NormStats, Tau, TukeyParams, ecu_spectra, fit_pca, tukey_window
 from canoa.frames import (
-    ArbitratedFrame,
     CanFrame,
     DecodedTransmission,
     FrameFormat,
@@ -68,7 +67,7 @@ def synth_batch(frames, bitrate, sample_rate, noise=0.02, seed=0):
     samples = rng.normal(0.0, noise, int(round(end * sample_rate))).astype(np.float32)
     for a in order:
         s0 = int(round(a.start_time * sample_rate))
-        bits = np.asarray(a.wire, dtype=np.int8)
+        bits = np.frombuffer(a.wire, dtype=np.uint8)
         bounds = s0 + np.round(np.arange(bits.size + 1) * spb).astype(np.int64)
         seg = np.repeat(np.where(bits == 0, np.float32(2.0), np.float32(0.0)), np.diff(bounds))
         samples[bounds[0] : bounds[-1]] += seg[: max(0, min(bounds[-1], samples.size) - bounds[0])]
@@ -187,7 +186,6 @@ def test_criterion_1_protocol_round_trip():
     for k in range(len(wire)):
         corrupted = list(wire)
         corrupted[k] = 1 - corrupted[k]
-        fake = ArbitratedFrame(0, frame, 0.0, corrupted, len(corrupted) / 125_000)
         trace = SampledTrace(
             np.repeat(np.where(np.asarray(corrupted) == 0, 2.0, 0.0), 16).astype(np.float32),
             16 * 125_000,

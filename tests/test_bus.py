@@ -84,7 +84,7 @@ def test_noiseless_threshold_recovers_stuffed_bits():
     spb = 16
     mids = (np.arange(len(wire)) * spb + spb // 2).astype(int)
     recovered = [0 if trace.samples[m] > 1.0 else 1 for m in mids]
-    assert recovered == wire
+    assert bytes(recovered) == wire
 
 
 # --------------------------------------------------------------- synth_power
@@ -421,7 +421,7 @@ def synth_voltage_reference(order, cfg, duration, rng):
     spb = cfg.sample_rate / cfg.bitrate
     for slot in order:
         s0 = int(round(slot.start * cfg.sample_rate))
-        bits = np.asarray(slot.wire, dtype=np.int8)
+        bits = np.frombuffer(slot.wire, dtype=np.uint8)
         bounds = s0 + np.round(np.arange(bits.size + 1) * spb).astype(np.int64)
         counts = np.diff(bounds)
         level = np.where(bits == 0, np.float32(DOMINANT_VOLTS), np.float32(0.0))

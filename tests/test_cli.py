@@ -10,11 +10,20 @@ import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import canoa
 from canoa.cli import main
-from canoa.traceio import BUNDLE_FOOTER, _parse_sections, _sections_bytes
+from canoa.traceio import (
+    BUNDLE_FOOTER,
+    TraceKind,
+    _parse_sections,
+    _sections_bytes,
+    write_trace_file,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TINY_CONFIG = """
 scenario.preset = lab
@@ -124,6 +133,18 @@ def test_all_with_attacks_trains_on_normal_traffic_only(tmp_path, capsys):
     assert "attack->attack rate: 1.0000" in printed
 
 
+def test_lab_hijack_config_simulates_byte_identically(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli("simulate", "--config", CONFIGS / "lab_hijack.cfg", "--out", out1) == 0
+    assert run_cli("simulate", "--config", CONFIGS / "lab_hijack.cfg", "--out", out2) == 0
+    names = sorted(path.name for path in out1.iterdir())
+    assert names == sorted(path.name for path in out2.iterdir())
+    for name in names:
+        assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+    rows = (out1 / "ground_truth.csv").read_text().splitlines()[1:]
+    assert sum(row.endswith(",hijack_transmission") for row in rows) == 40
+
+
 def test_sweep_command_writes_full_grid(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -231,6 +252,17 @@ def test_sweep_with_fewer_than_one_job_is_a_usage_error(cfg_path, tmp_path, jobs
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bitrate", ["0", "-125000", "nan", "inf"])
+def test_authenticate_bitrate_that_is_not_positive_and_finite_is_a_usage_error(
+    tmp_path, bitrate, capsys
+):
+    out = tmp_path / "out"
+    argv = ["--traces", tmp_path, "--bundle", tmp_path / "bundle.cbnd", "--bitrate", bitrate]
+    assert run_cli("authenticate", *argv, "--out", out) == 1
+    assert "--bitrate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code_1():
     assert run_cli("simulate", "--config", "x.cfg") == 1  # missing --out
     assert run_cli("frobnicate") == 1
@@ -258,6 +290,29 @@ def test_missing_power_channel_is_reported(cfg_path, tmp_path, capsys):
     (out / "power_002.ctrc").unlink()
     assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 2
     assert "2" in capsys.readouterr().err
+
+
+def test_truncated_ground_truth_is_a_data_error_naming_its_line(cfg_path, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
+    truth = out / "ground_truth.csv"
+    truth.write_text(truth.read_text().rsplit(",", 2)[0])
+    capsys.readouterr()
+    assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", tmp_path / "m") == 2
+    assert f"error: {truth}: line 201: 3 fields, expected 5" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("name, channels", [("voltage.ctrc", 0), ("power_003.ctrc", 2)])
+def test_trace_file_without_exactly_one_channel_is_a_data_error(
+    cfg_path, tmp_path, capsys, name, channels
+):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
+    write_trace_file(out / name, np.zeros((channels, 1000)), TraceKind.POWER, 2e6)
+    capsys.readouterr()
+    assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", tmp_path / "m") == 2
+    assert f"error: {out / name}: {channels} channels, expected 1" in capsys.readouterr().err
 
 
 def test_bundle_trace_mismatch(cfg_path, tmp_path):

@@ -127,7 +127,7 @@ def test_attack_requires_kind_and_sa():
 def test_shipped_configs_parse():
     from pathlib import Path
 
-    for name in ("lab.cfg", "truck.cfg", "truck_attack.cfg", "sweep.cfg"):
+    for name in ("lab.cfg", "lab_hijack.cfg", "truck.cfg", "truck_attack.cfg", "sweep.cfg"):
         run = parse_config_text((Path(__file__).parent.parent / "configs" / name).read_text())
         assert run.scenario.duration > 0
 

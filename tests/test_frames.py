@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canoa import frames as frames_module
-from canoa.errors import DuplicateId, EmptyTrace, StuffViolation
+from canoa.errors import DuplicateId, EmptyTrace
 from canoa.frames import (
     DECODE_THRESHOLD_VOLTS,
     INTERFRAME_BITS,
@@ -17,18 +17,78 @@ from canoa.frames import (
     FrameFormat,
     SourceAddressMap,
     arbitrate,
-    compute_crc15,
     decode_transmissions,
-    frame_body_bits,
     serialize_frame,
     serialize_frames,
-    stuff_bits,
-    unstuff_bits,
 )
 from canoa.trace import SampledTrace
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def _int_bits(value, width):
+    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+def compute_crc15(bits):
+    """Reference CRC-15/CAN remainder of a bit sequence (zero initial value).
+
+    Long division of the message augmented with 15 zero bits by the
+    generator polynomial.
+    """
+    rem = 0
+    for b in list(bits) + [0] * 15:
+        rem = (rem << 1) | b
+        if rem & 0x8000:
+            rem ^= 0x8000 | 0x4599
+    return rem
+
+
+def stuff_bits(bits):
+    """Reference stuffing: a complement bit after every run of five equal bits.
+
+    The inserted bit counts toward the following run, matching the CAN
+    transmitter behaviour.
+    """
+    out = []
+    run_val = -1
+    run_len = 0
+    for b in bits:
+        out.append(b)
+        if b == run_val:
+            run_len += 1
+        else:
+            run_val, run_len = b, 1
+        if run_len == 5:
+            comp = 1 - b
+            out.append(comp)
+            run_val, run_len = comp, 1
+    return out
+
+
+def frame_body_bits(frame):
+    """Reference unstuffed bits from SOF through the end of the data field: the CRC input."""
+    bits = [0]  # SOF
+    if frame.format is FrameFormat.STANDARD:
+        bits += _int_bits(frame.frame_id, 11)
+        bits += [0, 0, 0]  # RTR, IDE, r0
+    else:
+        bits += _int_bits(frame.frame_id >> 18, 11)
+        bits += [1, 1]  # SRR, IDE
+        bits += _int_bits(frame.frame_id & 0x3FFFF, 18)
+        bits += [0, 0, 0]  # RTR, r1, r0
+    bits += _int_bits(frame.dlc, 4)
+    for byte in frame.payload:
+        bits += _int_bits(byte, 8)
+    return bits
+
+
+def serialize_scalar(frame):
+    """Reference wire image: stuffed body and CRC, then the trailer, one byte per bit."""
+    body = frame_body_bits(frame)
+    crc = compute_crc15(body)
+    return bytes(stuff_bits(body + _int_bits(crc, 15)) + [1, 0, 1] + [1] * 7)
 
 
 def crc15_shift_register(bits):
@@ -76,7 +136,7 @@ def arbitrate_rescan(start_requests, bitrate):
             raise DuplicateId(f"simultaneous requesters share id {dup:#x}")
         winner = min(contenders, key=lambda i: start_requests[i][0].frame_id)
         frame = start_requests[winner][0]
-        wire = serialize_frame(frame)
+        wire = serialize_scalar(frame)
         duration = len(wire) / bitrate
         order.append(ArbitratedFrame(winner, frame, instant, wire, duration))
         free_at = instant + duration + gap
@@ -293,26 +353,6 @@ def test_stuff_count_matches_counter_oracle_on_random_input():
         assert len(stuff_bits(bits)) - len(bits) == count_stuff_insertions(bits)
 
 
-def test_unstuff_inverts_stuff():
-    assert unstuff_bits([1, 1, 1, 1, 1, 0]) == [1, 1, 1, 1, 1]
-
-
-def test_unstuff_round_trip_over_random_frames():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        dlc = int(rng.integers(0, 9))
-        fmt = FrameFormat.EXTENDED if rng.integers(0, 2) else FrameFormat.STANDARD
-        limit = 1 << (29 if fmt is FrameFormat.EXTENDED else 11)
-        frame = CanFrame(int(rng.integers(0, limit)), bytes(rng.integers(0, 256, dlc).tolist()), fmt)
-        bits = frame_body_bits(frame)
-        assert unstuff_bits(stuff_bits(bits)) == bits
-
-
-def test_unstuff_six_equal_bits_is_violation():
-    with pytest.raises(StuffViolation):
-        unstuff_bits([1] * 12)
-
-
 def test_stuffing_length_bound():
     rng = np.random.default_rng(3)
     for _ in range(300):
@@ -331,7 +371,7 @@ def test_serialize_all_dominant_arbitration_field():
     frame = CanFrame(0x000, b"")
     assert frame_body_bits(frame)[:12] == [0] * 12
     # on the wire the fifth dominant bit is followed by a stuff bit
-    assert serialize_frame(frame)[:6] == [0, 0, 0, 0, 0, 1]
+    assert serialize_frame(frame)[:6] == bytes([0, 0, 0, 0, 0, 1])
 
 
 def test_standard_dlc8_wire_length_within_stuffing_bounds():
@@ -342,13 +382,6 @@ def test_standard_dlc8_wire_length_within_stuffing_bounds():
         lengths.append(len(serialize_frame(frame)))
     assert min(lengths) >= 108
     assert max(lengths) <= 127
-
-
-def serialize_scalar(frame):
-    """The wire image from the scalar helpers: stuffed body and CRC, then the trailer."""
-    body = frame_body_bits(frame)
-    crc = compute_crc15(body)
-    return stuff_bits(body + [(crc >> (14 - i)) & 1 for i in range(15)]) + [1, 0, 1] + [1] * 7
 
 
 @st.composite
@@ -366,7 +399,9 @@ def can_frames(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.lists(can_frames(), max_size=12))
 def test_batch_encoder_equals_scalar_stuffing(frames):
-    assert serialize_frames(frames) == [serialize_scalar(f) for f in frames]
+    wires = serialize_frames(frames)
+    assert all(type(w) is bytes for w in wires)
+    assert wires == [serialize_scalar(f) for f in frames]
 
 
 @pytest.mark.parametrize("fmt", list(FrameFormat))
@@ -380,9 +415,10 @@ def test_batch_encoder_on_maximal_stuffing_across_blocks(fmt, fill, monkeypatch)
     assert [serialize_frame(f) for f in frames] == [serialize_scalar(f) for f in frames]
 
 
-def test_crc_property_holds_on_serialized_frames():
-    frame = CanFrame(0x2A5, b"\x01\x02\x03")
-    assert frame.crc == compute_crc15(frame_body_bits(frame))
+def test_crc_term_table_matches_the_reference_crc():
+    terms = frames_module._CRC_TERMS
+    assert terms.size == frames_module._MAX_BODY_BITS
+    assert [int(t) for t in terms] == [compute_crc15([1] + [0] * k) for k in range(terms.size)]
 
 
 # ---------------------------------------------------------------- arbitration
@@ -419,6 +455,19 @@ def test_arbitration_matches_rescan_oracle(seed):
     # 40 grid steps; the shorter spans hold fewer than n frame times, so the bus backs up
     reqs = random_requests(rng, n, np.arange(0x7FF), span_s=n * rng.uniform(3e-4, 2e-3))
     assert arbitrate(reqs, 125_000) == arbitrate_rescan(reqs, 125_000)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(0, 0x7FF), min_size=1, max_size=40, unique=True),
+    st.lists(st.integers(0, 40), min_size=40, max_size=40),
+)
+def test_arbitration_start_times_never_decrease(ids, ticks):
+    # requests on a coarse grid, in no particular order, so many contend and back up
+    reqs = [(CanFrame(fid, b"\x00" * (fid % 9)), tick * 2e-4) for fid, tick in zip(ids, ticks)]
+    order = arbitrate(reqs, 125_000)
+    assert sorted(a.request_index for a in order) == list(range(len(reqs)))
+    assert all(a.start_time <= b.start_time for a, b in zip(order, order[1:]))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -459,6 +508,13 @@ def test_decode_empty_trace_raises():
     trace = SampledTrace(np.zeros(0), 2_000_000)
     with pytest.raises(EmptyTrace):
         decode_transmissions(trace, 125_000, LOW_BYTE_MAP)
+
+
+@pytest.mark.parametrize("bitrate", [0.0, -125_000.0, float("nan"), float("inf")])
+def test_decode_rejects_a_bitrate_that_is_not_positive_and_finite(bitrate):
+    trace = SampledTrace(np.zeros(100), 2_000_000)
+    with pytest.raises(ValueError, match="bitrate must be a positive finite number"):
+        decode_transmissions(trace, bitrate, LOW_BYTE_MAP)
 
 
 @pytest.mark.parametrize("bitrate", [125_000, 250_000, 500_000])
@@ -510,9 +566,9 @@ def test_mid_frame_bit_flip_decodes_with_crc_failure():
     wire = serialize_frame(frame)
     # flip a recessive data-region bit to dominant (1 -> 0), as a bus attacker could
     flip_at = next(i for i in range(40, 60) if wire[i] == 1)
-    corrupted = list(wire)
+    corrupted = bytearray(wire)
     corrupted[flip_at] = 0
-    fake = ArbitratedFrame(0, frame, 0.0, corrupted, len(corrupted) / 125_000)
+    fake = ArbitratedFrame(0, frame, 0.0, bytes(corrupted), len(corrupted) / 125_000)
     trace = make_voltage([fake], 125_000, 2_000_000)
     decoded = decode_transmissions(trace, 125_000, LOW_BYTE_MAP)
     assert len(decoded) >= 1
@@ -533,7 +589,7 @@ def wire_voltage(wires, bitrate, sample_rate, lead_bits=12, gap_bits=11):
     order, t = [], lead_bits / bitrate
     frame = CanFrame(0, b"")
     for wire in wires:
-        order.append(ArbitratedFrame(0, frame, t, list(wire), len(wire) / bitrate))
+        order.append(ArbitratedFrame(0, frame, t, bytes(wire), len(wire) / bitrate))
         t += (len(wire) + gap_bits) / bitrate
     return make_voltage(order, bitrate, sample_rate)
 
@@ -565,7 +621,7 @@ def test_decoder_matches_oracle_on_every_single_bit_flip(fmt):
     wire = serialize_frame(frame)
     flipped = []
     for k in range(len(wire)):  # SOF, ID, control, data, CRC, trailer
-        corrupted = list(wire)
+        corrupted = bytearray(wire)
         corrupted[k] ^= 1
         flipped.append(corrupted)
     for chunk in range(0, len(flipped), 16):
@@ -626,7 +682,7 @@ def test_decoder_property_never_raises_and_matches_oracle(
     fmt = FrameFormat.EXTENDED if extended else FrameFormat.STANDARD
     frame = CanFrame(frame_id if extended else frame_id & 0x7FF, payload, fmt)
     wire = serialize_frame(frame)
-    corrupted = list(wire)
+    corrupted = bytearray(wire)
     for k in flips:
         corrupted[k % len(wire)] ^= 1
     trace = wire_voltage([corrupted, wire], bitrate, samples_per_bit * bitrate)

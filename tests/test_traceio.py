@@ -1,6 +1,7 @@
 """File-format tests: trace files, ground truth CSV, bundle round trips."""
 
 import json
+import re
 import struct
 import zlib
 
@@ -151,6 +152,24 @@ def test_ground_truth_rejects_non_increasing_t(tmp_path):
         "0.4,2,2,0,normal\n"
     )
     with pytest.raises(FileFormatError):
+        read_ground_truth(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.6,3,3", "3 fields, expected 5"),  # a truncated last row
+        ("0.6,3,3,0,normal,", "6 fields, expected 5"),
+        ("0.6,0x3,3,0,normal", "invalid literal for int() with base 10: '0x3'"),
+        ("0.6e,3,3,0,normal", "could not convert string to float: '0.6e'"),
+        ("0.6,3,3,0,spoofed", "'spoofed' is not a valid AttackKind"),
+        ("nan,3,3,0,normal", "t_sec not strictly increasing at nan"),
+    ],
+)
+def test_malformed_ground_truth_row_is_a_format_error_naming_its_line(tmp_path, row, message):
+    path = tmp_path / "gt.csv"
+    path.write_text("t_sec,frame_id,claimed_sa,true_source,attack_kind\n0.5,1,1,0,normal\n" + row)
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: line 3: {message}")):
         read_ground_truth(path)
 
 
