@@ -38,11 +38,8 @@ from .config import RunConfig, parse_config, parse_config_text
 from .evaluate import (
     ConfusionMatrix,
     MetricReport,
-    SeparabilityReport,
     confusion,
     metrics,
-    separability,
-    student_t_sf,
 )
 from .features import (
     FeatureDataset,

@@ -339,62 +339,6 @@ def synth_voltage(
     return SampledTrace(samples, cfg.sample_rate)
 
 
-class _PulseKernel:
-    """Pulse shapes of one ``synth_power`` call, computed once and sliced.
-
-    The rise envelope, the sample times and the ripple phase ramp are
-    computed at the longest pulse seen so far and regrown when a longer one
-    arrives; the decay tail has a fixed length. Each sliced element equals
-    the same expression evaluated for that pulse alone, so pulses built
-    from the cache are bit-identical to pulses computed from scratch.
-    """
-
-    def __init__(self, n: int, sample_rate: float, rise_fall_s: float, ripple_hz: float):
-        self.n = n
-        self.sample_rate = sample_rate
-        self.rs = max(rise_fall_s * sample_rate, 1e-9)
-        self.ripple_hz = ripple_hz
-        self.decay = np.exp(-np.arange(1, int(round(6 * self.rs)) + 1) / self.rs)
-        self.env = self.t = self.wt = np.empty(0)
-
-    def add(
-        self,
-        samples: np.ndarray,
-        start: float,
-        end: float,
-        amplitude: float,
-        ripple_hz: float = 0.0,
-        ripple_amplitude: float = 0.0,
-        phase: float = 0.0,
-    ) -> None:
-        """Add a smoothed rectangular pulse (optionally with a harmonic ripple)."""
-        a = max(0, int(round(start * self.sample_rate)))
-        b = min(self.n, int(round(end * self.sample_rate)))
-        if b <= a:
-            return
-        m = b - a
-        if m > self.env.size:
-            idx = np.arange(m)
-            self.env = 1.0 - np.exp(-idx / self.rs)
-            self.t = idx / self.sample_rate
-            self.wt = 2 * np.pi * self.ripple_hz * self.t
-        env = self.env[:m]
-        body = amplitude * env
-        if ripple_hz > 0.0 and ripple_amplitude != 0.0:
-            if ripple_hz == self.ripple_hz:
-                wt = self.wt[:m]
-            else:
-                wt = 2 * np.pi * ripple_hz * self.t[:m]
-            ripple = ripple_amplitude * env
-            ripple *= np.sin(wt + phase)
-            body += ripple
-        samples[a:b] += body
-        # exponential tail after the pulse
-        tail_len = min(self.n - b, self.decay.size)
-        if tail_len > 0:
-            samples[b : b + tail_len] += amplitude * self.decay[:tail_len]
-
-
 def synth_power(
     ecu: EcuSpec,
     timeline: list[PowerEvent],
@@ -410,6 +354,12 @@ def synth_power(
     ECU's own transmit intervals and a reception bump over everyone
     else's. Heterogeneous program activity adds seeded low-frequency
     bursts around the ECU's own transmissions.
+
+    Each pulse is a smoothed rectangle, optionally with a harmonic ripple,
+    and an exponential decay tail. All pulse parameters are drawn first, so
+    the rise envelope, sample times and ripple phase ramp are computed once
+    at the longest pulse and sliced; each slice is bit-identical to the
+    same expression evaluated for that pulse alone.
 
     ``out``, when given, is the float32 buffer of ``round(duration *
     sample_rate)`` samples that the trace is written into; the result is
@@ -430,45 +380,57 @@ def synth_power(
         samples += np.float32(base)
     else:
         samples.fill(base)
-    kernel = _PulseKernel(n, sample_rate, prof.signature_rise_fall_s, prof.ripple_frequency_hz)
+
+    def span(start: float, end: float) -> tuple[int, int]:
+        return max(0, int(round(start * sample_rate))), min(n, int(round(end * sample_rate)))
+
+    pulses = []  # (first sample, end sample, amplitude, ripple Hz, ripple amplitude, phase)
     for ev in timeline:
         if ev.role is PowerRole.TRANSMIT:
             amp = prof.signature_amplitude * (
                 1.0 + prof.signature_jitter * rng.uniform(-1.0, 1.0)
             )
-            kernel.add(
-                samples,
-                ev.start,
-                ev.end,
-                amp,
-                ripple_hz=prof.ripple_frequency_hz,
-                ripple_amplitude=prof.ripple_amplitude * amp,
-                phase=rng.uniform(0.0, 2 * np.pi),
-            )
+            phase = rng.uniform(0.0, 2 * np.pi)
+            ripple = (prof.ripple_frequency_hz, prof.ripple_amplitude * amp, phase)
+            pulses.append((*span(ev.start, ev.end), amp, *ripple))
         else:
-            kernel.add(samples, ev.start, ev.end, prof.reception_ripple)
+            pulses.append((*span(ev.start, ev.end), prof.reception_ripple, 0.0, 0.0, 0.0))
     if prof.program is ProgramActivity.HETEROGENEOUS:
         own = [ev for ev in timeline if ev.role is PowerRole.TRANSMIT]
         for ev in own:
-            span = ev.end - ev.start
+            length = ev.end - ev.start
             for anchor, sign in ((ev.start, -1.0), (ev.end, +1.0)):
                 if rng.uniform() > 0.6:
                     continue
-                burst_len = span * rng.uniform(0.3, 0.9)
-                gap = span * rng.uniform(0.05, 0.4)
-                if sign < 0:
-                    b0 = anchor - gap - burst_len
-                else:
-                    b0 = anchor + gap
-                kernel.add(
-                    samples,
-                    b0,
-                    b0 + burst_len,
-                    0.35 * prof.signature_amplitude,
-                    ripple_hz=rng.uniform(5e3, 20e3),
-                    ripple_amplitude=0.1 * prof.signature_amplitude,
-                    phase=rng.uniform(0.0, 2 * np.pi),
-                )
+                burst_len = length * rng.uniform(0.3, 0.9)
+                gap = length * rng.uniform(0.05, 0.4)
+                b0 = anchor - gap - burst_len if sign < 0 else anchor + gap
+                ripple_hz = rng.uniform(5e3, 20e3)
+                phase = rng.uniform(0.0, 2 * np.pi)
+                ripple = (ripple_hz, 0.1 * prof.signature_amplitude, phase)
+                pulses.append((*span(b0, b0 + burst_len), 0.35 * prof.signature_amplitude, *ripple))
+    rs = max(prof.signature_rise_fall_s * sample_rate, 1e-9)
+    idx = np.arange(max([0] + [b - a for a, b, *_ in pulses]))
+    env = 1.0 - np.exp(-idx / rs)
+    t = idx / sample_rate
+    wt = 2 * np.pi * prof.ripple_frequency_hz * t
+    decay = np.exp(-np.arange(1, int(round(6 * rs)) + 1) / rs)
+    for a, b, amplitude, ripple_hz, ripple_amplitude, phase in pulses:
+        if b <= a:
+            continue
+        m = b - a
+        body = amplitude * env[:m]
+        if ripple_hz > 0.0 and ripple_amplitude != 0.0:
+            if ripple_hz == prof.ripple_frequency_hz:
+                pulse_wt = wt[:m]
+            else:
+                pulse_wt = 2 * np.pi * ripple_hz * t[:m]
+            ripple = ripple_amplitude * env[:m]
+            ripple *= np.sin(pulse_wt + phase)
+            body += ripple
+        samples[a:b] += body
+        tail = decay[: n - b]
+        samples[b : b + tail.size] += amplitude * tail
     return SampledTrace(samples, sample_rate)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import traceio
 from .authenticate import authenticate_all
-from .bus import simulate
+from .bus import AttackKind, simulate
 from .config import RunConfig, parse_config
 from .errors import CanoaError, ConfigError, EmptyInput, FileFormatError
 from .evaluate import ConfusionMatrix, MetricReport, metrics
@@ -29,6 +29,7 @@ from .svm import bootstrap_accuracy
 from .trace import SampledTrace
 from .traceio import TraceKind
 from .workflow import (
+    align_truth,
     attack_confusion,
     build_bundle,
     factor_sweep,
@@ -250,13 +251,16 @@ def cmd_authenticate(args) -> int:
     traceio.write_verdicts(out / "verdicts.csv", verdicts, bundle.sas)
     ext = "csv" if args.format == "csv" else "txt"
 
-    cm_sender = sender_confusion(verdicts, bundle.samap)
-    (out / f"sender_confusion.{ext}").write_text(render_confusion(cm_sender, args.format))
-    (out / f"sender_metrics.{ext}").write_text(render_metrics(metrics(cm_sender), args.format))
     summary = [f"authenticated {len(verdicts)} transmissions ({len(decoded)} decoded)"]
+    # attack frames claim an SA their sender does not own, so with ground truth
+    # the sender tables cover only the frames it logs as normal
+    sender_verdicts, scope = verdicts, "all authenticated frames"
     truth_path = traces_dir / GROUND_TRUTH_FILE
     if truth_path.exists():
         truth = traceio.read_ground_truth(truth_path)
+        pairs = align_truth(verdicts, truth)
+        sender_verdicts = [v for v, e in pairs if e.kind is AttackKind.NORMAL]
+        scope = "normal frames per ground truth"
         cm_attack = attack_confusion(verdicts, truth)
         (out / f"attack_confusion.{ext}").write_text(render_confusion(cm_attack, args.format))
         normal_rate = cm_attack.rate("normal", "normal") if "normal" in cm_attack.labels else 0.0
@@ -264,6 +268,12 @@ def cmd_authenticate(args) -> int:
         summary.append(f"normal->normal rate: {normal_rate:.4f}")
         if attack_rate is not None:
             summary.append(f"attack->attack rate: {attack_rate:.4f}")
+    cm_sender = sender_confusion(sender_verdicts, bundle.samap)
+    sender_report = metrics(cm_sender)
+    title = "" if args.format == "csv" else f"scope: {scope}\n"
+    (out / f"sender_confusion.{ext}").write_text(title + render_confusion(cm_sender, args.format))
+    (out / f"sender_metrics.{ext}").write_text(title + render_metrics(sender_report, args.format))
+    summary.append(f"sender accuracy ({scope}): {sender_report.accuracy:.4f}")
     print("\n".join(summary))
     print(f"wrote verdicts.csv and report tables in {out}")
     return 0

@@ -37,10 +37,6 @@ class LengthMismatch(CanoaError):
     """Paired sequences have different lengths."""
 
 
-class ZeroVariance(CanoaError):
-    """Both populations are constant and equal; t-score undefined."""
-
-
 class ConfigError(CanoaError):
     """Malformed run configuration.
 

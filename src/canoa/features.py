@@ -188,8 +188,13 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     mean = x.mean(axis=0)
     centered = x - mean
     tall = n >= f
-    gram = centered.T @ centered if tall else centered @ centered.T
+    if tall:
+        gram = centered.T @ centered
+        del centered  # the components come from the Gram matrix alone; free n x f before eigh
+    else:
+        gram = centered @ centered.T
     evals, evecs = np.linalg.eigh(gram)
+    del gram
     evals, evecs = evals[::-1], evecs[:, ::-1]
     # Rounding in the Gram matrix and in eigh perturbs every eigenvalue by
     # about lambda_max * eps, so that is the floor to count rank against. The
@@ -264,6 +269,8 @@ def extract_feature(
 
     The window may well cover an interval where this ECU was not
     transmitting; that is the non-transmission class by construction.
+    The pipeline does not call this; it is kept only because the frozen
+    benchmark harness (``bench/layers.py``) wraps it by name.
     """
     return basis.transform(_spectra(trace, stats, [t], tau, win)[0])
 

@@ -111,11 +111,6 @@ class BootstrapSummary:
             float(np.percentile(self.accuracies, 75)),
         )
 
-    @property
-    def iqr(self) -> float:
-        q1, q3 = self.quartiles
-        return q3 - q1
-
 
 def _margins(w: np.ndarray, b, x: np.ndarray, y_pm: np.ndarray) -> np.ndarray:
     """y * (x . w + b) per row; leading dimensions of all four stack problems."""

@@ -27,10 +27,6 @@ class SampledTrace:
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
 
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
     def index_of(self, t: float) -> int:
         """Sample index of absolute time ``t`` (rounded to the grid)."""
         return int(round((t - self.start_time) * self.sample_rate))

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .authenticate import Decision, EcuModel, ModelBundle, Verdict, authenticate_all
-from .bus import AttackKind, GroundTruthLog, ProgramActivity, Scenario, simulate
+from .bus import AttackKind, GroundTruthEntry, GroundTruthLog, ProgramActivity, Scenario, simulate
 from .errors import BundleMismatch, MissingChannel
 from .evaluate import ConfusionMatrix, MetricReport, confusion, metrics
 from .features import (
@@ -69,10 +69,6 @@ class TrainResult:
     datasets: dict[tuple[int, int], FeatureDataset]
     transmissions: list[DecodedTransmission]
     tau: Tau
-
-    @property
-    def validation_accuracies(self) -> dict[int, float]:
-        return {sa: m.validation_accuracy for sa, m in self.bundle.training.items()}
 
 
 def usable_transmissions(
@@ -190,8 +186,8 @@ def normal_transmissions(
 
 def align_truth(
     verdicts: Sequence[Verdict], truth: GroundTruthLog
-) -> list[tuple[Verdict, "AttackKind"]]:
-    """Pair each verdict with the ground-truth kind of the nearest frame."""
+) -> list[tuple[Verdict, GroundTruthEntry]]:
+    """Pair each verdict with the ground-truth entry of the nearest frame."""
     idx, dist = _nearest_time([e.t for e in truth.entries], [v.t for v in verdicts])
     far = np.flatnonzero(dist > TRUTH_TOLERANCE)
     if far.size:

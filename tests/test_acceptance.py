@@ -19,7 +19,6 @@ from canoa.bus import (
     simulate,
     truck_scenario,
 )
-from canoa.evaluate import separability
 from canoa.features import NormStats, Tau, TukeyParams, ecu_spectra, fit_pca, tukey_window
 from canoa.frames import (
     CanFrame,
@@ -50,6 +49,7 @@ from canoa.workflow import (
     holdout_transmissions,
     usable_transmissions,
 )
+from welch import separability
 
 LOW_BYTE_MAP = SourceAddressMap(owners={s: s for s in range(256)})
 
@@ -209,7 +209,7 @@ def test_criterion_2_lab_reproduction(lab_run):
     result = lab_run["result"]
     tau_ms = result.tau.value * 1e3
     tau_ok = abs(tau_ms - 1.02) <= 0.102
-    accs = result.validation_accuracies
+    accs = {sa: meta.validation_accuracy for sa, meta in result.bundle.training.items()}
     acc_ok = all(a >= 0.99 for a in accs.values()) and len(accs) == 5
     cm = sender_confusion(lab_run["verdicts"], lab_run["scenario"].source_map())
     diag = [float(cm.rates[i, i]) for i in range(len(cm.labels))]

@@ -279,14 +279,14 @@ def test_scenario_validation():
         )
 
 
-# ------------------------------------------- cached kernels and concurrency
+# -------------------------------------------- shared ramps and concurrency
 
 
 def _pulse_reference(
     samples, sample_rate, start, end, amplitude, rise_fall_s,
     ripple_hz=0.0, ripple_amplitude=0.0, phase=0.0,
 ):
-    """Every pulse computed from scratch: the loop the cached kernel replaced."""
+    """Every pulse computed from scratch, with no ramp shared between pulses."""
     n = samples.size
     a = max(0, int(round(start * sample_rate)))
     b = min(n, int(round(end * sample_rate)))
@@ -380,6 +380,11 @@ POWER_CASES = {
         {},
         _events((5e-4, 6e-4, RX), (1e-3, 1.2e-3, TX), (2e-3, 4.5e-3, TX), (5e-3, 5.3e-3, RX), (6e-3, 7.9e-3, RX)),
     ),
+    "every_pulse_outside_the_trace": (
+        {},
+        _events((-3e-3, -1e-3, TX), (-5e-4, 0.0, RX), (8e-3, 9e-3, RX), (8.5e-3, 9.5e-3, TX)),
+    ),
+    "heterogeneous_empty_timeline": ({"program": ProgramActivity.HETEROGENEOUS}, []),
     "noiseless": (
         {"baseline_noise": 0.0, "program": ProgramActivity.HETEROGENEOUS},
         _events((1e-3, 2e-3, TX), (2.5e-3, 3.5e-3, RX), (4e-3, 5e-3, TX)),

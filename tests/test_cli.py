@@ -95,7 +95,8 @@ def test_full_stage_chain(cfg_path, tmp_path, capsys):
     truth_rows = (out / "ground_truth.csv").read_text().strip().splitlines()
     # one verdict per decoded transmission
     assert len(verdicts) - 1 == len(truth_rows) - 1
-    assert (out / "sender_confusion.txt").exists()
+    for name in ("sender_confusion.txt", "sender_metrics.txt"):
+        assert (out / name).read_text().startswith("scope: normal frames per ground truth\n")
     assert (out / "attack_confusion.txt").exists()
 
 
@@ -131,6 +132,38 @@ def test_all_with_attacks_trains_on_normal_traffic_only(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "excluding 15 attack frame(s) from training" in printed
     assert "attack->attack rate: 1.0000" in printed
+
+
+def _sender_support(path):
+    """Total support of the per-label rows of a CSV sender_metrics table."""
+    rows = path.read_text().splitlines()[1:]
+    # a label is an "(ecu, sa)" pair, so support is counted from the right
+    return sum(int(row.split(",")[-2]) for row in rows if not row.startswith(("accuracy", "macro")))
+
+
+def test_sender_tables_leave_out_attack_frames_when_ground_truth_exists(tmp_path, capsys):
+    cfg = tmp_path / "attack.cfg"
+    cfg.write_text(
+        TINY_CONFIG
+        + "attack.0.kind = added_module\nattack.0.spoofed_sa = 1\nattack.0.count = 15\n"
+    )
+    out = tmp_path / "attacked"
+    assert run_cli("all", "--config", cfg, "--out", out, "--format", "csv") == 0
+    assert "sender accuracy (normal frames per ground truth): " in capsys.readouterr().out
+    verdicts = len((out / "verdicts.csv").read_text().strip().splitlines()) - 1
+    assert _sender_support(out / "sender_metrics.csv") == verdicts - 15
+    assert (out / "sender_confusion.csv").read_text().startswith("truth,")
+
+    # without a ground-truth log every verdict counts, and the text tables say so
+    (out / "ground_truth.csv").unlink()
+    again = tmp_path / "no_truth"
+    args = ("--traces", out, "--bundle", out / "bundle.cbnd", "--bitrate", 125000)
+    assert run_cli("authenticate", *args, "--out", again) == 0
+    assert "sender accuracy (all authenticated frames): " in capsys.readouterr().out
+    for name in ("sender_confusion.txt", "sender_metrics.txt"):
+        assert (again / name).read_text().startswith("scope: all authenticated frames\n")
+    assert run_cli("authenticate", *args, "--out", again, "--format", "csv") == 0
+    assert _sender_support(again / "sender_metrics.csv") == verdicts
 
 
 def test_lab_hijack_config_simulates_byte_identically(tmp_path):

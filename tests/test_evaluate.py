@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from canoa.bus import lab_scenario
-from canoa.errors import LengthMismatch, ZeroVariance
-from canoa.evaluate import confusion, metrics, separability, student_t_sf
+from canoa.errors import LengthMismatch
+from canoa.evaluate import confusion, metrics
 from canoa.frames import FrameFormat
 from canoa.bus import ProgramActivity
 from canoa.svm import TrainConfig
 from canoa.workflow import FactorCell, PipelineConfig, factor_sweep, grid_cells, scenario_for_cell
+from welch import ZeroVariance, separability, student_t_sf
 
 
 # ---------------------------------------------------------------- confusion

@@ -1,5 +1,7 @@
 """Feature-pipeline tests: normalization, windowing, spectra, PCA, datasets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -270,6 +272,20 @@ def test_pca_rank_deficient():
         fit_pca(x, 3)
 
 
+def test_pca_tall_input_frees_its_centered_copy_before_eigh():
+    # the centered copy is input-sized; held through eigh, the traced peak is
+    # that copy plus two Gram sizes (the Gram matrix and eigh's eigenvectors)
+    x = np.random.default_rng(12).normal(size=(2000, 300))
+    gram_bytes = 300 * 300 * 8
+    tracemalloc.start()
+    try:
+        fit_pca(x, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + 1.5 * gram_bytes
+
+
 def test_pca_deterministic_sign_convention():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(60, 9))
@@ -398,9 +414,10 @@ def test_out_of_bounds_window_raises(tiny_run):
         n_components=10,
         calib_len=50_000,
     )
+    end_time = powers[0].start_time + powers[0].duration
     with pytest.raises(OutOfBounds):
         extract_feature(
-            powers[0], stats[0], powers[0].end_time - tau.value / 2, tau, TukeyParams(0.25), bases[0]
+            powers[0], stats[0], end_time - tau.value / 2, tau, TukeyParams(0.25), bases[0]
         )
 
 
