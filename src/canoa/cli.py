@@ -263,17 +263,22 @@ def cmd_authenticate(args) -> int:
         scope = "normal frames per ground truth"
         cm_attack = attack_confusion(verdicts, truth)
         (out / f"attack_confusion.{ext}").write_text(render_confusion(cm_attack, args.format))
-        normal_rate = cm_attack.rate("normal", "normal") if "normal" in cm_attack.labels else 0.0
-        attack_rate = cm_attack.rate("attack", "attack") if cm_attack.counts[1].sum() else None
-        summary.append(f"normal->normal rate: {normal_rate:.4f}")
-        if attack_rate is not None:
-            summary.append(f"attack->attack rate: {attack_rate:.4f}")
-    cm_sender = sender_confusion(sender_verdicts, bundle.samap)
-    sender_report = metrics(cm_sender)
-    title = "" if args.format == "csv" else f"scope: {scope}\n"
-    (out / f"sender_confusion.{ext}").write_text(title + render_confusion(cm_sender, args.format))
-    (out / f"sender_metrics.{ext}").write_text(title + render_metrics(sender_report, args.format))
-    summary.append(f"sender accuracy ({scope}): {sender_report.accuracy:.4f}")
+        # a rate over no frames of its truth class is left out, not printed as 0
+        for i, label in enumerate(cm_attack.labels):
+            if cm_attack.counts[i].sum():
+                summary.append(f"{label}->{label} rate: {cm_attack.rate(label, label):.4f}")
+    if sender_verdicts:
+        cm_sender = sender_confusion(sender_verdicts, bundle.samap)
+        sender_report = metrics(cm_sender)
+        title = "" if args.format == "csv" else f"scope: {scope}\n"
+        for name, table in (
+            ("sender_confusion", render_confusion(cm_sender, args.format)),
+            ("sender_metrics", render_metrics(sender_report, args.format)),
+        ):
+            (out / f"{name}.{ext}").write_text(title + table)
+        summary.append(f"sender accuracy ({scope}): {sender_report.accuracy:.4f}")
+    else:
+        summary.append(f"no sender tables: the capture holds no {scope}")
     print("\n".join(summary))
     print(f"wrote verdicts.csv and report tables in {out}")
     return 0

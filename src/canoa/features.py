@@ -14,6 +14,11 @@ prime factor. The segment grows by at most 6.7 % once it is 500
 samples or longer, and still covers the whole frame. A segment starts at
 the sample nearest its transmission's time, and :func:`segments_fit`
 is the one test of whether it lies inside a trace.
+
+:func:`fit_pca` keeps M components of a Gram matrix of size d. When
+M + 10 < d // 4 (the lab and truck presets: d = 1081 and 801, M = 50)
+it finds only those M by fixed-seed block subspace iteration; smaller
+Gram matrices get a dense ``eigh``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,11 @@ DEFAULT_COMPONENTS = 50
 # Segments are normalized, tapered and transformed in blocks of rows whose
 # float64 copy is about this size, so a block stays in cache between steps.
 _SPECTRA_BLOCK_BYTES = 2 << 20
+# fit_pca's block subspace iteration: extra columns beyond the M kept, the
+# number of Gram products, and the seed of the Gaussian start block.
+_RITZ_OVERSAMPLE = 10
+_RITZ_STEPS = 4
+_RITZ_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,9 @@ class PcaBasis:
 
     ``components`` rows are orthonormal; ``explained_variance`` is
     non-increasing. The sign convention makes each component's
-    largest-magnitude entry positive, so fits are deterministic.
+    largest-magnitude entry positive, so fits are deterministic. When
+    :func:`fit_pca` iterates, the variances are Ritz values: each is the
+    variance along its component, and none exceeds the exact eigenvalue.
     """
 
     mean: np.ndarray
@@ -173,11 +185,22 @@ def tukey_window(length: int, params: TukeyParams = TukeyParams()) -> np.ndarray
 def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     """Top-M principal directions of mean-centered spectra rows by variance.
 
-    Method of snapshots: with C the centered (n, f) matrix, eigendecompose
-    the smaller Gram matrix. For n >= f that is the (f, f) matrix CᵀC, whose
-    eigenvectors are the components; for n < f it is the (n, n) matrix CCᵀ,
-    whose eigenvectors u give the components Cᵀu / sqrt(lambda). Either way
-    the eigenvalues divided by n - 1 are the explained variances.
+    Method of snapshots: with C the centered (n, f) matrix, work with the
+    smaller Gram matrix G, of size d = min(n, f). For n >= f that is the
+    (f, f) matrix CᵀC, whose eigenvectors are the components; for n < f it
+    is the (n, n) matrix CCᵀ, whose eigenvectors u give the components
+    Cᵀu / sqrt(lambda). Either way the eigenvalues divided by n - 1 are the
+    explained variances.
+
+    When M + 10 < d // 4, only the top M pairs are computed, by block
+    subspace iteration with Rayleigh–Ritz (Halko, Martinsson & Tropp,
+    "Finding structure with randomness", 2011): a fixed-seed Gaussian
+    (d, M + 10) block goes through four ``Q = qr(G @ Q)`` steps, and an
+    ``eigh`` of the projected (M + 10)² matrix gives the top M Ritz pairs.
+    That matrix is QᵀGQ for n >= f. For n < f the block is first carried to
+    feature space as W = qr(CᵀQ) and the matrix is WᵀCᵀCW, so the Ritz
+    vectors are components and the projections stay decorrelated. Smaller
+    Gram matrices, where it is cheaper, get a dense ``eigh``.
     """
     x = np.asarray(spectra, dtype=np.float64)
     n, f = x.shape
@@ -193,13 +216,30 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
         del centered  # the components come from the Gram matrix alone; free n x f before eigh
     else:
         gram = centered @ centered.T
-    evals, evecs = np.linalg.eigh(gram)
+    block = n_components + _RITZ_OVERSAMPLE
+    iterate = block < gram.shape[0] // 4
+    if iterate:
+        q = np.random.default_rng(_RITZ_SEED).standard_normal((gram.shape[0], block))
+        for _ in range(_RITZ_STEPS):
+            q = np.linalg.qr(gram @ q)[0]
+        if tall:
+            small = q.T @ gram @ q
+        else:
+            q = np.linalg.qr(centered.T @ q)[0]
+            projected = centered @ q
+            small = projected.T @ projected
+        evals, ritz = np.linalg.eigh(small)
+        evecs = q @ ritz
+    else:
+        evals, evecs = np.linalg.eigh(gram)
     del gram
     evals, evecs = evals[::-1], evecs[:, ::-1]
     # Rounding in the Gram matrix and in eigh perturbs every eigenvalue by
     # about lambda_max * eps, so that is the floor to count rank against. The
     # SVD tolerance must not be squared: the Gram matrix squares the condition
     # number, and a squared tolerance would count rounding noise as rank.
+    # Ritz values obey the same floor: a Ritz vector outside the Gram
+    # matrix's range has a Rayleigh quotient of rounding size.
     tol = evals[0] * max(n, f) * np.finfo(np.float64).eps
     rank = int(np.sum(evals > tol))
     if rank < n_components:
@@ -207,7 +247,7 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
             f"only {rank} nonzero-variance directions available, {n_components} requested"
         )
     top = evals[:n_components]
-    if tall:
+    if tall or iterate:
         components = evecs[:, :n_components].T.copy()
     else:
         components = (centered.T @ evecs[:, :n_components] / np.sqrt(top)).T.copy()

@@ -166,6 +166,27 @@ def test_sender_tables_leave_out_attack_frames_when_ground_truth_exists(tmp_path
     assert _sender_support(again / "sender_metrics.csv") == verdicts
 
 
+def test_ground_truth_without_normal_frames_prints_no_normal_rate(cfg_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("all", "--config", cfg_path, "--out", out) == 0
+    # relabel every logged frame as an attack, keeping its time and sender
+    truth = out / "ground_truth.csv"
+    header, *rows = truth.read_text().splitlines()
+    truth.write_text(
+        "\n".join([header] + [row.replace(",normal", ",compromised_ecu") for row in rows]) + "\n"
+    )
+    capsys.readouterr()
+    args = ("--traces", out, "--bundle", out / "bundle.cbnd", "--bitrate", 125000)
+    assert run_cli("authenticate", *args, "--out", tmp_path / "auth") == 0
+    printed = capsys.readouterr().out
+    assert "attack->attack rate: " in printed
+    assert "normal->normal rate" not in printed
+    # with no normal frame there is no sender table to write
+    assert "no sender tables: the capture holds no normal frames per ground truth" in printed
+    assert (tmp_path / "auth" / "attack_confusion.txt").exists()
+    assert not (tmp_path / "auth" / "sender_metrics.txt").exists()
+
+
 def test_lab_hijack_config_simulates_byte_identically(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli("simulate", "--config", CONFIGS / "lab_hijack.cfg", "--out", out1) == 0

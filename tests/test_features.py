@@ -1,12 +1,14 @@
 """Feature-pipeline tests: normalization, windowing, spectra, PCA, datasets."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from canoa import features
 from canoa.bus import lab_scenario, simulate, truck_scenario
 from canoa.errors import DegenerateTrace, EmptyInput, OutOfBounds, RankDeficient
 from canoa.features import (
@@ -337,6 +339,133 @@ def test_pca_non_finite_spectra_are_degenerate():
     x[4, 2] = np.nan
     with pytest.raises(DegenerateTrace, match="non-finite"):
         fit_pca(x, 3)
+
+
+# ------------------------------------------- PCA: block subspace iteration
+
+
+def planted(shape, m, gap, seed):
+    """Rows with m strong directions plus isotropic noise.
+
+    The strong directions' variances run from 16 down to 1; the noise is
+    scaled so the largest noise eigenvalue of the sample covariance is
+    about ``1 / gap``.
+    """
+    rng = np.random.default_rng(seed)
+    n, f = shape
+    directions = np.linalg.qr(rng.normal(size=(f, m)))[0].T
+    signal = (rng.normal(size=(n, m)) * np.geomspace(4.0, 1.0, m)) @ directions
+    # the top noise eigenvalue is about sigma^2 (sqrt(n) + sqrt(f))^2 / n
+    sigma = np.sqrt(n / gap) / (np.sqrt(n) + np.sqrt(f))
+    return signal + sigma * rng.normal(size=shape)
+
+
+def dense_fit(x, m):
+    """fit_pca with its size rule pushed onto the dense eigh branch."""
+    with mock.patch.object(features, "_RITZ_OVERSAMPLE", max(x.shape)):
+        return fit_pca(x, m)
+
+
+def eigh_sizes(x, m):
+    """fit_pca's basis and the sizes of the matrices it handed to eigh."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        sizes.append(a.shape[0])
+        return eigh(a)
+
+    with mock.patch.object(np.linalg, "eigh", spy):
+        basis = fit_pca(x, m)
+    return basis, sizes
+
+
+def largest_sine(a, b):
+    """Sine of the largest principal angle between two orthonormal row sets."""
+    return float(np.linalg.norm(b - (b @ a.T) @ a, 2))
+
+
+def assert_basis_invariants(basis):
+    m = basis.n_components
+    assert np.abs(basis.components @ basis.components.T - np.eye(m)).max() <= 1e-9
+    assert np.all(np.diff(basis.explained_variance) <= 0)
+    for row in basis.components:
+        assert row[np.argmax(np.abs(row))] > 0
+
+
+@pytest.mark.parametrize("shape", [(2000, 400), (300, 2000)], ids=["tall", "wide"])
+def test_pca_subspace_iteration_matches_svd_oracle_on_a_gapped_spectrum(shape):
+    m = 8
+    x = planted(shape, m, gap=1e4, seed=21)
+    basis, sizes = eigh_sizes(x, m)
+    assert sizes == [m + features._RITZ_OVERSAMPLE]
+    variances, directions = svd_oracle(x, m)
+    assert np.allclose(basis.explained_variance, variances, rtol=1e-6)
+    signs = np.sign(np.sum(basis.components * directions, axis=1))
+    assert np.abs(basis.components - signs[:, None] * directions).max() <= 1e-8
+    assert_basis_invariants(basis)
+
+
+def test_pca_size_rule_sides_agree_on_the_gapped_components():
+    # d = 64: M = 5 keeps M + 10 = 15 < 64 // 4 and iterates; M = 6 does not
+    x = planted((600, 64), 5, gap=1e4, seed=22)
+    iterative, sizes_iterative = eigh_sizes(x, 5)
+    dense, sizes_dense = eigh_sizes(x, 6)
+    assert sizes_iterative == [15] and sizes_dense == [64]
+    assert np.abs(iterative.components - dense.components[:5]).max() <= 1e-8
+    assert np.allclose(iterative.explained_variance, dense.explained_variance[:5], rtol=1e-9)
+
+
+def test_pca_subspace_iteration_is_bit_reproducible():
+    x = planted((800, 200), 6, gap=1e2, seed=23)
+    first, second = fit_pca(x, 6), fit_pca(x, 6)
+    assert first.components.tobytes() == second.components.tobytes()
+    assert first.explained_variance.tobytes() == second.explained_variance.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1500, 300), (250, 1500)], ids=["tall", "wide"])
+def test_pca_subspace_iteration_on_a_flat_tail(shape):
+    # three strong directions, then M - 3 components picked from isotropic noise
+    m = 20
+    rng = np.random.default_rng(24)
+    directions = np.linalg.qr(rng.normal(size=(shape[1], 3)))[0].T
+    x = (rng.normal(size=(shape[0], 3)) * [100.0, 70.0, 50.0]) @ directions
+    x += rng.normal(size=shape)
+    basis, sizes = eigh_sizes(x, m)
+    assert sizes == [m + features._RITZ_OVERSAMPLE]
+    assert_basis_invariants(basis)
+    corr = np.corrcoef(basis.transform(x), rowvar=False)
+    assert np.abs(corr - np.eye(m)).max() < 1e-9
+    variances, exact = svd_oracle(x, m)
+    # four steps shrink the error by about (top noise / third variance)^4,
+    # (12 / 2500)^4 = 5e-10 on the wide input
+    assert largest_sine(exact[:3], basis.components[:3]) < 1e-8
+    assert largest_sine(directions, basis.components[:3]) < 0.1
+    # Ritz values never exceed the exact eigenvalues
+    assert np.all(basis.explained_variance <= variances * (1 + 1e-12))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 8),
+    extra=st.integers(0, 40),
+    longer=st.integers(0, 300),
+    tall=st.booleans(),
+    gap_exponent=st.floats(2.0, 6.0),
+    seed=st.integers(0, 2**16),
+)
+def test_pca_solvers_agree_on_the_gapped_leading_subspace(
+    m, extra, longer, tall, gap_exponent, seed
+):
+    d = 4 * (m + features._RITZ_OVERSAMPLE + 1) + extra
+    shape = (d + longer, d) if tall else (d, d + longer)
+    x = planted(shape, m, gap=10.0**gap_exponent, seed=seed)
+    iterative, sizes = eigh_sizes(x, m)
+    assert sizes == [m + features._RITZ_OVERSAMPLE]
+    dense = dense_fit(x, m)
+    assert largest_sine(dense.components, iterative.components) < 1e-6
+    assert_basis_invariants(iterative)
+    assert_basis_invariants(dense)
 
 
 # --------------------------------------------------------- extract_feature
