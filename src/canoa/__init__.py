@@ -42,12 +42,10 @@ from .evaluate import (
     metrics,
 )
 from .features import (
-    FeatureDataset,
     NormStats,
     PcaBasis,
     Tau,
     TukeyParams,
-    build_datasets,
     estimate_norm_stats,
     estimate_tau,
     extract_feature,
@@ -67,6 +65,7 @@ from .frames import (
 )
 from .svm import (
     BootstrapSummary,
+    FeatureDataset,
     LearningCurve,
     SvmModel,
     TrainConfig,

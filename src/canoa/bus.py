@@ -259,10 +259,6 @@ class _BusSlot:
     handover_bit: int | None = None  # hijack: first bit owned by the attacker
     victim_ecu: int | None = None
 
-    @property
-    def duration_bits(self) -> int:
-        return len(self.wire)
-
 
 # longest span of samples one block of slots adds at once: a 1 MB float32
 # array, small enough that synthesis does not raise the process's peak memory
@@ -434,7 +430,7 @@ def synth_power(
     return SampledTrace(samples, sample_rate)
 
 
-def _craft_hijack_id(victim_id: int, spoofed_sa: int, nbits: int = 29) -> int | None:
+def _craft_hijack_id(victim_id: int, spoofed_sa: int) -> int | None:
     """ID an attacker can overwrite onto a live transmission.
 
     The attacker can only turn recessive bits dominant, so the crafted ID
@@ -442,9 +438,9 @@ def _craft_hijack_id(victim_id: int, spoofed_sa: int, nbits: int = 29) -> int | 
     arbitration there. Returns None when the victim's ID has no 1 bit
     above the SA byte to flip.
     """
-    for pos in range(nbits - 1, 7, -1):
+    for pos in range(28, 7, -1):  # bits 28..8 of the 29-bit ID
         if (victim_id >> pos) & 1:
-            prefix_mask = ~((1 << (pos + 1)) - 1) & ((1 << nbits) - 1)
+            prefix_mask = ~((1 << (pos + 1)) - 1) & ((1 << 29) - 1)
             crafted = (victim_id & prefix_mask) | spoofed_sa
             if crafted != victim_id:
                 return crafted
@@ -546,7 +542,7 @@ def _timeline(slots: list[_BusSlot], ecu: EcuSpec, bit_time: float) -> list[Powe
     """One ECU's transmit and receive intervals over the resolved bus slots."""
     timeline: list[PowerEvent] = []
     for slot in slots:
-        end = slot.start + slot.duration_bits * bit_time
+        end = slot.start + len(slot.wire) * bit_time
         if slot.kind is AttackKind.HIJACK_TRANSMISSION and slot.handover_bit is not None:
             cut = slot.start + (slot.handover_bit + 1) * bit_time
             if ecu.index == slot.victim_ecu:

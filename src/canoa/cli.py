@@ -127,18 +127,20 @@ def _load_run(args) -> RunConfig:
             scenario=dataclasses.replace(run.scenario, seed=args.seed),
             train=dataclasses.replace(run.train, seed=args.seed),
         )
-    delta = getattr(args, "delta", None)  # simulate takes no --delta
+    delta = getattr(args, "delta", None)  # simulate and sweep take no --delta
     if delta is not None:
         run = dataclasses.replace(run, pipeline=dataclasses.replace(run.pipeline, delta=delta))
     return run
 
 
-def _read_channel(path: Path) -> SampledTrace:
-    """The one channel of a trace file."""
+def _read_channel(path: Path, kind: TraceKind) -> SampledTrace:
+    """The one channel of a trace file of the given kind."""
     contents = traceio.read_trace_file(path)
     channels = contents.samples.shape[0]
     if channels != 1:
         raise FileFormatError(f"{path}: {channels} channels, expected 1")
+    if contents.kind is not kind:
+        raise FileFormatError(f"{path}: {contents.kind.name} trace, expected {kind.name}")
     return SampledTrace(contents.samples[0], contents.sample_rate, contents.start_time)
 
 
@@ -146,9 +148,9 @@ def _read_traces(traces_dir: Path) -> tuple[SampledTrace, dict[int, SampledTrace
     voltage_path = traces_dir / VOLTAGE_FILE
     if not voltage_path.exists():
         raise CanoaError(f"missing {voltage_path}")
-    voltage = _read_channel(voltage_path)
+    voltage = _read_channel(voltage_path, TraceKind.VOLTAGE)
     powers = {
-        int(path.stem.split("_")[1]): _read_channel(path)
+        int(path.stem.split("_")[1]): _read_channel(path, TraceKind.POWER)
         for path in sorted(traces_dir.glob("power_*.ctrc"))
     }
     return voltage, powers
@@ -368,7 +370,7 @@ def build_parser() -> _Parser:
     p_auth.set_defaults(func=cmd_authenticate)
 
     p_sweep = sub.add_parser("sweep", help="run the bus-speed x format x program grid")
-    options(p_sweep, "config", "out", "seed", "delta", "format")
+    options(p_sweep, "config", "out", "seed", "format")
     p_sweep.add_argument("--jobs", type=positive_int, default=1, help="parallel worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -31,10 +31,6 @@ class ConfusionMatrix:
         j = self.labels.index(predicted)
         return float(self.rates[i, j])
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class LabelMetrics:

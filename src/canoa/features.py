@@ -5,7 +5,9 @@ normalize by calibration statistics, slice a transmission-window-length
 segment starting at t, taper it with a Tukey window, take the one-sided
 FFT magnitude. Training projects the spectra onto the ECU's
 principal-component basis; a trained model has that projection folded
-into its weights, so scoring stops at the spectrum.
+into its weights, so scoring stops at the spectrum. The module knows
+trace times, not source addresses: :func:`canoa.workflow.build_bundle`
+labels the projections by SA.
 
 Every segment has :meth:`Tau.sample_count` samples: ``round(tau *
 sample_rate)`` rounded up to the next 5-smooth integer (2^a 3^b 5^c), a
@@ -25,12 +27,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateTrace, EmptyInput, OutOfBounds, RankDeficient
-from .frames import DecodedTransmission, SourceAddressMap
+from .frames import DecodedTransmission
 from .trace import SampledTrace
 
 DEFAULT_CALIB_LEN = 100_000
@@ -117,26 +119,6 @@ class PcaBasis:
         return (np.asarray(spectra, dtype=np.float64) - self.mean) @ self.components.T
 
 
-@dataclass(frozen=True)
-class FeatureDataset:
-    """Per-(ECU, SA) feature matrix with binary transmission labels.
-
-    ``y[i] = 1`` when transmission i was observed with this dataset's
-    source address, 0 when it carried any other source address.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    sa: int
-    ecu: int
-
-    def __post_init__(self):
-        if self.x.shape[0] != self.y.shape[0]:
-            raise ValueError("feature matrix and labels disagree on row count")
-        if not np.isfinite(self.x).all():
-            raise ValueError("feature matrix contains non-finite values")
-
-
 def estimate_norm_stats(trace: SampledTrace, calib_len: int = DEFAULT_CALIB_LEN) -> NormStats:
     """Sample mean and unbiased standard deviation over a calibration prefix."""
     if calib_len < MIN_CALIB_LEN:
@@ -151,14 +133,11 @@ def estimate_norm_stats(trace: SampledTrace, calib_len: int = DEFAULT_CALIB_LEN)
     return NormStats(mean=mean, std=std)
 
 
-def estimate_tau(
-    transmissions: Sequence[DecodedTransmission], limit: int | None = None
-) -> Tau:
-    """Mean duration of the first ``limit`` decoded transmissions (default all)."""
+def estimate_tau(transmissions: Sequence[DecodedTransmission]) -> Tau:
+    """Mean duration of the decoded transmissions."""
     if len(transmissions) == 0:
         raise EmptyInput("no transmissions to estimate the window from")
-    chosen = transmissions if limit is None else transmissions[:limit]
-    return Tau(float(np.mean([t.duration for t in chosen])))
+    return Tau(float(np.mean([t.duration for t in transmissions])))
 
 
 @functools.lru_cache(maxsize=64)
@@ -325,39 +304,3 @@ def ecu_spectra(
     """Spectra matrix (one row per transmission) for a single ECU trace."""
     return _spectra(trace, stats, [tx.t for tx in transmissions], tau, win)
 
-
-def build_datasets(
-    powers: Mapping[int, SampledTrace],
-    transmissions: Sequence[DecodedTransmission],
-    samap: SourceAddressMap,
-    tau: Tau,
-    win: TukeyParams = TukeyParams(),
-    n_components: int = DEFAULT_COMPONENTS,
-    calib_len: int = DEFAULT_CALIB_LEN,
-) -> tuple[dict[tuple[int, int], FeatureDataset], dict[int, PcaBasis], dict[int, NormStats]]:
-    """Labeled per-(ECU, SA) feature datasets from decoded transmissions.
-
-    One PCA basis is fitted per ECU on that ECU's spectra over all
-    transmissions; datasets for the ECU's source addresses share its
-    feature rows and differ only in labels.
-    """
-    if len(transmissions) == 0:
-        raise EmptyInput("no transmissions to featurize")
-    datasets: dict[tuple[int, int], FeatureDataset] = {}
-    bases: dict[int, PcaBasis] = {}
-    stats_by_ecu: dict[int, NormStats] = {}
-    sa_labels = np.array([-1 if tx.sa is None else tx.sa for tx in transmissions])
-    for ecu in samap.ecus:
-        trace = powers[ecu]
-        stats = estimate_norm_stats(trace, min(calib_len, trace.samples.size))
-        spectra = ecu_spectra(trace, stats, transmissions, tau, win)
-        basis = fit_pca(spectra, n_components)
-        coords = basis.transform(spectra)
-        stats_by_ecu[ecu] = stats
-        bases[ecu] = basis
-        for sa, owner in sorted(samap.owners.items()):
-            if owner != ecu:
-                continue
-            y = (sa_labels == sa).astype(np.int8)
-            datasets[(ecu, sa)] = FeatureDataset(x=coords, y=y, sa=sa, ecu=ecu)
-    return datasets, bases, stats_by_ecu

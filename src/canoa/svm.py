@@ -18,10 +18,29 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingleClass
-from .features import FeatureDataset
 
 ETA0 = 0.5
 ETA_DECAY = 0.97  # per-epoch geometric factor
+
+
+@dataclass(frozen=True)
+class FeatureDataset:
+    """Per-(ECU, SA) feature matrix with binary transmission labels.
+
+    ``y[i] = 1`` when transmission i was observed with this dataset's
+    source address, 0 when it carried any other source address.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    sa: int
+    ecu: int
+
+    def __post_init__(self):
+        if self.x.shape[0] != self.y.shape[0]:
+            raise ValueError("feature matrix and labels disagree on row count")
+        if not np.isfinite(self.x).all():
+            raise ValueError("feature matrix contains non-finite values")
 
 
 @dataclass(frozen=True)

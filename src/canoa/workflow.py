@@ -23,21 +23,22 @@ import numpy as np
 
 from .authenticate import Decision, EcuModel, ModelBundle, Verdict, authenticate_all
 from .bus import AttackKind, GroundTruthEntry, GroundTruthLog, ProgramActivity, Scenario, simulate
-from .errors import BundleMismatch, MissingChannel
+from .errors import BundleMismatch, EmptyInput, MissingChannel
 from .evaluate import ConfusionMatrix, MetricReport, confusion, metrics
 from .features import (
     DEFAULT_CALIB_LEN,
     DEFAULT_COMPONENTS,
     MIN_CALIB_LEN,
-    FeatureDataset,
     Tau,
     TukeyParams,
-    build_datasets,
+    ecu_spectra,
+    estimate_norm_stats,
     estimate_tau,
+    fit_pca,
     segments_fit,
 )
 from .frames import DecodedTransmission, FrameFormat, SourceAddressMap, decode_transmissions
-from .svm import LearningCurve, TrainConfig, split_indices, train
+from .svm import FeatureDataset, LearningCurve, TrainConfig, split_indices, train
 from .trace import SampledTrace
 
 log = logging.getLogger("canoa.workflow")
@@ -94,8 +95,11 @@ def build_bundle(
 ) -> TrainResult:
     """Train one model per ECU, for its SAs, from decoded traffic and power traces.
 
-    Each SVM is trained on its ECU's principal coordinates and then folded
-    into a model of the spectrum s: ((s - mu) Vᵀ) w + b = s (Vᵀ w) + (b - mu Vᵀ w).
+    The one training pass: each ECU's normalization, spectra and PCA basis
+    come from every usable transmission, and each SA it owns gets those
+    principal coordinates labeled 1 where a transmission carried the SA.
+    Each SVM is then folded into a model of the spectrum s:
+    ((s - mu) Vᵀ) w + b = s (Vᵀ w) + (b - mu Vᵀ w).
     """
     pcfg = pipeline_cfg or PipelineConfig()
     tcfg = train_cfg or TrainConfig()
@@ -108,31 +112,36 @@ def build_bundle(
     valid = [d for d in decoded if d.crc_ok and d.sa is not None]
     tau = estimate_tau(valid)
     usable = usable_transmissions(decoded, powers, tau)
+    if not usable:
+        raise EmptyInput("no transmission's segment fits inside every power trace")
     window = TukeyParams(pcfg.tukey_alpha)
-    datasets, bases, stats = build_datasets(
-        powers,
-        usable,
-        samap,
-        tau,
-        window,
-        n_components=pcfg.n_components,
-        calib_len=pcfg.calib_len,
-    )
+    sa_labels = np.array([d.sa for d in usable])
+    fitted = {}
+    # every ECU's features before any training: one loop doing both raised peak RSS
+    for ecu in samap.ecus:
+        trace = powers[ecu]
+        stats = estimate_norm_stats(trace, min(pcfg.calib_len, trace.samples.size))
+        spectra = ecu_spectra(trace, stats, usable, tau, window)
+        basis = fit_pca(spectra, pcfg.n_components)
+        fitted[ecu] = stats, basis, basis.transform(spectra)
+    datasets: dict[tuple[int, int], FeatureDataset] = {}
     ecus = []
     curves: dict[int, LearningCurve] = {}
-    for ecu in samap.ecus:
-        sas = tuple(sa for e, sa in sorted(datasets) if e == ecu)
+    for ecu, (stats, basis, coords) in fitted.items():
+        sas = tuple(sa for sa in samap.sas if samap.owners[sa] == ecu)
         models = []
         for sa in sas:
+            y = (sa_labels == sa).astype(np.int8)
+            datasets[(ecu, sa)] = FeatureDataset(coords, y, sa, ecu)
             model, curves[sa] = train(datasets[(ecu, sa)], tcfg)
             if not model.meta.converged:
                 log.warning("model for SA %d did not converge in %d iterations", sa, tcfg.max_iters)
             models.append(model)
-        w = bases[ecu].components.T @ np.column_stack([m.weights for m in models])
-        bias = np.array([m.bias for m in models]) - bases[ecu].mean @ w
+        w = basis.components.T @ np.column_stack([m.weights for m in models])
+        bias = np.array([m.bias for m in models]) - basis.mean @ w
         calibration = np.array([m.calibration for m in models])
         meta = tuple(m.meta for m in models)
-        ecus.append(EcuModel(ecu, sas, stats[ecu], w, bias, calibration, meta))
+        ecus.append(EcuModel(ecu, sas, stats, w, bias, calibration, meta))
     bundle = ModelBundle(
         tuple(ecus), samap, tau, window, sample_rate=rates[0], delta=pcfg.delta
     )

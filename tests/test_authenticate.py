@@ -18,9 +18,17 @@ from canoa.authenticate import (
 )
 from canoa.bus import AttackKind, AttackSpec, lab_scenario, truck_scenario, simulate
 from canoa.errors import BundleMismatch
-from canoa.features import NormStats, Tau, TukeyParams, build_datasets, ecu_spectra, estimate_tau
+from canoa.features import (
+    NormStats,
+    Tau,
+    TukeyParams,
+    ecu_spectra,
+    estimate_norm_stats,
+    estimate_tau,
+    fit_pca,
+)
 from canoa.frames import SourceAddressMap, decode_transmissions
-from canoa.svm import TrainConfig, TrainingMeta, platt_proba, train
+from canoa.svm import FeatureDataset, TrainConfig, TrainingMeta, platt_proba, train
 from canoa.trace import SampledTrace
 from canoa.workflow import (
     PipelineConfig,
@@ -287,14 +295,17 @@ def unfolded_scores(powers, decoded, samap, pcfg, tcfg, transmissions):
     tau = estimate_tau([d for d in decoded if d.crc_ok and d.sa is not None])
     usable = usable_transmissions(decoded, powers, tau)
     window = TukeyParams(pcfg.tukey_alpha)
-    datasets, bases, stats = build_datasets(
-        powers, usable, samap, tau, window, pcfg.n_components, pcfg.calib_len
-    )
+    labels = np.array([d.sa for d in usable])
     columns = []
-    for ecu, sa in sorted(datasets, key=lambda k: k[1]):
-        model, _ = train(datasets[(ecu, sa)], tcfg)
-        spectra = ecu_spectra(powers[ecu], stats[ecu], transmissions, tau, window)
-        margins = bases[ecu].transform(spectra) @ model.weights + model.bias
+    for sa in samap.sas:
+        trace = powers[samap.owners[sa]]
+        stats = estimate_norm_stats(trace, min(pcfg.calib_len, trace.samples.size))
+        training = ecu_spectra(trace, stats, usable, tau, window)
+        basis = fit_pca(training, pcfg.n_components)
+        y = (labels == sa).astype(np.int8)
+        model, _ = train(FeatureDataset(basis.transform(training), y, sa, samap.owners[sa]), tcfg)
+        spectra = ecu_spectra(trace, stats, transmissions, tau, window)
+        margins = basis.transform(spectra) @ model.weights + model.bias
         columns.append(platt_proba(margins, *model.calibration))
     return np.column_stack(columns)
 

@@ -538,7 +538,7 @@ def test_synth_voltage_on_a_trace_cut_inside_the_last_slot(monkeypatch):
     slots = _lab_slots(monkeypatch)
     cfg = BusConfig(sample_rate=2e6)
     last = slots[-1]
-    duration = last.start + 0.5 * last.duration_bits / cfg.bitrate
+    duration = last.start + 0.5 * len(last.wire) / cfg.bitrate
     want = synth_voltage_reference(slots, cfg, duration, np.random.default_rng(2))
     got = synth_voltage(slots, cfg, duration, np.random.default_rng(2))
     assert same_bits(got.samples, want)

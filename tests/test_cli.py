@@ -20,6 +20,7 @@ from canoa.traceio import (
     TraceKind,
     _parse_sections,
     _sections_bytes,
+    read_trace_file,
     write_trace_file,
 )
 
@@ -291,6 +292,8 @@ def test_failed_run_leaves_no_out_directory(command, tmp_path, capsys):
         ["train", "--config", "x.cfg", "--traces", "t", "--out", "o", "--format", "csv"],
         ["authenticate", "--traces", "t", "--bundle", "b", "--out", "o", "--bitrate", "125000",
          "--seed", "3"],
+        # sweep metrics come from each frame's argmax SA, whatever the threshold
+        ["sweep", "--config", "x.cfg", "--out", "o", "--delta", "0.5"],
     ],
 )
 def test_subcommands_reject_options_they_do_not_read(argv, capsys):
@@ -367,6 +370,32 @@ def test_trace_file_without_exactly_one_channel_is_a_data_error(
     capsys.readouterr()
     assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", tmp_path / "m") == 2
     assert f"error: {out / name}: {channels} channels, expected 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name, kind",
+    [
+        ("train", "voltage.ctrc", TraceKind.POWER),
+        ("authenticate", "voltage.ctrc", TraceKind.POWER),
+        ("train", "power_000.ctrc", TraceKind.VOLTAGE),
+    ],
+)
+def test_trace_of_the_wrong_kind_is_a_data_error(cfg_path, tmp_path, capsys, command, name, kind):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
+    if command == "train":
+        argv = ["--config", cfg_path]
+    else:
+        assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
+        argv = ["--bundle", out / "bundle.cbnd", "--bitrate", 125000]
+    contents = read_trace_file(out / name)
+    write_trace_file(out / name, contents.samples, kind, contents.sample_rate)
+    expected = TraceKind.VOLTAGE if kind is TraceKind.POWER else TraceKind.POWER
+    capsys.readouterr()
+    assert run_cli(command, *argv, "--traces", out, "--out", tmp_path / "m") == 2
+    message = f"error: {out / name}: {kind.name} trace, expected {expected.name}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_bundle_trace_mismatch(cfg_path, tmp_path):

@@ -1,4 +1,5 @@
-"""Feature-pipeline tests: normalization, windowing, spectra, PCA, datasets."""
+"""Feature-pipeline tests: normalization, windowing, spectra, PCA, and the datasets
+:func:`canoa.workflow.build_bundle` labels from them."""
 
 import tracemalloc
 from unittest import mock
@@ -16,7 +17,6 @@ from canoa.features import (
     NormStats,
     Tau,
     TukeyParams,
-    build_datasets,
     ecu_spectra,
     estimate_norm_stats,
     estimate_tau,
@@ -26,6 +26,7 @@ from canoa.features import (
 )
 from canoa.frames import DecodedTransmission, decode_transmissions
 from canoa.trace import SampledTrace
+from canoa.workflow import PipelineConfig, build_bundle
 
 
 def tx(t, sa, duration=1e-3):
@@ -71,11 +72,6 @@ def test_calibration_length_precondition():
 def test_tau_is_arithmetic_mean_of_durations():
     txs = [tx(0.0, 1, 1.00e-3), tx(0.01, 2, 1.02e-3), tx(0.02, 3, 1.04e-3)]
     assert estimate_tau(txs).value == pytest.approx(1.02e-3, rel=1e-12)
-
-
-def test_tau_limit_uses_first_n():
-    txs = [tx(0.0, 1, 1e-3), tx(0.01, 2, 2e-3), tx(0.02, 3, 9e-3)]
-    assert estimate_tau(txs, limit=2).value == pytest.approx(1.5e-3)
 
 
 def test_tau_empty_input():
@@ -479,36 +475,32 @@ def tiny_run():
     return sc, powers, decoded
 
 
+def ecu_features(trace, decoded, tau, n_components):
+    """An ECU's normalization and PCA basis, fitted as build_bundle fits them."""
+    stats = estimate_norm_stats(trace, 50_000)
+    basis = fit_pca(ecu_spectra(trace, stats, decoded, tau, TukeyParams(0.25)), n_components)
+    return stats, basis
+
+
+@pytest.fixture(scope="module")
+def tiny_bundle(tiny_run):
+    sc, powers, decoded = tiny_run
+    pcfg = PipelineConfig(n_components=10, calib_len=50_000)
+    return build_bundle({k: powers[k] for k in range(5)}, decoded, sc.source_map(), pcfg)
+
+
 def test_feature_length_is_component_count(tiny_run):
     sc, powers, decoded = tiny_run
     tau = estimate_tau(decoded)
-    datasets, bases, stats = build_datasets(
-        {k: powers[k] for k in range(5)},
-        decoded,
-        sc.source_map(),
-        tau,
-        TukeyParams(0.25),
-        n_components=12,
-        calib_len=50_000,
-    )
-    feat = extract_feature(powers[0], stats[0], decoded[0].t, tau, TukeyParams(0.25), bases[0])
+    stats, basis = ecu_features(powers[0], decoded, tau, 12)
+    feat = extract_feature(powers[0], stats, decoded[0].t, tau, TukeyParams(0.25), basis)
     assert feat.shape == (12,)
 
 
-def test_same_ecu_transmissions_cluster(tiny_run):
+def test_same_ecu_transmissions_cluster(tiny_bundle):
     # brute-force pairwise distances: a transmission's feature sits closer to
     # another transmission of the same ECU than to any non-transmission window
-    sc, powers, decoded = tiny_run
-    tau = estimate_tau(decoded)
-    datasets, bases, stats = build_datasets(
-        {k: powers[k] for k in range(5)},
-        decoded,
-        sc.source_map(),
-        tau,
-        n_components=10,
-        calib_len=50_000,
-    )
-    ds = datasets[(0, 1)]
+    ds = tiny_bundle.datasets[(0, 1)]
     own = ds.x[ds.y == 1]
     other = ds.x[ds.y == 0]
     d_own = np.linalg.norm(own[0] - own[1])
@@ -519,35 +511,19 @@ def test_same_ecu_transmissions_cluster(tiny_run):
 def test_feature_at_non_transmitting_time_is_allowed(tiny_run):
     sc, powers, decoded = tiny_run
     tau = estimate_tau(decoded)
-    _, bases, stats = build_datasets(
-        {k: powers[k] for k in range(5)},
-        decoded,
-        sc.source_map(),
-        tau,
-        n_components=10,
-        calib_len=50_000,
-    )
+    stats, basis = ecu_features(powers[4], decoded, tau, 10)
     # ECU 4 is not the transmitter of decoded[0]; slicing its trace is fine
-    feat = extract_feature(powers[4], stats[4], decoded[0].t, tau, TukeyParams(0.25), bases[4])
+    feat = extract_feature(powers[4], stats, decoded[0].t, tau, TukeyParams(0.25), basis)
     assert np.isfinite(feat).all()
 
 
 def test_out_of_bounds_window_raises(tiny_run):
     sc, powers, decoded = tiny_run
     tau = estimate_tau(decoded)
-    _, bases, stats = build_datasets(
-        {k: powers[k] for k in range(5)},
-        decoded,
-        sc.source_map(),
-        tau,
-        n_components=10,
-        calib_len=50_000,
-    )
+    stats, basis = ecu_features(powers[0], decoded, tau, 10)
     end_time = powers[0].start_time + powers[0].duration
     with pytest.raises(OutOfBounds):
-        extract_feature(
-            powers[0], stats[0], end_time - tau.value / 2, tau, TukeyParams(0.25), bases[0]
-        )
+        extract_feature(powers[0], stats, end_time - tau.value / 2, tau, TukeyParams(0.25), basis)
 
 
 def test_normalization_invariance_under_trace_scaling(tiny_run):
@@ -612,36 +588,40 @@ def test_spectra_start_samples_round_like_index_of():
     assert np.array_equal(got, unblocked_spectra(trace, stats, starts, n_samples, win))
 
 
-# ----------------------------------------------------------- build_datasets
+# ------------------------------------------------- build_bundle's datasets
 
 
-def test_dataset_shapes_and_label_sums(tiny_run):
+def test_dataset_shapes_and_label_sums(tiny_run, tiny_bundle):
     sc, powers, decoded = tiny_run
-    tau = estimate_tau(decoded)
-    datasets, _, _ = build_datasets(
-        {k: powers[k] for k in range(5)},
-        decoded,
-        sc.source_map(),
-        tau,
-        n_components=10,
-        calib_len=50_000,
-    )
+    datasets = tiny_bundle.datasets
     assert set(datasets) == {(k, k + 1) for k in range(5)}
+    assert tiny_bundle.transmissions == decoded
     n = len(decoded)
     for (ecu, sa), ds in datasets.items():
         assert ds.x.shape == (n, 10)
         assert int(ds.y.sum()) == sum(1 for d in decoded if d.sa == sa)
 
 
-def test_truck_dataset_labels_recount_via_ground_truth():
+def test_bundle_with_no_segment_inside_the_traces_is_empty_input(tiny_run):
+    sc, powers, decoded = tiny_run
+    cut = {k: SampledTrace(powers[k].samples[:1000], powers[k].sample_rate) for k in range(5)}
+    assert estimate_tau(decoded).sample_count(powers[0].sample_rate) > 1000  # no segment fits
+    with pytest.raises(EmptyInput, match="fits inside every power trace"):
+        build_bundle(cut, decoded, sc.source_map())
+
+
+@pytest.fixture(scope="module")
+def truck_run():
     sc = truck_scenario(frames_per_sa=12, seed=29)
     voltage, powers, truth = simulate(sc)
     decoded = decode_transmissions(voltage, sc.bus.bitrate, sc.source_map())
-    tau = estimate_tau(decoded)
-    datasets, _, _ = build_datasets(
-        {0: powers[0], 1: powers[1]}, decoded, sc.source_map(), tau,
-        n_components=8, calib_len=30_000,
-    )
+    pcfg = PipelineConfig(n_components=8, calib_len=30_000)
+    return truth, build_bundle({0: powers[0], 1: powers[1]}, decoded, sc.source_map(), pcfg)
+
+
+def test_truck_dataset_labels_recount_via_ground_truth(truck_run):
+    truth, result = truck_run
+    datasets = result.datasets
     assert set(datasets) == {(0, 0), (0, 15), (1, 11)}
     counts = {sa: sum(1 for e in truth.entries if e.claimed_sa == sa) for sa in (0, 15, 11)}
     for (ecu, sa), ds in datasets.items():
@@ -650,12 +630,21 @@ def test_truck_dataset_labels_recount_via_ground_truth():
         assert int((ds.y == 0).sum()) == len(truth) - counts[sa]
 
 
-def test_pipeline_is_deterministic(tiny_run):
+def test_datasets_of_one_ecu_share_its_coordinates_and_differ_in_labels(truck_run):
+    _, result = truck_run
+    sa0, sa15 = result.datasets[(0, 0)], result.datasets[(0, 15)]
+    assert sa0.x is sa15.x
+    assert not np.array_equal(sa0.y, sa15.y)
+    assert not (sa0.y & sa15.y).any()  # no transmission carries both addresses
+    assert not np.array_equal(result.datasets[(1, 11)].x, sa0.x)
+
+
+def test_pipeline_is_deterministic(tiny_run, tiny_bundle):
     sc, powers, decoded = tiny_run
-    tau = estimate_tau(decoded)
-    kw = dict(n_components=10, calib_len=50_000)
-    a, _, _ = build_datasets({k: powers[k] for k in range(5)}, decoded, sc.source_map(), tau, **kw)
-    b, _, _ = build_datasets({k: powers[k] for k in range(5)}, decoded, sc.source_map(), tau, **kw)
+    pcfg = PipelineConfig(n_components=10, calib_len=50_000)
+    again = build_bundle({k: powers[k] for k in range(5)}, decoded, sc.source_map(), pcfg)
+    a, b = tiny_bundle.datasets, again.datasets
+    assert list(a) == list(b)
     for key in a:
         assert np.array_equal(a[key].x, b[key].x)
         assert np.array_equal(a[key].y, b[key].y)

@@ -1,0 +1,37 @@
+"""Package layering: which canoa modules each module imports from, read with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import canoa
+
+SRC = Path(canoa.__file__).resolve().parent
+
+
+def package_imports(path: Path) -> dict[str, set[str]]:
+    """The canoa modules a source file imports from, each with the names it takes."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:  # from . import traceio
+                for alias in node.names:
+                    found.setdefault(alias.name, set())
+            else:
+                found.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            for name in names:
+                if name and name.split(".")[0] == "canoa":
+                    found.setdefault(name.partition(".")[2] or "canoa", set())
+    return found
+
+
+def test_features_and_svm_import_only_lower_layers():
+    graph = {path.stem: package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert {"features", "svm", "workflow", "cli"} <= set(graph)
+    # spectra and PCA know trace times, not source addresses or classifiers
+    features = graph["features"]
+    assert set(features) == {"errors", "frames", "trace"}
+    assert features["frames"] == {"DecodedTransmission"}
+    # the trainer takes a labeled dataset and nothing of the feature pipeline
+    assert set(graph["svm"]) == {"errors"}

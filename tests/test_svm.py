@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from canoa import svm
 from canoa.bus import simulate, truck_scenario
 from canoa.errors import SingleClass
-from canoa.features import FeatureDataset
 from canoa.frames import decode_transmissions
 from canoa.svm import (
     ETA0,
     ETA_DECAY,
+    FeatureDataset,
     TrainConfig,
     _prepare,
     _sgd,
