@@ -97,6 +97,8 @@ class ModelBundle:
                     f"{self.sample_rate} Hz ({n_bins} spectrum bins) need "
                     f"{((n_bins, k), (k,), (k, 2), k)}"
                 )
+            if not all(np.isfinite(a).all() for a in (e.weights, e.bias, e.calibration)):
+                raise ValueError(f"ECU {e.ecu} weights, biases and calibrations must be finite")
         if [e.ecu for e in self.ecus] != self.samap.ecus:
             raise ValueError(f"the map's ECUs {self.samap.ecus} need one model each, in order")
 

@@ -2,8 +2,8 @@
 
 Schedules per-ECU frame streams, resolves arbitration, synthesizes the
 differential voltage trace and one power trace per ECU, and injects
-impersonation attacks (compromised ECU, added module, transmission
-hijack). Everything is a deterministic function of (scenario, seed).
+impersonation attacks (compromised ECU, added module). Everything is a
+deterministic function of (scenario, seed).
 
 The transmission power signature is a rectangular step with exponential
 rise/fall edges, per-frame amplitude jitter, and a per-ECU harmonic
@@ -15,7 +15,6 @@ rather than structural distinction.
 
 from __future__ import annotations
 
-import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,11 +31,8 @@ from .frames import (
     FrameFormat,
     SourceAddressMap,
     arbitrate,
-    serialize_frame,
 )
 from .trace import SampledTrace
-
-log = logging.getLogger("canoa.bus")
 
 
 class ProgramActivity(Enum):
@@ -48,7 +44,6 @@ class AttackKind(Enum):
     NORMAL = "normal"
     COMPROMISED_ECU = "compromised_ecu"
     ADDED_MODULE = "added_module"
-    HIJACK_TRANSMISSION = "hijack_transmission"
 
 
 class PowerRole(Enum):
@@ -129,17 +124,14 @@ class EcuSpec:
 class AttackSpec:
     """One injected attack stream.
 
-    ``attacker`` is a legitimate ECU index for COMPROMISED_ECU (and
-    optionally for HIJACK_TRANSMISSION); None means the frames come from
-    attacker hardware with no power channel. ``victim_sa`` restricts
-    hijacks to one stream; None hijacks any eligible frame.
+    ``attacker`` is a legitimate ECU index for COMPROMISED_ECU; None
+    means the frames come from attacker hardware with no power channel.
     """
 
     kind: AttackKind
     spoofed_sa: int
     attacker: int | None = None
     count: int = 0
-    victim_sa: int | None = None
     id_prefix: int = 0x00D5
 
     def __post_init__(self):
@@ -219,7 +211,6 @@ class GroundTruthEntry:
     claimed_sa: int
     true_source: int | None  # ECU index, None = added module
     kind: AttackKind
-    victim_id: int | None = None  # intended ID of a hijacked transmission
 
 
 @dataclass(frozen=True)
@@ -255,9 +246,6 @@ class _BusSlot:
     claimed_sa: int
     transmitter: int | None
     kind: AttackKind
-    victim_id: int | None = None
-    handover_bit: int | None = None  # hijack: first bit owned by the attacker
-    victim_ecu: int | None = None
 
 
 # longest span of samples one block of slots adds at once: a 1 MB float32
@@ -430,24 +418,6 @@ def synth_power(
     return SampledTrace(samples, sample_rate)
 
 
-def _craft_hijack_id(victim_id: int, spoofed_sa: int) -> int | None:
-    """ID an attacker can overwrite onto a live transmission.
-
-    The attacker can only turn recessive bits dominant, so the crafted ID
-    must share the victim's prefix up to the first flipped 1 bit and win
-    arbitration there. Returns None when the victim's ID has no 1 bit
-    above the SA byte to flip.
-    """
-    for pos in range(28, 7, -1):  # bits 28..8 of the 29-bit ID
-        if (victim_id >> pos) & 1:
-            prefix_mask = ~((1 << (pos + 1)) - 1) & ((1 << 29) - 1)
-            crafted = (victim_id & prefix_mask) | spoofed_sa
-            if crafted != victim_id:
-                return crafted
-            return None
-    return None
-
-
 def _stream_requests(
     scenario: Scenario, rng: np.random.Generator
 ) -> list[tuple[CanFrame, float, int | None, AttackKind]]:
@@ -467,8 +437,6 @@ def _stream_requests(
                 t += sched.period_s
                 emitted += 1
     for atk in scenario.attacks:
-        if atk.kind is AttackKind.HIJACK_TRANSMISSION:
-            continue  # realized post-arbitration
         if atk.count <= 0:
             continue
         fid = atk.frame_id(fmt)
@@ -481,82 +449,12 @@ def _stream_requests(
     return requests
 
 
-def _apply_hijacks(
-    slots: list[_BusSlot], scenario: Scenario, rng: np.random.Generator
-) -> None:
-    """Rewrite victim slots in place per the hijack attack specs."""
-    fmt = scenario.bus.format
-    if not any(a.kind is AttackKind.HIJACK_TRANSMISSION for a in scenario.attacks):
-        return
-    if fmt is not FrameFormat.EXTENDED:
-        raise ValueError("transmission hijack is modeled for extended-format scenarios only")
-    bit_time = 1.0 / scenario.bus.bitrate
-    for atk in scenario.attacks:
-        if atk.kind is not AttackKind.HIJACK_TRANSMISSION:
-            continue
-        remaining = atk.count or 1
-        for i, slot in enumerate(slots):
-            if remaining == 0:
-                break
-            if slot.kind is not AttackKind.NORMAL:
-                continue
-            if atk.victim_sa is not None and slot.claimed_sa != atk.victim_sa:
-                continue
-            if slot.claimed_sa == atk.spoofed_sa:
-                continue
-            crafted = _craft_hijack_id(slot.frame.frame_id, atk.spoofed_sa)
-            if crafted is None:
-                continue
-            next_start = slots[i + 1].start if i + 1 < len(slots) else scenario.duration
-            budget = next_start - slot.start - INTERFRAME_BITS * bit_time
-            new_slot = None
-            for _ in range(8):
-                payload = bytes(rng.integers(0, 256, slot.frame.dlc).tolist())
-                frame = CanFrame(crafted, payload, fmt)
-                wire = serialize_frame(frame)
-                if len(wire) * bit_time <= budget:
-                    old_wire = slot.wire
-                    handover = next(
-                        k for k in range(min(len(wire), len(old_wire))) if wire[k] != old_wire[k]
-                    )
-                    new_slot = _BusSlot(
-                        start=slot.start,
-                        wire=wire,
-                        frame=frame,
-                        claimed_sa=atk.spoofed_sa,
-                        transmitter=atk.attacker,
-                        kind=AttackKind.HIJACK_TRANSMISSION,
-                        victim_id=slot.frame.frame_id,
-                        handover_bit=handover,
-                        victim_ecu=slot.transmitter,
-                    )
-                    break
-            if new_slot is None:
-                log.warning("hijack skipped: no crafted frame fits before the next slot")
-                continue
-            slots[i] = new_slot
-            remaining -= 1
-
-
 def _timeline(slots: list[_BusSlot], ecu: EcuSpec, bit_time: float) -> list[PowerEvent]:
     """One ECU's transmit and receive intervals over the resolved bus slots."""
     timeline: list[PowerEvent] = []
     for slot in slots:
-        end = slot.start + len(slot.wire) * bit_time
-        if slot.kind is AttackKind.HIJACK_TRANSMISSION and slot.handover_bit is not None:
-            cut = slot.start + (slot.handover_bit + 1) * bit_time
-            if ecu.index == slot.victim_ecu:
-                timeline.append(PowerEvent(slot.start, cut, PowerRole.TRANSMIT))
-                timeline.append(PowerEvent(cut, end, PowerRole.RECEIVE))
-            elif ecu.index == slot.transmitter:
-                timeline.append(PowerEvent(slot.start, cut, PowerRole.RECEIVE))
-                timeline.append(PowerEvent(cut, end, PowerRole.TRANSMIT))
-            else:
-                timeline.append(PowerEvent(slot.start, end, PowerRole.RECEIVE))
-        elif slot.transmitter == ecu.index:
-            timeline.append(PowerEvent(slot.start, end, PowerRole.TRANSMIT))
-        else:
-            timeline.append(PowerEvent(slot.start, end, PowerRole.RECEIVE))
+        role = PowerRole.TRANSMIT if slot.transmitter == ecu.index else PowerRole.RECEIVE
+        timeline.append(PowerEvent(slot.start, slot.start + len(slot.wire) * bit_time, role))
     return timeline
 
 
@@ -577,7 +475,8 @@ def simulate(
             f"the bitrate {bus.bitrate:.0f} bps"
         )
     ss = np.random.SeedSequence(scenario.seed)
-    payload_ss, voltage_ss, hijack_ss, *power_ss = ss.spawn(3 + len(scenario.ecus))
+    # the third child is unused; spawning it keeps every power trace's seed
+    payload_ss, voltage_ss, _, *power_ss = ss.spawn(3 + len(scenario.ecus))
     rng_payload = np.random.default_rng(payload_ss)
 
     requests = _stream_requests(scenario, rng_payload)
@@ -604,8 +503,6 @@ def simulate(
             )
         )
 
-    _apply_hijacks(slots, scenario, np.random.default_rng(hijack_ss))
-
     # Each ECU's timeline and power trace run on a worker thread: its noise
     # comes from its own seed child, and numpy's fills and array arithmetic
     # release the interpreter lock. The buffers are allocated here, on the
@@ -631,14 +528,7 @@ def simulate(
         powers = [f.result() for f in futures]
 
     entries = tuple(
-        GroundTruthEntry(
-            t=slot.start,
-            frame_id=slot.frame.frame_id,
-            claimed_sa=slot.claimed_sa,
-            true_source=slot.transmitter,
-            kind=slot.kind,
-            victim_id=slot.victim_id,
-        )
+        GroundTruthEntry(slot.start, slot.frame.frame_id, slot.claimed_sa, slot.transmitter, slot.kind)
         for slot in slots
     )
     return voltage, powers, GroundTruthLog(entries)

@@ -69,6 +69,13 @@ def positive_finite(text: str) -> float:
     return value
 
 
+def unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
 def power_file(index: int) -> str:
     return f"power_{index:03d}.ctrc"
 
@@ -149,10 +156,12 @@ def _read_traces(traces_dir: Path) -> tuple[SampledTrace, dict[int, SampledTrace
     if not voltage_path.exists():
         raise CanoaError(f"missing {voltage_path}")
     voltage = _read_channel(voltage_path, TraceKind.VOLTAGE)
-    powers = {
-        int(path.stem.split("_")[1]): _read_channel(path, TraceKind.POWER)
-        for path in sorted(traces_dir.glob("power_*.ctrc"))
-    }
+    powers = {}
+    for path in sorted(traces_dir.glob("power_*.ctrc")):
+        digits = path.stem.removeprefix("power_")
+        if not (digits.isdecimal() and path.name == power_file(int(digits))):
+            raise FileFormatError(f"{path}: not a power trace name such as {power_file(0)}")
+        powers[int(digits)] = _read_channel(path, TraceKind.POWER)
     return voltage, powers
 
 
@@ -343,7 +352,7 @@ def build_parser() -> _Parser:
         "config": dict(required=True, help="key=value run configuration"),
         "out": dict(required=True, help="output directory"),
         "seed": dict(type=int, default=None, help="override the scenario seed"),
-        "delta": dict(type=float, default=None, help="override the decision threshold"),
+        "delta": dict(type=unit_interval, default=None, help="override the decision threshold"),
         "format": dict(choices=("csv", "text"), default="text"),
     }
 

@@ -58,7 +58,7 @@ _SECTIONS = {
                            "ripple_frequency", "ripple_amplitude", "reception_ripple",
                            "noise_floor", "program")),
     "msg": (MessageSchedule, ("sa", "period", "offset", "dlc", "prefix", "count")),
-    "attack": (AttackSpec, ("kind", "spoofed_sa", "attacker", "count", "victim_sa", "prefix")),
+    "attack": (AttackSpec, ("kind", "spoofed_sa", "attacker", "count", "prefix")),
     "pipeline": (PipelineConfig, ("components", "tukey_alpha", "delta", "calib_len")),
     "train": (TrainConfig, ("epsilon", "max_iters", "c", "split", "bootstrap_rounds",
                             "batch_size")),

@@ -56,8 +56,8 @@ class NormStats:
     std: float
 
     def __post_init__(self):
-        if self.std <= 0:
-            raise ValueError("std must be positive")
+        if not (np.isfinite(self.mean) and 0 < self.std < np.inf):
+            raise ValueError(f"need a finite mean and a finite, positive std, got {self}")
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ from canoa.traceio import (
     write_trace_file,
 )
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
 TINY_CONFIG = """
 scenario.preset = lab
 scenario.frames_per_sa = 40
@@ -188,18 +186,6 @@ def test_ground_truth_without_normal_frames_prints_no_normal_rate(cfg_path, tmp_
     assert not (tmp_path / "auth" / "sender_metrics.txt").exists()
 
 
-def test_lab_hijack_config_simulates_byte_identically(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli("simulate", "--config", CONFIGS / "lab_hijack.cfg", "--out", out1) == 0
-    assert run_cli("simulate", "--config", CONFIGS / "lab_hijack.cfg", "--out", out2) == 0
-    names = sorted(path.name for path in out1.iterdir())
-    assert names == sorted(path.name for path in out2.iterdir())
-    for name in names:
-        assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
-    rows = (out1 / "ground_truth.csv").read_text().splitlines()[1:]
-    assert sum(row.endswith(",hijack_transmission") for row in rows) == 40
-
-
 def test_sweep_command_writes_full_grid(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -301,6 +287,20 @@ def test_subcommands_reject_options_they_do_not_read(argv, capsys):
     assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["0", "1", "1.5", "nan"])
+@pytest.mark.parametrize("command", ["train", "authenticate", "all"])
+def test_delta_outside_the_open_unit_interval_is_a_usage_error(tmp_path, command, delta, capsys):
+    out = tmp_path / "out"
+    argv = {
+        "train": ["--config", "x.cfg", "--traces", tmp_path],
+        "authenticate": ["--traces", tmp_path, "--bundle", "b", "--bitrate", "125000"],
+        "all": ["--config", "x.cfg"],
+    }[command]
+    assert run_cli(command, *argv, "--out", out, "--delta", delta) == 1
+    assert "--delta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_with_fewer_than_one_job_is_a_usage_error(cfg_path, tmp_path, jobs, capsys):
     out = tmp_path / "out"
@@ -347,6 +347,22 @@ def test_missing_power_channel_is_reported(cfg_path, tmp_path, capsys):
     (out / "power_002.ctrc").unlink()
     assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 2
     assert "2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stray", ["power_1.ctrc", "power_x.ctrc"])
+def test_power_trace_with_a_stray_name_is_a_data_error_naming_it(
+    cfg_path, tmp_path, capsys, stray
+):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
+    assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
+    # power_1.ctrc would otherwise stand in for ECU 1's power_001.ctrc
+    (out / stray).write_bytes((out / "power_002.ctrc").read_bytes())
+    capsys.readouterr()
+    argv = ["--bundle", out / "bundle.cbnd", "--bitrate", 125000]
+    assert run_cli("authenticate", *argv, "--traces", out, "--out", tmp_path / "m") == 2
+    assert f"error: {out / stray}: not a power trace name" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_truncated_ground_truth_is_a_data_error_naming_its_line(cfg_path, tmp_path, capsys):

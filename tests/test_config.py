@@ -127,7 +127,7 @@ def test_attack_requires_kind_and_sa():
 def test_shipped_configs_parse():
     from pathlib import Path
 
-    for name in ("lab.cfg", "lab_hijack.cfg", "truck.cfg", "truck_attack.cfg", "sweep.cfg"):
+    for name in ("lab.cfg", "truck.cfg", "truck_attack.cfg", "sweep.cfg"):
         run = parse_config_text((Path(__file__).parent.parent / "configs" / name).read_text())
         assert run.scenario.duration > 0
 
@@ -157,11 +157,10 @@ NON_DEFAULT = {
     "ecu.0.msg.0.dlc": "3",
     "ecu.0.msg.0.prefix": "0x0123",
     "ecu.0.msg.0.count": "17",
-    "attack.0.kind": "hijack_transmission",
+    "attack.0.kind": "compromised_ecu",
     "attack.0.spoofed_sa": "2",
     "attack.0.attacker": "1",
     "attack.0.count": "5",
-    "attack.0.victim_sa": "2",
     "attack.0.prefix": "0x00AA",
     "pipeline.components": "20",
     "pipeline.tukey_alpha": "0.5",
@@ -262,6 +261,9 @@ def test_inapplicable_key_is_rejected_with_its_line(text):
         "ecu.0.msg.0.dlc = -1",
         "ecu.0.baseline_noise = nan",
         "ecu.0.baseline_noise = -0.01",
+        # an attack kind and a key the simulator does not have
+        "attack.0.kind = hijack_transmission",
+        "attack.0.victim_sa = 1",
     ],
 )
 def test_bad_training_and_pipeline_values_fail_at_parse_time(line):

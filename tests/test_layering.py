@@ -1,6 +1,7 @@
 """Package layering: which canoa modules each module imports from, read with ``ast``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import canoa
@@ -35,3 +36,20 @@ def test_features_and_svm_import_only_lower_layers():
     assert features["frames"] == {"DecodedTransmission"}
     # the trainer takes a labeled dataset and nothing of the feature pipeline
     assert set(graph["svm"]) == {"errors"}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "canoa"}
+    outside: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # relative: canoa
+                names = [node.module]
+            else:
+                continue
+            tops = {name.partition(".")[0] for name in names} - allowed
+            if tops:
+                outside.setdefault(path.name, set()).update(tops)
+    assert not outside, f"imports outside the standard library, numpy and canoa: {outside}"

@@ -129,7 +129,7 @@ def test_ground_truth_round_trip(tmp_path):
         (
             GroundTruthEntry(0.001234567890123, 0xF001, 1, 0, AttackKind.NORMAL),
             GroundTruthEntry(0.0034, 0xD505, 5, None, AttackKind.ADDED_MODULE),
-            GroundTruthEntry(0.01, 0x2, 2, 3, AttackKind.HIJACK_TRANSMISSION),
+            GroundTruthEntry(0.01, 0x2, 2, 3, AttackKind.COMPROMISED_ECU),
         )
     )
     path = tmp_path / "gt.csv"
@@ -163,6 +163,7 @@ def test_ground_truth_rejects_non_increasing_t(tmp_path):
         ("0.6,0x3,3,0,normal", "invalid literal for int() with base 10: '0x3'"),
         ("0.6e,3,3,0,normal", "could not convert string to float: '0.6e'"),
         ("0.6,3,3,0,spoofed", "'spoofed' is not a valid AttackKind"),
+        ("0.6,3,3,0,hijack_transmission", "'hijack_transmission' is not a valid AttackKind"),
         ("nan,3,3,0,normal", "t_sec not strictly increasing at nan"),
     ],
 )
@@ -284,6 +285,23 @@ def _entry_ecu_not_owner(sections, meta):
     model["ecu"] = 7
 
 
+def _set(*path, value):
+    """An edit that sets ``meta["ecus"][0]`` at ``path`` to ``value``."""
+
+    def edit(sections, meta):
+        node = meta["ecus"][0]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+def _nan_weight(sections, meta):
+    name = f"weights/{meta['ecus'][0]['ecu']}"
+    sections[name] = struct.pack("<d", float("nan")) + sections[name][8:]
+
+
 BUNDLE_FAULTS = {
     "missing_meta": (_drop_meta, b""),
     "missing_map_owners": (_drop_owners, b""),
@@ -294,6 +312,14 @@ BUNDLE_FAULTS = {
     "missing_sample_rate": (_drop_sample_rate, b""),
     "entry_ecu_not_owner": (_entry_ecu_not_owner, b""),
     "weights_wrong_shape": (_weights_wrong_shape, b""),
+    # json writes and reads NaN and Infinity, so a re-checksummed bundle can hold them
+    "nan_norm_mean": (_set("norm_mean", value=float("nan")), b""),
+    "infinite_norm_mean": (_set("norm_mean", value=float("-inf")), b""),
+    "nan_norm_std": (_set("norm_std", value=float("nan")), b""),
+    "infinite_norm_std": (_set("norm_std", value=float("inf")), b""),
+    "nan_weight": (_nan_weight, b""),
+    "infinite_bias": (_set("bias", 0, value=float("inf")), b""),
+    "nan_calibration": (_set("calibration", 0, 1, value=float("nan")), b""),
     "truncated_name_length": (None, b"\x07"),
     "truncated_section_header": (None, b"\x07\x00wei"),
     "section_past_the_end": (None, struct.pack("<H", 1) + b"x" + struct.pack("<Q", 64) + b"abc"),
