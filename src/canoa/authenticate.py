@@ -1,13 +1,9 @@
 """Sender attribution and impersonation-attack classification.
 
 Scoring has one path. :func:`score` gives every source address's
-calibrated transmission probability for a batch of transmissions: each
-ECU's model scores all of its addresses on the magnitude spectra of its
-power trace at the transmission starts, with one product by a weight
-matrix that has the training PCA folded in. :func:`decide` turns one row
-of that matrix into a :class:`Verdict`. :func:`authenticate_all` is
-``score`` then ``decide`` per row, and :func:`attribute` is the same for
-a batch of one.
+calibrated transmission probability for a batch of transmissions, and
+:func:`decide` turns every row of that matrix into a :class:`Verdict`.
+:func:`authenticate_all` is the two, and :func:`attribute` is a batch of one.
 
 The winning model (highest calibrated transmission probability, above
 the decision threshold delta) names the actual sender:
@@ -18,9 +14,6 @@ the decision threshold delta) names the actual sender:
 - winner owned by another ECU -> Impersonation, that ECU is flagged
   compromised;
 - no model above delta -> AddedModule (nobody legitimate transmitted).
-
-A softmax over the per-model probabilities is carried in every verdict
-so downstream reporting keeps a distribution that sums to one.
 """
 
 from __future__ import annotations
@@ -116,30 +109,43 @@ class ModelBundle:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of authenticating one transmission."""
+    """Outcome of authenticating one transmission: what :func:`decide` sets."""
 
     t: float
     claimed_sa: int | None
-    p_tx: dict[int, float]           # per-SA calibrated transmission probability
-    softmax_probs: dict[int, float]  # sums to one
-    attributed_sa: int | None        # softmax winner, regardless of delta
+    p_tx: dict[int, float]  # per-SA calibrated transmission probability, in SA order
+    attributed_sa: int  # the winner, regardless of delta
+    attributed_ecu: int  # the winner's owner
     decision: Decision
-    true_source: tuple[int, int] | None = None  # (ecu, sa) for impersonation
-    flagged_compromised: int | None = None
-    tie: bool = False
-    multiple_positive: tuple[int, ...] = ()
+    tie: bool
+    multiple_positive: tuple[int, ...]  # the SAs above delta, when more than one is
+
+    @property
+    def softmax_probs(self) -> dict[int, float]:
+        """Softmax of ``p_tx``: a distribution over the SAs that sums to one."""
+        return dict(zip(self.p_tx, softmax(list(self.p_tx.values())).tolist()))
+
+    @property
+    def flagged_compromised(self) -> int | None:
+        """The ECU an impersonation flags as compromised: the winner's."""
+        return self.attributed_ecu if self.decision is Decision.IMPERSONATION else None
+
+    @property
+    def true_source(self) -> tuple[int, int] | None:
+        """(ecu, sa) of an impersonation's actual sender."""
+        flagged = self.flagged_compromised
+        return None if flagged is None else (flagged, self.attributed_sa)
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
-    """Exp-normalized vector, stabilized by max subtraction."""
+    """Exp-normalized over the last axis, stabilized by max subtraction."""
     v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
+    if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("softmax of an empty vector")
     if not np.isfinite(v).all():
         raise ValueError("softmax input must be finite")
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def score(
@@ -174,41 +180,36 @@ def score(
             powers[model.ecu], model.stats, transmissions, bundle.tau, bundle.window
         )
         margins = spectra @ model.weights + model.bias
+        del spectra  # before the next ECU's spectra exist
         p[:, np.searchsorted(sas, model.sas)] = platt_proba(margins, *model.calibration.T)
     return p
 
 
-def decide(claimed_sa: int | None, t: float, p_row: np.ndarray, bundle: ModelBundle) -> Verdict:
-    """The verdict for one transmission from its row of :func:`score`.
-
-    The winner is the maximal SA, ties resolved toward the lowest address.
-    """
+def decide(
+    transmissions: Sequence[DecodedTransmission], p: np.ndarray, bundle: ModelBundle
+) -> list[Verdict]:
+    """Every transmission's verdict from its row of :func:`score`, in one array pass."""
     sas = bundle.sas
-    values = np.asarray(p_row, dtype=np.float64).tolist()
-    top = max(values)
-    contenders = [sa for sa, p in zip(sas, values) if top - p <= TIE_TOLERANCE]
-    winner_sa = min(contenders)
-    positives = tuple(sa for sa, p in zip(sas, values) if p > bundle.delta)
-    decision, true_source, flagged = Decision.ADDED_MODULE, None, None
-    if top > bundle.delta:
-        winner_ecu = bundle.samap.owners[winner_sa]
-        if claimed_sa is not None and bundle.samap.owners.get(claimed_sa) == winner_ecu:
-            decision = Decision.AUTHENTIC
-        else:
-            decision = Decision.IMPERSONATION
-            true_source, flagged = (winner_ecu, winner_sa), winner_ecu
-    return Verdict(
-        t=t,
-        claimed_sa=claimed_sa,
-        p_tx=dict(zip(sas, values)),
-        softmax_probs=dict(zip(sas, softmax(values).tolist())),
-        attributed_sa=winner_sa,
-        decision=decision,
-        true_source=true_source,
-        flagged_compromised=flagged,
-        tie=len(contenders) > 1,
-        multiple_positive=positives if len(positives) > 1 else (),
-    )
+    top = p.max(axis=1)
+    contenders = top[:, None] - p <= TIE_TOLERANCE
+    winner = contenders.argmax(axis=1)  # the lowest contending SA: bundle.sas is sorted
+    ecu_of = np.array([bundle.samap.owners[sa] for sa in sas])
+    column = {sa: j for j, sa in enumerate(sas)}
+    claimed = np.array([column.get(tx.sa, -1) for tx in transmissions], dtype=np.intp)
+    authentic = (claimed >= 0) & (ecu_of[claimed] == ecu_of[winner])
+    decision = np.where(top > bundle.delta, np.where(authentic, 0, 1), 2)  # Decision's index
+    decisions = list(Decision)
+    positive = p > bundle.delta
+    multiple = [
+        tuple(np.compress(positive[i], sas).tolist()) if n > 1 else ()
+        for i, n in enumerate(positive.sum(axis=1).tolist())
+    ]
+    contending = contenders.sum(axis=1).tolist()
+    rows = zip(p.tolist(), winner.tolist(), ecu_of[winner].tolist(), decision.tolist(), contending)
+    return [
+        Verdict(tx.t, tx.sa, dict(zip(sas, row)), sas[w], ecu, decisions[d], n > 1, positives)
+        for tx, (row, w, ecu, d, n), positives in zip(transmissions, rows, multiple)
+    ]
 
 
 def attribute(
@@ -216,9 +217,8 @@ def attribute(
     powers: Mapping[int, SampledTrace],
     bundle: ModelBundle,
 ) -> Verdict:
-    """Score every SA model at the transmission start and decide the sender."""
-    p = score([transmission], powers, bundle)
-    return decide(transmission.sa, transmission.t, p[0], bundle)
+    """Score every SA model at the transmission start and decide the sender: a batch of one."""
+    return decide([transmission], score([transmission], powers, bundle), bundle)[0]
 
 
 def authenticate_all(
@@ -227,5 +227,4 @@ def authenticate_all(
     bundle: ModelBundle,
 ) -> list[Verdict]:
     """Verdicts for many transmissions, in order."""
-    p = score(transmissions, powers, bundle)
-    return [decide(tx.sa, tx.t, row, bundle) for tx, row in zip(transmissions, p)]
+    return decide(transmissions, score(transmissions, powers, bundle), bundle)

@@ -130,11 +130,13 @@ class AttackSpec:
 
     kind: AttackKind
     spoofed_sa: int
+    count: int
     attacker: int | None = None
-    count: int = 0
     id_prefix: int = 0x00D5
 
     def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"an attack stream needs a count of at least 1, got {self.count}")
         if self.kind is AttackKind.NORMAL:
             raise ValueError("an attack spec cannot be of kind NORMAL")
         if self.kind is AttackKind.COMPROMISED_ECU and self.attacker is None:
@@ -437,8 +439,6 @@ def _stream_requests(
                 t += sched.period_s
                 emitted += 1
     for atk in scenario.attacks:
-        if atk.count <= 0:
-            continue
         fid = atk.frame_id(fmt)
         lo, hi = 0.02 * horizon, horizon
         times = lo + (np.arange(atk.count) + 0.5) * (hi - lo) / atk.count

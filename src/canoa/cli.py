@@ -62,6 +62,13 @@ def positive_int(text: str) -> int:
     return jobs
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def positive_finite(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
@@ -259,7 +266,7 @@ def cmd_authenticate(args) -> int:
         )
     verdicts = authenticate_all(usable, powers, bundle)
     out = _out_dir(args)
-    traceio.write_verdicts(out / "verdicts.csv", verdicts, bundle.sas)
+    traceio.write_verdicts(out / "verdicts.csv", verdicts, bundle.sas, bundle.delta)
     ext = "csv" if args.format == "csv" else "txt"
 
     summary = [f"authenticated {len(verdicts)} transmissions ({len(decoded)} decoded)"]
@@ -351,7 +358,7 @@ def build_parser() -> _Parser:
     shared = {
         "config": dict(required=True, help="key=value run configuration"),
         "out": dict(required=True, help="output directory"),
-        "seed": dict(type=int, default=None, help="override the scenario seed"),
+        "seed": dict(type=non_negative_int, default=None, help="override the scenario seed"),
         "delta": dict(type=unit_interval, default=None, help="override the decision threshold"),
         "format": dict(choices=("csv", "text"), default="text"),
     }

@@ -17,8 +17,9 @@ ECU ``k`` getting ripple frequency ``60e3 + 70e3·k`` and ID prefix
 ``0x00F0 + k``. Every other scenario key then overrides that base,
 ``scenario.program`` before ``ecu.<k>.program``. A key no step can apply
 (an ECU or stream the preset lacks, ``scenario.frames_per_sa`` on a custom
-scenario) is a :class:`ConfigError` at its line, and so is a value a
-dataclass rejects, at the last line that set one of its fields.
+scenario) is a :class:`ConfigError` at its line, and so is a negative
+``sim.seed`` or an ``attack.<i>.count`` below 1. A value a dataclass
+rejects is one at the last line that set one of its fields.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ _SECTIONS = {
                             "batch_size")),
 }
 _INDEXES = {"ecu": 1, "attack": 1, "msg": 2}
+# (section, field) -> the least value a line may give it
+_LEAST = {("sim", "seed"): 0, ("attack", "count"): 1}
 # key name -> field name, where the two differ
 _FIELD = {
     "ripple_frequency": "ripple_frequency_hz",
@@ -146,9 +149,13 @@ def _parse_lines(text: str) -> _Values:
         section, _, field = slot
         tp = typing.get_type_hints(_SECTIONS[section][0]).get(field, str)  # str: scenario.preset
         try:
-            values[slot] = _Value(key, _parse(tp, raw), lineno)
+            value = _parse(tp, raw)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}", line=lineno) from None
+        least = _LEAST.get((section, field))
+        if least is not None and value < least:
+            raise ConfigError(f"{key}: must be at least {least}, got {value}", line=lineno)
+        values[slot] = _Value(key, value, lineno)
     return values
 
 

@@ -150,6 +150,7 @@ def _crc_terms(count: int) -> np.ndarray:
 # more body bits contributes term k.
 _CRC_TERMS = _crc_terms(_MAX_BODY_BITS)
 _PARSE_BLOCK = 4096  # candidate frames parsed together; bounds the gather matrices
+_EDGE_BLOCK = 1 << 20  # samples thresholded together when finding level changes
 # frames encoded together: each temporary stays under 1 MB, so encoding a
 # capture's requests does not raise the process's peak memory
 _ENCODE_BLOCK = 1024
@@ -283,7 +284,7 @@ def _columns(bits: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
     return np.take_along_axis(bits, first[:, None] + np.arange(width), axis=1)
 
 
-def _parse_frames(dominant: np.ndarray, starts: np.ndarray, spb: float):
+def _parse_frames(samples: np.ndarray, starts: np.ndarray, spb: float):
     """Parse one frame at each start sample, all candidates column by column.
 
     Gives what a mid-bit sampler that unstuffs on the fly gives when it
@@ -292,13 +293,14 @@ def _parse_frames(dominant: np.ndarray, starts: np.ndarray, spb: float):
     the fields an early stop had not reached set to None.
     """
     m = starts.size
-    n = dominant.size
+    n = samples.size
     offsets = np.array([int((k + 0.5) * spb) for k in range(_MAX_WIRE_BITS)], dtype=np.int64)
     readable = np.searchsorted(offsets, n - starts)  # raw bits before the trace ends
     # mid-bit samples, one row per raw bit, one column per candidate; 1 = recessive.
     # Bits past the end read the last sample: everything derived from them
     # lies past the truncation point, so the truncation stop comes first.
-    wire = ~dominant[np.minimum(offsets[:, None] + starts[None, :], n - 1)]
+    at = np.minimum(offsets[:, None] + starts[None, :], n - 1)
+    wire = ~(samples[at] > DECODE_THRESHOLD_VOLTS)
 
     # a bit after five equal bits is a stuff bit, and a violation if it extends the run
     stuff = np.empty(wire.shape, dtype=bool)
@@ -386,12 +388,17 @@ def decode_transmissions(
         raise EmptyTrace("voltage trace has no samples")
     if trace.sample_rate < MIN_SAMPLES_PER_BIT * bitrate:
         raise ValueError(f"sample rate must be at least {MIN_SAMPLES_PER_BIT}x the bitrate")
-    dominant = trace.samples > DECODE_THRESHOLD_VOLTS
     spb = trace.sample_rate / bitrate
     quiet = int(round(7 * spb))
     # level changes, as if the bus were recessive before the first sample:
-    # even entries are rising edges, odd entries the falling edges after them
-    edges = np.flatnonzero(np.diff(dominant, prepend=False))
+    # even entries are rising edges, odd entries the falling edges after them.
+    # Block by block, so no temporary is as long as the trace.
+    edges, before = [], False
+    for lo in range(0, trace.samples.size, _EDGE_BLOCK):
+        dominant = trace.samples[lo : lo + _EDGE_BLOCK] > DECODE_THRESHOLD_VOLTS
+        edges.append(np.flatnonzero(np.diff(dominant, prepend=before)) + lo)
+        before = dominant[-1]
+    edges = np.concatenate(edges)
     rising = edges[0::2]
     recessive_from = np.concatenate(([0], edges[1::2]))[: rising.size]
     # a SOF is a rising edge with no dominant sample in the `quiet` samples before it
@@ -401,7 +408,7 @@ def decode_transmissions(
     for lo in range(0, starts.size, _PARSE_BLOCK):
         block = starts[lo : lo + _PARSE_BLOCK]
         for s0, (frame_id, fmt, dlc, payload, ok, consumed) in zip(
-            block.tolist(), _parse_frames(dominant, block, spb)
+            block.tolist(), _parse_frames(trace.samples, block, spb)
         ):
             if s0 < cursor:  # an edge inside the previous frame
                 continue

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .authenticate import EcuModel, ModelBundle, Verdict
+from .authenticate import EcuModel, ModelBundle, Verdict, softmax
 from .bus import AttackKind, GroundTruthEntry, GroundTruthLog
 from .errors import FileFormatError
 from .features import NormStats, Tau, TukeyParams
@@ -178,8 +178,20 @@ def read_ground_truth(path: Path | str) -> GroundTruthLog:
 # ------------------------------------------------------------------ verdicts
 
 
-def write_verdicts(path: Path | str, verdicts: Sequence[Verdict], sas: Sequence[int]) -> None:
-    """Verdict stream as CSV, one row per authenticated transmission."""
+def write_verdicts(
+    path: Path | str, verdicts: Sequence[Verdict], sas: Sequence[int], delta: float
+) -> None:
+    """Verdict stream as CSV, one row per authenticated transmission.
+
+    The softmax columns, the runner-up (the highest-scoring SA other than
+    the winner) and the margin (the winner's ``p_tx`` minus ``delta``) come
+    from one pass over the matrix of every row's ``p_tx``.
+    """
+    p = np.array([[v.p_tx[sa] for sa in sas] for v in verdicts]).reshape(len(verdicts), len(sas))
+    winner = np.searchsorted(sas, [v.attributed_sa for v in verdicts])
+    margin = p[np.arange(len(verdicts)), winner] - delta
+    others = np.where(np.arange(len(sas)) == winner[:, None], -np.inf, p)
+    runner_up = [sas[j] if len(sas) > 1 else "" for j in others.argmax(axis=1).tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = [
@@ -191,23 +203,28 @@ def write_verdicts(path: Path | str, verdicts: Sequence[Verdict], sas: Sequence[
             "true_source_sa",
             "flagged_ecu",
             "tie",
+            "runner_up_sa",
+            "margin",
+            "multiple_positive",
         ]
         header += [f"p_tx_{sa}" for sa in sas] + [f"softmax_{sa}" for sa in sas]
         writer.writerow(header)
-        for v in verdicts:
-            src_ecu, src_sa = v.true_source if v.true_source else ("", "")
+        for v, second, m, soft in zip(verdicts, runner_up, margin.tolist(), softmax(p).tolist()):
+            src_ecu, src_sa = v.true_source or ("", "")
             row = [
                 repr(v.t),
                 "" if v.claimed_sa is None else v.claimed_sa,
-                "" if v.attributed_sa is None else v.attributed_sa,
+                v.attributed_sa,
                 v.decision.value,
                 src_ecu,
                 src_sa,
                 "" if v.flagged_compromised is None else v.flagged_compromised,
                 int(v.tie),
+                second,
+                repr(m),
+                ";".join(map(str, v.multiple_positive)),
             ]
-            row += [repr(v.p_tx[sa]) for sa in sas]
-            row += [repr(v.softmax_probs[sa]) for sa in sas]
+            row += [repr(v.p_tx[sa]) for sa in sas] + [repr(x) for x in soft]
             writer.writerow(row)
 
 

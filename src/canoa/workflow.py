@@ -124,6 +124,7 @@ def build_bundle(
         spectra = ecu_spectra(trace, stats, usable, tau, window)
         basis = fit_pca(spectra, pcfg.n_components)
         fitted[ecu] = stats, basis, basis.transform(spectra)
+        del spectra  # before the next ECU's spectra exist
     datasets: dict[tuple[int, int], FeatureDataset] = {}
     ecus = []
     curves: dict[int, LearningCurve] = {}

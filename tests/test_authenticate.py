@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canoa.authenticate import (
+    TIE_TOLERANCE,
     Decision,
     EcuModel,
     ModelBundle,
+    Verdict,
     attribute,
     authenticate_all,
     decide,
@@ -27,7 +31,7 @@ from canoa.features import (
     estimate_tau,
     fit_pca,
 )
-from canoa.frames import SourceAddressMap, decode_transmissions
+from canoa.frames import DecodedTransmission, SourceAddressMap, decode_transmissions
 from canoa.svm import FeatureDataset, TrainConfig, TrainingMeta, platt_proba, train
 from canoa.trace import SampledTrace
 from canoa.workflow import (
@@ -91,9 +95,39 @@ def stub_bundle(owners: dict[int, int], delta: float = 0.5) -> ModelBundle:
     )
 
 
-def row(p_tx: dict[int, float], bundle: ModelBundle) -> np.ndarray:
-    """Per-SA probabilities in the bundle's column order, as :func:`score` gives them."""
-    return np.array([p_tx[sa] for sa in bundle.sas])
+def claiming(sa: int | None, t: float = 0.0) -> DecodedTransmission:
+    return DecodedTransmission(t=t, sa=sa, frame_id=None, duration=1e-4, crc_ok=True)
+
+
+def decide_one(claimed_sa: int | None, p_tx: dict[int, float], bundle: ModelBundle) -> Verdict:
+    """The verdict of one frame claiming ``claimed_sa``, from its per-SA probabilities."""
+    return decide([claiming(claimed_sa)], np.array([[p_tx[sa] for sa in bundle.sas]]), bundle)[0]
+
+
+def decide_row(tx: DecodedTransmission, p_row: np.ndarray, bundle: ModelBundle) -> Verdict:
+    """Reference for :func:`decide`: the decision rule applied to one row, SA by SA."""
+    sas, values = bundle.sas, [float(p) for p in p_row]
+    top = max(values)
+    contenders = [sa for sa, p in zip(sas, values) if top - p <= TIE_TOLERANCE]
+    winner = min(contenders)
+    winner_ecu = bundle.samap.owners[winner]
+    positives = tuple(sa for sa, p in zip(sas, values) if p > bundle.delta)
+    if not top > bundle.delta:
+        decision = Decision.ADDED_MODULE
+    elif tx.sa is not None and bundle.samap.owners.get(tx.sa) == winner_ecu:
+        decision = Decision.AUTHENTIC
+    else:
+        decision = Decision.IMPERSONATION
+    return Verdict(
+        t=tx.t,
+        claimed_sa=tx.sa,
+        p_tx=dict(zip(sas, values)),
+        attributed_sa=winner,
+        attributed_ecu=winner_ecu,
+        decision=decision,
+        tie=len(contenders) > 1,
+        multiple_positive=positives if len(positives) > 1 else (),
+    )
 
 
 TRUCK_OWNERS = {0: 0, 15: 0, 11: 1}
@@ -101,7 +135,7 @@ TRUCK_OWNERS = {0: 0, 15: 0, 11: 1}
 
 def test_purported_sender_wins_is_authentic():
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = decide(0, 0.0, row({0: 0.95, 15: 0.2, 11: 0.1}, bundle), bundle)
+    v = decide_one(0, {0: 0.95, 15: 0.2, 11: 0.1}, bundle)
     assert v.decision is Decision.AUTHENTIC
     assert v.attributed_sa == 0
     assert v.flagged_compromised is None
@@ -111,14 +145,14 @@ def test_purported_sender_wins_is_authentic():
 def test_sibling_confusion_stays_authentic():
     # SA 15 wins for a frame claiming SA 0: same ECU, still the right sender
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = decide(0, 0.0, row({0: 0.55, 15: 0.8, 11: 0.05}, bundle), bundle)
+    v = decide_one(0, {0: 0.55, 15: 0.8, 11: 0.05}, bundle)
     assert v.decision is Decision.AUTHENTIC
     assert v.attributed_sa == 15
 
 
 def test_other_ecu_winning_is_impersonation_with_flag():
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = decide(0, 0.0, row({0: 0.1, 15: 0.15, 11: 0.92}, bundle), bundle)
+    v = decide_one(0, {0: 0.1, 15: 0.15, 11: 0.92}, bundle)
     assert v.decision is Decision.IMPERSONATION
     assert v.true_source == (1, 11)
     assert v.flagged_compromised == 1
@@ -126,21 +160,21 @@ def test_other_ecu_winning_is_impersonation_with_flag():
 
 def test_all_below_delta_is_added_module():
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = decide(0, 0.0, row({0: 0.3, 15: 0.4, 11: 0.2}, bundle), bundle)
+    v = decide_one(0, {0: 0.3, 15: 0.4, 11: 0.2}, bundle)
     assert v.decision is Decision.ADDED_MODULE
     assert v.flagged_compromised is None
 
 
 def test_exact_tie_resolves_to_lowest_sa_and_records_it():
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = decide(0, 0.0, row({0: 0.8, 15: 0.8, 11: 0.1}, bundle), bundle)
+    v = decide_one(0, {0: 0.8, 15: 0.8, 11: 0.1}, bundle)
     assert v.attributed_sa == 0
     assert v.tie
 
 
 def test_multiple_positives_are_recorded():
     bundle = stub_bundle(TRUCK_OWNERS)
-    v = decide(0, 0.0, row({0: 0.7, 15: 0.9, 11: 0.8}, bundle), bundle)
+    v = decide_one(0, {0: 0.7, 15: 0.9, 11: 0.8}, bundle)
     assert set(v.multiple_positive) == {0, 15, 11}
     assert v.decision is Decision.AUTHENTIC  # winner 15 is still the right ECU
 
@@ -150,11 +184,41 @@ def test_decision_is_exactly_one_of_the_three():
     rng = np.random.default_rng(1)
     for _ in range(200):
         p = {sa: float(rng.uniform()) for sa in TRUCK_OWNERS}
-        v = decide(0, 0.0, row(p, bundle), bundle)
+        v = decide_one(0, p, bundle)
         assert v.decision in (Decision.AUTHENTIC, Decision.IMPERSONATION, Decision.ADDED_MODULE)
         is_imp = v.decision is Decision.IMPERSONATION
         assert (v.true_source is not None) == is_imp
         assert (v.flagged_compromised is not None) == is_imp
+
+
+@st.composite
+def decision_cases(draw):
+    """Frames claiming a mapped, an unmapped or no SA, their score matrix and a bundle.
+
+    Entries are drawn from a few levels and delta, each nudged by less or more
+    than ``TIE_TOLERANCE``, so exact ties, near ties and values at delta are common.
+    """
+    sas = draw(st.lists(st.integers(0, 255), min_size=1, max_size=8, unique=True))
+    owners = {sa: draw(st.integers(0, 3)) for sa in sas}
+    bundle = stub_bundle(owners, delta=draw(st.sampled_from([0.5, 0.25]) | st.floats(0.01, 0.99)))
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)) + [bundle.delta]
+    nudges = [0.0, 0.0, -TIE_TOLERANCE / 2, TIE_TOLERANCE / 2, -3 * TIE_TOLERANCE]
+    entry = st.floats(0.0, 1.0) | st.builds(
+        lambda x, d: x + d, st.sampled_from(levels), st.sampled_from(nudges)
+    )
+    n = draw(st.integers(0, 6))
+    row = st.lists(entry, min_size=len(sas), max_size=len(sas))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    claimed = st.sampled_from(sas) | st.none() | st.integers(256, 300)
+    txs = [claiming(draw(claimed), t=1e-3 * i) for i in range(n)]
+    return txs, np.array(rows).reshape(n, len(sas)), bundle
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(decision_cases())
+def test_array_decide_matches_the_per_row_reference(case):
+    txs, p, bundle = case
+    assert decide(txs, p, bundle) == [decide_row(tx, row, bundle) for tx, row in zip(txs, p)]
 
 
 def test_bundle_validation():
@@ -244,7 +308,7 @@ def test_batch_matches_single_attribution(truck_run):
             assert math.isclose(vs.p_tx[sa], vb.p_tx[sa], rel_tol=1e-9, abs_tol=1e-12)
     tx = usable[0]
     p = score([tx], power_map, result.bundle)
-    assert attribute(tx, power_map, result.bundle) == decide(tx.sa, tx.t, p[0], result.bundle)
+    assert attribute(tx, power_map, result.bundle) == decide([tx], p, result.bundle)[0]
 
 
 def test_score_rejects_traces_at_another_sample_rate(truck_run):
@@ -334,8 +398,7 @@ def test_folded_scorer_matches_the_unfolded_oracle(capture):
     folded = authenticate_all(usable, power_map, result.bundle)
     p_ref = unfolded_scores(power_map, training_set, samap, pcfg, tcfg, usable)
     sas = result.bundle.sas
-    for tx, v, p_row in zip(usable, folded, p_ref):
-        ref = decide(tx.sa, tx.t, p_row, result.bundle)
+    for v, ref in zip(folded, decide(usable, p_ref, result.bundle)):
         assert (v.decision, v.attributed_sa, v.tie, v.multiple_positive) == (
             ref.decision,
             ref.attributed_sa,

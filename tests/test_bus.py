@@ -243,14 +243,19 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(bus=BusConfig(), ecus=(ecu, dup), duration=1.0)
     with pytest.raises(ValueError):
-        AttackSpec(kind=AttackKind.NORMAL, spoofed_sa=1)
+        AttackSpec(kind=AttackKind.NORMAL, spoofed_sa=1, count=1)
+    for count in (0, -5):  # the simulator would inject no frame
+        with pytest.raises(ValueError, match="count of at least 1"):
+            AttackSpec(kind=AttackKind.ADDED_MODULE, spoofed_sa=1, count=count)
     with pytest.raises(ValueError):
         # attacker cannot spoof its own SA
         Scenario(
             bus=BusConfig(),
             ecus=(ecu,),
             duration=1.0,
-            attacks=(AttackSpec(kind=AttackKind.COMPROMISED_ECU, spoofed_sa=1, attacker=0),),
+            attacks=(
+                AttackSpec(kind=AttackKind.COMPROMISED_ECU, spoofed_sa=1, count=1, attacker=0),
+            ),
         )
 
 
@@ -559,7 +564,7 @@ def test_simulate_pinned_to_one_cpu_gives_the_same_bytes():
 
 @pytest.mark.parametrize("fmt", [FrameFormat.STANDARD, FrameFormat.EXTENDED])
 def test_attack_frame_id_follows_the_schedule_rule(fmt):
-    atk = AttackSpec(kind=AttackKind.ADDED_MODULE, spoofed_sa=0x2B, id_prefix=0x1234D)
+    atk = AttackSpec(kind=AttackKind.ADDED_MODULE, spoofed_sa=0x2B, count=1, id_prefix=0x1234D)
     sched = MessageSchedule(sa=0x2B, period_s=0.01, id_prefix=0x1234D)
     assert atk.frame_id(fmt) == sched.frame_id(fmt)
     ecu = EcuSpec(index=0, schedules=(MessageSchedule(sa=0x2B, period_s=0.01),))

@@ -309,6 +309,14 @@ def test_sweep_with_fewer_than_one_job_is_a_usage_error(cfg_path, tmp_path, jobs
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "all"])
+def test_negative_seed_is_a_usage_error(cfg_path, tmp_path, command, capsys):
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg_path, "--out", out, "--seed", "-1") == 1
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bitrate", ["0", "-125000", "nan", "inf"])
 def test_authenticate_bitrate_that_is_not_positive_and_finite_is_a_usage_error(
     tmp_path, bitrate, capsys

@@ -124,6 +124,23 @@ def test_attack_requires_kind_and_sa():
         parse_config_text("scenario.preset = lab\nattack.0.count = 5\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("sim.seed = -3", "sim.seed: must be at least 0, got -3"),
+        ("attack.0.count = 0", "attack.0.count: must be at least 1, got 0"),
+        ("attack.0.count = -5", "attack.0.count: must be at least 1, got -5"),
+    ],
+)
+def test_negative_seed_and_empty_attack_stream_fail_at_their_line(line, message):
+    attack = "attack.0.kind = added_module\nattack.0.spoofed_sa = 1\n"
+    with pytest.raises(ConfigError, match=message) as err:
+        parse_config_text(f"scenario.preset = lab\n{line}\n{attack}")
+    assert err.value.line == 2
+    with pytest.raises(ConfigError, match="attack.0.count is required"):
+        parse_config_text(attack)
+
+
 def test_shipped_configs_parse():
     from pathlib import Path
 
@@ -174,10 +191,10 @@ NON_DEFAULT = {
     "train.batch_size": "16",
 }
 
-ATTACK = {"attack.0.kind": "added_module", "attack.0.spoofed_sa": "1"}
+ATTACK = {"attack.0.kind": "added_module", "attack.0.spoofed_sa": "1", "attack.0.count": "1"}
 BASES = {
     "lab": {"scenario.preset": "lab", **ATTACK},
-    "truck": {"scenario.preset": "truck", "attack.0.kind": "added_module", "attack.0.spoofed_sa": "0"},
+    "truck": {"scenario.preset": "truck", **ATTACK, "attack.0.spoofed_sa": "0"},
     "custom": {
         "sim.duration": "0.5",
         "ecu.0.msg.0.sa": "1",

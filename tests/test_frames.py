@@ -658,6 +658,15 @@ def test_decoder_matches_oracle_when_first_sample_is_dominant():
         assert_matches_oracle(SampledTrace(trace.samples[first:], 2e6), 125_000)
 
 
+@pytest.mark.parametrize("block", [1, 7, 160])
+def test_decoder_matches_oracle_when_edges_straddle_threshold_blocks(block, monkeypatch):
+    monkeypatch.setattr(frames_module, "_EDGE_BLOCK", block)
+    rng = np.random.default_rng(70)
+    frames = [random_frame(rng, FrameFormat.EXTENDED) for _ in range(4)]
+    trace = wire_voltage([serialize_frame(f) for f in frames], 125_000, 2e6, lead_bits=0)
+    assert all(d.crc_ok for d in assert_matches_oracle(trace, 125_000))
+
+
 @pytest.mark.parametrize("wrong_bitrate", [100_000, 150_000, 200_000])
 def test_decoder_matches_oracle_at_the_wrong_bitrate(wrong_bitrate):
     rng = np.random.default_rng(wrong_bitrate)

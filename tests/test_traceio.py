@@ -1,5 +1,6 @@
 """File-format tests: trace files, ground truth CSV, bundle round trips."""
 
+import csv
 import json
 import re
 import struct
@@ -28,7 +29,7 @@ from canoa.traceio import (
     write_trace_file,
     write_verdicts,
 )
-from canoa.authenticate import ModelBundle, authenticate_all, score
+from canoa.authenticate import Decision, ModelBundle, Verdict, authenticate_all, score
 from canoa.workflow import PipelineConfig, build_bundle, usable_transmissions
 
 
@@ -415,7 +416,7 @@ def test_verdict_csv_columns_and_rows(trained, tmp_path):
     usable = usable_transmissions(decoded, power_map, result.tau)[:50]
     verdicts = authenticate_all(usable, power_map, result.bundle)
     path = tmp_path / "v.csv"
-    write_verdicts(path, verdicts, result.bundle.sas)
+    write_verdicts(path, verdicts, result.bundle.sas, result.bundle.delta)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 51
     header = lines[0].split(",")
@@ -423,3 +424,30 @@ def test_verdict_csv_columns_and_rows(trained, tmp_path):
         assert f"p_tx_{sa}" in header
         assert f"softmax_{sa}" in header
     assert header[:4] == ["t_sec", "claimed_sa", "attributed_sa", "decision"]
+
+
+def test_verdict_csv_runner_up_margin_and_positives(tmp_path):
+    sas = [0, 11, 15]
+    impersonation, added = Decision.IMPERSONATION, Decision.ADDED_MODULE
+    verdicts = [
+        Verdict(0.5, 0, {0: 0.2, 11: 0.9, 15: 0.7}, 11, 1, impersonation, False, (11, 15)),
+        # a near tie: the lowest contender wins, the higher value is the runner-up
+        Verdict(0.6, None, {0: 0.3, 11: 0.3 + 1e-13, 15: 0.1}, 0, 0, added, True, ()),
+    ]
+    path = tmp_path / "v.csv"
+    write_verdicts(path, verdicts, sas, 0.5)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["runner_up_sa"] for r in rows] == ["15", "11"]
+    assert [r["margin"] for r in rows] == [repr(0.9 - 0.5), repr(0.3 - 0.5)]
+    assert [r["multiple_positive"] for r in rows] == ["11;15", ""]
+    for r, v in zip(rows, verdicts):
+        assert [r[f"softmax_{sa}"] for sa in sas] == [repr(x) for x in v.softmax_probs.values()]
+    # one SA has no runner-up; no verdicts leave the header alone
+    alone = Verdict(0.7, 3, {3: 0.8}, 3, 0, Decision.AUTHENTIC, False, ())
+    write_verdicts(path, [alone], [3], 0.5)
+    with open(path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["runner_up_sa"], row["margin"], row["softmax_3"]) == ("", repr(0.8 - 0.5), "1.0")
+    write_verdicts(path, [], sas, 0.5)
+    assert path.read_text().count("\n") == 1
