@@ -20,7 +20,10 @@ is the one test of whether it lies inside a trace.
 :func:`fit_pca` keeps M components of a Gram matrix of size d. When
 M + 10 < d // 4 (the lab and truck presets: d = 1081 and 801, M = 50)
 it finds only those M by fixed-seed block subspace iteration; smaller
-Gram matrices get a dense ``eigh``.
+Gram matrices get a dense ``eigh``. With at least as many rows as bins (every
+shipped preset) the Gram matrix is formed from the uncentered spectra less
+n mu muᵀ, and :meth:`PcaBasis.transform` centers a block of rows at a time,
+so neither makes an n x f copy of an ECU's spectra.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ MIN_CALIB_LEN = 1000
 DEFAULT_COMPONENTS = 50
 # Segments are normalized, tapered and transformed in blocks of rows whose
 # float64 copy is about this size, so a block stays in cache between steps.
+# Spectra are centered for projection, and fit_pca's Gram matrix corrected,
+# in blocks of rows of the same size instead of as whole-matrix temporaries.
 _SPECTRA_BLOCK_BYTES = 2 << 20
 # fit_pca's block subspace iteration: extra columns beyond the M kept, the
 # number of Gram products, and the seed of the Gaussian start block.
@@ -115,8 +120,24 @@ class PcaBasis:
         return self.components.shape[0]
 
     def transform(self, spectra: np.ndarray) -> np.ndarray:
-        """Project spectra (vector or matrix rows) onto the basis."""
-        return (np.asarray(spectra, dtype=np.float64) - self.mean) @ self.components.T
+        """Project spectra (vector or matrix rows) onto the basis.
+
+        A matrix is centered and projected in blocks of rows, each written
+        into the (n, M) output, so no centered copy of the whole matrix
+        exists. The last block takes the remainder instead of being a short
+        block of its own: on OpenBLAS 0.3.31 a product of a few rows can
+        round differently from the whole-matrix product, while full-size
+        blocks match it bit for bit.
+        """
+        x = np.asarray(spectra, dtype=np.float64)
+        if x.ndim == 1:
+            return (x - self.mean) @ self.components.T
+        out = np.empty((x.shape[0], self.n_components))
+        rows = _block_rows(x.shape[1])
+        cuts = np.arange(rows, x.shape[0] - rows + 1, rows)
+        for part, dest in zip(np.split(x, cuts), np.split(out, cuts)):
+            np.matmul(part - self.mean, self.components.T, out=dest)
+        return out
 
 
 def estimate_norm_stats(trace: SampledTrace, calib_len: int = DEFAULT_CALIB_LEN) -> NormStats:
@@ -138,6 +159,11 @@ def estimate_tau(transmissions: Sequence[DecodedTransmission]) -> Tau:
     if len(transmissions) == 0:
         raise EmptyInput("no transmissions to estimate the window from")
     return Tau(float(np.mean([t.duration for t in transmissions])))
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a float64 matrix ``width`` wide in one block of about _SPECTRA_BLOCK_BYTES."""
+    return max(1, _SPECTRA_BLOCK_BYTES // (8 * width))
 
 
 @functools.lru_cache(maxsize=64)
@@ -164,12 +190,22 @@ def tukey_window(length: int, params: TukeyParams = TukeyParams()) -> np.ndarray
 def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     """Top-M principal directions of mean-centered spectra rows by variance.
 
-    Method of snapshots: with C the centered (n, f) matrix, work with the
-    smaller Gram matrix G, of size d = min(n, f). For n >= f that is the
-    (f, f) matrix CᵀC, whose eigenvectors are the components; for n < f it
-    is the (n, n) matrix CCᵀ, whose eigenvectors u give the components
-    Cᵀu / sqrt(lambda). Either way the eigenvalues divided by n - 1 are the
-    explained variances.
+    Method of snapshots: with X the (n, f) spectra, mu their column means and
+    C = X - mu, work with the smaller Gram matrix G, of size d = min(n, f).
+    For n >= f that is the (f, f) matrix CᵀC, whose eigenvectors are the
+    components; for n < f it is the (n, n) matrix CCᵀ, whose eigenvectors u
+    give the components Cᵀu / sqrt(lambda). Either way the eigenvalues
+    divided by n - 1 are the explained variances.
+
+    For n >= f, G is formed without C, by the one-pass identity
+    CᵀC = XᵀX - n mu muᵀ: one product of X with itself (a symmetric rank-n
+    update, which copies nothing) and the correction subtracted in blocks
+    of rows. Chan, Golub & LeVeque ("Algorithms for computing the sample
+    variance", 1983) bound its cancellation error by eps times the
+    uncentered scale, the largest eigenvalue of XᵀX, which lies between
+    n |mu|² and lambda_max + n |mu|². The rank floor below is set from that
+    sum, so rounding of size eps |XᵀX| is not counted as rank. For n < f
+    the components need C, so C is formed.
 
     When M + 10 < d // 4, only the top M pairs are computed, by block
     subspace iteration with Rayleigh–Ritz (Halko, Martinsson & Tropp,
@@ -185,16 +221,23 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     n, f = x.shape
     if not (n > n_components >= 1):
         raise ValueError("need more rows than components and at least one component")
-    if not np.isfinite(x).all():
-        raise DegenerateTrace("spectra contain non-finite values")
     mean = x.mean(axis=0)
-    centered = x - mean
+    # NaN and inf carry through a column's sum, so a non-finite entry makes
+    # its column's mean non-finite: no n x f mask is needed to find one
+    if not np.isfinite(mean).all():
+        raise DegenerateTrace("spectra contain non-finite values")
     tall = n >= f
     if tall:
-        gram = centered.T @ centered
-        del centered  # the components come from the Gram matrix alone; free n x f before eigh
+        gram = x.T @ x
+        root = np.sqrt(n) * mean  # outer(root, root) is n mu muᵀ and exactly symmetric
+        rows = _block_rows(f)
+        for lo in range(0, f, rows):
+            gram[lo : lo + rows] -= np.outer(root[lo : lo + rows], root)
+        scale = float(root @ root)
     else:
+        centered = x - mean
         gram = centered @ centered.T
+        scale = 0.0
     block = n_components + _RITZ_OVERSAMPLE
     iterate = block < gram.shape[0] // 4
     if iterate:
@@ -214,12 +257,13 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     del gram
     evals, evecs = evals[::-1], evecs[:, ::-1]
     # Rounding in the Gram matrix and in eigh perturbs every eigenvalue by
-    # about lambda_max * eps, so that is the floor to count rank against. The
-    # SVD tolerance must not be squared: the Gram matrix squares the condition
-    # number, and a squared tolerance would count rounding noise as rank.
-    # Ritz values obey the same floor: a Ritz vector outside the Gram
-    # matrix's range has a Rayleigh quotient of rounding size.
-    tol = evals[0] * max(n, f) * np.finfo(np.float64).eps
+    # about eps times the largest eigenvalue of the matrix formed: lambda_max
+    # for CCᵀ, lambda_max + n |mu|² for XᵀX. That is the floor to count rank
+    # against. The SVD tolerance must not be squared: the Gram matrix squares
+    # the condition number, and a squared tolerance would count rounding
+    # noise as rank. Ritz values obey the same floor: a Ritz vector outside
+    # the Gram matrix's range has a Rayleigh quotient of rounding size.
+    tol = (evals[0] + scale) * max(n, f) * np.finfo(np.float64).eps
     rank = int(np.sum(evals > tol))
     if rank < n_components:
         raise RankDeficient(
@@ -262,7 +306,7 @@ def _spectra(
         raise OutOfBounds("a transmission window falls outside the trace")
     window = tukey_window(n_samples, win)
     out = np.empty((starts.size, n_samples // 2 + 1))
-    rows = max(1, _SPECTRA_BLOCK_BYTES // (8 * n_samples))
+    rows = _block_rows(n_samples)
     buffer = np.empty((min(rows, starts.size), n_samples))
     for lo in range(0, starts.size, rows):
         part = starts[lo : lo + rows].tolist()

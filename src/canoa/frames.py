@@ -149,7 +149,7 @@ def _crc_terms(count: int) -> np.ndarray:
 # CRC-15 is linear with a zero initial value: a set body bit followed by k
 # more body bits contributes term k.
 _CRC_TERMS = _crc_terms(_MAX_BODY_BITS)
-_PARSE_BLOCK = 4096  # candidate frames parsed together; bounds the gather matrices
+_PARSE_BLOCK = 1024  # candidate frames parsed together; bounds the gather matrices
 _EDGE_BLOCK = 1 << 20  # samples thresholded together when finding level changes
 # frames encoded together: each temporary stays under 1 MB, so encoding a
 # capture's requests does not raise the process's peak memory

@@ -270,18 +270,38 @@ def test_pca_rank_deficient():
         fit_pca(x, 3)
 
 
-def test_pca_tall_input_frees_its_centered_copy_before_eigh():
-    # the centered copy is input-sized; held through eigh, the traced peak is
-    # that copy plus two Gram sizes (the Gram matrix and eigh's eigenvectors)
-    x = np.random.default_rng(12).normal(size=(2000, 300))
-    gram_bytes = 300 * 300 * 8
+def traced_peak(call):
+    """call()'s result and the peak of the memory tracemalloc traced while it ran."""
     tracemalloc.start()
     try:
-        fit_pca(x, 10)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < x.nbytes + 1.5 * gram_bytes
+    return result, peak
+
+
+def test_pca_tall_input_makes_no_input_sized_copy():
+    # a centered copy is input-sized; without one, the traced peak is the
+    # Gram matrix, its correction blocks and what the solver keeps
+    x = np.random.default_rng(12).normal(size=(2000, 300))
+    gram_bytes = 300 * 300 * 8
+    _, peak = traced_peak(lambda: fit_pca(x, 10))
+    assert peak < x.nbytes / 4 + 2 * gram_bytes
+
+
+def test_transform_projects_blocks_into_one_output():
+    rng = np.random.default_rng(13)
+    f, m = 400, 10
+    basis = fit_pca(rng.normal(size=(3 * f, f)), m)
+    rows = _SPECTRA_BLOCK_BYTES // (8 * f)
+    x = rng.normal(size=(9 * rows + 105, f))  # nine blocks, the last with a remainder
+    expected = (x - basis.mean) @ basis.components.T
+    coords, peak = traced_peak(lambda: basis.transform(x))
+    assert coords.tobytes() == expected.tobytes()
+    assert peak < x.nbytes / 4
+    assert basis.transform(x[5]).tobytes() == ((x[5] - basis.mean) @ basis.components.T).tobytes()
+    assert basis.transform(x[:0]).shape == (0, m)
 
 
 def test_pca_deterministic_sign_convention():
@@ -318,6 +338,22 @@ def test_pca_exact_rank_is_counted(shape, rank):
     rng = np.random.default_rng(rank)
     x = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
     assert fit_pca(x, rank).n_components == rank
+    with pytest.raises(RankDeficient):
+        fit_pca(x, rank + 1)
+
+
+@pytest.mark.parametrize("shape", [(300, 40), (2000, 400)], ids=["dense", "iterative"])
+@pytest.mark.parametrize("rank", [5, 12])
+def test_pca_tall_gram_is_exact_under_a_large_offset(shape, rank):
+    # the tall Gram matrix is formed uncentered: the offset's n |mu|² term is
+    # about 1e10 on these rows, against centered eigenvalues of about 1e3
+    rng = np.random.default_rng(rank)
+    x = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1])) + 1e3
+    basis = fit_pca(x, rank)
+    variances, directions = svd_oracle(x, rank)
+    assert np.allclose(basis.explained_variance, variances, rtol=1e-8)
+    cos = np.abs(np.sum(basis.components * directions, axis=1))
+    assert cos.min() >= 1 - 1e-12
     with pytest.raises(RankDeficient):
         fit_pca(x, rank + 1)
 

@@ -667,6 +667,17 @@ def test_decoder_matches_oracle_when_edges_straddle_threshold_blocks(block, monk
     assert all(d.crc_ok for d in assert_matches_oracle(trace, 125_000))
 
 
+@pytest.mark.parametrize("block", [1, 3, 1024])
+def test_decoder_matches_oracle_whatever_frames_are_parsed_together(block, monkeypatch):
+    monkeypatch.setattr(frames_module, "_PARSE_BLOCK", block)
+    rng = np.random.default_rng(71)
+    wires = [bytearray(serialize_frame(random_frame(rng, FrameFormat.EXTENDED))) for _ in range(8)]
+    wires[2][40] ^= 1  # a CRC failure inside a block, and its resynchronisation
+    trace = wire_voltage(wires, 125_000, 2e6)
+    decoded = assert_matches_oracle(trace, 125_000)
+    assert [d.crc_ok for d in decoded] == [k != 2 for k in range(8)]
+
+
 @pytest.mark.parametrize("wrong_bitrate", [100_000, 150_000, 200_000])
 def test_decoder_matches_oracle_at_the_wrong_bitrate(wrong_bitrate):
     rng = np.random.default_rng(wrong_bitrate)
