@@ -26,6 +26,7 @@ from .frames import (
     DOMINANT_VOLTS,
     INTERFRAME_BITS,
     MIN_SAMPLES_PER_BIT,
+    ArbitratedFrame,
     CanFrame,
     DerivationRule,
     FrameFormat,
@@ -98,6 +99,8 @@ class MessageSchedule:
     count: int | None = None
 
     def __post_init__(self):
+        if not 0 <= self.sa <= 0xFF:
+            raise ValueError(f"source address must be 0..255, got {self.sa}")
         if not self.period_s > 0:
             raise ValueError("period must be positive")
         if not 0 <= self.dlc <= 8:
@@ -135,6 +138,8 @@ class AttackSpec:
     id_prefix: int = 0x00D5
 
     def __post_init__(self):
+        if not 0 <= self.spoofed_sa <= 0xFF:
+            raise ValueError(f"spoofed source address must be 0..255, got {self.spoofed_sa}")
         if self.count < 1:
             raise ValueError(f"an attack stream needs a count of at least 1, got {self.count}")
         if self.kind is AttackKind.NORMAL:
@@ -176,7 +181,7 @@ class Scenario:
         sas = [sa for ecu in self.ecus for sa in ecu.sas]
         if len(sas) != len(set(sas)):
             raise ValueError("source addresses must be distinct across ECUs")
-        owners = {sa: ecu.index for ecu in self.ecus for sa in ecu.sas}
+        owners = self.owners
         for atk in self.attacks:
             if atk.spoofed_sa not in owners:
                 raise ValueError(f"spoofed SA {atk.spoofed_sa} is not owned by any ECU")
@@ -238,43 +243,31 @@ class PowerEvent:
     role: PowerRole
 
 
-@dataclass
-class _BusSlot:
-    """One transmission on the wire with its provenance; ``wire`` as in ``ArbitratedFrame``."""
-
-    start: float
-    wire: bytes
-    frame: CanFrame
-    claimed_sa: int
-    transmitter: int | None
-    kind: AttackKind
-
-
-# longest span of samples one block of slots adds at once: a 1 MB float32
+# longest span of samples one block of frames adds at once: a 1 MB float32
 # array, small enough that synthesis does not raise the process's peak memory
 _VOLTAGE_BLOCK_SAMPLES = 1 << 18
 
 
-def _add_slot_block(
+def _add_frame_block(
     samples: np.ndarray, wires: list[bytes], nbits: np.ndarray, first: np.ndarray,
     last: np.ndarray, edges: np.ndarray,
 ) -> None:
-    """Add the levels of slots that follow one another without overlap, in one pass.
+    """Add the levels of frames that follow one another without overlap, in one pass.
 
     The block's span is a run of samples per bit, at that bit's level, and
-    before each slot but the first a run over the idle gap at -0.0: adding
+    before each frame but the first a run over the idle gap at -0.0: adding
     -0.0 leaves every sample as it is, where +0.0 would turn a -0.0 noise
     sample into +0.0.
     """
     runs = nbits + 1
-    gap_at = np.cumsum(runs) - runs  # each slot's gap run; its bit runs follow
+    gap_at = np.cumsum(runs) - runs  # each frame's gap run; its bit runs follow
     is_bit = np.ones(runs.sum(), dtype=bool)
     is_bit[gap_at] = False
     counts = np.empty(runs.sum(), dtype=np.int64)
     levels = np.empty(runs.sum(), dtype=np.float32)
     counts[gap_at] = first - np.append(first[0], last[:-1])
     levels[gap_at] = -0.0
-    k = np.arange(nbits.sum()) - np.repeat(np.cumsum(nbits) - nbits, nbits)  # bit within its slot
+    k = np.arange(nbits.sum()) - np.repeat(np.cumsum(nbits) - nbits, nbits)  # bit within its frame
     counts[is_bit] = edges[k + 1] - edges[k]
     bits = np.frombuffer(b"".join(wires), dtype=np.uint8)
     levels[is_bit] = np.where(bits == 0, np.float32(DOMINANT_VOLTS), np.float32(0.0))
@@ -284,14 +277,14 @@ def _add_slot_block(
 
 
 def synth_voltage(
-    order: list[_BusSlot], cfg: BusConfig, duration: float, rng: np.random.Generator
+    order: list[ArbitratedFrame], cfg: BusConfig, duration: float, rng: np.random.Generator
 ) -> SampledTrace:
     """Differential bus voltage for a resolved transmission order.
 
     Dominant bits drive ~2 V, recessive/idle stays at ~0 V, with additive
-    Gaussian noise; bit edges are aligned to the sample grid. Each slot
+    Gaussian noise; bit edges are aligned to the sample grid. Each frame
     adds its bits' levels (recessive bits add 0.0) to the samples it spans,
-    in order; slots that follow one another without overlap are added in
+    in order; frames that follow one another without overlap are added in
     blocks of at most ``_VOLTAGE_BLOCK_SAMPLES`` samples.
     """
     n = int(round(duration * cfg.sample_rate))
@@ -303,11 +296,11 @@ def synth_voltage(
     if not order:
         return SampledTrace(samples, cfg.sample_rate)
     spb = cfg.sample_rate / cfg.bitrate
-    wires = [slot.wire for slot in order]
+    wires = [arb.wire for arb in order]
     nbits = np.array([len(w) for w in wires])
-    # bit k of a slot spans samples [edges[k], edges[k + 1]) past the slot's first sample
+    # bit k of a frame spans samples [edges[k], edges[k + 1]) past the frame's first sample
     edges = np.round(np.arange(nbits.max() + 1) * spb).astype(np.int64)
-    first = np.array([int(round(slot.start * cfg.sample_rate)) for slot in order])
+    first = np.array([int(round(arb.start_time * cfg.sample_rate)) for arb in order])
     last = first + edges[nbits]
     starts, ends = first.tolist(), last.tolist()
     lo = 0
@@ -320,7 +313,7 @@ def synth_voltage(
         ):
             hi += 1
         block = slice(lo, hi)
-        _add_slot_block(samples, wires[block], nbits[block], first[block], last[block], edges)
+        _add_frame_block(samples, wires[block], nbits[block], first[block], last[block], edges)
         lo = hi
     return SampledTrace(samples, cfg.sample_rate)
 
@@ -422,39 +415,44 @@ def synth_power(
 
 def _stream_requests(
     scenario: Scenario, rng: np.random.Generator
-) -> list[tuple[CanFrame, float, int | None, AttackKind]]:
-    """All frame requests: (frame, request time, transmitter, kind)."""
+) -> list[tuple[CanFrame, float, tuple[int, int | None, AttackKind]]]:
+    """All frame requests: (frame, request time, (claimed SA, transmitter, kind))."""
     fmt = scenario.bus.format
-    requests: list[tuple[CanFrame, float, int | None, AttackKind]] = []
+    requests: list[tuple[CanFrame, float, tuple[int, int | None, AttackKind]]] = []
     margin = 200 * 8 / scenario.bus.bitrate  # leave room for the longest frame + queue
     horizon = scenario.duration - margin
     for ecu in scenario.ecus:
         for sched in ecu.schedules:
             fid = sched.frame_id(fmt)
+            source = (sched.sa, ecu.index, AttackKind.NORMAL)
             t = sched.offset_s
             emitted = 0
             while t < horizon and (sched.count is None or emitted < sched.count):
                 payload = bytes(rng.integers(0, 256, sched.dlc).tolist())
-                requests.append((CanFrame(fid, payload, fmt), t, ecu.index, AttackKind.NORMAL))
+                requests.append((CanFrame(fid, payload, fmt), t, source))
                 t += sched.period_s
                 emitted += 1
     for atk in scenario.attacks:
         fid = atk.frame_id(fmt)
+        source = (atk.spoofed_sa, atk.attacker, atk.kind)
         lo, hi = 0.02 * horizon, horizon
         times = lo + (np.arange(atk.count) + 0.5) * (hi - lo) / atk.count
         times = times + rng.uniform(-0.1, 0.1) * (hi - lo) / atk.count
         for t in times:
             payload = bytes(rng.integers(0, 256, 8).tolist())
-            requests.append((CanFrame(fid, payload, fmt), float(t), atk.attacker, atk.kind))
+            requests.append((CanFrame(fid, payload, fmt), float(t), source))
     return requests
 
 
-def _timeline(slots: list[_BusSlot], ecu: EcuSpec, bit_time: float) -> list[PowerEvent]:
-    """One ECU's transmit and receive intervals over the resolved bus slots."""
+def _timeline(
+    order: list[ArbitratedFrame], transmitters: list[int | None], ecu: EcuSpec, bit_time: float
+) -> list[PowerEvent]:
+    """One ECU's transmit and receive intervals over the frames on the bus."""
     timeline: list[PowerEvent] = []
-    for slot in slots:
-        role = PowerRole.TRANSMIT if slot.transmitter == ecu.index else PowerRole.RECEIVE
-        timeline.append(PowerEvent(slot.start, slot.start + len(slot.wire) * bit_time, role))
+    for arb, transmitter in zip(order, transmitters):
+        role = PowerRole.TRANSMIT if transmitter == ecu.index else PowerRole.RECEIVE
+        end = arb.start_time + len(arb.wire) * bit_time
+        timeline.append(PowerEvent(arb.start_time, end, role))
     return timeline
 
 
@@ -480,28 +478,17 @@ def simulate(
     rng_payload = np.random.default_rng(payload_ss)
 
     requests = _stream_requests(scenario, rng_payload)
-    order = arbitrate(
-        [(frame, t) for frame, t, _, _ in requests], scenario.bus.bitrate
-    )  # may raise DuplicateId for ill-formed scenarios
-
     bit_time = 1.0 / scenario.bus.bitrate
-    samap = scenario.source_map()
-    slots: list[_BusSlot] = []
-    for arb in order:
-        if arb.start_time + arb.duration + INTERFRAME_BITS * bit_time > scenario.duration:
-            continue  # frame would not complete inside the trace
-        _, _, transmitter, kind = requests[arb.request_index]
-        sa, _ = samap.resolve(arb.frame.frame_id)
-        slots.append(
-            _BusSlot(
-                start=arb.start_time,
-                wire=arb.wire,
-                frame=arb.frame,
-                claimed_sa=sa if sa is not None else -1,
-                transmitter=transmitter,
-                kind=kind,
-            )
-        )
+    order = [  # the frames that complete inside the trace
+        arb
+        for arb in arbitrate([(frame, t) for frame, t, _ in requests], scenario.bus.bitrate)
+        if arb.start_time + arb.duration + INTERFRAME_BITS * bit_time <= scenario.duration
+    ]  # arbitrate may raise DuplicateId for ill-formed scenarios
+    entries = tuple(
+        GroundTruthEntry(arb.start_time, arb.frame.frame_id, *requests[arb.request_index][2])
+        for arb in order
+    )
+    transmitters = [e.true_source for e in entries]
 
     # Each ECU's timeline and power trace run on a worker thread: its noise
     # comes from its own seed child, and numpy's fills and array arithmetic
@@ -512,7 +499,7 @@ def simulate(
     buffers = [np.empty(n, dtype=np.float32) for _ in scenario.ecus]
 
     def ecu_power(ecu: EcuSpec, seed: np.random.SeedSequence, out: np.ndarray) -> SampledTrace:
-        timeline = _timeline(slots, ecu, bit_time)
+        timeline = _timeline(order, transmitters, ecu, bit_time)
         return synth_power(
             ecu, timeline, scenario.duration, scenario.bus.sample_rate, seed, out=out
         )
@@ -523,14 +510,9 @@ def simulate(
             for ecu, child, buf in zip(scenario.ecus, power_ss, buffers)
         ]
         voltage = synth_voltage(
-            slots, scenario.bus, scenario.duration, np.random.default_rng(voltage_ss)
+            order, scenario.bus, scenario.duration, np.random.default_rng(voltage_ss)
         )
         powers = [f.result() for f in futures]
-
-    entries = tuple(
-        GroundTruthEntry(slot.start, slot.frame.frame_id, slot.claimed_sa, slot.transmitter, slot.kind)
-        for slot in slots
-    )
     return voltage, powers, GroundTruthLog(entries)
 
 

@@ -219,8 +219,12 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     """
     x = np.asarray(spectra, dtype=np.float64)
     n, f = x.shape
-    if not (n > n_components >= 1):
-        raise ValueError("need more rows than components and at least one component")
+    if n_components < 1:
+        raise ValueError(f"PCA needs at least one component, got {n_components}")
+    if n <= n_components:
+        raise RankDeficient(
+            f"PCA needs more rows than components: {n} rows, {n_components} components requested"
+        )
     mean = x.mean(axis=0)
     # NaN and inf carry through a column's sum, so a non-finite entry makes
     # its column's mean non-finite: no n x f mask is needed to find one

@@ -87,15 +87,13 @@ class SourceAddressMap:
     def ecus(self) -> list[int]:
         return sorted(set(self.owners.values()))
 
-    def resolve(self, frame_id: int) -> tuple[int | None, int | None]:
-        """Return (source address, ecu index) for a frame ID, or Nones."""
+    def resolve(self, frame_id: int) -> int | None:
+        """The source address a frame ID claims, or None when no ECU owns it."""
         if self.rule is DerivationRule.LOW_BYTE_OF_ID:
             sa = frame_id & 0xFF
         else:
             sa = self.table.get(frame_id)
-        if sa not in self.owners:
-            return None, None
-        return sa, self.owners[sa]
+        return sa if sa in self.owners else None
 
 
 @dataclass(frozen=True)
@@ -415,7 +413,7 @@ def decode_transmissions(
             out.append(
                 DecodedTransmission(
                     t=trace.start_time + s0 / trace.sample_rate,
-                    sa=None if frame_id is None else samap.resolve(frame_id)[0],
+                    sa=None if frame_id is None else samap.resolve(frame_id),
                     frame_id=frame_id,
                     duration=consumed / bitrate,
                     crc_ok=ok,

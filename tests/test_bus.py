@@ -28,11 +28,11 @@ from canoa.bus import (
     synth_power,
     synth_voltage,
     truck_scenario,
-    _BusSlot,
     _timeline,
 )
 from canoa.frames import (
     DOMINANT_VOLTS,
+    ArbitratedFrame,
     CanFrame,
     FrameFormat,
     decode_transmissions,
@@ -62,9 +62,7 @@ def test_empty_schedule_gives_near_zero_trace():
 def test_each_bit_spans_80_samples_at_10mhz_125kbps():
     frame = CanFrame(0x0B, b"\x01", FrameFormat.STANDARD)
     wire = serialize_frame(frame)
-    slot = _BusSlot(
-        start=0.0, wire=wire, frame=frame, claimed_sa=0, transmitter=0, kind=AttackKind.NORMAL
-    )
+    slot = ArbitratedFrame(0, frame, 0.0, wire, len(wire) / 125_000)
     cfg = BusConfig(bitrate=125_000, sample_rate=10e6, voltage_noise=0.0)
     trace = synth_voltage([slot], cfg, duration=len(wire) / 125_000 + 1e-3, rng=np.random.default_rng(0))
     dominant = trace.samples > 1.0
@@ -76,9 +74,7 @@ def test_each_bit_spans_80_samples_at_10mhz_125kbps():
 def test_noiseless_threshold_recovers_stuffed_bits():
     frame = CanFrame((0xF2 << 8) | 0x31, b"\xca\xfe", FrameFormat.EXTENDED)
     wire = serialize_frame(frame)
-    slot = _BusSlot(
-        start=0.0, wire=wire, frame=frame, claimed_sa=0x31, transmitter=0, kind=AttackKind.NORMAL
-    )
+    slot = ArbitratedFrame(0, frame, 0.0, wire, len(wire) / 250_000)
     cfg = BusConfig(bitrate=250_000, sample_rate=4e6, voltage_noise=0.0)
     trace = synth_voltage([slot], cfg, duration=len(wire) / 250_000 + 1e-4, rng=np.random.default_rng(0))
     spb = 16
@@ -138,17 +134,35 @@ def test_distinguishability_precondition_enforced():
 # ----------------------------------------------------------------- simulate
 
 
-def test_clean_scenario_log_all_normal_and_decodable():
-    sc = small_lab()
+ATTACK_STREAMS = {
+    "clean": (),
+    # a compromised ECU and an added module, each spoofing another ECU's SA
+    "attacked": (
+        AttackSpec(kind=AttackKind.COMPROMISED_ECU, spoofed_sa=1, attacker=2, count=12),
+        AttackSpec(kind=AttackKind.ADDED_MODULE, spoofed_sa=4, count=9),
+    ),
+}
+
+
+@pytest.mark.parametrize("attacks", sorted(ATTACK_STREAMS))
+@pytest.mark.parametrize(
+    "fmt", [FrameFormat.EXTENDED, FrameFormat.STANDARD], ids=["extended", "standard"]
+)
+def test_clean_scenario_log_all_normal_and_decodable(fmt, attacks):
+    """Every frame decodes, and to the SA its ground truth says it claimed: in
+    standard format the decoder looks that SA up in the scenario's table."""
+    sc = small_lab(format=fmt, attacks=ATTACK_STREAMS[attacks])
     voltage, powers, truth = simulate(sc)
-    assert len(truth) == 200
+    n_attack = sum(atk.count for atk in sc.attacks)
+    assert len(truth) == 200 + n_attack
     assert truth.normal_count == 200
-    assert truth.attack_count == 0
+    assert truth.attack_count == n_attack
     assert len(powers) == 5
     decoded = decode_transmissions(voltage, sc.bus.bitrate, sc.source_map())
-    assert len(decoded) == 200
+    assert len(decoded) == len(truth)
     assert all(d.crc_ok for d in decoded)
     for d, e in zip(decoded, truth.entries):
+        assert d.frame_id == e.frame_id
         assert d.sa == e.claimed_sa
         assert abs(d.t - e.t) < 2.0 / sc.bus.sample_rate
 
@@ -405,7 +419,7 @@ def synth_voltage_reference(order, cfg, duration, rng):
         samples = np.zeros(n, dtype=np.float32)
     spb = cfg.sample_rate / cfg.bitrate
     for slot in order:
-        s0 = int(round(slot.start * cfg.sample_rate))
+        s0 = int(round(slot.start_time * cfg.sample_rate))
         bits = np.frombuffer(slot.wire, dtype=np.uint8)
         bounds = s0 + np.round(np.arange(bits.size + 1) * spb).astype(np.int64)
         counts = np.diff(bounds)
@@ -442,9 +456,10 @@ def simulate_serial_reference(scenario, monkeypatch):
         slots, scenario.bus, scenario.duration, np.random.default_rng(voltage_child)
     )
     bit_time = 1.0 / scenario.bus.bitrate
+    transmitters = [e.true_source for e in truth.entries]
     powers = [
         synth_power_reference(
-            ecu, _timeline(slots, ecu, bit_time), scenario.duration,
+            ecu, _timeline(slots, transmitters, ecu, bit_time), scenario.duration,
             scenario.bus.sample_rate, child,
         )
         for ecu, child in zip(scenario.ecus, children)
@@ -490,7 +505,7 @@ def _lab_slots(monkeypatch):
 def test_synth_voltage_bit_equal_to_per_slot_reference(block_samples, noise, monkeypatch):
     slots = _lab_slots(monkeypatch)
     cfg = BusConfig(sample_rate=2e6, voltage_noise=0.0 if noise == "noiseless" else 0.05)
-    duration = slots[-1].start + 0.01
+    duration = slots[-1].start_time + 0.01
 
     def rng():
         return NegativeZeroNoise() if noise == "negative_zero" else np.random.default_rng(6)
@@ -507,7 +522,7 @@ def test_synth_voltage_on_a_trace_cut_inside_the_last_slot(monkeypatch):
     slots = _lab_slots(monkeypatch)
     cfg = BusConfig(sample_rate=2e6)
     last = slots[-1]
-    duration = last.start + 0.5 * len(last.wire) / cfg.bitrate
+    duration = last.start_time + 0.5 * len(last.wire) / cfg.bitrate
     want = synth_voltage_reference(slots, cfg, duration, np.random.default_rng(2))
     got = synth_voltage(slots, cfg, duration, np.random.default_rng(2))
     assert same_bits(got.samples, want)
@@ -516,10 +531,10 @@ def test_synth_voltage_on_a_trace_cut_inside_the_last_slot(monkeypatch):
 def test_synth_voltage_adds_overlapping_and_unordered_slots_in_order():
     frames = [CanFrame(0x100 + k, bytes([k] * 4), FrameFormat.STANDARD) for k in range(4)]
     starts = [1e-3, 0.2e-3, 0.25e-3, 1.1e-3]  # the second overlaps the third, the first the fourth
+    wires = [serialize_frame(f) for f in frames]
     slots = [
-        _BusSlot(start=t, wire=serialize_frame(f), frame=f, claimed_sa=0, transmitter=0,
-                 kind=AttackKind.NORMAL)
-        for f, t in zip(frames, starts)
+        ArbitratedFrame(k, f, t, w, len(w) / 125_000)
+        for k, (f, t, w) in enumerate(zip(frames, starts, wires))
     ]
     cfg = BusConfig(sample_rate=2e6)
     want = synth_voltage_reference(slots, cfg, 3e-3, np.random.default_rng(5))
@@ -569,7 +584,7 @@ def test_attack_frame_id_follows_the_schedule_rule(fmt):
     assert atk.frame_id(fmt) == sched.frame_id(fmt)
     ecu = EcuSpec(index=0, schedules=(MessageSchedule(sa=0x2B, period_s=0.01),))
     sc = Scenario(bus=BusConfig(format=fmt), ecus=(ecu,), duration=1.0, attacks=(atk,))
-    assert sc.source_map().resolve(atk.frame_id(fmt)) == (0x2B, 0)
+    assert sc.source_map().resolve(atk.frame_id(fmt)) == 0x2B
 
 
 @pytest.mark.parametrize(
@@ -580,6 +595,10 @@ def test_attack_frame_id_follows_the_schedule_rule(fmt):
         lambda: BusConfig(voltage_noise=-0.1),
         lambda: MessageSchedule(sa=1, period_s=0.0),
         lambda: lab_scenario(bitrate=0.0),
+        # a J1939 source address is one byte
+        lambda: MessageSchedule(sa=300, period_s=0.01),
+        lambda: MessageSchedule(sa=-1, period_s=0.01),
+        lambda: AttackSpec(kind=AttackKind.ADDED_MODULE, spoofed_sa=256, count=1),
     ],
 )
 def test_bus_and_schedule_reject_values_the_simulator_cannot_run(make):

@@ -276,6 +276,8 @@ def test_inapplicable_key_is_rejected_with_its_line(text):
         "ecu.0.msg.0.period = 0",
         "ecu.0.msg.0.dlc = 9",
         "ecu.0.msg.0.dlc = -1",
+        "ecu.0.msg.0.sa = 300",
+        "ecu.0.msg.0.sa = -1",
         "ecu.0.baseline_noise = nan",
         "ecu.0.baseline_noise = -0.01",
         # an attack kind and a key the simulator does not have

@@ -270,6 +270,16 @@ def test_pca_rank_deficient():
         fit_pca(x, 3)
 
 
+@pytest.mark.parametrize("rows", [40, 50])
+def test_pca_with_no_more_rows_than_components_names_both_counts(rows):
+    x = np.random.default_rng(rows).normal(size=(rows, 100))
+    with pytest.raises(RankDeficient, match=f"{rows} rows, 50 components requested"):
+        fit_pca(x, 50)
+    for m in (0, -1):  # a component count below one stays a caller's error
+        with pytest.raises(ValueError, match="at least one component"):
+            fit_pca(x, m)
+
+
 def traced_peak(call):
     """call()'s result and the peak of the memory tracemalloc traced while it ran."""
     tracemalloc.start()

@@ -256,7 +256,7 @@ def decode_bitwise(trace, bitrate, samap):
         out.append(
             DecodedTransmission(
                 t=trace.start_time + s0 / trace.sample_rate,
-                sa=None if frame_id is None else samap.resolve(frame_id)[0],
+                sa=None if frame_id is None else samap.resolve(frame_id),
                 frame_id=frame_id,
                 duration=consumed / bitrate,
                 crc_ok=ok,
