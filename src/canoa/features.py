@@ -17,13 +17,12 @@ samples or longer, and still covers the whole frame. A segment starts at
 the sample nearest its transmission's time, and :func:`segments_fit`
 is the one test of whether it lies inside a trace.
 
-:func:`fit_pca` keeps M components of a Gram matrix of size d. When
-M + 10 < d // 4 (the lab and truck presets: d = 1081 and 801, M = 50)
-it finds only those M by fixed-seed block subspace iteration; smaller
-Gram matrices get a dense ``eigh``. With at least as many rows as bins (every
-shipped preset) the Gram matrix is formed from the uncentered spectra less
-n mu muᵀ, and :meth:`PcaBasis.transform` centers a block of rows at a time,
-so neither makes an n x f copy of an ECU's spectra.
+:func:`fit_pca` keeps M components of a Gram matrix of size d, found by
+one fixed-seed block subspace iteration: M + 10 columns when
+M + 10 < d // 4 (the lab and truck presets: d = 1081 and 801, M = 50),
+all d otherwise. The Gram matrix is formed from the uncentered spectra
+less a correction, and :meth:`PcaBasis.transform` centers a block of rows
+at a time, so neither makes an n x f copy of an ECU's spectra.
 """
 
 from __future__ import annotations
@@ -106,9 +105,9 @@ class PcaBasis:
 
     ``components`` rows are orthonormal; ``explained_variance`` is
     non-increasing. The sign convention makes each component's
-    largest-magnitude entry positive, so fits are deterministic. When
-    :func:`fit_pca` iterates, the variances are Ritz values: each is the
-    variance along its component, and none exceeds the exact eigenvalue.
+    largest-magnitude entry positive, so fits are deterministic. The
+    variances are :func:`fit_pca`'s Ritz values: each is the variance along
+    its component, and none exceeds the exact eigenvalue.
     """
 
     mean: np.ndarray
@@ -191,31 +190,26 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     """Top-M principal directions of mean-centered spectra rows by variance.
 
     Method of snapshots: with X the (n, f) spectra, mu their column means and
-    C = X - mu, work with the smaller Gram matrix G, of size d = min(n, f).
-    For n >= f that is the (f, f) matrix CᵀC, whose eigenvectors are the
-    components; for n < f it is the (n, n) matrix CCᵀ, whose eigenvectors u
-    give the components Cᵀu / sqrt(lambda). Either way the eigenvalues
+    C = X - mu, work with the smaller Gram matrix G, of size d = min(n, f):
+    CᵀC when n >= f, CCᵀ when n < f. Neither is formed from C: CᵀC is
+    XᵀX - n mu muᵀ and CCᵀ is XXᵀ - r1ᵀ - 1rᵀ + |mu|² 11ᵀ with r = X mu,
+    one symmetric product of X with itself (a rank-k update, which copies
+    nothing) less an exactly symmetric correction, subtracted in blocks of
+    rows. Chan, Golub & LeVeque ("Algorithms for computing the sample
+    variance", 1983) bound this one-pass form's cancellation error by eps
+    times the uncentered scale, at most lambda_max + n |mu|², and the rank
+    floor is set from that sum.
+
+    The top M pairs come from block subspace iteration with Rayleigh–Ritz
+    (Halko, Martinsson & Tropp, "Finding structure with randomness", 2011):
+    a fixed-seed Gaussian (d, M + 10) block goes through four
+    ``Q = qr(G @ Q)`` steps, and an ``eigh`` of the projected matrix gives
+    the Ritz pairs. Unless M + 10 < d // 4 the block is all d columns, and
+    Rayleigh–Ritz is then exact. The projected matrix is QᵀGQ for n >= f.
+    For n < f the block is first carried to feature space as W = qr(CᵀQ)
+    and the matrix is WᵀCᵀCW, with C applied as X - mu, so the Ritz vectors
+    are components and the projections stay decorrelated. The Ritz values
     divided by n - 1 are the explained variances.
-
-    For n >= f, G is formed without C, by the one-pass identity
-    CᵀC = XᵀX - n mu muᵀ: one product of X with itself (a symmetric rank-n
-    update, which copies nothing) and the correction subtracted in blocks
-    of rows. Chan, Golub & LeVeque ("Algorithms for computing the sample
-    variance", 1983) bound its cancellation error by eps times the
-    uncentered scale, the largest eigenvalue of XᵀX, which lies between
-    n |mu|² and lambda_max + n |mu|². The rank floor below is set from that
-    sum, so rounding of size eps |XᵀX| is not counted as rank. For n < f
-    the components need C, so C is formed.
-
-    When M + 10 < d // 4, only the top M pairs are computed, by block
-    subspace iteration with Rayleigh–Ritz (Halko, Martinsson & Tropp,
-    "Finding structure with randomness", 2011): a fixed-seed Gaussian
-    (d, M + 10) block goes through four ``Q = qr(G @ Q)`` steps, and an
-    ``eigh`` of the projected (M + 10)² matrix gives the top M Ritz pairs.
-    That matrix is QᵀGQ for n >= f. For n < f the block is first carried to
-    feature space as W = qr(CᵀQ) and the matrix is WᵀCᵀCW, so the Ritz
-    vectors are components and the projections stay decorrelated. Smaller
-    Gram matrices, where it is cheaper, get a dense ``eigh``.
     """
     x = np.asarray(spectra, dtype=np.float64)
     n, f = x.shape
@@ -230,54 +224,49 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     # its column's mean non-finite: no n x f mask is needed to find one
     if not np.isfinite(mean).all():
         raise DegenerateTrace("spectra contain non-finite values")
+    root = np.sqrt(n) * mean  # outer(root, root) is n mu muᵀ and exactly symmetric
     tall = n >= f
     if tall:
         gram = x.T @ x
-        root = np.sqrt(n) * mean  # outer(root, root) is n mu muᵀ and exactly symmetric
         rows = _block_rows(f)
         for lo in range(0, f, rows):
             gram[lo : lo + rows] -= np.outer(root[lo : lo + rows], root)
-        scale = float(root @ root)
     else:
-        centered = x - mean
-        gram = centered @ centered.T
-        scale = 0.0
+        gram = x @ x.T
+        r, sq = x @ mean, mean @ mean
+        rows = _block_rows(n)
+        for lo in range(0, n, rows):  # (r_i + r_j) - |mu|² is exactly symmetric
+            gram[lo : lo + rows] -= r[lo : lo + rows, None] + r - sq
+    d = gram.shape[0]
     block = n_components + _RITZ_OVERSAMPLE
-    iterate = block < gram.shape[0] // 4
-    if iterate:
-        q = np.random.default_rng(_RITZ_SEED).standard_normal((gram.shape[0], block))
-        for _ in range(_RITZ_STEPS):
-            q = np.linalg.qr(gram @ q)[0]
-        if tall:
-            small = q.T @ gram @ q
-        else:
-            q = np.linalg.qr(centered.T @ q)[0]
-            projected = centered @ q
-            small = projected.T @ projected
-        evals, ritz = np.linalg.eigh(small)
-        evecs = q @ ritz
+    if block >= d // 4:
+        block = d
+    q = np.random.default_rng(_RITZ_SEED).standard_normal((d, block))
+    for _ in range(_RITZ_STEPS):
+        q = np.linalg.qr(gram @ q)[0]
+    if tall:
+        small = q.T @ gram @ q
     else:
-        evals, evecs = np.linalg.eigh(gram)
+        q = np.linalg.qr(x.T @ q - np.outer(mean, q.sum(axis=0)))[0]
+        projected = x @ q - mean @ q
+        small = projected.T @ projected
     del gram
+    evals, ritz = np.linalg.eigh(small)
+    evecs = q @ ritz
     evals, evecs = evals[::-1], evecs[:, ::-1]
-    # Rounding in the Gram matrix and in eigh perturbs every eigenvalue by
-    # about eps times the largest eigenvalue of the matrix formed: lambda_max
-    # for CCᵀ, lambda_max + n |mu|² for XᵀX. That is the floor to count rank
-    # against. The SVD tolerance must not be squared: the Gram matrix squares
-    # the condition number, and a squared tolerance would count rounding
-    # noise as rank. Ritz values obey the same floor: a Ritz vector outside
-    # the Gram matrix's range has a Rayleigh quotient of rounding size.
-    tol = (evals[0] + scale) * max(n, f) * np.finfo(np.float64).eps
+    # Rounding in G and in eigh moves every eigenvalue by about eps times the
+    # largest eigenvalue of XᵀX, at most lambda_max + n |mu|²: rank counts
+    # above that. The SVD tolerance is not squared, since G squares the
+    # condition number; a Ritz vector outside G's range has a Rayleigh
+    # quotient of rounding size.
+    tol = (evals[0] + float(root @ root)) * max(n, f) * np.finfo(np.float64).eps
     rank = int(np.sum(evals > tol))
     if rank < n_components:
         raise RankDeficient(
             f"only {rank} nonzero-variance directions available, {n_components} requested"
         )
     top = evals[:n_components]
-    if tall or iterate:
-        components = evecs[:, :n_components].T.copy()
-    else:
-        components = (centered.T @ evecs[:, :n_components] / np.sqrt(top)).T.copy()
+    components = evecs[:, :n_components].T.copy()
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0

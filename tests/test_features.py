@@ -291,10 +291,11 @@ def traced_peak(call):
     return result, peak
 
 
-def test_pca_tall_input_makes_no_input_sized_copy():
+@pytest.mark.parametrize("shape", [(2000, 300), (300, 2000)], ids=["tall", "wide"])
+def test_pca_makes_no_input_sized_copy(shape):
     # a centered copy is input-sized; without one, the traced peak is the
     # Gram matrix, its correction blocks and what the solver keeps
-    x = np.random.default_rng(12).normal(size=(2000, 300))
+    x = np.random.default_rng(12).normal(size=shape)
     gram_bytes = 300 * 300 * 8
     _, peak = traced_peak(lambda: fit_pca(x, 10))
     assert peak < x.nbytes / 4 + 2 * gram_bytes
@@ -352,11 +353,15 @@ def test_pca_exact_rank_is_counted(shape, rank):
         fit_pca(x, rank + 1)
 
 
-@pytest.mark.parametrize("shape", [(300, 40), (2000, 400)], ids=["dense", "iterative"])
+@pytest.mark.parametrize(
+    "shape",
+    [(300, 40), (2000, 400), (40, 300), (400, 2000)],
+    ids=["tall-full", "tall-iterative", "wide-full", "wide-iterative"],
+)
 @pytest.mark.parametrize("rank", [5, 12])
-def test_pca_tall_gram_is_exact_under_a_large_offset(shape, rank):
-    # the tall Gram matrix is formed uncentered: the offset's n |mu|² term is
-    # about 1e10 on these rows, against centered eigenvalues of about 1e3
+def test_pca_gram_is_exact_under_a_large_offset(shape, rank):
+    # either Gram matrix is formed uncentered: the offset's n |mu|² term is
+    # 1e10 to 1e12 on these shapes, against centered eigenvalues of 1e3 to 1e6
     rng = np.random.default_rng(rank)
     x = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1])) + 1e3
     basis = fit_pca(x, rank)
@@ -403,7 +408,7 @@ def planted(shape, m, gap, seed):
 
 
 def dense_fit(x, m):
-    """fit_pca with its size rule pushed onto the dense eigh branch."""
+    """fit_pca with its size rule pushed onto the full block."""
     with mock.patch.object(features, "_RITZ_OVERSAMPLE", max(x.shape)):
         return fit_pca(x, m)
 
@@ -449,7 +454,7 @@ def test_pca_subspace_iteration_matches_svd_oracle_on_a_gapped_spectrum(shape):
 
 
 def test_pca_size_rule_sides_agree_on_the_gapped_components():
-    # d = 64: M = 5 keeps M + 10 = 15 < 64 // 4 and iterates; M = 6 does not
+    # d = 64: M = 5 keeps M + 10 = 15 < 64 // 4; M = 6 takes the full block
     x = planted((600, 64), 5, gap=1e4, seed=22)
     iterative, sizes_iterative = eigh_sizes(x, 5)
     dense, sizes_dense = eigh_sizes(x, 6)
