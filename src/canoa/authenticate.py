@@ -168,7 +168,8 @@ def score(
         if rate != bundle.sample_rate:
             raise BundleMismatch(
                 f"power trace of ECU {model.ecu} is sampled at {rate:.0f} Hz, "
-                f"the bundle was trained at {bundle.sample_rate:.0f} Hz"
+                f"the bundle was trained at {bundle.sample_rate:.0f} Hz "
+                "(bus.power_sample_rate sets the power channels' rate)"
             )
     sas = bundle.sas
     p = np.empty((len(transmissions), len(sas)))

@@ -155,16 +155,28 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class BusConfig:
+    """The bus and its acquisition: ``sample_rate`` samples the voltage channel,
+    ``power_sample_rate`` every power channel (None: at ``sample_rate``)."""
+
     bitrate: float = 125_000.0
     format: FrameFormat = FrameFormat.EXTENDED
     sample_rate: float = 10e6
     voltage_noise: float = 0.05
+    power_sample_rate: float | None = None
 
     def __post_init__(self):
-        if not (self.bitrate > 0 and self.sample_rate > 0):
-            raise ValueError("bitrate and sample rate must be positive")
+        if not (0 < self.bitrate < np.inf and 0 < self.sample_rate < np.inf):
+            raise ValueError("bitrate and sample rate must be positive and finite")
         if not self.voltage_noise >= 0:
             raise ValueError("voltage noise must be non-negative")
+        if self.power_sample_rate is not None and not 0 < self.power_sample_rate < np.inf:
+            raise ValueError(
+                f"power sample rate must be positive and finite, got {self.power_sample_rate}"
+            )
+
+    @property
+    def power_rate(self) -> float:
+        return self.sample_rate if self.power_sample_rate is None else self.power_sample_rate
 
 
 @dataclass(frozen=True)
@@ -465,13 +477,25 @@ def _worker_count(tasks: int) -> int:
 def simulate(
     scenario: Scenario,
 ) -> tuple[SampledTrace, list[SampledTrace], GroundTruthLog]:
-    """Run a scenario: voltage trace, one power trace per ECU, ground truth."""
+    """Run a scenario: voltage trace, one power trace per ECU, ground truth.
+
+    The voltage trace is sampled at ``bus.sample_rate``, which must be at least
+    10x the bitrate, and each power trace at ``bus.power_rate``, which must lie
+    above twice every ECU's ripple frequency; either violation is a ValueError.
+    """
     bus = scenario.bus
     if bus.sample_rate < MIN_SAMPLES_PER_BIT * bus.bitrate:
         raise ValueError(
             f"sample rate {bus.sample_rate:.0f} Hz is below {MIN_SAMPLES_PER_BIT}x "
             f"the bitrate {bus.bitrate:.0f} bps"
         )
+    for ecu in scenario.ecus:  # the power channel is point-sampled: no anti-alias filter
+        ripple = ecu.profile.ripple_frequency_hz
+        if bus.power_rate <= 2 * ripple:
+            raise ValueError(
+                f"power sample rate {bus.power_rate:.0f} Hz is not above twice the "
+                f"{ripple:.0f} Hz ripple of ECU {ecu.index}"
+            )
     ss = np.random.SeedSequence(scenario.seed)
     # the third child is unused; spawning it keeps every power trace's seed
     payload_ss, voltage_ss, _, *power_ss = ss.spawn(3 + len(scenario.ecus))
@@ -495,14 +519,12 @@ def simulate(
     # release the interpreter lock. The buffers are allocated here, on the
     # calling thread: a trace allocated on a worker can land in that thread's
     # malloc arena, which the calling thread never reuses for later buffers.
-    n = int(round(scenario.duration * scenario.bus.sample_rate))
+    n = int(round(scenario.duration * bus.power_rate))
     buffers = [np.empty(n, dtype=np.float32) for _ in scenario.ecus]
 
     def ecu_power(ecu: EcuSpec, seed: np.random.SeedSequence, out: np.ndarray) -> SampledTrace:
         timeline = _timeline(order, transmitters, ecu, bit_time)
-        return synth_power(
-            ecu, timeline, scenario.duration, scenario.bus.sample_rate, seed, out=out
-        )
+        return synth_power(ecu, timeline, scenario.duration, bus.power_rate, seed, out=out)
 
     with ThreadPoolExecutor(max_workers=_worker_count(len(scenario.ecus))) as pool:
         futures = [

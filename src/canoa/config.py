@@ -52,7 +52,8 @@ _PRESETS = {"lab": lab_scenario, "truck": truck_scenario, "custom": None}
 
 # section -> (the dataclass or preset whose annotations type its keys, the key names)
 _SECTIONS = {
-    "bus": (BusConfig, ("bitrate", "format", "sample_rate", "voltage_noise")),
+    "bus": (BusConfig, ("bitrate", "format", "sample_rate", "voltage_noise",
+                        "power_sample_rate")),
     "sim": (Scenario, ("duration", "seed")),
     "scenario": (lab_scenario, ("frames_per_sa", "program")),
     "ecu": (PowerProfile, ("baseline_mean", "baseline_noise", "signature_amplitude",

@@ -1,13 +1,18 @@
 """Bus simulation tests: waveform synthesis, attacks, determinism."""
 
+import dataclasses
+import functools
 import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import canoa
 from canoa import bus
@@ -38,6 +43,13 @@ from canoa.frames import (
     decode_transmissions,
     serialize_frame,
 )
+from canoa.traceio import TraceKind, read_trace_file, write_ground_truth, write_trace_file
+
+
+def with_power_rate(scenario, rate):
+    """``scenario`` with its power channels sampled at ``rate``."""
+    bus = dataclasses.replace(scenario.bus, power_sample_rate=rate)
+    return dataclasses.replace(scenario, bus=bus)
 
 
 def small_lab(**kw):
@@ -460,7 +472,7 @@ def simulate_serial_reference(scenario, monkeypatch):
     powers = [
         synth_power_reference(
             ecu, _timeline(slots, transmitters, ecu, bit_time), scenario.duration,
-            scenario.bus.sample_rate, child,
+            scenario.bus.power_rate, child,
         )
         for ecu, child in zip(scenario.ecus, children)
     ]
@@ -469,6 +481,7 @@ def simulate_serial_reference(scenario, monkeypatch):
 
 SCENARIOS = {
     "lab": lambda: small_lab(frames_per_sa=25, seed=3, program=ProgramActivity.HETEROGENEOUS),
+    "lab_power_at_1mhz": lambda: with_power_rate(small_lab(frames_per_sa=25, seed=3), 1e6),
     "truck_attack": lambda: truck_scenario(
         frames_per_sa=30,
         seed=4,
@@ -592,6 +605,8 @@ def test_attack_frame_id_follows_the_schedule_rule(fmt):
     [
         lambda: BusConfig(bitrate=0.0),
         lambda: BusConfig(sample_rate=float("nan")),
+        lambda: BusConfig(sample_rate=float("inf")),
+        lambda: BusConfig(bitrate=float("inf")),
         lambda: BusConfig(voltage_noise=-0.1),
         lambda: MessageSchedule(sa=1, period_s=0.0),
         lambda: lab_scenario(bitrate=0.0),
@@ -610,3 +625,60 @@ def test_simulate_rejects_fewer_than_ten_samples_per_bit():
     sc = lab_scenario(frames_per_sa=5, sample_rate=1e6)
     with pytest.raises(ValueError, match="1000000 Hz is below 10x the bitrate 125000 bps"):
         simulate(sc)
+
+
+def test_simulate_rejects_a_power_rate_that_aliases_a_ripple():
+    # lab ripples are 60e3 + 70e3 k Hz
+    with pytest.raises(ValueError, match="500000 Hz is not above twice the 270000 Hz ripple of ECU 3"):
+        simulate(with_power_rate(lab_scenario(frames_per_sa=5), 5e5))
+    # the rule holds for the bus rate too when no power rate is set
+    with pytest.raises(ValueError, match="640000 Hz is not above twice the 340000 Hz ripple of ECU 4"):
+        simulate(lab_scenario(frames_per_sa=5, sample_rate=6.4e5, bitrate=62_500.0))
+
+
+def capture_files(scenario, out: Path) -> dict[str, bytes]:
+    """The bytes of every file ``canoa simulate`` writes for ``scenario``."""
+    voltage, powers, truth = simulate(scenario)
+    out.mkdir()
+    write_trace_file(out / "voltage.ctrc", voltage.samples, TraceKind.VOLTAGE, voltage.sample_rate)
+    for ecu, trace in zip(scenario.ecus, powers):
+        write_trace_file(
+            out / f"power_{ecu.index:03d}.ctrc", trace.samples, TraceKind.POWER, trace.sample_rate
+        )
+    write_ground_truth(out / "ground_truth.csv", truth)
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def small_truck():
+    attack = AttackSpec(kind=AttackKind.ADDED_MODULE, spoofed_sa=0, count=5)
+    return truck_scenario(frames_per_sa=20, seed=6, attacks=(attack,))
+
+
+@functools.cache
+def small_truck_files() -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return capture_files(small_truck(), Path(tmp) / "capture")
+
+
+def test_power_rate_equal_to_the_bus_rate_gives_the_default_capture(tmp_path):
+    sc = small_truck()
+    assert sc.bus.power_sample_rate is None
+    assert capture_files(with_power_rate(sc, sc.bus.sample_rate), tmp_path / "same") == (
+        small_truck_files()
+    )
+
+
+# legal for the truck's 90 and 240 kHz ripples, up to twice its 3 MHz bus rate
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(480_001, 6_000_000))
+def test_power_rate_sets_only_the_power_channels(rate):
+    sc = with_power_rate(small_truck(), float(rate))
+    default = small_truck_files()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = capture_files(sc, Path(tmp) / "capture")
+        for ecu in sc.ecus:
+            trace = read_trace_file(Path(tmp) / "capture" / f"power_{ecu.index:03d}.ctrc")
+            assert trace.sample_rate == rate
+            assert trace.samples.shape == (1, round(sc.duration * rate))
+    assert files["voltage.ctrc"] == default["voltage.ctrc"]
+    assert files["ground_truth.csv"] == default["ground_truth.csv"]

@@ -219,6 +219,20 @@ def test_simulate_below_ten_samples_per_bit_writes_no_capture(tmp_path, capsys):
     assert not (out / "voltage.ctrc").exists()
 
 
+def test_power_rate_at_or_below_twice_a_ripple_writes_no_capture(tmp_path, capsys):
+    # lab ripples are 60e3 + 70e3 k Hz: at 540 kHz ECU 3's 270 kHz sits at Nyquist
+    cfg = tmp_path / "aliased.cfg"
+    cfg.write_text(TINY_CONFIG + "bus.power_sample_rate = 540000\n")
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "power sample rate 540000 Hz is not above twice the 270000 Hz ripple of ECU 3" in err
+    assert not out.exists()
+    cfg.write_text(TINY_CONFIG + "bus.power_sample_rate = 540001\n")
+    assert run_cli("simulate", "--config", cfg, "--out", out) == 2
+    assert "340000 Hz ripple of ECU 4" in capsys.readouterr().err
+
+
 def test_sweep_renders_failed_cells(tmp_path):
     cfg = tmp_path / "slow.cfg"
     cfg.write_text(TINY_CONFIG.replace("bus.sample_rate = 2000000", "bus.sample_rate = 1000000"))
@@ -506,6 +520,30 @@ def test_bundle_on_traces_at_another_sample_rate_is_a_mismatch(cfg_path, tmp_pat
     err = capsys.readouterr().err
     assert "3000000 Hz" in err and "2000000 Hz" in err
     assert not (fast / "verdicts.csv").exists()
+
+
+def test_bundle_at_another_power_rate_names_the_key_that_sets_it(cfg_path, tmp_path, capsys):
+    slow_cfg = tmp_path / "slow_power.cfg"
+    slow_cfg.write_text(TINY_CONFIG + "bus.power_sample_rate = 1000000\n")
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", slow_cfg, "--out", out) == 0
+    assert read_trace_file(out / "power_000.ctrc").sample_rate == 1e6
+    assert read_trace_file(out / "voltage.ctrc").sample_rate == 2e6
+    assert run_cli("train", "--config", slow_cfg, "--traces", out, "--out", out) == 0
+    other = tmp_path / "other"
+    assert run_cli("simulate", "--config", cfg_path, "--out", other) == 0
+    capsys.readouterr()
+    rc = run_cli(
+        "authenticate",
+        "--traces", other,
+        "--bundle", out / "bundle.cbnd",
+        "--out", other,
+        "--bitrate", 125000,
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "2000000 Hz" in err and "1000000 Hz" in err and "bus.power_sample_rate" in err
+    assert not (other / "verdicts.csv").exists()
 
 
 def test_authenticate_requires_bitrate(cfg_path, tmp_path):

@@ -141,6 +141,16 @@ def test_negative_seed_and_empty_attack_stream_fail_at_their_line(line, message)
         parse_config_text(attack)
 
 
+def test_power_sample_rate_defaults_to_the_bus_rate():
+    bus = parse_config_text("bus.sample_rate = 3000000\n").scenario.bus
+    assert bus.power_sample_rate is None and bus.power_rate == 3e6
+    bus = parse_config_text("bus.sample_rate = 3000000\nbus.power_sample_rate = 1e6\n").scenario.bus
+    assert bus.sample_rate == 3e6 and bus.power_rate == 1e6
+    with pytest.raises(ConfigError, match="power sample rate must be positive") as err:
+        parse_config_text("bus.power_sample_rate = 0\nbus.sample_rate = 3000000\n")
+    assert err.value.line == 1
+
+
 def test_shipped_configs_parse():
     from pathlib import Path
 
@@ -158,6 +168,7 @@ NON_DEFAULT = {
     "bus.format": "standard",
     "bus.sample_rate": "5000000",
     "bus.voltage_noise": "0.3",
+    "bus.power_sample_rate": "1500000",
     "sim.duration": "0.75",
     "sim.seed": "1234",
     "ecu.0.baseline_mean": "1.7",
@@ -273,6 +284,11 @@ def test_inapplicable_key_is_rejected_with_its_line(text):
         "pipeline.delta = 1",
         "pipeline.calib_len = 10",
         "bus.bitrate = 0",
+        "bus.sample_rate = inf",
+        "bus.power_sample_rate = 0",
+        "bus.power_sample_rate = -1000000",
+        "bus.power_sample_rate = nan",
+        "bus.power_sample_rate = inf",
         "ecu.0.msg.0.period = 0",
         "ecu.0.msg.0.dlc = 9",
         "ecu.0.msg.0.dlc = -1",
