@@ -60,7 +60,6 @@ from .frames import (
     SourceAddressMap,
     arbitrate,
     decode_transmissions,
-    serialize_frame,
     serialize_frames,
 )
 from .svm import (

@@ -121,11 +121,6 @@ class Verdict:
     multiple_positive: tuple[int, ...]  # the SAs above delta, when more than one is
 
     @property
-    def softmax_probs(self) -> dict[int, float]:
-        """Softmax of ``p_tx``: a distribution over the SAs that sums to one."""
-        return dict(zip(self.p_tx, softmax(list(self.p_tx.values())).tolist()))
-
-    @property
     def flagged_compromised(self) -> int | None:
         """The ECU an impersonation flags as compromised: the winner's."""
         return self.attributed_ecu if self.decision is Decision.IMPERSONATION else None

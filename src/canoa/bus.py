@@ -173,6 +173,10 @@ class BusConfig:
             raise ValueError(
                 f"power sample rate must be positive and finite, got {self.power_sample_rate}"
             )
+        for rate in (self.sample_rate, self.power_sample_rate):
+            if rate is not None and not float(rate).is_integer():
+                # trace files store the rate as an integer, so it must read back unchanged
+                raise ValueError(f"sample rates must be a whole number of Hz, got {rate}")
 
     @property
     def power_rate(self) -> float:

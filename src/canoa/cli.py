@@ -224,6 +224,8 @@ def cmd_train(args) -> int:
     report_lines = [
         f"transmissions: {len(result.transmissions)} (tau = {result.tau.value * 1e3:.4f} ms)"
     ]
+    for ecu, (kept, retained) in result.pca.items():
+        report_lines.append(f"ecu {ecu}: pca_components={kept} variance_retained={retained:.4f}")
     for sa, meta in result.bundle.training.items():
         curve = result.curves[sa]
         report_lines.append(

@@ -18,8 +18,9 @@ ECU ``k`` getting ripple frequency ``60e3 + 70e3·k`` and ID prefix
 ``scenario.program`` before ``ecu.<k>.program``. A key no step can apply
 (an ECU or stream the preset lacks, ``scenario.frames_per_sa`` on a custom
 scenario) is a :class:`ConfigError` at its line, and so is a negative
-``sim.seed`` or an ``attack.<i>.count`` below 1. A value a dataclass
-rejects is one at the last line that set one of its fields.
+``sim.seed``, an ``attack.<i>.count`` below 1, or a ``bus.sample_rate`` or
+``bus.power_sample_rate`` that is not a whole number of Hz. A value a
+dataclass rejects is one at the last line that set one of its fields.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ _SECTIONS = {
 _INDEXES = {"ecu": 1, "attack": 1, "msg": 2}
 # (section, field) -> the least value a line may give it
 _LEAST = {("sim", "seed"): 0, ("attack", "count"): 1}
+# rates a line must give as a whole number of Hz: trace files store them as integers
+_WHOLE = {("bus", "sample_rate"), ("bus", "power_sample_rate")}
 # key name -> field name, where the two differ
 _FIELD = {
     "ripple_frequency": "ripple_frequency_hz",
@@ -156,6 +159,8 @@ def _parse_lines(text: str) -> _Values:
         least = _LEAST.get((section, field))
         if least is not None and value < least:
             raise ConfigError(f"{key}: must be at least {least}, got {value}", line=lineno)
+        if (section, field) in _WHOLE and not value.is_integer():
+            raise ConfigError(f"{key}: must be a whole number of Hz, got {value}", line=lineno)
         values[slot] = _Value(key, value, lineno)
     return values
 

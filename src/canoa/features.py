@@ -19,7 +19,7 @@ is the one test of whether it lies inside a trace.
 
 :func:`fit_pca` keeps M components of a Gram matrix of size d, found by
 one fixed-seed block subspace iteration: M + 10 columns when
-M + 10 < d // 4 (the lab and truck presets: d = 1081 and 801, M = 50),
+M + 10 < d // 4 (the shipped configs: lab d = 541, truck d = 801, M = 5),
 all d otherwise. The Gram matrix is formed from the uncentered spectra
 less a correction, and :meth:`PcaBasis.transform` centers a block of rows
 at a time, so neither makes an n x f copy of an ECU's spectra.
@@ -39,7 +39,10 @@ from .trace import SampledTrace
 
 DEFAULT_CALIB_LEN = 100_000
 MIN_CALIB_LEN = 1000
-DEFAULT_COMPONENTS = 50
+# Every ECU's spectra hold one or two signal components above a flat noise
+# tail. Five keep them, and the SVMs' cost grows with every noise direction
+# kept past them.
+DEFAULT_COMPONENTS = 5
 # Segments are normalized, tapered and transformed in blocks of rows whose
 # float64 copy is about this size, so a block stays in cache between steps.
 # Spectra are centered for projection, and fit_pca's Gram matrix corrected,
@@ -108,15 +111,22 @@ class PcaBasis:
     largest-magnitude entry positive, so fits are deterministic. The
     variances are :func:`fit_pca`'s Ritz values: each is the variance along
     its component, and none exceeds the exact eigenvalue.
+    ``total_variance`` is the corpus's, summed over every direction.
     """
 
     mean: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
+    total_variance: float
 
     @property
     def n_components(self) -> int:
         return self.components.shape[0]
+
+    @property
+    def retained(self) -> float:
+        """Fraction of the total variance the components hold."""
+        return float(self.explained_variance.sum()) / self.total_variance
 
     def transform(self, spectra: np.ndarray) -> np.ndarray:
         """Project spectra (vector or matrix rows) onto the basis.
@@ -209,7 +219,8 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     For n < f the block is first carried to feature space as W = qr(CᵀQ)
     and the matrix is WᵀCᵀCW, with C applied as X - mu, so the Ritz vectors
     are components and the projections stay decorrelated. The Ritz values
-    divided by n - 1 are the explained variances.
+    divided by n - 1 are the explained variances, and the trace of G divided
+    by n - 1 is the total variance.
     """
     x = np.asarray(spectra, dtype=np.float64)
     n, f = x.shape
@@ -250,6 +261,7 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
         q = np.linalg.qr(x.T @ q - np.outer(mean, q.sum(axis=0)))[0]
         projected = x @ q - mean @ q
         small = projected.T @ projected
+    total = float(np.trace(gram)) / (n - 1)
     del gram
     evals, ritz = np.linalg.eigh(small)
     evecs = q @ ritz
@@ -270,15 +282,17 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
-    return PcaBasis(mean=mean, components=components, explained_variance=top / (n - 1))
+    return PcaBasis(
+        mean=mean, components=components, explained_variance=top / (n - 1), total_variance=total
+    )
 
 
 def segments_fit(
     trace: SampledTrace, times: Sequence[float], tau: Tau
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each time's segment start sample, and whether its segment lies inside the trace."""
-    # SampledTrace.index_of for every time at once: np.rint rounds half to
-    # even, as Python's round does
+    # each time's nearest sample; np.rint rounds half to even, as Python's
+    # round does
     offsets = (np.asarray(times, dtype=np.float64) - trace.start_time) * trace.sample_rate
     starts = np.rint(offsets).astype(np.int64)
     fits = (starts >= 0) & (starts + tau.sample_count(trace.sample_rate) <= trace.samples.size)

@@ -232,11 +232,6 @@ def serialize_frames(frames: Sequence[CanFrame]) -> list[bytes]:
     return [w for lo in blocks for w in _serialize_block(frames[lo : lo + _ENCODE_BLOCK])]
 
 
-def serialize_frame(frame: CanFrame) -> bytes:
-    """Full on-wire bit image of one frame: a batch of one."""
-    return serialize_frames([frame])[0]
-
-
 def arbitrate(
     start_requests: list[tuple[CanFrame, float]], bitrate: float
 ) -> list[ArbitratedFrame]:

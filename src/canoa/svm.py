@@ -141,17 +141,10 @@ def hinge_loss(w: np.ndarray, b, x: np.ndarray, y_pm: np.ndarray) -> np.ndarray 
     return np.maximum(0.0, 1.0 - _margins(w, b, x, y_pm)).mean(axis=-1)
 
 
-def svm_objective(
-    w: np.ndarray, b: float, x: np.ndarray, y_pm: np.ndarray, lam: float
-) -> float:
-    """Mean hinge loss plus (lam/2) * |w|^2."""
-    return float(hinge_loss(w, b, x, y_pm) + 0.5 * lam * (w @ w))
-
-
 def svm_subgradient(
     w: np.ndarray, b, x: np.ndarray, y_pm: np.ndarray, lam: float
 ) -> tuple[np.ndarray, np.ndarray | float]:
-    """Analytic subgradient of :func:`svm_objective` at (w, b).
+    """Analytic subgradient at (w, b) of the mean hinge loss plus (lam/2) * |w|^2.
 
     Leading dimensions stack independent problems: ``w (..., m)``, ``b (...)``,
     ``x (..., n, m)`` and ``y_pm (..., n)`` give ``gw (..., m)`` and ``gb (...)``.

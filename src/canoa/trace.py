@@ -22,11 +22,3 @@ class SampledTrace:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
-    def index_of(self, t: float) -> int:
-        """Sample index of absolute time ``t`` (rounded to the grid)."""
-        return int(round((t - self.start_time) * self.sample_rate))

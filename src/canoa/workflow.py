@@ -70,6 +70,7 @@ class TrainResult:
     datasets: dict[tuple[int, int], FeatureDataset]
     transmissions: list[DecodedTransmission]
     tau: Tau
+    pca: dict[int, tuple[int, float]]  # ECU -> (components kept, fraction of variance held)
 
 
 def usable_transmissions(
@@ -116,7 +117,7 @@ def build_bundle(
         raise EmptyInput("no transmission's segment fits inside every power trace")
     window = TukeyParams(pcfg.tukey_alpha)
     sa_labels = np.array([d.sa for d in usable])
-    fitted = {}
+    fitted, pca = {}, {}
     # every ECU's features before any training: one loop doing both raised peak RSS
     for ecu in samap.ecus:
         trace = powers[ecu]
@@ -124,6 +125,7 @@ def build_bundle(
         spectra = ecu_spectra(trace, stats, usable, tau, window)
         basis = fit_pca(spectra, pcfg.n_components)
         fitted[ecu] = stats, basis, basis.transform(spectra)
+        pca[ecu] = basis.n_components, basis.retained
         del spectra  # before the next ECU's spectra exist
     datasets: dict[tuple[int, int], FeatureDataset] = {}
     ecus = []
@@ -147,7 +149,7 @@ def build_bundle(
         tuple(ecus), samap, tau, window, sample_rate=rates[0], delta=pcfg.delta
     )
     return TrainResult(
-        bundle=bundle, curves=curves, datasets=datasets, transmissions=usable, tau=tau
+        bundle=bundle, curves=curves, datasets=datasets, transmissions=usable, tau=tau, pca=pca
     )
 
 
@@ -249,10 +251,6 @@ class FactorGrid:
 
     reports: dict[FactorCell, MetricReport] = field(default_factory=dict)
     errors: dict[FactorCell, str] = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        return not self.errors and bool(self.reports)
 
 
 def grid_cells() -> list[FactorCell]:

@@ -28,9 +28,9 @@ from canoa.frames import (
     SourceAddressMap,
     arbitrate,
     decode_transmissions,
-    serialize_frame,
+    serialize_frames,
 )
-from canoa.svm import TrainConfig, svm_objective, svm_subgradient
+from canoa.svm import TrainConfig, hinge_loss, svm_subgradient
 from canoa.trace import SampledTrace
 from canoa.traceio import (
     TraceKind,
@@ -79,7 +79,7 @@ def synth_batch(frames, bitrate, sample_rate, noise=0.02, seed=0):
 
 
 def run_lab(power_sample_rate=None):
-    """Criterion 2 pipeline: 5 ECUs, 5000 frames, M=50, power at ``power_sample_rate``."""
+    """Criterion 2 pipeline: 5 ECUs, 5000 frames, default M, power at ``power_sample_rate``."""
     t0 = time.monotonic()
     scenario = lab_scenario(frames_per_sa=1000, sample_rate=2e6, seed=7)
     bus = dataclasses.replace(scenario.bus, power_sample_rate=power_sample_rate)
@@ -89,7 +89,7 @@ def run_lab(power_sample_rate=None):
     decoded = decode_transmissions(voltage, scenario.bus.bitrate, samap)
     power_map = {e.index: p for e, p in zip(scenario.ecus, powers)}
     tcfg = TrainConfig(seed=7)
-    result = build_bundle(power_map, decoded, samap, PipelineConfig(n_components=50), tcfg)
+    result = build_bundle(power_map, decoded, samap, PipelineConfig(), tcfg)
     held_out = holdout_transmissions(result, tcfg)
     verdicts = authenticate_all(held_out, power_map, result.bundle)
     elapsed = time.monotonic() - t0
@@ -188,7 +188,7 @@ def test_criterion_1_protocol_round_trip():
                 remaining -= batch_n
     # exhaustive single-bit corruption of one fixed frame
     frame = CanFrame((0xF3 << 8) | 0x2A, bytes(range(8)), FrameFormat.EXTENDED)
-    wire = serialize_frame(frame)
+    wire = serialize_frames([frame])[0]
     surviving = 0
     for k in range(len(wire)):
         corrupted = list(wire)
@@ -340,11 +340,15 @@ def test_criterion_6_numerical_suites():
     yg = np.where(rng.uniform(size=50) < 0.5, -1.0, 1.0)
     w, b, lam, h = rng.normal(size=6), 0.3, 0.02, 1e-6
     gw, gb = svm_subgradient(w, b, xg, yg, lam)
+
+    def objective(wv):  # mean hinge loss plus (lam/2) * |w|^2
+        return float(hinge_loss(wv, b, xg, yg) + 0.5 * lam * (wv @ wv))
+
     fd_err = 0.0
     for j in range(6):
         e = np.zeros(6)
         e[j] = h
-        fd = (svm_objective(w + e, b, xg, yg, lam) - svm_objective(w - e, b, xg, yg, lam)) / (2 * h)
+        fd = (objective(w + e) - objective(w - e)) / (2 * h)
         fd_err = max(fd_err, abs(fd - gw[j]) / max(1.0, abs(fd)))
     # softmax sums to one within 1e-9
     softmax_err = max(
@@ -387,11 +391,11 @@ def test_criterion_7_factor_sweep():
     base = lab_scenario(frames_per_sa=240, sample_rate=6e6, seed=40)
     grid = factor_sweep(
         base,
-        pipeline_cfg=PipelineConfig(n_components=50),
+        pipeline_cfg=PipelineConfig(),
         train_cfg=TrainConfig(seed=40, max_iters=300),
     )
     elapsed = time.monotonic() - t0
-    complete = grid.complete and len(grid.reports) == 12
+    complete = not grid.errors and len(grid.reports) == 12
     simplest = grid.reports.get(FactorCell(125_000, FrameFormat.STANDARD, ProgramActivity.UNIFORM))
     hardest = grid.reports.get(
         FactorCell(500_000, FrameFormat.EXTENDED, ProgramActivity.HETEROGENEOUS)
@@ -453,7 +457,7 @@ def test_criterion_9_persistence_round_trips(truck_attack_run, tmp_path):
         a.decision == b.decision
         and a.attributed_sa == b.attributed_sa
         and a.p_tx == b.p_tx
-        and a.softmax_probs == b.softmax_probs
+        and softmax(list(a.p_tx.values())).tolist() == softmax(list(b.p_tx.values())).tolist()
         for a, b in zip(before, after)
     )
     report(

@@ -139,7 +139,7 @@ def test_purported_sender_wins_is_authentic():
     assert v.decision is Decision.AUTHENTIC
     assert v.attributed_sa == 0
     assert v.flagged_compromised is None
-    assert abs(sum(v.softmax_probs.values()) - 1.0) < 1e-9
+    assert abs(float(softmax(list(v.p_tx.values())).sum()) - 1.0) < 1e-9
 
 
 def test_sibling_confusion_stays_authentic():
@@ -338,7 +338,11 @@ def test_frame_whose_segment_overruns_a_truncated_capture_is_out_of_window(truck
     usable = usable_transmissions(decoded, power_map, tau)
     end = usable[-1].t + tau.value
     truncated = {
-        e: SampledTrace(p.samples[: p.index_of(end) + 1], p.sample_rate, p.start_time)
+        e: SampledTrace(
+            p.samples[: int(round((end - p.start_time) * p.sample_rate)) + 1],
+            p.sample_rate,
+            p.start_time,
+        )
         for e, p in power_map.items()
     }
     kept = usable_transmissions(decoded, truncated, tau)

@@ -41,7 +41,7 @@ from canoa.frames import (
     CanFrame,
     FrameFormat,
     decode_transmissions,
-    serialize_frame,
+    serialize_frames,
 )
 from canoa.traceio import TraceKind, read_trace_file, write_ground_truth, write_trace_file
 
@@ -73,7 +73,7 @@ def test_empty_schedule_gives_near_zero_trace():
 
 def test_each_bit_spans_80_samples_at_10mhz_125kbps():
     frame = CanFrame(0x0B, b"\x01", FrameFormat.STANDARD)
-    wire = serialize_frame(frame)
+    wire = serialize_frames([frame])[0]
     slot = ArbitratedFrame(0, frame, 0.0, wire, len(wire) / 125_000)
     cfg = BusConfig(bitrate=125_000, sample_rate=10e6, voltage_noise=0.0)
     trace = synth_voltage([slot], cfg, duration=len(wire) / 125_000 + 1e-3, rng=np.random.default_rng(0))
@@ -85,7 +85,7 @@ def test_each_bit_spans_80_samples_at_10mhz_125kbps():
 
 def test_noiseless_threshold_recovers_stuffed_bits():
     frame = CanFrame((0xF2 << 8) | 0x31, b"\xca\xfe", FrameFormat.EXTENDED)
-    wire = serialize_frame(frame)
+    wire = serialize_frames([frame])[0]
     slot = ArbitratedFrame(0, frame, 0.0, wire, len(wire) / 250_000)
     cfg = BusConfig(bitrate=250_000, sample_rate=4e6, voltage_noise=0.0)
     trace = synth_voltage([slot], cfg, duration=len(wire) / 250_000 + 1e-4, rng=np.random.default_rng(0))
@@ -544,7 +544,7 @@ def test_synth_voltage_on_a_trace_cut_inside_the_last_slot(monkeypatch):
 def test_synth_voltage_adds_overlapping_and_unordered_slots_in_order():
     frames = [CanFrame(0x100 + k, bytes([k] * 4), FrameFormat.STANDARD) for k in range(4)]
     starts = [1e-3, 0.2e-3, 0.25e-3, 1.1e-3]  # the second overlaps the third, the first the fourth
-    wires = [serialize_frame(f) for f in frames]
+    wires = serialize_frames(frames)
     slots = [
         ArbitratedFrame(k, f, t, w, len(w) / 125_000)
         for k, (f, t, w) in enumerate(zip(frames, starts, wires))
@@ -619,6 +619,14 @@ def test_attack_frame_id_follows_the_schedule_rule(fmt):
 def test_bus_and_schedule_reject_values_the_simulator_cannot_run(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("field", ["sample_rate", "power_sample_rate"])
+def test_bus_config_rejects_a_fractional_sample_rate(field):
+    # a trace file stores its rate as an integer: 1000000.5 Hz would read back as 1 MHz
+    with pytest.raises(ValueError, match="whole number of Hz, got 1000000.5"):
+        BusConfig(**{field: 1_000_000.5})
+    assert getattr(BusConfig(**{field: 1e6}), field) == 1_000_000
 
 
 def test_simulate_rejects_fewer_than_ten_samples_per_bit():

@@ -111,6 +111,19 @@ def test_train_outputs_are_deterministic(cfg_path, tmp_path):
     ).read_text()
 
 
+def test_training_report_states_each_ecus_pca_basis(tmp_path):
+    # the shipped truck_attack.cfg: one line per ECU, after the transmission count
+    cfg = Path(__file__).parent.parent / "configs" / "truck_attack.cfg"
+    sim, out = tmp_path / "sim", tmp_path / "train"
+    assert run_cli("simulate", "--config", cfg, "--out", sim) == 0
+    assert run_cli("train", "--config", cfg, "--traces", sim, "--out", out) == 0
+    report = (out / "training_report.txt").read_text().splitlines()
+    assert report[1:3] == [
+        "ecu 0: pca_components=5 variance_retained=0.9712",
+        "ecu 1: pca_components=5 variance_retained=0.9872",
+    ]
+
+
 def test_all_command_and_csv_format(cfg_path, tmp_path):
     out = tmp_path / "all"
     assert run_cli("all", "--config", cfg_path, "--out", out, "--format", "csv") == 0

@@ -14,7 +14,7 @@ def test_empty_config_yields_lab_defaults():
     run = parse_config_text("")
     assert len(run.scenario.ecus) == 5
     assert run.scenario.bus.bitrate == 125_000.0
-    assert run.pipeline.n_components == 50
+    assert run.pipeline.n_components == 5
     assert run.pipeline.delta == 0.5
     assert run.train.epsilon == 1e-4
     assert run.train.split == (0.6, 0.2, 0.2)
@@ -149,6 +149,14 @@ def test_power_sample_rate_defaults_to_the_bus_rate():
     with pytest.raises(ConfigError, match="power sample rate must be positive") as err:
         parse_config_text("bus.power_sample_rate = 0\nbus.sample_rate = 3000000\n")
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("key", ["bus.sample_rate", "bus.power_sample_rate"])
+def test_fractional_sample_rate_fails_at_its_line(key):
+    text = f"scenario.preset = lab\n{key} = 1000000.5\nscenario.frames_per_sa = 10\n"
+    with pytest.raises(ConfigError, match=f"{key}: must be a whole number of Hz") as err:
+        parse_config_text(text)
+    assert err.value.line == 2
 
 
 def test_shipped_configs_parse():

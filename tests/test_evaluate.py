@@ -210,7 +210,7 @@ def test_mini_sweep_completes_and_records_failures():
         pipeline_cfg=PipelineConfig(n_components=12, calib_len=40_000),
         train_cfg=TrainConfig(seed=5, max_iters=150),
     )
-    assert grid.complete
+    assert not grid.errors and grid.reports
     for cell in cells:
         rep = grid.reports[cell]
         assert 0.0 <= rep.accuracy <= 1.0
@@ -221,7 +221,7 @@ def test_mini_sweep_completes_and_records_failures():
         tiny, cells=bad, pipeline_cfg=PipelineConfig(n_components=50), train_cfg=TrainConfig()
     )
     assert bad[0] in grid2.errors
-    assert not grid2.complete
+    assert grid2.errors or not grid2.reports
 
 
 def test_sweep_is_deterministic_under_fixed_seeds():

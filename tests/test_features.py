@@ -1,7 +1,9 @@
 """Feature-pipeline tests: normalization, windowing, spectra, PCA, and the datasets
 :func:`canoa.workflow.build_bundle` labels from them."""
 
+import dataclasses
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canoa import features
+from canoa.authenticate import Decision, authenticate_all
 from canoa.bus import lab_scenario, simulate, truck_scenario
+from canoa.config import parse_config
 from canoa.errors import DegenerateTrace, EmptyInput, OutOfBounds, RankDeficient
 from canoa.features import (
     _SPECTRA_BLOCK_BYTES,
@@ -26,7 +30,14 @@ from canoa.features import (
 )
 from canoa.frames import DecodedTransmission, decode_transmissions
 from canoa.trace import SampledTrace
-from canoa.workflow import PipelineConfig, build_bundle
+from canoa.workflow import (
+    PipelineConfig,
+    build_bundle,
+    normal_transmissions,
+    usable_transmissions,
+)
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def tx(t, sa, duration=1e-3):
@@ -516,6 +527,37 @@ def test_pca_solvers_agree_on_the_gapped_leading_subspace(
     assert_basis_invariants(dense)
 
 
+def test_subspace_and_full_block_fits_give_a_truck_capture_the_same_verdicts():
+    # truck_attack.cfg at seed 7, 3000 x 801 spectra per ECU: the shipped M
+    # fits with M + 10 columns, and the full block is exact. Both must decide
+    # every frame alike and name the same transmitting ECU. Which of ECU 0's
+    # SAs 0 and 15 wins may differ, since they share one power signature, and
+    # an added-module frame's winner names no transmitter.
+    run = parse_config(CONFIGS / "truck_attack.cfg")
+    assert run.pipeline.n_components == features.DEFAULT_COMPONENTS
+    assert features.DEFAULT_COMPONENTS + features._RITZ_OVERSAMPLE < 801 // 4
+    scenario = dataclasses.replace(run.scenario, seed=7)
+    voltage, powers, truth = simulate(scenario)
+    samap = scenario.source_map()
+    decoded = decode_transmissions(voltage, scenario.bus.bitrate, samap)
+    power_map = {e.index: p for e, p in zip(scenario.ecus, powers)}
+    training = normal_transmissions(decoded, truth)
+    train_cfg = dataclasses.replace(run.train, seed=7)
+    verdicts = []
+    for oversample in (features._RITZ_OVERSAMPLE, 801):
+        with mock.patch.object(features, "_RITZ_OVERSAMPLE", oversample):
+            result = build_bundle(power_map, training, samap, run.pipeline, train_cfg)
+        usable = usable_transmissions(decoded, power_map, result.tau)
+        verdicts.append(authenticate_all(usable, power_map, result.bundle))
+    subspace, full = verdicts
+    assert len(subspace) == len(full) == 4000
+    assert [v.decision for v in subspace] == [v.decision for v in full]
+    assert sum(v.decision is Decision.ADDED_MODULE for v in full) >= 1000
+    claimed = [(a.attributed_ecu, b.attributed_ecu) for a, b in zip(subspace, full)
+               if a.decision is not Decision.ADDED_MODULE]
+    assert all(a == b for a, b in claimed)
+
+
 # --------------------------------------------------------- extract_feature
 
 
@@ -573,7 +615,7 @@ def test_out_of_bounds_window_raises(tiny_run):
     sc, powers, decoded = tiny_run
     tau = estimate_tau(decoded)
     stats, basis = ecu_features(powers[0], decoded, tau, 10)
-    end_time = powers[0].start_time + powers[0].duration
+    end_time = powers[0].start_time + powers[0].samples.size / powers[0].sample_rate
     with pytest.raises(OutOfBounds):
         extract_feature(powers[0], stats, end_time - tau.value / 2, tau, TukeyParams(0.25), basis)
 
@@ -634,7 +676,7 @@ def test_spectra_start_samples_round_like_index_of():
     )
     stats, tau, win = NormStats(0.0, 1.0), Tau(n_samples / rate), TukeyParams(0.25)
     times = [trace.start_time + (k + 0.5) / rate for k in range(0, 4000, 37)]
-    starts = [trace.index_of(t) for t in times]
+    starts = [int(round((t - trace.start_time) * rate)) for t in times]
     assert any(s % 2 == 0 and s != k for s, k in zip(starts, range(0, 4000, 37)))
     got = ecu_spectra(trace, stats, [tx(t, 1) for t in times], tau, win)
     assert np.array_equal(got, unblocked_spectra(trace, stats, starts, n_samples, win))

@@ -18,10 +18,14 @@ from canoa.frames import (
     SourceAddressMap,
     arbitrate,
     decode_transmissions,
-    serialize_frame,
     serialize_frames,
 )
 from canoa.trace import SampledTrace
+
+
+def serialize_frame(frame):
+    """One frame's wire image: a batch of one."""
+    return serialize_frames([frame])[0]
 
 
 # ---------------------------------------------------------------- oracles

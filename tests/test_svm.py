@@ -19,13 +19,18 @@ from canoa.svm import (
     _prepare,
     _sgd,
     bootstrap_accuracy,
+    hinge_loss,
     platt_fit,
     platt_proba,
-    svm_objective,
     svm_subgradient,
     train,
 )
 from canoa.workflow import PipelineConfig, build_bundle
+
+
+def svm_objective(w, b, x, y_pm, lam):
+    """Mean hinge loss plus (lam/2) * |w|^2, the objective svm_subgradient differentiates."""
+    return float(hinge_loss(w, b, x, y_pm) + 0.5 * lam * (w @ w))
 
 
 def blob_dataset(n=400, m=8, gap=5.0, noise=1.0, seed=0, flip=False):

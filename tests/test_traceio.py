@@ -29,7 +29,7 @@ from canoa.traceio import (
     write_trace_file,
     write_verdicts,
 )
-from canoa.authenticate import Decision, ModelBundle, Verdict, authenticate_all, score
+from canoa.authenticate import Decision, ModelBundle, Verdict, authenticate_all, score, softmax
 from canoa.workflow import PipelineConfig, build_bundle, usable_transmissions
 
 
@@ -204,7 +204,7 @@ def test_bundle_round_trip_preserves_verdicts(trained, tmp_path):
         assert a.decision == b.decision
         assert a.attributed_sa == b.attributed_sa
         assert a.p_tx == b.p_tx  # float64 payloads are stored exactly
-        assert a.softmax_probs == b.softmax_probs
+        assert softmax(list(a.p_tx.values())).tolist() == softmax(list(b.p_tx.values())).tolist()
 
 
 def test_bundle_checksum_validates(trained, tmp_path):
@@ -442,7 +442,8 @@ def test_verdict_csv_runner_up_margin_and_positives(tmp_path):
     assert [r["margin"] for r in rows] == [repr(0.9 - 0.5), repr(0.3 - 0.5)]
     assert [r["multiple_positive"] for r in rows] == ["11;15", ""]
     for r, v in zip(rows, verdicts):
-        assert [r[f"softmax_{sa}"] for sa in sas] == [repr(x) for x in v.softmax_probs.values()]
+        row_softmax = softmax(list(v.p_tx.values())).tolist()
+        assert [r[f"softmax_{sa}"] for sa in sas] == [repr(x) for x in row_softmax]
     # one SA has no runner-up; no verdicts leave the header alone
     alone = Verdict(0.7, 3, {3: 0.8}, 3, 0, Decision.AUTHENTIC, False, ())
     write_verdicts(path, [alone], [3], 0.5)
