@@ -22,7 +22,7 @@ from . import traceio
 from .authenticate import authenticate_all
 from .bus import AttackKind, simulate
 from .config import RunConfig, parse_config
-from .errors import CanoaError, ConfigError, EmptyInput, FileFormatError
+from .errors import CanoaError, ConfigError, EmptyInput, FileFormatError, LengthMismatch
 from .evaluate import ConfusionMatrix, MetricReport, metrics
 from .frames import decode_transmissions
 from .svm import bootstrap_accuracy
@@ -267,6 +267,16 @@ def cmd_authenticate(args) -> int:
             f"{len(decoded)} decoded, {crc_failed} failed the CRC"
         )
     verdicts = authenticate_all(usable, powers, bundle)
+    # a ground-truth log that does not pair with the capture fails before any output
+    truth_path = traces_dir / GROUND_TRUTH_FILE
+    truth = traceio.read_ground_truth(truth_path) if truth_path.exists() else None
+    if truth is not None:
+        try:
+            pairs = align_truth(verdicts, truth)
+        except LengthMismatch as exc:
+            raise FileFormatError(
+                f"{truth_path} does not log the frames of the capture in {traces_dir}: {exc}"
+            ) from None
     out = _out_dir(args)
     traceio.write_verdicts(out / "verdicts.csv", verdicts, bundle.sas, bundle.delta)
     ext = "csv" if args.format == "csv" else "txt"
@@ -275,10 +285,7 @@ def cmd_authenticate(args) -> int:
     # attack frames claim an SA their sender does not own, so with ground truth
     # the sender tables cover only the frames it logs as normal
     sender_verdicts, scope = verdicts, "all authenticated frames"
-    truth_path = traces_dir / GROUND_TRUTH_FILE
-    if truth_path.exists():
-        truth = traceio.read_ground_truth(truth_path)
-        pairs = align_truth(verdicts, truth)
+    if truth is not None:
         sender_verdicts = [v for v, e in pairs if e.kind is AttackKind.NORMAL]
         scope = "normal frames per ground truth"
         cm_attack = attack_confusion(verdicts, truth)

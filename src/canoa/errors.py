@@ -34,7 +34,7 @@ class SingleClass(CanoaError):
 
 
 class LengthMismatch(CanoaError):
-    """Paired sequences have different lengths."""
+    """Paired sequences have different lengths, or entries with no partner."""
 
 
 class ConfigError(CanoaError):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .authenticate import Decision, EcuModel, ModelBundle, Verdict, authenticate_all
 from .bus import AttackKind, GroundTruthEntry, GroundTruthLog, ProgramActivity, Scenario, simulate
-from .errors import BundleMismatch, EmptyInput, MissingChannel
+from .errors import BundleMismatch, EmptyInput, LengthMismatch, MissingChannel
 from .evaluate import ConfusionMatrix, MetricReport, confusion, metrics
 from .features import (
     DEFAULT_CALIB_LEN,
@@ -199,12 +199,16 @@ def normal_transmissions(
 def align_truth(
     verdicts: Sequence[Verdict], truth: GroundTruthLog
 ) -> list[tuple[Verdict, GroundTruthEntry]]:
-    """Pair each verdict with the ground-truth entry of the nearest frame."""
+    """Pair each verdict with the ground-truth entry of the nearest frame.
+
+    A verdict with no entry within ``TRUTH_TOLERANCE`` is a LengthMismatch:
+    the log does not record the frames the verdicts came from.
+    """
     idx, dist = _nearest_time([e.t for e in truth.entries], [v.t for v in verdicts])
     far = np.flatnonzero(dist > TRUTH_TOLERANCE)
     if far.size:
         t = verdicts[far[0]].t
-        raise ValueError(f"no ground-truth frame within {TRUTH_TOLERANCE}s of t={t}")
+        raise LengthMismatch(f"no ground-truth frame within {TRUTH_TOLERANCE}s of t={t}")
     return [(v, truth.entries[i]) for v, i in zip(verdicts, idx)]
 
 

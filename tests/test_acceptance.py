@@ -78,12 +78,18 @@ def synth_batch(frames, bitrate, sample_rate, noise=0.02, seed=0):
 # ----------------------------------------------------------- shared fixtures
 
 
+def with_power_rate(scenario, rate):
+    """The scenario with every power channel sampled at ``rate`` (None: the bus rate)."""
+    bus = dataclasses.replace(scenario.bus, power_sample_rate=rate)
+    return dataclasses.replace(scenario, bus=bus)
+
+
 def run_lab(power_sample_rate=None):
     """Criterion 2 pipeline: 5 ECUs, 5000 frames, default M, power at ``power_sample_rate``."""
     t0 = time.monotonic()
-    scenario = lab_scenario(frames_per_sa=1000, sample_rate=2e6, seed=7)
-    bus = dataclasses.replace(scenario.bus, power_sample_rate=power_sample_rate)
-    scenario = dataclasses.replace(scenario, bus=bus)
+    scenario = with_power_rate(
+        lab_scenario(frames_per_sa=1000, sample_rate=2e6, seed=7), power_sample_rate
+    )
     voltage, powers, truth = simulate(scenario)
     samap = scenario.source_map()
     decoded = decode_transmissions(voltage, scenario.bus.bitrate, samap)
@@ -112,9 +118,12 @@ def lab_run():
 
 @pytest.fixture(scope="module")
 def truck_attack_run():
-    """Criterion 3/4 pipeline: truck-shaped traffic with 1000 spoofed frames."""
+    """Criterion 3/4 pipeline: truck-shaped traffic with 1000 spoofed frames.
+
+    Power is sampled at 1 MHz, as configs/truck.cfg and truck_attack.cfg set it.
+    """
     t0 = time.monotonic()
-    clean = truck_scenario(frames_per_sa=1000, sample_rate=3e6, seed=21)
+    clean = with_power_rate(truck_scenario(frames_per_sa=1000, sample_rate=3e6, seed=21), 1e6)
     samap = clean.source_map()
     v, p, _ = simulate(clean)
     decoded = decode_transmissions(v, clean.bus.bitrate, samap)
@@ -122,7 +131,9 @@ def truck_attack_run():
     result = build_bundle(pm, decoded, samap, PipelineConfig(), TrainConfig(seed=21))
 
     spoof = AttackSpec(kind=AttackKind.ADDED_MODULE, spoofed_sa=0, count=1000)
-    attacked = truck_scenario(frames_per_sa=1000, sample_rate=3e6, seed=22, attacks=(spoof,))
+    attacked = with_power_rate(
+        truck_scenario(frames_per_sa=1000, sample_rate=3e6, seed=22, attacks=(spoof,)), 1e6
+    )
     v2, p2, truth = simulate(attacked)
     decoded2 = decode_transmissions(v2, attacked.bus.bitrate, samap)
     pm2 = {e.index: t for e, t in zip(attacked.ecus, p2)}
@@ -388,7 +399,8 @@ def test_criterion_6_separability_is_significant(truck_attack_run):
 
 def test_criterion_7_factor_sweep():
     t0 = time.monotonic()
-    base = lab_scenario(frames_per_sa=240, sample_rate=6e6, seed=40)
+    # power at 1 MHz, as configs/sweep.cfg sets it; each cell keeps that rate
+    base = with_power_rate(lab_scenario(frames_per_sa=240, sample_rate=6e6, seed=40), 1e6)
     grid = factor_sweep(
         base,
         pipeline_cfg=PipelineConfig(),

@@ -112,15 +112,16 @@ def test_train_outputs_are_deterministic(cfg_path, tmp_path):
 
 
 def test_training_report_states_each_ecus_pca_basis(tmp_path):
-    # the shipped truck_attack.cfg: one line per ECU, after the transmission count
+    # the shipped truck_attack.cfg, power at 1 MHz: one line per ECU, after the
+    # transmission count
     cfg = Path(__file__).parent.parent / "configs" / "truck_attack.cfg"
     sim, out = tmp_path / "sim", tmp_path / "train"
     assert run_cli("simulate", "--config", cfg, "--out", sim) == 0
     assert run_cli("train", "--config", cfg, "--traces", sim, "--out", out) == 0
     report = (out / "training_report.txt").read_text().splitlines()
     assert report[1:3] == [
-        "ecu 0: pca_components=5 variance_retained=0.9712",
-        "ecu 1: pca_components=5 variance_retained=0.9872",
+        "ecu 0: pca_components=5 variance_retained=0.9647",
+        "ecu 1: pca_components=5 variance_retained=0.9860",
     ]
 
 
@@ -197,6 +198,29 @@ def test_ground_truth_without_normal_frames_prints_no_normal_rate(cfg_path, tmp_
     assert "no sender tables: the capture holds no normal frames per ground truth" in printed
     assert (tmp_path / "auth" / "attack_confusion.txt").exists()
     assert not (tmp_path / "auth" / "sender_metrics.txt").exists()
+
+
+def test_ground_truth_of_another_capture_fails_before_any_output(cfg_path, tmp_path, capsys):
+    truck_cfg = tmp_path / "truck.cfg"
+    truck_cfg.write_text(
+        "scenario.preset = truck\nscenario.frames_per_sa = 20\nbus.sample_rate = 3000000\n"
+        "bus.power_sample_rate = 1000000\nsim.seed = 5\npipeline.calib_len = 40000\n"
+        "train.bootstrap_rounds = 10\n"
+    )
+    truck, lab = tmp_path / "truck", tmp_path / "lab"
+    assert run_cli("simulate", "--config", truck_cfg, "--out", truck) == 0
+    assert run_cli("train", "--config", truck_cfg, "--traces", truck, "--out", truck) == 0
+    assert run_cli("simulate", "--config", cfg_path, "--out", lab) == 0
+    truth = truck / "ground_truth.csv"
+    truth.write_bytes((lab / "ground_truth.csv").read_bytes())
+    capsys.readouterr()
+    args = ("--traces", truck, "--bundle", truck / "bundle.cbnd", "--bitrate", 250000)
+    assert run_cli("authenticate", *args, "--out", tmp_path / "au") == 2
+    assert (
+        f"error: {truth} does not log the frames of the capture in {truck}: "
+        "no ground-truth frame within"
+    ) in capsys.readouterr().err
+    assert not (tmp_path / "au").exists()
 
 
 def test_sweep_command_writes_full_grid(tmp_path):

@@ -496,8 +496,8 @@ def test_pca_subspace_iteration_on_a_flat_tail(shape):
     corr = np.corrcoef(basis.transform(x), rowvar=False)
     assert np.abs(corr - np.eye(m)).max() < 1e-9
     variances, exact = svd_oracle(x, m)
-    # four steps shrink the error by about (top noise / third variance)^4,
-    # (12 / 2500)^4 = 5e-10 on the wide input
+    # each step shrinks the error by about top noise / third variance,
+    # 12 / 2500 on the wide input
     assert largest_sine(exact[:3], basis.components[:3]) < 1e-8
     assert largest_sine(directions, basis.components[:3]) < 0.1
     # Ritz values never exceed the exact eigenvalues
@@ -528,14 +528,14 @@ def test_pca_solvers_agree_on_the_gapped_leading_subspace(
 
 
 def test_subspace_and_full_block_fits_give_a_truck_capture_the_same_verdicts():
-    # truck_attack.cfg at seed 7, 3000 x 801 spectra per ECU: the shipped M
-    # fits with M + 10 columns, and the full block is exact. Both must decide
+    # truck_attack.cfg at seed 7, 3000 spectra per ECU of tau.sample_count(power
+    # rate) // 2 + 1 bins (271 at 1 MHz): the shipped M fits with M + 10
+    # columns, and a block as wide as the spectra is exact. Both must decide
     # every frame alike and name the same transmitting ECU. Which of ECU 0's
     # SAs 0 and 15 wins may differ, since they share one power signature, and
     # an added-module frame's winner names no transmitter.
     run = parse_config(CONFIGS / "truck_attack.cfg")
     assert run.pipeline.n_components == features.DEFAULT_COMPONENTS
-    assert features.DEFAULT_COMPONENTS + features._RITZ_OVERSAMPLE < 801 // 4
     scenario = dataclasses.replace(run.scenario, seed=7)
     voltage, powers, truth = simulate(scenario)
     samap = scenario.source_map()
@@ -543,10 +543,14 @@ def test_subspace_and_full_block_fits_give_a_truck_capture_the_same_verdicts():
     power_map = {e.index: p for e, p in zip(scenario.ecus, powers)}
     training = normal_transmissions(decoded, truth)
     train_cfg = dataclasses.replace(run.train, seed=7)
+    fits = [build_bundle(power_map, training, samap, run.pipeline, train_cfg)]
+    bundle = fits[0].bundle
+    width = bundle.tau.sample_count(bundle.sample_rate) // 2 + 1
+    assert features.DEFAULT_COMPONENTS + features._RITZ_OVERSAMPLE < width // 4
+    with mock.patch.object(features, "_RITZ_OVERSAMPLE", width):
+        fits.append(build_bundle(power_map, training, samap, run.pipeline, train_cfg))
     verdicts = []
-    for oversample in (features._RITZ_OVERSAMPLE, 801):
-        with mock.patch.object(features, "_RITZ_OVERSAMPLE", oversample):
-            result = build_bundle(power_map, training, samap, run.pipeline, train_cfg)
+    for result in fits:
         usable = usable_transmissions(decoded, power_map, result.tau)
         verdicts.append(authenticate_all(usable, power_map, result.bundle))
     subspace, full = verdicts
