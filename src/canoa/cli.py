@@ -175,6 +175,16 @@ def _read_traces(traces_dir: Path) -> tuple[SampledTrace, dict[int, SampledTrace
 # ----------------------------------------------------------------- commands
 
 
+def _align_truth(items, truth, truth_path: Path, traces_dir: Path):
+    """align_truth; a log that does not pair with the capture is a FileFormatError naming both."""
+    try:
+        return align_truth(items, truth)
+    except LengthMismatch as exc:
+        raise FileFormatError(
+            f"{truth_path} does not log the frames of the capture in {traces_dir}: {exc}"
+        ) from None
+
+
 def _out_dir(args) -> Path:
     """The ``--out`` directory, made just before the first write so a failed run leaves none."""
     out = Path(args.out)
@@ -205,12 +215,16 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     run = _load_run(args)
     traces_dir = Path(args.traces)
-    if not (traces_dir / GROUND_TRUTH_FILE).exists():
-        raise CanoaError(f"missing {traces_dir / GROUND_TRUTH_FILE}")
+    truth_path = traces_dir / GROUND_TRUTH_FILE
+    if not truth_path.exists():
+        raise CanoaError(f"missing {truth_path}")
     voltage, powers = _read_traces(traces_dir)
     samap = run.scenario.source_map()
     decoded = decode_transmissions(voltage, run.scenario.bus.bitrate, samap)
-    truth = traceio.read_ground_truth(traces_dir / GROUND_TRUTH_FILE)
+    truth = traceio.read_ground_truth(truth_path)
+    # a log of another capture would let its attack frames into training; a
+    # frame that fails the CRC may have started at noise, so it is not matched
+    _align_truth([d for d in decoded if d.crc_ok], truth, truth_path, traces_dir)
     training_set = normal_transmissions(decoded, truth)
     if len(training_set) < len(decoded):
         print(
@@ -271,12 +285,7 @@ def cmd_authenticate(args) -> int:
     truth_path = traces_dir / GROUND_TRUTH_FILE
     truth = traceio.read_ground_truth(truth_path) if truth_path.exists() else None
     if truth is not None:
-        try:
-            pairs = align_truth(verdicts, truth)
-        except LengthMismatch as exc:
-            raise FileFormatError(
-                f"{truth_path} does not log the frames of the capture in {traces_dir}: {exc}"
-            ) from None
+        pairs = _align_truth(verdicts, truth, truth_path, traces_dir)
     out = _out_dir(args)
     traceio.write_verdicts(out / "verdicts.csv", verdicts, bundle.sas, bundle.delta)
     ext = "csv" if args.format == "csv" else "txt"

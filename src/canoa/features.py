@@ -17,12 +17,12 @@ samples or longer, and still covers the whole frame. A segment starts at
 the sample nearest its transmission's time, and :func:`segments_fit`
 is the one test of whether it lies inside a trace.
 
-:func:`fit_pca` keeps M components of a Gram matrix of size d, found by
-one fixed-seed block subspace iteration: M + 10 columns when
-M + 10 < d // 4 (the shipped configs: lab d = 541, truck d = 801, M = 5),
-all d otherwise. The Gram matrix is formed from the uncentered spectra
-less a correction, and :meth:`PcaBasis.transform` centers a block of rows
-at a time, so neither makes an n x f copy of an ECU's spectra.
+:func:`fit_pca` keeps the top M eigenpairs of one exact eigendecomposition
+of a Gram matrix of size d = min(n, f) (the shipped configs: lab and sweep
+d = 541, truck d = 271, M = 5). The Gram matrix is formed from the
+uncentered spectra less a correction, and :meth:`PcaBasis.transform`
+centers a block of rows at a time, so neither makes an n x f copy of an
+ECU's spectra.
 """
 
 from __future__ import annotations
@@ -48,16 +48,6 @@ DEFAULT_COMPONENTS = 5
 # Spectra are centered for projection, and fit_pca's Gram matrix corrected,
 # in blocks of rows of the same size instead of as whole-matrix temporaries.
 _SPECTRA_BLOCK_BYTES = 2 << 20
-# fit_pca's block subspace iteration: extra columns beyond the M kept, the
-# number of Gram products, and the seed of the Gaussian start block. Past
-# the one or two signal components the spectra are a flat noise tail, where
-# each step shrinks the error by only 0.6-0.75 (lambda_16 / lambda_5): four
-# steps left the M = 5 truck and lab bases 16-50 degrees from the exact ones
-# and changed truck verdicts; after 24 the verdicts on truck seeds 0-2, 7,
-# 11, 13 and 58 and lab seed 7 equal the exact fit's.
-_RITZ_OVERSAMPLE = 10
-_RITZ_STEPS = 24
-_RITZ_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -114,9 +104,9 @@ class PcaBasis:
     ``components`` rows are orthonormal; ``explained_variance`` is
     non-increasing. The sign convention makes each component's
     largest-magnitude entry positive, so fits are deterministic. The
-    variances are :func:`fit_pca`'s Ritz values: each is the variance along
-    its component, and none exceeds the exact eigenvalue.
-    ``total_variance`` is the corpus's, summed over every direction.
+    variances are the covariance's top M eigenvalues, each the variance
+    along its component. ``total_variance`` is the corpus's, summed over
+    every direction.
     """
 
     mean: np.ndarray
@@ -215,17 +205,13 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     times the uncentered scale, at most lambda_max + n |mu|², and the rank
     floor is set from that sum.
 
-    The top M pairs come from block subspace iteration with Rayleigh–Ritz
-    (Halko, Martinsson & Tropp, "Finding structure with randomness", 2011):
-    a fixed-seed Gaussian (d, M + 10) block goes through 24
-    ``Q = qr(G @ Q)`` steps, and an ``eigh`` of the projected matrix gives
-    the Ritz pairs. Unless M + 10 < d // 4 the block is all d columns, and
-    Rayleigh–Ritz is then exact. The projected matrix is QᵀGQ for n >= f.
-    For n < f the block is first carried to feature space as W = qr(CᵀQ)
-    and the matrix is WᵀCᵀCW, with C applied as X - mu, so the Ritz vectors
-    are components and the projections stay decorrelated. The Ritz values
-    divided by n - 1 are the explained variances, and the trace of G divided
-    by n - 1 is the total variance.
+    One ``eigh`` of G gives every eigenvalue. Its eigenvalues divided by
+    n - 1 are the variances, and the trace of G divided by n - 1 is the
+    total variance. For n >= f the top M eigenvectors are the components.
+    For n < f they are the top left singular vectors U of C, carried to
+    feature space as W = qr(CᵀU) with C applied as X - mu; a second,
+    M x M ``eigh`` of WᵀCᵀCW then rotates W onto the components, so the
+    projections stay decorrelated to rounding.
     """
     x = np.asarray(spectra, dtype=np.float64)
     n, f = x.shape
@@ -253,37 +239,27 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
         rows = _block_rows(n)
         for lo in range(0, n, rows):  # (r_i + r_j) - |mu|² is exactly symmetric
             gram[lo : lo + rows] -= r[lo : lo + rows, None] + r - sq
-    d = gram.shape[0]
-    block = n_components + _RITZ_OVERSAMPLE
-    if block >= d // 4:
-        block = d
-    q = np.random.default_rng(_RITZ_SEED).standard_normal((d, block))
-    for _ in range(_RITZ_STEPS):
-        q = np.linalg.qr(gram @ q)[0]
-    if tall:
-        small = q.T @ gram @ q
-    else:
-        q = np.linalg.qr(x.T @ q - np.outer(mean, q.sum(axis=0)))[0]
-        projected = x @ q - mean @ q
-        small = projected.T @ projected
     total = float(np.trace(gram)) / (n - 1)
+    evals, evecs = np.linalg.eigh(gram)
     del gram
-    evals, ritz = np.linalg.eigh(small)
-    evecs = q @ ritz
     evals, evecs = evals[::-1], evecs[:, ::-1]
     # Rounding in G and in eigh moves every eigenvalue by about eps times the
     # largest eigenvalue of XᵀX, at most lambda_max + n |mu|²: rank counts
     # above that. The SVD tolerance is not squared, since G squares the
-    # condition number; a Ritz vector outside G's range has a Rayleigh
-    # quotient of rounding size.
+    # condition number.
     tol = (evals[0] + float(root @ root)) * max(n, f) * np.finfo(np.float64).eps
     rank = int(np.sum(evals > tol))
     if rank < n_components:
         raise RankDeficient(
             f"only {rank} nonzero-variance directions available, {n_components} requested"
         )
-    top = evals[:n_components]
-    components = evecs[:, :n_components].T.copy()
+    top, evecs = evals[:n_components], evecs[:, :n_components]
+    if not tall:
+        w = np.linalg.qr(x.T @ evecs - np.outer(mean, evecs.sum(axis=0)))[0]
+        projected = x @ w - mean @ w
+        top, rotation = np.linalg.eigh(projected.T @ projected)
+        top, evecs = top[::-1], w @ rotation[:, ::-1]
+    components = evecs.T.copy()
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0

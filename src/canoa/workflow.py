@@ -17,7 +17,7 @@ import logging
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -42,6 +42,8 @@ from .svm import FeatureDataset, LearningCurve, TrainConfig, split_indices, trai
 from .trace import SampledTrace
 
 log = logging.getLogger("canoa.workflow")
+
+_Timed = TypeVar("_Timed", Verdict, DecodedTransmission)
 
 TRUTH_TOLERANCE = 2e-4  # s between a decoded frame's start and its ground-truth entry's
 
@@ -197,11 +199,12 @@ def normal_transmissions(
 
 
 def align_truth(
-    verdicts: Sequence[Verdict], truth: GroundTruthLog
-) -> list[tuple[Verdict, GroundTruthEntry]]:
+    verdicts: Sequence[_Timed], truth: GroundTruthLog
+) -> list[tuple[_Timed, GroundTruthEntry]]:
     """Pair each verdict with the ground-truth entry of the nearest frame.
 
-    A verdict with no entry within ``TRUTH_TOLERANCE`` is a LengthMismatch:
+    Decoded transmissions pair the same way, by their start times. A
+    verdict with no entry within ``TRUTH_TOLERANCE`` is a LengthMismatch:
     the log does not record the frames the verdicts came from.
     """
     idx, dist = _nearest_time([e.t for e in truth.entries], [v.t for v in verdicts])

@@ -223,6 +223,33 @@ def test_ground_truth_of_another_capture_fails_before_any_output(cfg_path, tmp_p
     assert not (tmp_path / "au").exists()
 
 
+def test_train_with_another_captures_ground_truth_fails_before_any_output(
+    cfg_path, tmp_path, capsys
+):
+    # with the lab log, none of the truck capture's 20 added-module frames
+    # would be dropped from training
+    truck_cfg = tmp_path / "truck.cfg"
+    truck_cfg.write_text(
+        "scenario.preset = truck\nscenario.frames_per_sa = 20\nbus.sample_rate = 3000000\n"
+        "bus.power_sample_rate = 1000000\nsim.seed = 5\npipeline.calib_len = 40000\n"
+        "train.bootstrap_rounds = 10\n"
+        "attack.0.kind = added_module\nattack.0.spoofed_sa = 0\nattack.0.count = 20\n"
+    )
+    truck, lab = tmp_path / "truck", tmp_path / "lab"
+    assert run_cli("simulate", "--config", truck_cfg, "--out", truck) == 0
+    assert run_cli("simulate", "--config", cfg_path, "--out", lab) == 0
+    truth = truck / "ground_truth.csv"
+    truth.write_bytes((lab / "ground_truth.csv").read_bytes())
+    capsys.readouterr()
+    out = tmp_path / "trained"
+    assert run_cli("train", "--config", truck_cfg, "--traces", truck, "--out", out) == 2
+    assert (
+        f"error: {truth} does not log the frames of the capture in {truck}: "
+        "no ground-truth frame within"
+    ) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_command_writes_full_grid(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

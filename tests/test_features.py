@@ -1,20 +1,14 @@
 """Feature-pipeline tests: normalization, windowing, spectra, PCA, and the datasets
 :func:`canoa.workflow.build_bundle` labels from them."""
 
-import dataclasses
 import tracemalloc
-from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canoa import features
-from canoa.authenticate import Decision, authenticate_all
 from canoa.bus import lab_scenario, simulate, truck_scenario
-from canoa.config import parse_config
 from canoa.errors import DegenerateTrace, EmptyInput, OutOfBounds, RankDeficient
 from canoa.features import (
     _SPECTRA_BLOCK_BYTES,
@@ -30,14 +24,7 @@ from canoa.features import (
 )
 from canoa.frames import DecodedTransmission, decode_transmissions
 from canoa.trace import SampledTrace
-from canoa.workflow import (
-    PipelineConfig,
-    build_bundle,
-    normal_transmissions,
-    usable_transmissions,
-)
-
-CONFIGS = Path(__file__).parent.parent / "configs"
+from canoa.workflow import PipelineConfig, build_bundle
 
 
 def tx(t, sa, duration=1e-3):
@@ -332,7 +319,8 @@ def test_pca_deterministic_sign_convention():
     x = rng.normal(size=(60, 9))
     b1 = fit_pca(x, 4)
     b2 = fit_pca(x, 4)
-    assert np.array_equal(b1.components, b2.components)
+    assert b1.components.tobytes() == b2.components.tobytes()
+    assert b1.explained_variance.tobytes() == b2.explained_variance.tobytes()
     for row in b1.components:
         assert row[np.argmax(np.abs(row))] > 0
 
@@ -346,13 +334,7 @@ def svd_oracle(x, m):
 def test_pca_wide_input_matches_svd_oracle():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(40, 300)) * rng.uniform(0.5, 4.0, size=300)
-    m = 12
-    basis = fit_pca(x, m)
-    variances, directions = svd_oracle(x, m)
-    assert np.abs(basis.components @ basis.components.T - np.eye(m)).max() <= 1e-9
-    assert np.allclose(basis.explained_variance, variances, rtol=1e-6)
-    cos = np.abs(np.sum(basis.components * directions, axis=1))
-    assert cos.min() >= 1 - 1e-8
+    assert_matches_svd_oracle(x, 12)
 
 
 @pytest.mark.parametrize("shape", [(300, 40), (40, 300), (1200, 3001)])
@@ -400,7 +382,7 @@ def test_pca_non_finite_spectra_are_degenerate():
         fit_pca(x, 3)
 
 
-# ------------------------------------------- PCA: block subspace iteration
+# ------------------------------------------------------- PCA: SVD oracle
 
 
 def planted(shape, m, gap, seed):
@@ -419,26 +401,6 @@ def planted(shape, m, gap, seed):
     return signal + sigma * rng.normal(size=shape)
 
 
-def dense_fit(x, m):
-    """fit_pca with its size rule pushed onto the full block."""
-    with mock.patch.object(features, "_RITZ_OVERSAMPLE", max(x.shape)):
-        return fit_pca(x, m)
-
-
-def eigh_sizes(x, m):
-    """fit_pca's basis and the sizes of the matrices it handed to eigh."""
-    sizes = []
-    eigh = np.linalg.eigh
-
-    def spy(a):
-        sizes.append(a.shape[0])
-        return eigh(a)
-
-    with mock.patch.object(np.linalg, "eigh", spy):
-        basis = fit_pca(x, m)
-    return basis, sizes
-
-
 def largest_sine(a, b):
     """Sine of the largest principal angle between two orthonormal row sets."""
     return float(np.linalg.norm(b - (b @ a.T) @ a, 2))
@@ -452,114 +414,46 @@ def assert_basis_invariants(basis):
         assert row[np.argmax(np.abs(row))] > 0
 
 
-@pytest.mark.parametrize("shape", [(2000, 400), (300, 2000)], ids=["tall", "wide"])
-def test_pca_subspace_iteration_matches_svd_oracle_on_a_gapped_spectrum(shape):
-    m = 8
-    x = planted(shape, m, gap=1e4, seed=21)
-    basis, sizes = eigh_sizes(x, m)
-    assert sizes == [m + features._RITZ_OVERSAMPLE]
-    variances, directions = svd_oracle(x, m)
+def assert_matches_svd_oracle(x, m):
+    """fit_pca(x, m) is the SVD's basis: each component, its variance, decorrelated projections."""
+    basis = fit_pca(x, m)
+    variances, exact = svd_oracle(x, m)
     assert np.allclose(basis.explained_variance, variances, rtol=1e-6)
-    signs = np.sign(np.sum(basis.components * directions, axis=1))
-    assert np.abs(basis.components - signs[:, None] * directions).max() <= 1e-8
-    assert_basis_invariants(basis)
-
-
-def test_pca_size_rule_sides_agree_on_the_gapped_components():
-    # d = 64: M = 5 keeps M + 10 = 15 < 64 // 4; M = 6 takes the full block
-    x = planted((600, 64), 5, gap=1e4, seed=22)
-    iterative, sizes_iterative = eigh_sizes(x, 5)
-    dense, sizes_dense = eigh_sizes(x, 6)
-    assert sizes_iterative == [15] and sizes_dense == [64]
-    assert np.abs(iterative.components - dense.components[:5]).max() <= 1e-8
-    assert np.allclose(iterative.explained_variance, dense.explained_variance[:5], rtol=1e-9)
-
-
-def test_pca_subspace_iteration_is_bit_reproducible():
-    x = planted((800, 200), 6, gap=1e2, seed=23)
-    first, second = fit_pca(x, 6), fit_pca(x, 6)
-    assert first.components.tobytes() == second.components.tobytes()
-    assert first.explained_variance.tobytes() == second.explained_variance.tobytes()
-
-
-@pytest.mark.parametrize("shape", [(1500, 300), (250, 1500)], ids=["tall", "wide"])
-def test_pca_subspace_iteration_on_a_flat_tail(shape):
-    # three strong directions, then M - 3 components picked from isotropic noise
-    m = 20
-    rng = np.random.default_rng(24)
-    directions = np.linalg.qr(rng.normal(size=(shape[1], 3)))[0].T
-    x = (rng.normal(size=(shape[0], 3)) * [100.0, 70.0, 50.0]) @ directions
-    x += rng.normal(size=shape)
-    basis, sizes = eigh_sizes(x, m)
-    assert sizes == [m + features._RITZ_OVERSAMPLE]
-    assert_basis_invariants(basis)
+    for got, want in zip(basis.components, exact):
+        assert largest_sine(want[None], got[None]) < 1e-8
     corr = np.corrcoef(basis.transform(x), rowvar=False)
     assert np.abs(corr - np.eye(m)).max() < 1e-9
-    variances, exact = svd_oracle(x, m)
-    # each step shrinks the error by about top noise / third variance,
-    # 12 / 2500 on the wide input
-    assert largest_sine(exact[:3], basis.components[:3]) < 1e-8
-    assert largest_sine(directions, basis.components[:3]) < 0.1
-    # Ritz values never exceed the exact eigenvalues
-    assert np.all(basis.explained_variance <= variances * (1 + 1e-12))
+    assert_basis_invariants(basis)
+
+
+@pytest.mark.parametrize(
+    "shape, planted_m, gap, m",
+    [
+        ((2000, 400), 8, 1e4, 8),
+        ((300, 2000), 8, 1e4, 8),
+        # three strong directions, then 17 components from the flat noise tail
+        ((1500, 300), 3, 1e2, 20),
+        ((250, 1500), 3, 1e2, 20),
+    ],
+    ids=["gapped-tall", "gapped-wide", "flat-tail-tall", "flat-tail-wide"],
+)
+def test_pca_matches_svd_oracle(shape, planted_m, gap, m):
+    assert_matches_svd_oracle(planted(shape, planted_m, gap, seed=21), m)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     m=st.integers(1, 8),
-    extra=st.integers(0, 40),
+    extra=st.integers(1, 120),
     longer=st.integers(0, 300),
     tall=st.booleans(),
     gap_exponent=st.floats(2.0, 6.0),
     seed=st.integers(0, 2**16),
 )
-def test_pca_solvers_agree_on_the_gapped_leading_subspace(
-    m, extra, longer, tall, gap_exponent, seed
-):
-    d = 4 * (m + features._RITZ_OVERSAMPLE + 1) + extra
+def test_pca_matches_svd_oracle_on_drawn_shapes(m, extra, longer, tall, gap_exponent, seed):
+    d = m + extra
     shape = (d + longer, d) if tall else (d, d + longer)
-    x = planted(shape, m, gap=10.0**gap_exponent, seed=seed)
-    iterative, sizes = eigh_sizes(x, m)
-    assert sizes == [m + features._RITZ_OVERSAMPLE]
-    dense = dense_fit(x, m)
-    assert largest_sine(dense.components, iterative.components) < 1e-6
-    assert_basis_invariants(iterative)
-    assert_basis_invariants(dense)
-
-
-def test_subspace_and_full_block_fits_give_a_truck_capture_the_same_verdicts():
-    # truck_attack.cfg at seed 7, 3000 spectra per ECU of tau.sample_count(power
-    # rate) // 2 + 1 bins (271 at 1 MHz): the shipped M fits with M + 10
-    # columns, and a block as wide as the spectra is exact. Both must decide
-    # every frame alike and name the same transmitting ECU. Which of ECU 0's
-    # SAs 0 and 15 wins may differ, since they share one power signature, and
-    # an added-module frame's winner names no transmitter.
-    run = parse_config(CONFIGS / "truck_attack.cfg")
-    assert run.pipeline.n_components == features.DEFAULT_COMPONENTS
-    scenario = dataclasses.replace(run.scenario, seed=7)
-    voltage, powers, truth = simulate(scenario)
-    samap = scenario.source_map()
-    decoded = decode_transmissions(voltage, scenario.bus.bitrate, samap)
-    power_map = {e.index: p for e, p in zip(scenario.ecus, powers)}
-    training = normal_transmissions(decoded, truth)
-    train_cfg = dataclasses.replace(run.train, seed=7)
-    fits = [build_bundle(power_map, training, samap, run.pipeline, train_cfg)]
-    bundle = fits[0].bundle
-    width = bundle.tau.sample_count(bundle.sample_rate) // 2 + 1
-    assert features.DEFAULT_COMPONENTS + features._RITZ_OVERSAMPLE < width // 4
-    with mock.patch.object(features, "_RITZ_OVERSAMPLE", width):
-        fits.append(build_bundle(power_map, training, samap, run.pipeline, train_cfg))
-    verdicts = []
-    for result in fits:
-        usable = usable_transmissions(decoded, power_map, result.tau)
-        verdicts.append(authenticate_all(usable, power_map, result.bundle))
-    subspace, full = verdicts
-    assert len(subspace) == len(full) == 4000
-    assert [v.decision for v in subspace] == [v.decision for v in full]
-    assert sum(v.decision is Decision.ADDED_MODULE for v in full) >= 1000
-    claimed = [(a.attributed_ecu, b.attributed_ecu) for a, b in zip(subspace, full)
-               if a.decision is not Decision.ADDED_MODULE]
-    assert all(a == b for a, b in claimed)
+    assert_matches_svd_oracle(planted(shape, m, gap=10.0**gap_exponent, seed=seed), m)
 
 
 # --------------------------------------------------------- extract_feature
