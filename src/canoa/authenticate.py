@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BundleMismatch
 from .features import NormStats, Tau, TukeyParams, ecu_spectra
 from .frames import DecodedTransmission, SourceAddressMap
-from .svm import TrainingMeta, platt_proba
+from .svm import platt_proba
 from .trace import SampledTrace
 
 TIE_TOLERANCE = 1e-12
@@ -43,9 +43,8 @@ class Decision(Enum):
 class EcuModel:
     """The models of one ECU's source addresses, scored together on its spectra.
 
-    Column j of ``weights`` (one row per spectrum bin), ``bias[j]``,
-    ``calibration[j]`` (the Platt pair ``(A, B)``) and ``meta[j]`` belong
-    to ``sas[j]``.
+    Column j of ``weights`` (one row per spectrum bin), ``bias[j]`` and
+    ``calibration[j]`` (the Platt pair ``(A, B)``) belong to ``sas[j]``.
     """
 
     ecu: int
@@ -54,7 +53,6 @@ class EcuModel:
     weights: np.ndarray  # (F, k)
     bias: np.ndarray  # (k,)
     calibration: np.ndarray  # (k, 2)
-    meta: tuple[TrainingMeta, ...]
 
 
 @dataclass(frozen=True)
@@ -82,13 +80,12 @@ class ModelBundle:
                     f"ECU {e.ecu} scores SAs {list(e.sas)}, but the map gives it {list(owned)}"
                 )
             k = len(e.sas)
-            shapes = (e.weights.shape, e.bias.shape, e.calibration.shape, len(e.meta))
-            if shapes != ((n_bins, k), (k,), (k, 2), k):
+            shapes = (e.weights.shape, e.bias.shape, e.calibration.shape)
+            if shapes != ((n_bins, k), (k,), (k, 2)):
                 raise ValueError(
-                    f"ECU {e.ecu} weights, biases, calibrations and training records have "
-                    f"shapes {shapes}, but {k} SAs and a {self.tau.value} s segment at "
-                    f"{self.sample_rate} Hz ({n_bins} spectrum bins) need "
-                    f"{((n_bins, k), (k,), (k, 2), k)}"
+                    f"ECU {e.ecu} weights, biases and calibrations have shapes {shapes}, "
+                    f"but {k} SAs and a {self.tau.value} s segment at {self.sample_rate} Hz "
+                    f"({n_bins} spectrum bins) need {((n_bins, k), (k,), (k, 2))}"
                 )
             if not all(np.isfinite(a).all() for a in (e.weights, e.bias, e.calibration)):
                 raise ValueError(f"ECU {e.ecu} weights, biases and calibrations must be finite")
@@ -99,12 +96,6 @@ class ModelBundle:
     def sas(self) -> list[int]:
         """Every source address, in the column order of :func:`score`."""
         return self.samap.sas
-
-    @property
-    def training(self) -> dict[int, TrainingMeta]:
-        """Each SA's training record, in SA order."""
-        meta = {sa: m for e in self.ecus for sa, m in zip(e.sas, e.meta)}
-        return {sa: meta[sa] for sa in self.sas}
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,7 @@ def cmd_train(args) -> int:
     ]
     for ecu, (kept, retained) in result.pca.items():
         report_lines.append(f"ecu {ecu}: pca_components={kept} variance_retained={retained:.4f}")
-    for sa, meta in result.bundle.training.items():
+    for sa, meta in result.meta.items():
         curve = result.curves[sa]
         report_lines.append(
             f"sa {sa} (ecu {samap.owners[sa]}): val_accuracy={meta.validation_accuracy:.4f} "

@@ -1,24 +1,24 @@
 """Persistent file formats: sampled traces, ground truth, model bundles.
 
 Trace files ("CTRC") store channel-major 32-bit little-endian floats
-behind a fixed header; bundles ("CBND") are length-prefixed named
-sections with a CRC-32 footer; version 4 stores one model per ECU (its
-SAs, normalization, biases and calibrations in the JSON ``meta``, and a
-``weights/<ecu>`` float64 matrix, one row per spectrum bin of the
-5-smooth segment length and one column per SA). Sample data goes to the
-binary format because multi-megasample traces are large; CSV is reserved
-for logs and reports.
+behind a fixed header. A bundle ("CBND") is one sorted-key JSON document
+between a magic-and-version header and a CRC-32 footer; version 5 holds
+the shared pipeline parameters, the address map and one model per ECU:
+its SAs, normalization, biases, calibrations and ``weights``, a nested
+list with one row per spectrum bin of the 5-smooth segment length and
+one column per SA (a float's ``repr`` round-trips float64 exactly).
+Sample data goes to the binary format because multi-megasample traces
+are large; CSV is reserved for logs and reports.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -30,7 +30,6 @@ from .bus import AttackKind, GroundTruthEntry, GroundTruthLog
 from .errors import FileFormatError
 from .features import NormStats, Tau, TukeyParams
 from .frames import DerivationRule, SourceAddressMap
-from .svm import TrainingMeta
 
 TRACE_MAGIC = b"CTRC"
 TRACE_VERSION = 1
@@ -38,7 +37,7 @@ _TRACE_HEADER = struct.Struct("<4sHBHIQQ")
 
 BUNDLE_MAGIC = b"CBND"
 BUNDLE_FOOTER = b"CEND"
-BUNDLE_VERSION = 4
+BUNDLE_VERSION = 5
 
 GROUND_TRUTH_HEADER = ["t_sec", "frame_id", "claimed_sa", "true_source", "attack_kind"]
 ADDED_MODULE_SOURCE = "added_module"
@@ -144,34 +143,42 @@ def write_ground_truth(path: Path | str, log: GroundTruthLog) -> None:
 
 def read_ground_truth(path: Path | str) -> GroundTruthLog:
     entries = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != GROUND_TRUTH_HEADER:
-            raise FileFormatError(f"{path}: unexpected ground-truth header {header}")
-        last_t = -np.inf
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != len(GROUND_TRUTH_HEADER):
-                raise FileFormatError(
-                    f"{where}: {len(row)} fields, expected {len(GROUND_TRUTH_HEADER)}"
-                )
-            try:
-                t = float(row[0])
-                source = None if row[3] == ADDED_MODULE_SOURCE else int(row[3])
-                entry = GroundTruthEntry(
-                    t=t,
-                    frame_id=int(row[1]),
-                    claimed_sa=int(row[2]),
-                    true_source=source,
-                    kind=AttackKind(row[4]),
-                )
-            except ValueError as exc:
-                raise FileFormatError(f"{where}: {exc}") from None
-            if not t > last_t:
-                raise FileFormatError(f"{where}: t_sec not strictly increasing at {t}")
-            last_t = t
-            entries.append(entry)
+    with open(path, "rb") as fh:
+        # decoding one line at a time places a byte that is not UTF-8 on its line
+        reader = csv.reader(line.decode() for line in fh)
+        try:
+            header = next(reader, None)
+            if header != GROUND_TRUTH_HEADER:
+                raise FileFormatError(f"{path}: unexpected ground-truth header {header}")
+            last_t = -np.inf
+            for row in reader:
+                where = f"{path}: line {reader.line_num}"
+                if len(row) != len(GROUND_TRUTH_HEADER):
+                    raise FileFormatError(
+                        f"{where}: {len(row)} fields, expected {len(GROUND_TRUTH_HEADER)}"
+                    )
+                try:
+                    t = float(row[0])
+                    source = None if row[3] == ADDED_MODULE_SOURCE else int(row[3])
+                    entry = GroundTruthEntry(
+                        t=t,
+                        frame_id=int(row[1]),
+                        claimed_sa=int(row[2]),
+                        true_source=source,
+                        kind=AttackKind(row[4]),
+                    )
+                except ValueError as exc:
+                    raise FileFormatError(f"{where}: {exc}") from None
+                if not t > last_t:
+                    raise FileFormatError(f"{where}: t_sec not strictly increasing at {t}")
+                last_t = t
+                entries.append(entry)
+        except UnicodeDecodeError as exc:  # raised before the reader counts the line
+            raise FileFormatError(
+                f"{path}: line {reader.line_num + 1}: not UTF-8 text ({exc.reason})"
+            ) from None
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise FileFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     return GroundTruthLog(tuple(entries))
 
 
@@ -231,21 +238,8 @@ def write_verdicts(
 # ------------------------------------------------------------------- bundles
 
 
-def _sections_bytes(sections: list[tuple[str, bytes]]) -> bytes:
-    out = io.BytesIO()
-    out.write(BUNDLE_MAGIC)
-    out.write(struct.pack("<H", BUNDLE_VERSION))
-    for name, payload in sections:
-        encoded = name.encode()
-        out.write(struct.pack("<H", len(encoded)))
-        out.write(encoded)
-        out.write(struct.pack("<Q", len(payload)))
-        out.write(payload)
-    return out.getvalue()
-
-
 def save_bundle(path: Path | str, bundle: ModelBundle) -> None:
-    meta = {
+    doc = {
         "delta": bundle.delta,
         "tau": bundle.tau.value,
         "tukey_alpha": bundle.window.alpha,
@@ -261,47 +255,17 @@ def save_bundle(path: Path | str, bundle: ModelBundle) -> None:
                 "sas": list(e.sas),
                 "norm_mean": e.stats.mean,
                 "norm_std": e.stats.std,
+                "weights": e.weights.tolist(),
                 "bias": e.bias.tolist(),
                 "calibration": e.calibration.tolist(),
-                "meta": [asdict(m) for m in e.meta],
             }
             for e in bundle.ecus
         ],
     }
-    sections = [("meta", json.dumps(meta, sort_keys=True).encode())]
-    sections += [(f"weights/{e.ecu}", np.asarray(e.weights, "<f8").tobytes()) for e in bundle.ecus]
-    blob = _sections_bytes(sections)
-    footer = BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    header = BUNDLE_MAGIC + struct.pack("<H", BUNDLE_VERSION)
+    blob = header + json.dumps(doc, sort_keys=True).encode()
+    footer = BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob))
     Path(path).write_bytes(blob + footer)
-
-
-def _parse_sections(blob: bytes, path) -> dict[str, bytes]:
-    if len(blob) < 6 or blob[:4] != BUNDLE_MAGIC:
-        raise FileFormatError(f"{path}: not a bundle file")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != BUNDLE_VERSION:
-        raise FileFormatError(f"{path}: unsupported bundle version {version}")
-    sections: dict[str, bytes] = {}
-    offset = 6
-    while offset < len(blob):
-        if offset + 2 > len(blob):
-            raise FileFormatError(f"{path}: truncated section header at byte {offset}")
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        if offset + name_len + 8 > len(blob):
-            raise FileFormatError(f"{path}: truncated section header at byte {offset - 2}")
-        try:
-            name = blob[offset : offset + name_len].decode()
-        except UnicodeDecodeError:
-            raise FileFormatError(f"{path}: section name at byte {offset} is not UTF-8") from None
-        offset += name_len
-        (payload_len,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        if offset + payload_len > len(blob):
-            raise FileFormatError(f"{path}: section {name!r} runs past the end of the file")
-        sections[name] = blob[offset : offset + payload_len]
-        offset += payload_len
-    return sections
 
 
 def load_bundle(path: Path | str) -> ModelBundle:
@@ -309,45 +273,41 @@ def load_bundle(path: Path | str) -> ModelBundle:
     if len(raw) < 8 or raw[-8:-4] != BUNDLE_FOOTER:
         raise FileFormatError(f"{path}: missing bundle footer")
     blob, (stored_crc,) = raw[:-8], struct.unpack("<I", raw[-4:])
-    if zlib.crc32(blob) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(blob) != stored_crc:
         raise FileFormatError(f"{path}: checksum mismatch")
-    sections = _parse_sections(blob, path)
-    if "meta" not in sections:
-        raise FileFormatError(f"{path}: missing section 'meta'")
+    if len(blob) < 6 or blob[:4] != BUNDLE_MAGIC:
+        raise FileFormatError(f"{path}: not a bundle file")
+    (version,) = struct.unpack_from("<H", blob, 4)
+    if version != BUNDLE_VERSION:
+        raise FileFormatError(f"{path}: unsupported bundle version {version}")
     # A checksum only proves the bytes are the ones written; a bundle written
     # by another tool (or edited and re-checksummed) can still lack keys or
     # hold values of the wrong type, which must not escape as KeyError.
     try:
-        return _bundle_from_meta(json.loads(sections["meta"].decode()), sections)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"{path}: malformed bundle: {exc!r}") from exc
-
-
-def _bundle_from_meta(meta: dict, sections: dict[str, bytes]) -> ModelBundle:
-    samap = SourceAddressMap(
-        owners={int(sa): ecu for sa, ecu in meta["map"]["owners"].items()},
-        rule=DerivationRule(meta["map"]["rule"]),
-        table={int(fid): sa for fid, sa in meta["map"]["table"].items()},
-    )
-    ecus = []
-    for em in meta["ecus"]:
-        weights = np.frombuffer(sections[f"weights/{em['ecu']}"], dtype="<f8")
-        ecus.append(
+        doc = json.loads(blob[6:].decode())
+        samap = SourceAddressMap(
+            owners={int(sa): ecu for sa, ecu in doc["map"]["owners"].items()},
+            rule=DerivationRule(doc["map"]["rule"]),
+            table={int(fid): sa for fid, sa in doc["map"]["table"].items()},
+        )
+        ecus = tuple(
             EcuModel(
                 ecu=em["ecu"],
                 sas=tuple(em["sas"]),
                 stats=NormStats(mean=em["norm_mean"], std=em["norm_std"]),
-                weights=weights.reshape(-1, len(em["sas"])),
+                weights=np.asarray(em["weights"], dtype=np.float64),
                 bias=np.asarray(em["bias"], dtype=np.float64),
                 calibration=np.asarray(em["calibration"], dtype=np.float64),
-                meta=tuple(TrainingMeta(**m) for m in em["meta"]),
             )
+            for em in doc["ecus"]
         )
-    return ModelBundle(
-        ecus=tuple(ecus),
-        samap=samap,
-        tau=Tau(meta["tau"]),
-        window=TukeyParams(meta["tukey_alpha"]),
-        sample_rate=meta["sample_rate"],
-        delta=meta["delta"],
-    )
+        return ModelBundle(
+            ecus=ecus,
+            samap=samap,
+            tau=Tau(doc["tau"]),
+            window=TukeyParams(doc["tukey_alpha"]),
+            sample_rate=doc["sample_rate"],
+            delta=doc["delta"],
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{path}: malformed bundle: {exc!r}") from exc

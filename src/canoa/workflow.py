@@ -38,7 +38,7 @@ from .features import (
     segments_fit,
 )
 from .frames import DecodedTransmission, FrameFormat, SourceAddressMap, decode_transmissions
-from .svm import FeatureDataset, LearningCurve, TrainConfig, split_indices, train
+from .svm import FeatureDataset, LearningCurve, TrainConfig, TrainingMeta, split_indices, train
 from .trace import SampledTrace
 
 log = logging.getLogger("canoa.workflow")
@@ -73,6 +73,7 @@ class TrainResult:
     transmissions: list[DecodedTransmission]
     tau: Tau
     pca: dict[int, tuple[int, float]]  # ECU -> (components kept, fraction of variance held)
+    meta: dict[int, TrainingMeta]  # SA -> its model's training record, in SA order
 
 
 def usable_transmissions(
@@ -132,6 +133,7 @@ def build_bundle(
     datasets: dict[tuple[int, int], FeatureDataset] = {}
     ecus = []
     curves: dict[int, LearningCurve] = {}
+    meta: dict[int, TrainingMeta] = {}
     for ecu, (stats, basis, coords) in fitted.items():
         sas = tuple(sa for sa in samap.sas if samap.owners[sa] == ecu)
         models = []
@@ -139,19 +141,25 @@ def build_bundle(
             y = (sa_labels == sa).astype(np.int8)
             datasets[(ecu, sa)] = FeatureDataset(coords, y, sa, ecu)
             model, curves[sa] = train(datasets[(ecu, sa)], tcfg)
+            meta[sa] = model.meta
             if not model.meta.converged:
                 log.warning("model for SA %d did not converge in %d iterations", sa, tcfg.max_iters)
             models.append(model)
         w = basis.components.T @ np.column_stack([m.weights for m in models])
         bias = np.array([m.bias for m in models]) - basis.mean @ w
         calibration = np.array([m.calibration for m in models])
-        meta = tuple(m.meta for m in models)
-        ecus.append(EcuModel(ecu, sas, stats, w, bias, calibration, meta))
+        ecus.append(EcuModel(ecu, sas, stats, w, bias, calibration))
     bundle = ModelBundle(
         tuple(ecus), samap, tau, window, sample_rate=rates[0], delta=pcfg.delta
     )
     return TrainResult(
-        bundle=bundle, curves=curves, datasets=datasets, transmissions=usable, tau=tau, pca=pca
+        bundle=bundle,
+        curves=curves,
+        datasets=datasets,
+        transmissions=usable,
+        tau=tau,
+        pca=pca,
+        meta={sa: meta[sa] for sa in samap.sas},
     )
 
 

@@ -233,7 +233,7 @@ def test_criterion_2_lab_reproduction(power_sample_rate, request):
     result = lab_run["result"]
     tau_ms = result.tau.value * 1e3
     tau_ok = abs(tau_ms - 1.02) <= 0.102
-    accs = {sa: meta.validation_accuracy for sa, meta in result.bundle.training.items()}
+    accs = {sa: meta.validation_accuracy for sa, meta in result.meta.items()}
     acc_ok = all(a >= 0.99 for a in accs.values()) and len(accs) == 5
     cm = sender_confusion(lab_run["verdicts"], lab_run["scenario"].source_map())
     diag = [float(cm.rates[i, i]) for i in range(len(cm.labels))]

@@ -32,7 +32,7 @@ from canoa.features import (
     fit_pca,
 )
 from canoa.frames import DecodedTransmission, SourceAddressMap, decode_transmissions
-from canoa.svm import FeatureDataset, TrainConfig, TrainingMeta, platt_proba, train
+from canoa.svm import FeatureDataset, TrainConfig, platt_proba, train
 from canoa.trace import SampledTrace
 from canoa.workflow import (
     PipelineConfig,
@@ -78,13 +78,12 @@ def stub_bundle(owners: dict[int, int], delta: float = 0.5) -> ModelBundle:
     samap = SourceAddressMap(owners=owners)
     tau, rate = Tau(1e-3), 2e6
     n_bins = tau.sample_count(rate) // 2 + 1
-    meta = TrainingMeta(1, 0.0, 1e-4, True, 0, 1.0)
     models = []
     for ecu in samap.ecus:
         sas = tuple(sa for sa in sorted(owners) if owners[sa] == ecu)
         k = len(sas)
         zeros = np.zeros((n_bins, k)), np.zeros(k), np.zeros((k, 2))
-        models.append(EcuModel(ecu, sas, NormStats(0.0, 1.0), *zeros, meta=(meta,) * k))
+        models.append(EcuModel(ecu, sas, NormStats(0.0, 1.0), *zeros))
     return ModelBundle(
         ecus=tuple(models),
         samap=samap,
@@ -244,7 +243,7 @@ def test_bundle_validation():
     truck = stub_bundle(TRUCK_OWNERS)
     ecu0 = truck.ecus[0]
     short_bias = dataclasses.replace(ecu0, bias=ecu0.bias[:1])
-    with pytest.raises(ValueError, match=r"2 SAs .* need \(\(1001, 2\), \(2,\), \(2, 2\), 2\)"):
+    with pytest.raises(ValueError, match=r"2 SAs .* need \(\(1001, 2\), \(2,\), \(2, 2\)\)"):
         dataclasses.replace(truck, ecus=(short_bias,) + truck.ecus[1:])
     # two models of one ECU could disagree on its normalization
     halves = tuple(
@@ -254,7 +253,6 @@ def test_bundle_validation():
             weights=ecu0.weights[:, [j]],
             bias=ecu0.bias[[j]],
             calibration=ecu0.calibration[[j]],
-            meta=ecu0.meta[j : j + 1],
         )
         for j, sa in enumerate(ecu0.sas)
     )

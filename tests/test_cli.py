@@ -18,8 +18,6 @@ from canoa.cli import main
 from canoa.traceio import (
     BUNDLE_FOOTER,
     TraceKind,
-    _parse_sections,
-    _sections_bytes,
     read_trace_file,
     write_trace_file,
 )
@@ -515,21 +513,22 @@ def test_bundle_trace_mismatch(cfg_path, tmp_path):
     assert rc == 2
 
 
+def write_rechecksummed(bundle, blob):
+    bundle.write_bytes(blob + BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob)))
+
+
 def test_bundle_without_meta_section_is_data_error(cfg_path, tmp_path, capsys):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
     assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
     bundle = out / "bundle.cbnd"
-    sections = _parse_sections(bundle.read_bytes()[:-8], bundle)
-    del sections["meta"]
-    blob = _sections_bytes(list(sections.items()))
-    bundle.write_bytes(blob + BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob)))
+    write_rechecksummed(bundle, bundle.read_bytes()[:6])  # the header, then no document
     capsys.readouterr()
     rc = run_cli(
         "authenticate", "--traces", out, "--bundle", bundle, "--out", out, "--bitrate", 125000
     )
     assert rc == 2
-    assert "missing section 'meta'" in capsys.readouterr().err
+    assert f"{bundle}: malformed bundle" in capsys.readouterr().err
 
 
 def test_bundle_entry_naming_another_ecu_is_data_error(cfg_path, tmp_path, capsys):
@@ -537,15 +536,11 @@ def test_bundle_entry_naming_another_ecu_is_data_error(cfg_path, tmp_path, capsy
     assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
     assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
     bundle = out / "bundle.cbnd"
-    sections = _parse_sections(bundle.read_bytes()[:-8], bundle)
-    meta = json.loads(sections["meta"])
+    raw = bundle.read_bytes()
+    doc = json.loads(raw[6:-8])
     # an ECU's model, weights and all, listed under ECU 7, which owns none of its SAs
-    model = meta["ecus"][0]
-    sections["weights/7"] = sections.pop(f"weights/{model['ecu']}")
-    model["ecu"] = 7
-    sections["meta"] = json.dumps(meta, sort_keys=True).encode()
-    blob = _sections_bytes(list(sections.items()))
-    bundle.write_bytes(blob + BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob)))
+    doc["ecus"][0]["ecu"] = 7
+    write_rechecksummed(bundle, raw[:6] + json.dumps(doc, sort_keys=True).encode())
     capsys.readouterr()
     rc = run_cli(
         "authenticate", "--traces", out, "--bundle", bundle, "--out", out, "--bitrate", 125000

@@ -38,6 +38,12 @@ def test_features_and_svm_import_only_lower_layers():
     assert set(graph["svm"]) == {"errors"}
 
 
+def test_scoring_and_the_bundle_format_take_only_platt_proba_from_svm():
+    # a bundle holds what scoring reads; training records stay with the trainer
+    for module in ("authenticate", "traceio"):
+        assert package_imports(SRC / f"{module}.py").get("svm", set()) <= {"platt_proba"}, module
+
+
 def test_numpy_is_the_only_runtime_dependency():
     allowed = set(sys.stdlib_module_names) | {"numpy", "canoa"}
     outside: dict[str, set[str]] = {}

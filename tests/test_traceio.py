@@ -19,8 +19,6 @@ from canoa.svm import TrainConfig, platt_proba
 from canoa.traceio import (
     BUNDLE_FOOTER,
     TraceKind,
-    _parse_sections,
-    _sections_bytes,
     load_bundle,
     read_ground_truth,
     read_trace_file,
@@ -166,11 +164,19 @@ def test_ground_truth_rejects_non_increasing_t(tmp_path):
         ("0.6,3,3,0,spoofed", "'spoofed' is not a valid AttackKind"),
         ("0.6,3,3,0,hijack_transmission", "'hijack_transmission' is not a valid AttackKind"),
         ("nan,3,3,0,normal", "t_sec not strictly increasing at nan"),
+        pytest.param(
+            "0.6," + "9" * 131_073 + ",3,0,normal",
+            f"field larger than field limit ({csv.field_size_limit()})",
+            id="field_over_the_csv_limit",
+        ),
+        # surrogateescape writes the lone surrogate as the byte 0xff
+        pytest.param("0.6,3,3,0,norm\udcffal", "not UTF-8 text (invalid start byte)", id="not_utf8"),
     ],
 )
 def test_malformed_ground_truth_row_is_a_format_error_naming_its_line(tmp_path, row, message):
     path = tmp_path / "gt.csv"
-    path.write_text("t_sec,frame_id,claimed_sa,true_source,attack_kind\n0.5,1,1,0,normal\n" + row)
+    text = "t_sec,frame_id,claimed_sa,true_source,attack_kind\n0.5,1,1,0,normal\n" + row
+    path.write_bytes(text.encode(errors="surrogateescape"))
     with pytest.raises(FileFormatError, match=re.escape(f"{path}: line 3: {message}")):
         read_ground_truth(path)
 
@@ -218,112 +224,67 @@ def test_bundle_checksum_validates(trained, tmp_path):
         load_bundle(path)
 
 
-@pytest.mark.parametrize("edit", ["drop_field", "unknown_field"])
-def test_bundle_with_malformed_training_meta_is_a_format_error(trained, tmp_path, edit):
-    sc, power_map, decoded, result = trained
-    path = tmp_path / "b.cbnd"
-    save_bundle(path, result.bundle)
-    sections = _parse_sections(path.read_bytes()[:-8], path)
-    meta = json.loads(sections["meta"])
-    training_meta = meta["ecus"][0]["meta"][0]
-    if edit == "drop_field":
-        del training_meta["converged"]
-    else:
-        training_meta["epochs"] = 3
-    sections["meta"] = json.dumps(meta, sort_keys=True).encode()
-    blob = _sections_bytes(list(sections.items()))
-    path.write_bytes(blob + BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob)))
-    with pytest.raises(FileFormatError):
-        load_bundle(path)
-
-
 def rechecksummed(blob):
     """Bundle bytes with a valid footer, so only their structure is at fault."""
     return blob + BUNDLE_FOOTER + struct.pack("<I", zlib.crc32(blob))
 
 
-def _drop_meta(sections, meta):
-    del sections["meta"]
+def document(doc):
+    """A bundle document encoded as ``save_bundle`` encodes it."""
+    return json.dumps(doc, sort_keys=True).encode()
 
 
-def _drop_owners(sections, meta):
-    del meta["map"]["owners"]
+def edit(change):
+    """A fault that changes the bundle document in place, then encodes it."""
 
+    def fault(doc):
+        change(doc)
+        return document(doc)
 
-def _drop_weights(sections, meta):
-    del sections[f"weights/{meta['ecus'][0]['ecu']}"]
-
-
-def _other_sample_rate(sections, meta):
-    # the weights no longer have one value per spectrum bin at this rate
-    meta["sample_rate"] *= 1.5
-
-
-def _short_weights(sections, meta):
-    name = f"weights/{meta['ecus'][0]['ecu']}"
-    sections[name] = sections[name][:-8]
-
-
-def _weights_wrong_shape(sections, meta):
-    # one row too many: a whole number of columns, but not one row per spectrum bin
-    model = meta["ecus"][0]
-    name = f"weights/{model['ecu']}"
-    sections[name] += bytes(8 * len(model["sas"]))
-
-
-def _zero_sample_rate(sections, meta):
-    meta["sample_rate"] = 0
-
-
-def _drop_sample_rate(sections, meta):
-    del meta["sample_rate"]
-
-
-def _entry_ecu_not_owner(sections, meta):
-    # ECU 0's model, weights and all, moved to ECU 7; the map still names the real owner
-    model = meta["ecus"][0]
-    sections["weights/7"] = sections.pop(f"weights/{model['ecu']}")
-    model["ecu"] = 7
+    return fault
 
 
 def _set(*path, value):
-    """An edit that sets ``meta["ecus"][0]`` at ``path`` to ``value``."""
+    """A fault that sets ``doc["ecus"][0]`` at ``path`` to ``value``."""
 
-    def edit(sections, meta):
-        node = meta["ecus"][0]
+    def change(doc):
+        node = doc["ecus"][0]
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
 
-    return edit
+    return edit(change)
 
 
-def _nan_weight(sections, meta):
-    name = f"weights/{meta['ecus'][0]['ecu']}"
-    sections[name] = struct.pack("<d", float("nan")) + sections[name][8:]
+def _add_weight_row(doc):
+    # one row too many: a whole number of columns, but not one row per spectrum bin
+    model = doc["ecus"][0]
+    model["weights"].append([0.0] * len(model["sas"]))
 
 
+# each fault maps the saved document to the bytes written after the version
 BUNDLE_FAULTS = {
-    "missing_meta": (_drop_meta, b""),
-    "missing_map_owners": (_drop_owners, b""),
-    "missing_weights": (_drop_weights, b""),
-    "sample_rate_weights_mismatch": (_other_sample_rate, b""),
-    "weights_one_short": (_short_weights, b""),
-    "zero_sample_rate": (_zero_sample_rate, b""),
-    "missing_sample_rate": (_drop_sample_rate, b""),
-    "entry_ecu_not_owner": (_entry_ecu_not_owner, b""),
-    "weights_wrong_shape": (_weights_wrong_shape, b""),
+    "missing_meta": lambda doc: b"",  # no document at all
+    "missing_map_owners": edit(lambda doc: doc["map"].pop("owners")),
+    "missing_weights": edit(lambda doc: doc["ecus"][0].pop("weights")),
+    # the weights no longer have one row per spectrum bin at this rate
+    "sample_rate_weights_mismatch": edit(lambda doc: doc.update(sample_rate=4.5e6)),
+    "weights_one_short": edit(lambda doc: doc["ecus"][0]["weights"][-1].pop()),
+    "zero_sample_rate": edit(lambda doc: doc.update(sample_rate=0)),
+    "missing_sample_rate": edit(lambda doc: doc.pop("sample_rate")),
+    # ECU 0's model, weights and all, moved to ECU 7; the map still names the real owner
+    "entry_ecu_not_owner": _set("ecu", value=7),
+    "weights_wrong_shape": edit(_add_weight_row),
     # json writes and reads NaN and Infinity, so a re-checksummed bundle can hold them
-    "nan_norm_mean": (_set("norm_mean", value=float("nan")), b""),
-    "infinite_norm_mean": (_set("norm_mean", value=float("-inf")), b""),
-    "nan_norm_std": (_set("norm_std", value=float("nan")), b""),
-    "infinite_norm_std": (_set("norm_std", value=float("inf")), b""),
-    "nan_weight": (_nan_weight, b""),
-    "infinite_bias": (_set("bias", 0, value=float("inf")), b""),
-    "nan_calibration": (_set("calibration", 0, 1, value=float("nan")), b""),
-    "truncated_name_length": (None, b"\x07"),
-    "truncated_section_header": (None, b"\x07\x00wei"),
-    "section_past_the_end": (None, struct.pack("<H", 1) + b"x" + struct.pack("<Q", 64) + b"abc"),
+    "nan_norm_mean": _set("norm_mean", value=float("nan")),
+    "infinite_norm_mean": _set("norm_mean", value=float("-inf")),
+    "nan_norm_std": _set("norm_std", value=float("nan")),
+    "infinite_norm_std": _set("norm_std", value=float("inf")),
+    "nan_weight": _set("weights", 0, 0, value=float("nan")),
+    "infinite_bias": _set("bias", 0, value=float("inf")),
+    "nan_calibration": _set("calibration", 0, 1, value=float("nan")),
+    "bytes_after_the_document": lambda doc: document(doc) + b" {}",
+    "document_cut_short": lambda doc: document(doc)[:-1],
 }
 
 
@@ -332,40 +293,37 @@ def test_structurally_malformed_bundle_is_a_format_error(trained, tmp_path, faul
     sc, power_map, decoded, result = trained
     path = tmp_path / "b.cbnd"
     save_bundle(path, result.bundle)
-    edit, tail = BUNDLE_FAULTS[fault]
-    sections = _parse_sections(path.read_bytes()[:-8], path)
-    meta = json.loads(sections["meta"])
-    if edit is not None:
-        edit(sections, meta)
-        if "meta" in sections:
-            sections["meta"] = json.dumps(meta, sort_keys=True).encode()
-    path.write_bytes(rechecksummed(_sections_bytes(list(sections.items())) + tail))
+    raw = path.read_bytes()
+    path.write_bytes(rechecksummed(raw[:6] + BUNDLE_FAULTS[fault](json.loads(raw[6:-8]))))
     with pytest.raises(FileFormatError):
         load_bundle(path)
 
 
-def test_v4_bundle_holds_one_weight_matrix_per_ecu_and_no_pca(trained, tmp_path):
+def test_v5_bundle_holds_one_weight_matrix_per_ecu_and_no_pca(trained, tmp_path):
     sc, power_map, decoded, result = trained
     path = tmp_path / "b.cbnd"
     save_bundle(path, result.bundle)
-    blob = path.read_bytes()[:-8]
-    assert struct.unpack_from("<H", blob, 4) == (4,)
-    sections = _parse_sections(blob, path)
+    raw = path.read_bytes()
+    assert raw[:4] == b"CBND" and struct.unpack_from("<H", raw, 4) == (5,)
+    assert rechecksummed(raw[:-8]) == raw
+    doc = json.loads(raw[6:-8])
+    assert raw[6:-8] == document(doc)  # one sorted-key document, nothing after it
+    assert sorted(doc) == ["delta", "ecus", "map", "sample_rate", "tau", "tukey_alpha"]
+    assert doc["sample_rate"] == 3e6
     # truck: ECU 0 owns SAs 0 and 15, ECU 1 owns SA 11
-    assert sorted(sections) == ["meta", "weights/0", "weights/1"]
+    assert [(m["ecu"], m["sas"]) for m in doc["ecus"]] == [(0, [0, 15]), (1, [11])]
+    # each ECU's normalization is stored once, beside its SAs; no training
+    # records and no PCA basis are stored
+    entry_keys = ["bias", "calibration", "ecu", "norm_mean", "norm_std", "sas", "weights"]
+    assert all(sorted(m) == entry_keys for m in doc["ecus"])
     n_bins = result.tau.sample_count(3e6) // 2 + 1
-    assert len(sections["weights/0"]) == 8 * n_bins * 2
-    assert len(sections["weights/1"]) == 8 * n_bins
-    meta = json.loads(sections["meta"])
-    assert meta["sample_rate"] == 3e6
-    assert [(m["ecu"], m["sas"]) for m in meta["ecus"]] == [(0, [0, 15]), (1, [11])]
-    # each ECU's normalization is stored once, beside its SAs
-    assert all("norm_mean" in m and "norm_std" in m for m in meta["ecus"])
-    assert not any("pca" in key for m in meta["ecus"] for key in m)
+    assert np.shape(doc["ecus"][0]["weights"]) == (n_bins, 2)
+    assert np.shape(doc["ecus"][1]["weights"]) == (n_bins, 1)
     column = result.bundle.sas.index(15)
-    weights = np.frombuffer(sections["weights/0"], "<f8").reshape(n_bins, 2)
+    weights = np.array(doc["ecus"][0]["weights"])
     loaded = load_bundle(path)
-    np.testing.assert_array_equal(loaded.ecus[0].weights[:, 1], weights[:, 1])
+    np.testing.assert_array_equal(loaded.ecus[0].weights, weights)
+    np.testing.assert_array_equal(loaded.ecus[0].weights, result.bundle.ecus[0].weights)
     usable = usable_transmissions(decoded, power_map, result.tau)[:20]
     p = score(usable, power_map, loaded)
     spectra = ecu_spectra(power_map[0], loaded.ecus[0].stats, usable, loaded.tau, loaded.window)
@@ -374,7 +332,7 @@ def test_v4_bundle_holds_one_weight_matrix_per_ecu_and_no_pca(trained, tmp_path)
     np.testing.assert_allclose(p[:, column], platt_proba(margins, a, b), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_older_bundle_is_a_format_error_naming_the_version(trained, tmp_path, version):
     sc, power_map, decoded, result = trained
     path = tmp_path / "b.cbnd"
@@ -398,9 +356,8 @@ def bundle_blob(trained, tmp_path_factory):
 def test_re_checksummed_byte_edits_load_or_raise_format_error(bundle_blob, data):
     blob, path = bundle_blob
     edited = bytearray(blob)
-    # the section table and the meta JSON hold all the structure; float
-    # payloads after them only change values
-    at = data.draw(st.integers(4, min(len(blob), 4096) - 1))
+    # every byte after the magic is the version or the JSON document
+    at = data.draw(st.integers(4, len(blob) - 1))
     edited[at] = data.draw(st.integers(0, 255))
     cut = data.draw(st.sampled_from([len(blob), len(blob) - 1, at + 1]))
     path.write_bytes(rechecksummed(bytes(edited[:cut])))
