@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import BundleMismatch
-from .features import NormStats, Tau, TukeyParams, ecu_spectra
+from .features import NormStats, Tau, TukeyParams, _block_spectra
 from .frames import DecodedTransmission, SourceAddressMap
 from .svm import platt_proba
 from .trace import SampledTrace
@@ -141,9 +141,13 @@ def score(
 ) -> np.ndarray:
     """Calibrated transmission probabilities, one row per transmission.
 
-    Column k belongs to ``bundle.sas[k]``. Each ECU's spectra are computed
-    once and scored for all of its addresses with one matrix product.
-    Every ECU of the bundle needs a power trace at the bundle's sample rate.
+    Column k belongs to ``bundle.sas[k]``. Scoring is block-major: for each
+    block of transmissions, every ECU's segments are transformed together
+    (see :mod:`canoa.features`), each ECU's spectra are scored for all of its
+    addresses with one matrix product, and one sigmoid fills the block's
+    rows. Memory follows the block, not the batch. Every ECU of the bundle
+    needs a power trace at the bundle's sample rate that holds every
+    transmission's segment, or this raises :class:`OutOfBounds`.
     """
     if not set(bundle.samap.ecus).issubset(powers):
         raise BundleMismatch(
@@ -161,14 +165,20 @@ def score(
     p = np.empty((len(transmissions), len(sas)))
     if not transmissions:
         return p
-    # one ECU's spectra at a time: they are the largest arrays scoring makes
-    for model in bundle.ecus:
-        spectra = ecu_spectra(
-            powers[model.ecu], model.stats, transmissions, bundle.tau, bundle.window
-        )
-        margins = spectra @ model.weights + model.bias
-        del spectra  # before the next ECU's spectra exist
-        p[:, np.searchsorted(sas, model.sas)] = platt_proba(margins, *model.calibration.T)
+    # every ECU's margins go side by side, in ECU order, then into p's columns
+    columns = np.searchsorted(sas, [sa for model in bundle.ecus for sa in model.sas])
+    bias = np.concatenate([model.bias for model in bundle.ecus])
+    a, b = np.concatenate([model.calibration for model in bundle.ecus]).T
+    blocks = _block_spectra(
+        [powers[model.ecu] for model in bundle.ecus],
+        [model.stats for model in bundle.ecus],
+        [tx.t for tx in transmissions],
+        bundle.tau.sample_count(bundle.sample_rate),
+        bundle.window,
+    )
+    for lo, spectra in blocks:
+        margins = np.concatenate([s @ model.weights for s, model in zip(spectra, bundle.ecus)], 1)
+        p[lo : lo + len(margins), columns] = platt_proba(margins + bias, a, b)
     return p
 
 

@@ -17,6 +17,14 @@ samples or longer, and still covers the whole frame. A segment starts at
 the sample nearest its transmission's time, and :func:`segments_fit`
 is the one test of whether it lies inside a trace.
 
+Spectra have one path, :func:`_block_spectra`, for training (one trace at
+a time) and for scoring (every ECU's trace at once). It walks the
+transmissions in blocks whose float64 segments, summed over the traces,
+take about ``_SPECTRA_BLOCK_BYTES``: each trace's segments are copied with
+one indexed read of its sliding windows and normalized by that trace's
+statistics, and the block is tapered and transformed with one ``rfft``.
+A row's spectrum is the same bits alone or inside any block.
+
 :func:`fit_pca` keeps the top M eigenpairs of one exact eigendecomposition
 of a Gram matrix of size d = min(n, f) (the shipped configs: lab and sweep
 d = 541, truck d = 271, M = 5). The Gram matrix is formed from the
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,8 +51,9 @@ MIN_CALIB_LEN = 1000
 # tail. Five keep them, and the SVMs' cost grows with every noise direction
 # kept past them.
 DEFAULT_COMPONENTS = 5
-# Segments are normalized, tapered and transformed in blocks of rows whose
-# float64 copy is about this size, so a block stays in cache between steps.
+# Segments are normalized, tapered and transformed in blocks of frames whose
+# float64 copy, over every trace transformed together, is about this size, so
+# a block stays in cache between steps and scoring's memory follows the block.
 # Spectra are centered for projection, and fit_pca's Gram matrix corrected,
 # in blocks of rows of the same size instead of as whole-matrix temporaries.
 _SPECTRA_BLOCK_BYTES = 2 << 20
@@ -85,16 +94,21 @@ class Tau:
 
     def sample_count(self, sample_rate: float) -> int:
         """Segment length: the smallest 5-smooth integer >= round(tau * sample_rate)."""
-        n = int(round(self.value * sample_rate))
-        best = 1 << max(n - 1, 0).bit_length()  # the next power of two
-        fives = 1
-        while fives < best:
-            odd = fives
-            while odd < best:  # odd = 3^b 5^c, times the fewest twos that reach n
-                best = min(best, odd << (-(-n // odd) - 1).bit_length())
-                odd *= 3
-            fives *= 5
-        return best
+        return _five_smooth_ceil(int(round(self.value * sample_rate)))
+
+
+@functools.lru_cache(maxsize=64)
+def _five_smooth_ceil(n: int) -> int:
+    """The smallest integer 2^a 3^b 5^c >= n (cached: scoring asks once per call)."""
+    best = 1 << max(n - 1, 0).bit_length()  # the next power of two
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:  # odd = 3^b 5^c, times the fewest twos that reach n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -272,12 +286,74 @@ def segments_fit(
     trace: SampledTrace, times: Sequence[float], tau: Tau
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each time's segment start sample, and whether its segment lies inside the trace."""
+    starts, fits = _segment_starts([trace], times, tau.sample_count(trace.sample_rate))
+    return starts[0], fits[0]
+
+
+def _segment_starts(
+    traces: Sequence[SampledTrace], times: Sequence[float], n_samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(traces, times) segment start samples, and whether each segment lies inside its trace."""
     # each time's nearest sample; np.rint rounds half to even, as Python's
     # round does
-    offsets = (np.asarray(times, dtype=np.float64) - trace.start_time) * trace.sample_rate
-    starts = np.rint(offsets).astype(np.int64)
-    fits = (starts >= 0) & (starts + tau.sample_count(trace.sample_rate) <= trace.samples.size)
-    return starts, fits
+    origin = np.array([[trace.start_time] for trace in traces])
+    rate = np.array([[trace.sample_rate] for trace in traces])
+    size = np.array([[trace.samples.size] for trace in traces])
+    starts = np.rint((np.asarray(times, dtype=np.float64) - origin) * rate).astype(np.int64)
+    return starts, (starts >= 0) & (starts + n_samples <= size)
+
+
+def _windows(samples: np.ndarray, n_samples: int) -> np.ndarray:
+    """Read-only view whose row i is samples[i : i + n_samples].
+
+    The view ``sliding_window_view`` makes, built from the buffer in a tenth
+    of its time: in a batch of one, scoring builds one per ECU.
+    """
+    x = np.ascontiguousarray(samples)
+    shape = (max(x.size - n_samples + 1, 0), n_samples)
+    view = np.ndarray(shape, x.dtype, x, strides=(x.itemsize, x.itemsize))
+    view.flags.writeable = False
+    return view
+
+
+def _block_spectra(
+    traces: Sequence[SampledTrace],
+    stats: Sequence[NormStats],
+    times: Sequence[float],
+    n_samples: int,
+    win: TukeyParams,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Each block's first row and its (traces, rows, F) normalized, tapered segment spectra.
+
+    Before the first block, every segment is checked against its trace. A
+    block holds about _SPECTRA_BLOCK_BYTES of float64 segments over all the
+    traces, so memory follows the block, not the batch. The spectra are a
+    view of a buffer that the next block overwrites.
+    """
+    starts, fits = _segment_starts(traces, times, n_samples)
+    if not fits.all():
+        k, i = np.argwhere(~fits)[0].tolist()
+        raise OutOfBounds(
+            f"the transmission window at t = {float(times[i])!r} s falls outside a trace of "
+            f"{traces[k].samples.size} samples starting at {traces[k].start_time!r} s"
+        )
+    n = starts.shape[1]
+    rows = min(_block_rows(len(traces) * n_samples), max(n, 1))
+    segments = np.empty((len(traces), rows, n_samples))
+    spectra = np.empty((len(traces), rows, n_samples // 2 + 1))
+    windows = [_windows(t.samples, n_samples) for t in traces]
+    mean = np.array([s.mean for s in stats])[:, None, None]
+    std = np.array([s.std for s in stats])[:, None, None]
+    taper = tukey_window(n_samples, win)
+    for lo in range(0, n, rows):
+        block, out = segments[:, : n - lo], spectra[:, : n - lo]
+        for dest, view, part in zip(block, windows, starts[:, lo : lo + rows]):
+            dest[...] = view[part]
+        block -= mean
+        block /= std
+        block *= taper
+        np.abs(np.fft.rfft(block, axis=-1), out=out)
+        yield lo, out
 
 
 def _spectra(
@@ -289,22 +365,9 @@ def _spectra(
 ) -> np.ndarray:
     """Normalized, tapered segment spectra, one row per start time."""
     n_samples = tau.sample_count(trace.sample_rate)
-    starts, fits = segments_fit(trace, times, tau)
-    if not fits.all():
-        raise OutOfBounds("a transmission window falls outside the trace")
-    window = tukey_window(n_samples, win)
-    out = np.empty((starts.size, n_samples // 2 + 1))
-    rows = _block_rows(n_samples)
-    buffer = np.empty((min(rows, starts.size), n_samples))
-    for lo in range(0, starts.size, rows):
-        part = starts[lo : lo + rows].tolist()
-        block = buffer[: len(part)]
-        for row, start in zip(block, part):
-            row[:] = trace.samples[start : start + n_samples]
-        block -= stats.mean
-        block /= stats.std
-        block *= window
-        np.abs(np.fft.rfft(block, axis=1), out=out[lo : lo + rows])
+    out = np.empty((len(times), n_samples // 2 + 1))
+    for lo, (spectra,) in _block_spectra([trace], [stats], times, n_samples, win):
+        out[lo : lo + len(spectra)] = spectra
     return out
 
 

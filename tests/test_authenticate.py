@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canoa import features
 from canoa.authenticate import (
     TIE_TOLERANCE,
     Decision,
@@ -21,7 +24,7 @@ from canoa.authenticate import (
     softmax,
 )
 from canoa.bus import AttackKind, AttackSpec, lab_scenario, truck_scenario, simulate
-from canoa.errors import BundleMismatch
+from canoa.errors import BundleMismatch, CanoaError, OutOfBounds
 from canoa.features import (
     NormStats,
     Tau,
@@ -307,6 +310,74 @@ def test_batch_matches_single_attribution(truck_run):
     tx = usable[0]
     p = score([tx], power_map, result.bundle)
     assert attribute(tx, power_map, result.bundle) == decide([tx], p, result.bundle)[0]
+
+
+@pytest.fixture(scope="module")
+def truck_single_scores(truck_run):
+    """Every usable frame of the truck run and its row of scores, each frame scored alone."""
+    sc, power_map, decoded, result = truck_run
+    usable = usable_transmissions(decoded, power_map, result.tau)
+    return usable, np.vstack([score([tx], power_map, result.bundle) for tx in usable])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batch_cut_into_blocks_anywhere_matches_single_attribution(
+    truck_run, truck_single_scores, data
+):
+    # a block holds `rows` frames of every ECU's segments; the batch spans
+    # at least two blocks and starts at any frame
+    sc, power_map, decoded, result = truck_run
+    usable, single = truck_single_scores
+    row_bytes = 8 * len(result.bundle.ecus) * result.tau.sample_count(result.bundle.sample_rate)
+    rows = data.draw(st.integers(1, 40), label="rows")
+    block_bytes = rows * row_bytes + data.draw(st.integers(0, row_bytes - 1), label="extra")
+    lo = data.draw(st.integers(0, len(usable) - 2 * rows - 1), label="lo")
+    hi = data.draw(st.integers(lo + 2 * rows + 1, len(usable)), label="hi")
+    with unittest.mock.patch.object(features, "_SPECTRA_BLOCK_BYTES", block_bytes):
+        p = score(usable[lo:hi], power_map, result.bundle)
+    assert np.abs(p - single[lo:hi]).max() <= 1e-12
+    batch = decide(usable[lo:hi], p, result.bundle)
+    alone = decide(usable[lo:hi], single[lo:hi], result.bundle)
+    assert [(v.decision, v.attributed_sa) for v in batch] == [
+        (v.decision, v.attributed_sa) for v in alone
+    ]
+
+
+def test_scoring_memory_follows_the_block_not_the_batch(truck_run):
+    # what grows with the batch is the output and each frame's start samples,
+    # tens of bytes a frame; the spectra exist one block at a time
+    sc, power_map, decoded, result = truck_run
+    usable = usable_transmissions(decoded, power_map, result.tau)
+    extra = []
+    for batch in (usable, usable * 2):
+        tracemalloc.start()
+        try:
+            p = score(batch, power_map, result.bundle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - p.nbytes)
+    assert extra[0] < 3 * features._SPECTRA_BLOCK_BYTES
+    assert extra[1] - extra[0] < features._SPECTRA_BLOCK_BYTES / 20
+
+
+def test_frame_whose_segment_overruns_one_ecus_trace_is_out_of_bounds(truck_run):
+    sc, power_map, decoded, result = truck_run
+    usable = usable_transmissions(decoded, power_map, result.tau)
+    last, n_samples = usable[-1], result.tau.sample_count(result.bundle.sample_rate)
+    trace = power_map[1]
+    # ECU 1's trace ends one sample before the last frame's segment does
+    end = int(round((last.t - trace.start_time) * trace.sample_rate)) + n_samples - 1
+    cut = {**power_map, 1: SampledTrace(trace.samples[:end], trace.sample_rate, trace.start_time)}
+    early = dataclasses.replace(usable[0], t=trace.start_time - 1e-3)
+    for tx in (last, early):
+        with pytest.raises(OutOfBounds, match=f"t = {tx.t!r} s falls outside") as single:
+            attribute(tx, cut, result.bundle)
+        with pytest.raises(OutOfBounds, match=f"t = {tx.t!r} s falls outside") as batch:
+            authenticate_all([usable[0], tx], cut, result.bundle)
+        assert isinstance(single.value, CanoaError) and isinstance(batch.value, CanoaError)
+    assert len(authenticate_all(usable[:-1], cut, result.bundle)) == len(usable) - 1
 
 
 def test_score_rejects_traces_at_another_sample_rate(truck_run):

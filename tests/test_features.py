@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from canoa import features
 from canoa.bus import lab_scenario, simulate, truck_scenario
 from canoa.errors import DegenerateTrace, EmptyInput, OutOfBounds, RankDeficient
 from canoa.features import (
@@ -15,6 +16,7 @@ from canoa.features import (
     NormStats,
     Tau,
     TukeyParams,
+    _windows,
     ecu_spectra,
     estimate_norm_stats,
     estimate_tau,
@@ -570,6 +572,45 @@ def test_blocked_spectra_equal_unblocked_reference(blocks, extra):
     assert np.array_equal(got, unblocked_spectra(trace, stats, starts, n_samples, win))
     with pytest.raises(OutOfBounds):
         ecu_spectra(trace, stats, txs + [tx(trace.start_time + (last + 1) / rate, 1)], tau, win)
+
+
+@pytest.mark.parametrize("layout", ["float32", "float64", "strided"])
+def test_window_gather_equals_the_per_row_copy(layout):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=3 * 5000 if layout == "strided" else 5000)
+    x = x[::3] if layout == "strided" else x.astype(layout)
+    n = 1080
+    starts = np.concatenate([[0, x.size - n], rng.integers(0, x.size - n + 1, 300)])
+    block = np.empty((starts.size, n))
+    block[...] = _windows(x, n)[starts]
+    reference = np.empty_like(block)
+    for row, start in zip(reference, starts.tolist()):
+        row[:] = x[start : start + n]
+    assert block.tobytes() == reference.tobytes()
+    assert not _windows(x, n).flags.writeable
+    assert _windows(x[: n - 1], n).shape == (0, n)
+
+
+def test_spectra_of_several_traces_equal_each_traces_own(monkeypatch):
+    # scoring transforms every ECU's segments in one block; each trace's rows
+    # must be the bits training computes for that trace alone
+    rate, n_samples = 1e6, 256
+    rng = np.random.default_rng(22)
+    traces = [
+        SampledTrace(rng.normal(m, 1.0, 20_000 + 100 * k).astype(np.float32), rate, 0.5 + k * 1e-3)
+        for k, m in enumerate((0.1, 0.4, -0.2))
+    ]
+    stats = [NormStats(0.1, 1.1), NormStats(0.4, 0.9), NormStats(-0.2, 1.3)]
+    tau, win = Tau(n_samples / rate), TukeyParams(0.25)
+    times = np.sort(rng.uniform(0.503, 0.518, 37)).tolist()
+    alone = [ecu_spectra(t, s, [tx(x, 1) for x in times], tau, win) for t, s in zip(traces, stats)]
+    monkeypatch.setattr(features, "_SPECTRA_BLOCK_BYTES", 5 * 3 * 8 * n_samples)  # 5 frames a block
+    # each block's spectra are overwritten by the next block's, so copy them
+    blocks = features._block_spectra(traces, stats, times, n_samples, win)
+    blocks = [(lo, spectra.copy()) for lo, spectra in blocks]
+    assert [lo for lo, _ in blocks] == list(range(0, 37, 5))
+    together = np.concatenate([spectra for _, spectra in blocks], axis=1)
+    assert together.tobytes() == np.stack(alone).tobytes()
 
 
 def test_spectra_start_samples_round_like_index_of():
