@@ -587,6 +587,7 @@ def test_window_gather_equals_the_per_row_copy(layout):
     for row, start in zip(reference, starts.tolist()):
         row[:] = x[start : start + n]
     assert block.tobytes() == reference.tobytes()
+    assert np.array_equal(_windows(x, n), np.lib.stride_tricks.sliding_window_view(x, n))
     assert not _windows(x, n).flags.writeable
     assert _windows(x[: n - 1], n).shape == (0, n)
 
