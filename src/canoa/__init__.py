@@ -55,7 +55,6 @@ from .features import (
 from .frames import (
     CanFrame,
     DecodedTransmission,
-    DerivationRule,
     FrameFormat,
     SourceAddressMap,
     arbitrate,

@@ -44,11 +44,10 @@ class EcuModel:
     """The models of one ECU's source addresses, scored together on its spectra.
 
     Column j of ``weights`` (one row per spectrum bin), ``bias[j]`` and
-    ``calibration[j]`` (the Platt pair ``(A, B)``) belong to ``sas[j]``.
+    ``calibration[j]`` (the Platt pair ``(A, B)``) belong to the ECU's j-th
+    source address in ascending order (:meth:`SourceAddressMap.owned`).
     """
 
-    ecu: int
-    sas: tuple[int, ...]
     stats: NormStats
     weights: np.ndarray  # (F, k)
     bias: np.ndarray  # (k,)
@@ -57,7 +56,7 @@ class EcuModel:
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """One model per ECU of the map, for its SAs, plus the shared pipeline parameters."""
+    """One model per ECU of the map, in ECU order, plus the shared pipeline parameters."""
 
     ecus: tuple[EcuModel, ...]
     samap: SourceAddressMap
@@ -71,26 +70,23 @@ class ModelBundle:
             raise ValueError("sample rate must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if len(self.ecus) != len(self.samap.ecus):
+            raise ValueError(
+                f"the map's {len(self.samap.ecus)} ECUs {self.samap.ecus} need one model each, "
+                f"found {len(self.ecus)}"
+            )
         n_bins = self.tau.sample_count(self.sample_rate) // 2 + 1
-        sas = self.samap.sas
-        for e in self.ecus:
-            owned = tuple(sa for sa in sas if self.samap.owners[sa] == e.ecu)
-            if e.sas != owned:
-                raise ValueError(
-                    f"ECU {e.ecu} scores SAs {list(e.sas)}, but the map gives it {list(owned)}"
-                )
-            k = len(e.sas)
+        for ecu, e in zip(self.samap.ecus, self.ecus):
+            k = len(self.samap.owned(ecu))
             shapes = (e.weights.shape, e.bias.shape, e.calibration.shape)
             if shapes != ((n_bins, k), (k,), (k, 2)):
                 raise ValueError(
-                    f"ECU {e.ecu} weights, biases and calibrations have shapes {shapes}, "
+                    f"ECU {ecu} weights, biases and calibrations have shapes {shapes}, "
                     f"but {k} SAs and a {self.tau.value} s segment at {self.sample_rate} Hz "
                     f"({n_bins} spectrum bins) need {((n_bins, k), (k,), (k, 2))}"
                 )
             if not all(np.isfinite(a).all() for a in (e.weights, e.bias, e.calibration)):
-                raise ValueError(f"ECU {e.ecu} weights, biases and calibrations must be finite")
-        if [e.ecu for e in self.ecus] != self.samap.ecus:
-            raise ValueError(f"the map's ECUs {self.samap.ecus} need one model each, in order")
+                raise ValueError(f"ECU {ecu} weights, biases and calibrations must be finite")
 
     @property
     def sas(self) -> list[int]:
@@ -149,15 +145,14 @@ def score(
     needs a power trace at the bundle's sample rate that holds every
     transmission's segment, or this raises :class:`OutOfBounds`.
     """
-    if not set(bundle.samap.ecus).issubset(powers):
-        raise BundleMismatch(
-            f"bundle expects power channels {bundle.samap.ecus}, found {sorted(powers)}"
-        )
-    for model in bundle.ecus:
-        rate = powers[model.ecu].sample_rate
+    ecus = bundle.samap.ecus
+    if not set(ecus).issubset(powers):
+        raise BundleMismatch(f"bundle expects power channels {ecus}, found {sorted(powers)}")
+    for ecu in ecus:
+        rate = powers[ecu].sample_rate
         if rate != bundle.sample_rate:
             raise BundleMismatch(
-                f"power trace of ECU {model.ecu} is sampled at {rate:.0f} Hz, "
+                f"power trace of ECU {ecu} is sampled at {rate:.0f} Hz, "
                 f"the bundle was trained at {bundle.sample_rate:.0f} Hz "
                 "(bus.power_sample_rate sets the power channels' rate)"
             )
@@ -166,11 +161,11 @@ def score(
     if not transmissions:
         return p
     # every ECU's margins go side by side, in ECU order, then into p's columns
-    columns = np.searchsorted(sas, [sa for model in bundle.ecus for sa in model.sas])
+    columns = np.searchsorted(sas, [sa for ecu in ecus for sa in bundle.samap.owned(ecu)])
     bias = np.concatenate([model.bias for model in bundle.ecus])
     a, b = np.concatenate([model.calibration for model in bundle.ecus]).T
     blocks = _block_spectra(
-        [powers[model.ecu] for model in bundle.ecus],
+        [powers[ecu] for ecu in ecus],
         [model.stats for model in bundle.ecus],
         [tx.t for tx in transmissions],
         bundle.tau.sample_count(bundle.sample_rate),

@@ -28,7 +28,6 @@ from .frames import (
     MIN_SAMPLES_PER_BIT,
     ArbitratedFrame,
     CanFrame,
-    DerivationRule,
     FrameFormat,
     SourceAddressMap,
     arbitrate,
@@ -192,8 +191,8 @@ class Scenario:
     attacks: tuple[AttackSpec, ...] = ()
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < np.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
         sas = [sa for ecu in self.ecus for sa in ecu.sas]
         if len(sas) != len(set(sas)):
             raise ValueError("source addresses must be distinct across ECUs")
@@ -212,17 +211,8 @@ class Scenario:
         return {sa: ecu.index for ecu in self.ecus for sa in ecu.sas}
 
     def source_map(self) -> SourceAddressMap:
-        if self.bus.format is FrameFormat.EXTENDED:
-            return SourceAddressMap(owners=self.owners)
-        table: dict[int, int] = {}
-        for ecu in self.ecus:
-            for sched in ecu.schedules:
-                table[sched.frame_id(self.bus.format)] = sched.sa
-        for atk in self.attacks:
-            table[atk.frame_id(self.bus.format)] = atk.spoofed_sa
-        return SourceAddressMap(
-            owners=self.owners, rule=DerivationRule.EXPLICIT_TABLE, table=table
-        )
+        # every schedule and attack puts its SA in the low byte of the ID (_frame_id)
+        return SourceAddressMap(self.owners)
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,7 @@ def cmd_train(args) -> int:
         report_lines.append(
             f"sa {sa} (ecu {samap.owners[sa]}): val_accuracy={meta.validation_accuracy:.4f} "
             f"iterations={meta.iterations} converged={meta.converged} "
-            f"convergence_index={curve.convergence_index} final_loss={meta.final_loss:.6f}"
+            f"final_loss={curve.val_loss[-1]:.6f}"
         )
         with open(out / f"learning_curve_{sa}.csv", "w") as fh:
             fh.write("iteration,train_loss,val_loss\n")

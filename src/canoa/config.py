@@ -18,7 +18,8 @@ ECU ``k`` getting ripple frequency ``60e3 + 70e3·k`` and ID prefix
 ``scenario.program`` before ``ecu.<k>.program``. A key no step can apply
 (an ECU or stream the preset lacks, ``scenario.frames_per_sa`` on a custom
 scenario) is a :class:`ConfigError` at its line, and so is a negative
-``sim.seed``, an ``attack.<i>.count`` below 1, or a ``bus.sample_rate`` or
+``sim.seed``, an ``attack.<i>.count`` below 1, a ``sim.duration`` that is
+not positive and finite, or a ``bus.sample_rate`` or
 ``bus.power_sample_rate`` that is not a whole number of Hz. A value a
 dataclass rejects is one at the last line that set one of its fields.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import math
 import re
 import types
 import typing
@@ -69,6 +71,8 @@ _SECTIONS = {
 _INDEXES = {"ecu": 1, "attack": 1, "msg": 2}
 # (section, field) -> the least value a line may give it
 _LEAST = {("sim", "seed"): 0, ("attack", "count"): 1}
+# values a line must give as a positive, finite number: the simulator cannot run forever
+_POSITIVE_FINITE = {("sim", "duration")}
 # rates a line must give as a whole number of Hz: trace files store them as integers
 _WHOLE = {("bus", "sample_rate"), ("bus", "power_sample_rate")}
 # key name -> field name, where the two differ
@@ -159,6 +163,8 @@ def _parse_lines(text: str) -> _Values:
         least = _LEAST.get((section, field))
         if least is not None and value < least:
             raise ConfigError(f"{key}: must be at least {least}, got {value}", line=lineno)
+        if (section, field) in _POSITIVE_FINITE and not 0 < value < math.inf:
+            raise ConfigError(f"{key}: must be positive and finite, got {value}", line=lineno)
         if (section, field) in _WHOLE and not value.is_integer():
             raise ConfigError(f"{key}: must be a whole number of Hz, got {value}", line=lineno)
         values[slot] = _Value(key, value, lineno)

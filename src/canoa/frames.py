@@ -11,7 +11,7 @@ leave it at ~0 V.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -31,11 +31,6 @@ MIN_SAMPLES_PER_BIT = 10  # the decoder's floor on sample rate / bitrate
 class FrameFormat(Enum):
     STANDARD = "standard"   # 11-bit ID
     EXTENDED = "extended"   # 29-bit ID
-
-
-class DerivationRule(Enum):
-    LOW_BYTE_OF_ID = "low_byte_of_id"
-    EXPLICIT_TABLE = "explicit_table"
 
 
 @dataclass(frozen=True)
@@ -62,22 +57,14 @@ class CanFrame:
 
 @dataclass(frozen=True)
 class SourceAddressMap:
-    """Mapping from frame IDs to source addresses and owning ECU indexes.
+    """Which ECU owns each source address, and the address a frame ID claims.
 
     ``owners`` maps each source address to exactly one ECU index; an ECU
-    may own several addresses. With the LOW_BYTE_OF_ID rule the source
-    address is the low byte of the (29-bit) ID; with EXPLICIT_TABLE the
-    frame ID is looked up in ``table``.
+    may own several addresses. As in SAE J1939, a frame claims the source
+    address in the low byte of its ID, in the 11-bit and 29-bit formats alike.
     """
 
     owners: dict[int, int]
-    rule: DerivationRule = DerivationRule.LOW_BYTE_OF_ID
-    table: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for fid, sa in self.table.items():
-            if sa not in self.owners:
-                raise ValueError(f"table maps id {fid:#x} to unowned source address {sa}")
 
     @property
     def sas(self) -> list[int]:
@@ -87,12 +74,13 @@ class SourceAddressMap:
     def ecus(self) -> list[int]:
         return sorted(set(self.owners.values()))
 
+    def owned(self, ecu: int) -> list[int]:
+        """The source addresses ``ecu`` owns, in ascending order."""
+        return [sa for sa in self.sas if self.owners[sa] == ecu]
+
     def resolve(self, frame_id: int) -> int | None:
         """The source address a frame ID claims, or None when no ECU owns it."""
-        if self.rule is DerivationRule.LOW_BYTE_OF_ID:
-            sa = frame_id & 0xFF
-        else:
-            sa = self.table.get(frame_id)
+        sa = frame_id & 0xFF
         return sa if sa in self.owners else None
 
 

@@ -56,8 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         if self.max_iters < 1 or self.batch_size < 1:
             raise ValueError("max_iters and batch_size must be at least 1")
         if self.bootstrap_rounds < 10:
@@ -73,10 +73,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainingMeta:
     iterations: int
-    final_loss: float
-    epsilon: float
     converged: bool
-    convergence_index: int
     validation_accuracy: float
 
 
@@ -96,15 +93,14 @@ class SvmModel:
 
 @dataclass(frozen=True)
 class LearningCurve:
+    """Per-epoch mean hinge losses; the last epoch is where training stopped."""
+
     train_loss: np.ndarray
     val_loss: np.ndarray
-    convergence_index: int
 
     def __post_init__(self):
         if self.train_loss.shape != self.val_loss.shape:
             raise ValueError("loss curves must have equal length")
-        if self.convergence_index >= self.train_loss.size:
-            raise ValueError("convergence index beyond the recorded curve")
 
 
 @dataclass(frozen=True)
@@ -230,8 +226,9 @@ def _sgd(
 
     r, n, m = xt.shape
     x_rows, y_rows = xt.reshape(r * n, m), yt.reshape(r * n)
+    # lam is 0 once C * n overflows: then nothing regularizes w or bounds it
     lam = 1.0 / (cfg.c * n)
-    radius = 1.0 / math.sqrt(lam)
+    radius = 1.0 / math.sqrt(lam) if lam > 0 else math.inf
     w = np.zeros((r, m))
     b = np.zeros(r)
     val_loss = np.full((r, cfg.max_iters), np.nan)
@@ -252,8 +249,9 @@ def _sgd(
             gw, gb = svm_subgradient(wa, ba, np.take(x_rows, batch, axis=0), y_rows[batch], lam)
             wa -= eta * gw
             ba -= eta * gb
-            norm = np.sqrt(np.einsum("rm,rm->r", wa, wa))
-            wa *= (radius / np.maximum(norm, radius))[:, None]  # 1.0 inside the ball
+            if radius < math.inf:
+                norm = np.sqrt(np.einsum("rm,rm->r", wa, wa))
+                wa *= (radius / np.maximum(norm, radius))[:, None]  # 1.0 inside the ball
         w[active], b[active] = wa, ba
         val_loss[active, epoch] = hinge_loss(w, b, xv, yv)[active]
         if train_loss is not None:
@@ -358,20 +356,14 @@ def train(ds: FeatureDataset, cfg: TrainConfig) -> tuple[SvmModel, LearningCurve
     val_margins = splits.x_val @ w + b
     calibration = platt_fit(val_margins, splits.y_val)
     val_accuracy = float(((val_margins > 0).astype(np.int8) == splits.y_val).mean())
-    val_curve = fit.val_loss[0, :iterations]
     meta = TrainingMeta(
         iterations=iterations,
-        final_loss=float(val_curve[-1]),
-        epsilon=cfg.epsilon,
         converged=bool(fit.converged[0]),
-        convergence_index=iterations - 1,
         validation_accuracy=val_accuracy,
     )
     model = SvmModel(weights=w, bias=b, calibration=calibration, meta=meta)
     curve = LearningCurve(
-        train_loss=fit.train_loss[0, :iterations],
-        val_loss=val_curve,
-        convergence_index=iterations - 1,
+        train_loss=fit.train_loss[0, :iterations], val_loss=fit.val_loss[0, :iterations]
     )
     return model, curve
 

@@ -2,11 +2,12 @@
 
 Trace files ("CTRC") store channel-major 32-bit little-endian floats
 behind a fixed header. A bundle ("CBND") is one sorted-key JSON document
-between a magic-and-version header and a CRC-32 footer; version 5 holds
-the shared pipeline parameters, the address map and one model per ECU:
-its SAs, normalization, biases, calibrations and ``weights``, a nested
-list with one row per spectrum bin of the 5-smooth segment length and
-one column per SA (a float's ``repr`` round-trips float64 exactly).
+between a magic-and-version header and a CRC-32 footer; version 6 holds
+the shared pipeline parameters, the ``owners`` table (SA -> ECU) and one
+model per ECU of the table, in ECU order: its normalization, biases,
+calibrations and ``weights``, a nested list with one row per spectrum bin
+of the 5-smooth segment length and one column per SA the ECU owns, in
+ascending order (a float's ``repr`` round-trips float64 exactly).
 Sample data goes to the binary format because multi-megasample traces
 are large; CSV is reserved for logs and reports.
 """
@@ -29,7 +30,7 @@ from .authenticate import EcuModel, ModelBundle, Verdict, softmax
 from .bus import AttackKind, GroundTruthEntry, GroundTruthLog
 from .errors import FileFormatError
 from .features import NormStats, Tau, TukeyParams
-from .frames import DerivationRule, SourceAddressMap
+from .frames import SourceAddressMap
 
 TRACE_MAGIC = b"CTRC"
 TRACE_VERSION = 1
@@ -37,7 +38,7 @@ _TRACE_HEADER = struct.Struct("<4sHBHIQQ")
 
 BUNDLE_MAGIC = b"CBND"
 BUNDLE_FOOTER = b"CEND"
-BUNDLE_VERSION = 5
+BUNDLE_VERSION = 6
 
 GROUND_TRUTH_HEADER = ["t_sec", "frame_id", "claimed_sa", "true_source", "attack_kind"]
 ADDED_MODULE_SOURCE = "added_module"
@@ -244,15 +245,9 @@ def save_bundle(path: Path | str, bundle: ModelBundle) -> None:
         "tau": bundle.tau.value,
         "tukey_alpha": bundle.window.alpha,
         "sample_rate": bundle.sample_rate,
-        "map": {
-            "rule": bundle.samap.rule.value,
-            "owners": {str(sa): ecu for sa, ecu in bundle.samap.owners.items()},
-            "table": {str(fid): sa for fid, sa in bundle.samap.table.items()},
-        },
+        "owners": {str(sa): ecu for sa, ecu in bundle.samap.owners.items()},
         "ecus": [
             {
-                "ecu": e.ecu,
-                "sas": list(e.sas),
                 "norm_mean": e.stats.mean,
                 "norm_std": e.stats.std,
                 "weights": e.weights.tolist(),
@@ -285,15 +280,9 @@ def load_bundle(path: Path | str) -> ModelBundle:
     # hold values of the wrong type, which must not escape as KeyError.
     try:
         doc = json.loads(blob[6:].decode())
-        samap = SourceAddressMap(
-            owners={int(sa): ecu for sa, ecu in doc["map"]["owners"].items()},
-            rule=DerivationRule(doc["map"]["rule"]),
-            table={int(fid): sa for fid, sa in doc["map"]["table"].items()},
-        )
+        samap = SourceAddressMap({int(sa): ecu for sa, ecu in doc["owners"].items()})
         ecus = tuple(
             EcuModel(
-                ecu=em["ecu"],
-                sas=tuple(em["sas"]),
                 stats=NormStats(mean=em["norm_mean"], std=em["norm_std"]),
                 weights=np.asarray(em["weights"], dtype=np.float64),
                 bias=np.asarray(em["bias"], dtype=np.float64),

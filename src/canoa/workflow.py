@@ -135,9 +135,8 @@ def build_bundle(
     curves: dict[int, LearningCurve] = {}
     meta: dict[int, TrainingMeta] = {}
     for ecu, (stats, basis, coords) in fitted.items():
-        sas = tuple(sa for sa in samap.sas if samap.owners[sa] == ecu)
         models = []
-        for sa in sas:
+        for sa in samap.owned(ecu):
             y = (sa_labels == sa).astype(np.int8)
             datasets[(ecu, sa)] = FeatureDataset(coords, y, sa, ecu)
             model, curves[sa] = train(datasets[(ecu, sa)], tcfg)
@@ -148,7 +147,7 @@ def build_bundle(
         w = basis.components.T @ np.column_stack([m.weights for m in models])
         bias = np.array([m.bias for m in models]) - basis.mean @ w
         calibration = np.array([m.calibration for m in models])
-        ecus.append(EcuModel(ecu, sas, stats, w, bias, calibration))
+        ecus.append(EcuModel(stats, w, bias, calibration))
     bundle = ModelBundle(
         tuple(ecus), samap, tau, window, sample_rate=rates[0], delta=pcfg.delta
     )

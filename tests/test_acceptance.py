@@ -306,7 +306,7 @@ def test_criterion_5_convergence(lab_run, truck_attack_run):
     models = 0
     for result in (lab_run["result"], truck_attack_run["result"]):
         for sa, curve in result.curves.items():
-            i = curve.convergence_index
+            i = len(curve.val_loss) - 1
             delta = abs(float(curve.val_loss[i] - curve.val_loss[i - 1])) if i >= 1 else 0.0
             tail_std = float(np.std(curve.val_loss[i:]))
             worst_delta = max(worst_delta, delta)

@@ -83,10 +83,9 @@ def stub_bundle(owners: dict[int, int], delta: float = 0.5) -> ModelBundle:
     n_bins = tau.sample_count(rate) // 2 + 1
     models = []
     for ecu in samap.ecus:
-        sas = tuple(sa for sa in sorted(owners) if owners[sa] == ecu)
-        k = len(sas)
+        k = len(samap.owned(ecu))
         zeros = np.zeros((n_bins, k)), np.zeros(k), np.zeros((k, 2))
-        models.append(EcuModel(ecu, sas, NormStats(0.0, 1.0), *zeros))
+        models.append(EcuModel(NormStats(0.0, 1.0), *zeros))
     return ModelBundle(
         ecus=tuple(models),
         samap=samap,
@@ -228,7 +227,7 @@ def test_bundle_validation():
         stub_bundle(TRUCK_OWNERS, delta=1.5)
     samap = SourceAddressMap(owners={1: 0, 2: 1})
     good = stub_bundle({1: 0, 2: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"the map's 2 ECUs \[0, 1\] need one model each, found 1"):
         ModelBundle(
             ecus=good.ecus[:1],
             samap=samap,
@@ -248,20 +247,20 @@ def test_bundle_validation():
     short_bias = dataclasses.replace(ecu0, bias=ecu0.bias[:1])
     with pytest.raises(ValueError, match=r"2 SAs .* need \(\(1001, 2\), \(2,\), \(2, 2\)\)"):
         dataclasses.replace(truck, ecus=(short_bias,) + truck.ecus[1:])
-    # two models of one ECU could disagree on its normalization
+    # one model per ECU: two models of one ECU could disagree on its normalization
     halves = tuple(
         dataclasses.replace(
             ecu0,
-            sas=(sa,),
             weights=ecu0.weights[:, [j]],
             bias=ecu0.bias[[j]],
             calibration=ecu0.calibration[[j]],
         )
-        for j, sa in enumerate(ecu0.sas)
+        for j in range(2)
     )
-    with pytest.raises(ValueError, match=r"ECU 0 scores SAs \[0\], but the map gives it \[0, 15\]"):
+    with pytest.raises(ValueError, match=r"2 ECUs \[0, 1\] need one model each, found 3"):
         dataclasses.replace(truck, ecus=halves + truck.ecus[1:])
-    with pytest.raises(ValueError, match="need one model each"):
+    # models go in ECU order: ECU 0 owns SAs 0 and 15, so ECU 1's one column does not fit it
+    with pytest.raises(ValueError, match=r"ECU 0 .* 2 SAs .* need \(\(1001, 2\)"):
         dataclasses.replace(truck, ecus=truck.ecus[1:] + truck.ecus[:1])
 
 

@@ -600,6 +600,28 @@ def test_attack_frame_id_follows_the_schedule_rule(fmt):
     assert sc.source_map().resolve(atk.frame_id(fmt)) == 0x2B
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    sa=st.integers(0, 0xFF),
+    sched_prefix=st.integers(-(1 << 40), 1 << 40),
+    atk_prefix=st.integers(-(1 << 40), 1 << 40),
+    fmt=st.sampled_from(FrameFormat),
+)
+def test_source_map_reads_each_sa_back_from_the_ids_it_is_sent_under(
+    sa, sched_prefix, atk_prefix, fmt
+):
+    # the map has one rule, the ID's low byte: it holds for a schedule's and
+    # an attack's ID whatever their prefixes, in both frame formats
+    sched = MessageSchedule(sa=sa, period_s=0.01, id_prefix=sched_prefix)
+    atk = AttackSpec(kind=AttackKind.ADDED_MODULE, spoofed_sa=sa, count=1, id_prefix=atk_prefix)
+    sc = Scenario(
+        bus=BusConfig(format=fmt), ecus=(EcuSpec(0, (sched,)),), duration=1.0, attacks=(atk,)
+    )
+    samap = sc.source_map()
+    assert samap.resolve(sched.frame_id(fmt)) == sa
+    assert samap.resolve(atk.frame_id(fmt)) == sa
+
+
 @pytest.mark.parametrize(
     "make",
     [

@@ -77,7 +77,7 @@ def test_full_stage_chain(cfg_path, tmp_path, capsys):
         for line in path.read_text().splitlines()[1:]:
             [float(cell) for cell in line.split(",")]
     report = (out / "training_report.txt").read_text()
-    assert "convergence_index" in report
+    assert "converged=" in report and "final_loss=" in report
     assert (
         run_cli(
             "authenticate",
@@ -425,6 +425,23 @@ def test_zero_duration_config_is_data_error(tmp_path):
     assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
 
 
+def test_infinite_duration_is_a_config_error_at_its_line(tmp_path, capsys):
+    cfg = tmp_path / "forever.cfg"
+    cfg.write_text("scenario.preset = lab\nsim.duration = inf\nbus.bitrate = 250000\n")
+    out = tmp_path / "o"
+    assert run_cli("all", "--config", cfg, "--out", out) == 2
+    assert "line 2: sim.duration: must be positive and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_c_too_large_for_its_regularizer_still_trains(tmp_path):
+    # 1 / (C * n) underflows to 0 at this C, so nothing regularizes the SVMs
+    cfg = tmp_path / "huge_c.cfg"
+    cfg.write_text(TINY_CONFIG + "train.c = 1e308\n")
+    assert run_cli("all", "--config", cfg, "--out", tmp_path / "o") == 0
+    assert "authentic" in (tmp_path / "o" / "verdicts.csv").read_text()
+
+
 def test_missing_power_channel_is_reported(cfg_path, tmp_path, capsys):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
@@ -531,22 +548,22 @@ def test_bundle_without_meta_section_is_data_error(cfg_path, tmp_path, capsys):
     assert f"{bundle}: malformed bundle" in capsys.readouterr().err
 
 
-def test_bundle_entry_naming_another_ecu_is_data_error(cfg_path, tmp_path, capsys):
+def test_bundle_with_a_wrong_ecu_count_is_data_error(cfg_path, tmp_path, capsys):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
     assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
     bundle = out / "bundle.cbnd"
     raw = bundle.read_bytes()
     doc = json.loads(raw[6:-8])
-    # an ECU's model, weights and all, listed under ECU 7, which owns none of its SAs
-    doc["ecus"][0]["ecu"] = 7
+    # the lab map has five ECUs; the bundle now holds a model for four of them
+    doc["ecus"].pop()
     write_rechecksummed(bundle, raw[:6] + json.dumps(doc, sort_keys=True).encode())
     capsys.readouterr()
     rc = run_cli(
         "authenticate", "--traces", out, "--bundle", bundle, "--out", out, "--bitrate", 125000
     )
     assert rc == 2
-    assert "ECU 7" in capsys.readouterr().err
+    assert "5 ECUs [0, 1, 2, 3, 4] need one model each, found 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["train.max_iters = 0", "train.batch_size = 0"])

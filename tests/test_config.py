@@ -285,6 +285,9 @@ def test_inapplicable_key_is_rejected_with_its_line(text):
         "train.batch_size = 0",
         "train.epsilon = 0",
         "train.c = 0",
+        "train.c = inf",
+        "train.c = nan",
+        "sim.duration = inf",
         "train.bootstrap_rounds = 9",
         "train.split = 0.5,0.5",
         "pipeline.tukey_alpha = 2",

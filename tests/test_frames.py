@@ -13,7 +13,6 @@ from canoa.frames import (
     ArbitratedFrame,
     CanFrame,
     DecodedTransmission,
-    DerivationRule,
     FrameFormat,
     SourceAddressMap,
     arbitrate,
@@ -537,12 +536,7 @@ def test_encoder_decoder_inverse(bitrate, fmt):
         frames.append(CanFrame(fid, bytes(rng.integers(0, 256, dlc).tolist()), fmt))
     order = arbitrate([(f, 0.0) for f in frames], bitrate)
     trace = make_voltage(order, bitrate, 16 * bitrate)
-    table_map = SourceAddressMap(
-        owners={0: 0},
-        rule=DerivationRule.EXPLICIT_TABLE,
-        table={},
-    )
-    decoded = decode_transmissions(trace, bitrate, table_map)
+    decoded = decode_transmissions(trace, bitrate, SourceAddressMap(owners={0: 0}))
     assert len(decoded) == len(frames)
     by_start = sorted(order, key=lambda a: a.start_time)
     for d, a in zip(decoded, by_start):

@@ -112,7 +112,7 @@ def test_convergence_point_and_post_convergence_stability():
     ds = blob_dataset(gap=1.5, noise=1.0, seed=7)  # overlapping, non-trivial loss
     cfg = TrainConfig(seed=8, epsilon=1e-4)
     model, curve = train(ds, cfg)
-    i = curve.convergence_index
+    i = len(curve.val_loss) - 1
     assert model.meta.converged
     assert abs(curve.val_loss[i] - curve.val_loss[i - 1]) < cfg.epsilon
     assert float(np.std(curve.val_loss[i:])) < 1.0
@@ -235,6 +235,7 @@ def test_bootstrap_resamples_the_split_of_the_shipped_model(monkeypatch):
         {"split": (0.5, 0.3, 0.1, 0.1)},
         {"split": (float("nan"),) * 3},
         {"bootstrap_rounds": 9},
+        {"c": float("inf")},
     ],
 )
 def test_train_config_rejects_bad_values(bad):
@@ -269,7 +270,7 @@ def optimize_oracle(x_train, y_train, x_val, y_val, cfg, rng):
     yv = y_val.astype(np.float64) * 2.0 - 1.0
     n, m = xt.shape
     lam = 1.0 / (cfg.c * n)
-    radius = 1.0 / math.sqrt(lam)
+    radius = 1.0 / math.sqrt(lam) if lam > 0 else math.inf
     w = np.zeros(m)
     b = 0.0
     train_curve, val_curve = [], []
@@ -300,6 +301,8 @@ LOCKSTEP_CASES = [
     (blob_dataset(n=333, m=5, gap=5.0, seed=3), TrainConfig(seed=4, batch_size=50)),
     (blob_dataset(gap=1.0, seed=5), TrainConfig(seed=6, max_iters=7, epsilon=1e-9)),  # no convergence
     (blob_dataset(gap=2.0, seed=9), TrainConfig(seed=10, c=1e-3)),  # |w| held at the radius
+    # 1 / (C * n) underflows to 0: no regularizer and no ball
+    (blob_dataset(gap=1.5, seed=11), TrainConfig(seed=12, c=1e308)),
 ]
 
 
@@ -315,7 +318,7 @@ def test_train_is_the_oracle_loop_run_as_a_stack_of_one(ds, cfg):
     assert model.bias == pytest.approx(b, rel=1e-12)
     np.testing.assert_allclose(curve.train_loss, train_curve, rtol=1e-12, atol=0)
     np.testing.assert_allclose(curve.val_loss, val_curve, rtol=1e-12, atol=0)
-    assert curve.convergence_index == model.meta.convergence_index == conv_index
+    assert len(curve.val_loss) - 1 == model.meta.iterations - 1 == conv_index
     assert model.meta.converged == converged
 
 

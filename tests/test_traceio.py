@@ -259,21 +259,22 @@ def _set(*path, value):
 def _add_weight_row(doc):
     # one row too many: a whole number of columns, but not one row per spectrum bin
     model = doc["ecus"][0]
-    model["weights"].append([0.0] * len(model["sas"]))
+    model["weights"].append([0.0] * len(model["weights"][0]))
 
 
 # each fault maps the saved document to the bytes written after the version
 BUNDLE_FAULTS = {
     "missing_meta": lambda doc: b"",  # no document at all
-    "missing_map_owners": edit(lambda doc: doc["map"].pop("owners")),
+    "missing_owners": edit(lambda doc: doc.pop("owners")),
     "missing_weights": edit(lambda doc: doc["ecus"][0].pop("weights")),
     # the weights no longer have one row per spectrum bin at this rate
     "sample_rate_weights_mismatch": edit(lambda doc: doc.update(sample_rate=4.5e6)),
     "weights_one_short": edit(lambda doc: doc["ecus"][0]["weights"][-1].pop()),
     "zero_sample_rate": edit(lambda doc: doc.update(sample_rate=0)),
     "missing_sample_rate": edit(lambda doc: doc.pop("sample_rate")),
-    # ECU 0's model, weights and all, moved to ECU 7; the map still names the real owner
-    "entry_ecu_not_owner": _set("ecu", value=7),
+    # the owner table has two ECUs, and each needs exactly one entry
+    "one_ecu_entry_too_many": edit(lambda doc: doc["ecus"].append(doc["ecus"][-1])),
+    "one_ecu_entry_too_few": edit(lambda doc: doc["ecus"].pop()),
     "weights_wrong_shape": edit(_add_weight_row),
     # json writes and reads NaN and Infinity, so a re-checksummed bundle can hold them
     "nan_norm_mean": _set("norm_mean", value=float("nan")),
@@ -299,22 +300,24 @@ def test_structurally_malformed_bundle_is_a_format_error(trained, tmp_path, faul
         load_bundle(path)
 
 
-def test_v5_bundle_holds_one_weight_matrix_per_ecu_and_no_pca(trained, tmp_path):
+def test_v6_bundle_states_ownership_once_and_holds_one_weight_matrix_per_ecu(trained, tmp_path):
     sc, power_map, decoded, result = trained
     path = tmp_path / "b.cbnd"
     save_bundle(path, result.bundle)
     raw = path.read_bytes()
-    assert raw[:4] == b"CBND" and struct.unpack_from("<H", raw, 4) == (5,)
+    assert raw[:4] == b"CBND" and struct.unpack_from("<H", raw, 4) == (6,)
     assert rechecksummed(raw[:-8]) == raw
     doc = json.loads(raw[6:-8])
     assert raw[6:-8] == document(doc)  # one sorted-key document, nothing after it
-    assert sorted(doc) == ["delta", "ecus", "map", "sample_rate", "tau", "tukey_alpha"]
+    # the owner table is the one statement of who owns which SA: an entry
+    # names neither its ECU nor its SAs
+    assert sorted(doc) == ["delta", "ecus", "owners", "sample_rate", "tau", "tukey_alpha"]
     assert doc["sample_rate"] == 3e6
-    # truck: ECU 0 owns SAs 0 and 15, ECU 1 owns SA 11
-    assert [(m["ecu"], m["sas"]) for m in doc["ecus"]] == [(0, [0, 15]), (1, [11])]
-    # each ECU's normalization is stored once, beside its SAs; no training
-    # records and no PCA basis are stored
-    entry_keys = ["bias", "calibration", "ecu", "norm_mean", "norm_std", "sas", "weights"]
+    # truck: ECU 0 owns SAs 0 and 15, ECU 1 owns SA 11; entries go in ECU order
+    assert doc["owners"] == {"0": 0, "11": 1, "15": 0}
+    assert len(doc["ecus"]) == 2
+    # each ECU's normalization is stored once; no training records and no PCA basis
+    entry_keys = ["bias", "calibration", "norm_mean", "norm_std", "weights"]
     assert all(sorted(m) == entry_keys for m in doc["ecus"])
     n_bins = result.tau.sample_count(3e6) // 2 + 1
     assert np.shape(doc["ecus"][0]["weights"]) == (n_bins, 2)
@@ -332,7 +335,7 @@ def test_v5_bundle_holds_one_weight_matrix_per_ecu_and_no_pca(trained, tmp_path)
     np.testing.assert_allclose(p[:, column], platt_proba(margins, a, b), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_older_bundle_is_a_format_error_naming_the_version(trained, tmp_path, version):
     sc, power_map, decoded, result = trained
     path = tmp_path / "b.cbnd"
@@ -342,6 +345,13 @@ def test_older_bundle_is_a_format_error_naming_the_version(trained, tmp_path, ve
     path.write_bytes(rechecksummed(bytes(blob)))
     with pytest.raises(FileFormatError, match=f"unsupported bundle version {version}"):
         load_bundle(path)
+
+
+def test_saving_a_loaded_bundle_reproduces_it_byte_for_byte(trained, tmp_path):
+    first, second = tmp_path / "a.cbnd", tmp_path / "b.cbnd"
+    save_bundle(first, trained[3].bundle)
+    save_bundle(second, load_bundle(first))
+    assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.fixture(scope="module")
