@@ -88,11 +88,6 @@ class ModelBundle:
             if not all(np.isfinite(a).all() for a in (e.weights, e.bias, e.calibration)):
                 raise ValueError(f"ECU {ecu} weights, biases and calibrations must be finite")
 
-    @property
-    def sas(self) -> list[int]:
-        """Every source address, in the column order of :func:`score`."""
-        return self.samap.sas
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -137,7 +132,7 @@ def score(
 ) -> np.ndarray:
     """Calibrated transmission probabilities, one row per transmission.
 
-    Column k belongs to ``bundle.sas[k]``. Scoring is block-major: for each
+    Column k belongs to ``bundle.samap.sas[k]``. Scoring is block-major: for each
     block of transmissions, every ECU's segments are transformed together
     (see :mod:`canoa.features`), each ECU's spectra are scored for all of its
     addresses with one matrix product, and one sigmoid fills the block's
@@ -156,7 +151,7 @@ def score(
                 f"the bundle was trained at {bundle.sample_rate:.0f} Hz "
                 "(bus.power_sample_rate sets the power channels' rate)"
             )
-    sas = bundle.sas
+    sas = bundle.samap.sas
     p = np.empty((len(transmissions), len(sas)))
     if not transmissions:
         return p
@@ -181,14 +176,13 @@ def decide(
     transmissions: Sequence[DecodedTransmission], p: np.ndarray, bundle: ModelBundle
 ) -> list[Verdict]:
     """Every transmission's verdict from its row of :func:`score`, in one array pass."""
-    sas = bundle.sas
+    sas, owners = bundle.samap.sas, bundle.samap.owners
     top = p.max(axis=1)
     contenders = top[:, None] - p <= TIE_TOLERANCE
-    winner = contenders.argmax(axis=1)  # the lowest contending SA: bundle.sas is sorted
-    ecu_of = np.array([bundle.samap.owners[sa] for sa in sas])
-    column = {sa: j for j, sa in enumerate(sas)}
-    claimed = np.array([column.get(tx.sa, -1) for tx in transmissions], dtype=np.intp)
-    authentic = (claimed >= 0) & (ecu_of[claimed] == ecu_of[winner])
+    winner = contenders.argmax(axis=1)  # the lowest contending SA: samap.sas is sorted
+    winner_ecu = np.array([owners[sa] for sa in sas])[winner].tolist()
+    # an SA no ECU owns has no owner to match: None equals no ECU index
+    authentic = np.array([owners.get(tx.sa) == e for tx, e in zip(transmissions, winner_ecu)], bool)
     decision = np.where(top > bundle.delta, np.where(authentic, 0, 1), 2)  # Decision's index
     decisions = list(Decision)
     positive = p > bundle.delta
@@ -197,7 +191,7 @@ def decide(
         for i, n in enumerate(positive.sum(axis=1).tolist())
     ]
     contending = contenders.sum(axis=1).tolist()
-    rows = zip(p.tolist(), winner.tolist(), ecu_of[winner].tolist(), decision.tolist(), contending)
+    rows = zip(p.tolist(), winner.tolist(), winner_ecu, decision.tolist(), contending)
     return [
         Verdict(tx.t, tx.sa, dict(zip(sas, row)), sas[w], ecu, decisions[d], n > 1, positives)
         for tx, (row, w, ecu, d, n), positives in zip(transmissions, rows, multiple)

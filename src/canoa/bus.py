@@ -46,9 +46,10 @@ class AttackKind(Enum):
     ADDED_MODULE = "added_module"
 
 
-class PowerRole(Enum):
-    TRANSMIT = "transmit"
-    RECEIVE = "receive"
+# every ECU's transmission edges rise and fall with this time constant, and
+# each frame's signature amplitude varies by up to this fraction either way
+SIGNATURE_RISE_FALL_S = 5e-6
+SIGNATURE_JITTER = 0.02
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,6 @@ class PowerProfile:
     baseline_mean: float = 1.0
     baseline_noise: float = 0.08
     signature_amplitude: float = 1.0
-    signature_rise_fall_s: float = 5e-6
-    signature_jitter: float = 0.02       # +/- fraction per frame
     ripple_frequency_hz: float = 120e3   # distinct per ECU
     ripple_amplitude: float = 0.2
     reception_ripple: float = 0.15
@@ -67,6 +66,11 @@ class PowerProfile:
     noise_floor_offset: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not self.ripple_frequency_hz > 0:
+            raise ValueError(f"ripple frequency must be positive, got {self.ripple_frequency_hz}")
         if not self.baseline_noise >= 0:
             raise ValueError("baseline noise must be non-negative")
         if self.baseline_noise > 0 and self.signature_amplitude <= 3 * self.baseline_noise:
@@ -100,8 +104,10 @@ class MessageSchedule:
     def __post_init__(self):
         if not 0 <= self.sa <= 0xFF:
             raise ValueError(f"source address must be 0..255, got {self.sa}")
-        if not self.period_s > 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period_s < np.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period_s}")
+        if not np.isfinite(self.offset_s):
+            raise ValueError(f"offset must be finite, got {self.offset_s}")
         if not 0 <= self.dlc <= 8:
             raise ValueError("dlc must be 0..8")
 
@@ -166,8 +172,10 @@ class BusConfig:
     def __post_init__(self):
         if not (0 < self.bitrate < np.inf and 0 < self.sample_rate < np.inf):
             raise ValueError("bitrate and sample rate must be positive and finite")
-        if not self.voltage_noise >= 0:
-            raise ValueError("voltage noise must be non-negative")
+        if not 0 <= self.voltage_noise < np.inf:
+            raise ValueError(
+                f"voltage noise must be non-negative and finite, got {self.voltage_noise}"
+            )
         if self.power_sample_rate is not None and not 0 < self.power_sample_rate < np.inf:
             raise ValueError(
                 f"power sample rate must be positive and finite, got {self.power_sample_rate}"
@@ -240,13 +248,6 @@ class GroundTruthLog:
     @property
     def attack_count(self) -> int:
         return len(self.entries) - self.normal_count
-
-
-@dataclass(frozen=True)
-class PowerEvent:
-    start: float
-    end: float
-    role: PowerRole
 
 
 # longest span of samples one block of frames adds at once: a 1 MB float32
@@ -326,7 +327,7 @@ def synth_voltage(
 
 def synth_power(
     ecu: EcuSpec,
-    timeline: list[PowerEvent],
+    timeline: list[tuple[float, float, int | None]],
     duration: float,
     sample_rate: float,
     seed: np.random.SeedSequence | int,
@@ -335,8 +336,10 @@ def synth_power(
 ) -> SampledTrace:
     """Power consumption of one ECU over a bus timeline.
 
+    The timeline holds one (start, end, sender) per frame on the bus; the
+    sender is the transmitting ECU's index, None for an added module.
     Baseline Gaussian noise plus the transmission signature over the
-    ECU's own transmit intervals and a reception bump over everyone
+    frames ``ecu`` sends and a reception bump over everyone
     else's. Heterogeneous program activity adds seeded low-frequency
     bursts around the ECU's own transmissions.
 
@@ -370,21 +373,19 @@ def synth_power(
         return max(0, int(round(start * sample_rate))), min(n, int(round(end * sample_rate)))
 
     pulses = []  # (first sample, end sample, amplitude, ripple Hz, ripple amplitude, phase)
-    for ev in timeline:
-        if ev.role is PowerRole.TRANSMIT:
-            amp = prof.signature_amplitude * (
-                1.0 + prof.signature_jitter * rng.uniform(-1.0, 1.0)
-            )
+    for start, end, sender in timeline:
+        if sender == ecu.index:
+            amp = prof.signature_amplitude * (1.0 + SIGNATURE_JITTER * rng.uniform(-1.0, 1.0))
             phase = rng.uniform(0.0, 2 * np.pi)
             ripple = (prof.ripple_frequency_hz, prof.ripple_amplitude * amp, phase)
-            pulses.append((*span(ev.start, ev.end), amp, *ripple))
+            pulses.append((*span(start, end), amp, *ripple))
         else:
-            pulses.append((*span(ev.start, ev.end), prof.reception_ripple, 0.0, 0.0, 0.0))
+            pulses.append((*span(start, end), prof.reception_ripple, 0.0, 0.0, 0.0))
     if prof.program is ProgramActivity.HETEROGENEOUS:
-        own = [ev for ev in timeline if ev.role is PowerRole.TRANSMIT]
-        for ev in own:
-            length = ev.end - ev.start
-            for anchor, sign in ((ev.start, -1.0), (ev.end, +1.0)):
+        own = [(start, end) for start, end, sender in timeline if sender == ecu.index]
+        for start, end in own:
+            length = end - start
+            for anchor, sign in ((start, -1.0), (end, +1.0)):
                 if rng.uniform() > 0.6:
                     continue
                 burst_len = length * rng.uniform(0.3, 0.9)
@@ -394,7 +395,7 @@ def synth_power(
                 phase = rng.uniform(0.0, 2 * np.pi)
                 ripple = (ripple_hz, 0.1 * prof.signature_amplitude, phase)
                 pulses.append((*span(b0, b0 + burst_len), 0.35 * prof.signature_amplitude, *ripple))
-    rs = max(prof.signature_rise_fall_s * sample_rate, 1e-9)
+    rs = max(SIGNATURE_RISE_FALL_S * sample_rate, 1e-9)
     idx = np.arange(max([0] + [b - a for a, b, *_ in pulses]))
     env = 1.0 - np.exp(-idx / rs)
     t = idx / sample_rate
@@ -450,18 +451,6 @@ def _stream_requests(
     return requests
 
 
-def _timeline(
-    order: list[ArbitratedFrame], transmitters: list[int | None], ecu: EcuSpec, bit_time: float
-) -> list[PowerEvent]:
-    """One ECU's transmit and receive intervals over the frames on the bus."""
-    timeline: list[PowerEvent] = []
-    for arb, transmitter in zip(order, transmitters):
-        role = PowerRole.TRANSMIT if transmitter == ecu.index else PowerRole.RECEIVE
-        end = arb.start_time + len(arb.wire) * bit_time
-        timeline.append(PowerEvent(arb.start_time, end, role))
-    return timeline
-
-
 def _worker_count(tasks: int) -> int:
     """Threads for ``tasks`` independent jobs: no more than the usable CPUs."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -506,9 +495,12 @@ def simulate(
         GroundTruthEntry(arb.start_time, arb.frame.frame_id, *requests[arb.request_index][2])
         for arb in order
     )
-    transmitters = [e.true_source for e in entries]
+    timeline = [
+        (arb.start_time, arb.start_time + len(arb.wire) * bit_time, entry.true_source)
+        for arb, entry in zip(order, entries)
+    ]
 
-    # Each ECU's timeline and power trace run on a worker thread: its noise
+    # Each ECU's power trace runs on a worker thread over the one timeline: its noise
     # comes from its own seed child, and numpy's fills and array arithmetic
     # release the interpreter lock. The buffers are allocated here, on the
     # calling thread: a trace allocated on a worker can land in that thread's
@@ -516,14 +508,10 @@ def simulate(
     n = int(round(scenario.duration * bus.power_rate))
     buffers = [np.empty(n, dtype=np.float32) for _ in scenario.ecus]
 
-    def ecu_power(ecu: EcuSpec, seed: np.random.SeedSequence, out: np.ndarray) -> SampledTrace:
-        timeline = _timeline(order, transmitters, ecu, bit_time)
-        return synth_power(ecu, timeline, scenario.duration, bus.power_rate, seed, out=out)
-
     with ThreadPoolExecutor(max_workers=_worker_count(len(scenario.ecus))) as pool:
         futures = [
-            pool.submit(ecu_power, ecu, child, buf)
-            for ecu, child, buf in zip(scenario.ecus, power_ss, buffers)
+            pool.submit(synth_power, ecu, timeline, scenario.duration, bus.power_rate, s, out=b)
+            for ecu, s, b in zip(scenario.ecus, power_ss, buffers)
         ]
         voltage = synth_voltage(
             order, scenario.bus, scenario.duration, np.random.default_rng(voltage_ss)

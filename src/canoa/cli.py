@@ -236,7 +236,7 @@ def cmd_train(args) -> int:
     traceio.save_bundle(out / BUNDLE_FILE, result.bundle)
 
     report_lines = [
-        f"transmissions: {len(result.transmissions)} (tau = {result.tau.value * 1e3:.4f} ms)"
+        f"transmissions: {len(result.transmissions)} (tau = {result.bundle.tau.value * 1e3:.4f} ms)"
     ]
     for ecu, (kept, retained) in result.pca.items():
         report_lines.append(f"ecu {ecu}: pca_components={kept} variance_retained={retained:.4f}")
@@ -287,7 +287,7 @@ def cmd_authenticate(args) -> int:
     if truth is not None:
         pairs = _align_truth(verdicts, truth, truth_path, traces_dir)
     out = _out_dir(args)
-    traceio.write_verdicts(out / "verdicts.csv", verdicts, bundle.sas, bundle.delta)
+    traceio.write_verdicts(out / "verdicts.csv", verdicts, bundle.samap.sas, bundle.delta)
     ext = "csv" if args.format == "csv" else "txt"
 
     summary = [f"authenticated {len(verdicts)} transmissions ({len(decoded)} decoded)"]

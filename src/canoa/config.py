@@ -21,7 +21,12 @@ scenario) is a :class:`ConfigError` at its line, and so is a negative
 ``sim.seed``, an ``attack.<i>.count`` below 1, a ``sim.duration`` that is
 not positive and finite, or a ``bus.sample_rate`` or
 ``bus.power_sample_rate`` that is not a whole number of Hz. A value a
-dataclass rejects is one at the last line that set one of its fields.
+dataclass rejects is one at the last line that set one of its fields. An
+SA that two ECUs share is one under ``ecu.<k>``, at the last line that set
+an SA of the two ECUs. An attack the ECUs rule out (its spoofed SA has no
+owner, or its attacker is no ECU or owns that SA) is one at the later of
+the attack's last line and the last line that set any ECU's SA, under
+that line's ``attack.<i>`` or ``ecu.<k>``.
 """
 
 from __future__ import annotations
@@ -234,6 +239,11 @@ def _override_ecu(ecu: EcuSpec, values: _Values, program: dict[str, _Value]) -> 
 def _scenario(preset: str, values: _Values) -> Scenario:
     lines = [v.line for s, v in values.items() if s[0] not in ("pipeline", "train")]
     line = max(lines, default=None)
+    last: dict[str, int] = {}  # attack.<i>, ecu.<k> -> the last line that set it, or its SAs
+    for (section, indexes, field), v in values.items():
+        if section == "attack" or (section, field) == ("msg", "sa"):
+            part = f"{'attack' if section == 'attack' else 'ecu'}.{indexes[0]}"
+            last[part] = max(last.get(part, 0), v.line)
     make = _PRESETS[preset]
     if make is None:
         base, bus, ecus = Scenario, BusConfig(), _custom_ecus(values)
@@ -245,18 +255,26 @@ def _scenario(preset: str, values: _Values) -> Scenario:
         base = _build(make, f"{preset} preset", given)
         bus, ecus = base.bus, base.ecus
     program = _pop(values, "scenario", fields={"program"})
-    return _build(
-        base,
-        "sim",
-        _pop(values, "sim"),
-        line=line,
-        bus=_build(bus, "bus", _pop(values, "bus")),
-        ecus=tuple(_override_ecu(ecu, values, program) for ecu in ecus),
-        attacks=tuple(
-            _build(AttackSpec, f"attack.{i}", _pop(values, "attack", (i,)))
-            for (i,) in _indexes(values, "attack")
-        ),
-    )
+    bus = _build(bus, "bus", _pop(values, "bus"))
+    ecus = tuple(_override_ecu(ecu, values, program) for ecu in ecus)
+    attacks = {
+        f"attack.{i}": _build(AttackSpec, f"attack.{i}", _pop(values, "attack", (i,)))
+        for (i,) in _indexes(values, "attack")
+    }
+    scenario = _build(base, "sim", _pop(values, "sim"), line=line, bus=bus, ecus=(), attacks=())
+    # Scenario checks the ECUs' SAs against each other, then every attack against the
+    # ECUs. The ECUs join one at a time, those whose SAs no line set first, so an SA
+    # that two ECUs share is reported under the one set last. An attack the ECUs rule
+    # out is reported at the later of its own last line and the last line that set an SA.
+    for ecu in sorted(ecus, key=lambda e: last.get(f"ecu.{e.index}", 0)):
+        name = f"ecu.{ecu.index}"
+        scenario = _build(scenario, name, {}, line=last.get(name), ecus=scenario.ecus + (ecu,))
+    scenario = dataclasses.replace(scenario, ecus=ecus)
+    sas_set = [(at, name) for name, at in last.items() if name.startswith("ecu.")]
+    for name, atk in attacks.items():
+        at, part = max([(last[name], name), *sas_set])
+        scenario = _build(scenario, part, {}, line=at, attacks=scenario.attacks + (atk,))
+    return scenario
 
 
 def parse_config_text(text: str) -> RunConfig:

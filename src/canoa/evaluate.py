@@ -48,7 +48,6 @@ class MetricReport:
     macro_precision: float
     macro_recall: float
     macro_f: float
-    degenerate_labels: tuple[Hashable, ...] = ()
 
 
 def confusion(
@@ -77,7 +76,6 @@ def metrics(cm: ConfusionMatrix) -> MetricReport:
     """
     counts = cm.counts
     per_label: dict[Hashable, LabelMetrics] = {}
-    degenerate: list[Hashable] = []
     for i, label in enumerate(cm.labels):
         tp = int(counts[i, i])
         fp = int(counts[:, i].sum() - tp)
@@ -95,8 +93,6 @@ def metrics(cm: ConfusionMatrix) -> MetricReport:
             f_measure = 2 * precision * recall / (precision + recall)
         else:
             f_measure, bad = 0.0, True
-        if bad:
-            degenerate.append(label)
         per_label[label] = LabelMetrics(precision, recall, f_measure, tp + fn, bad)
     accuracy = float(np.trace(counts) / counts.sum())
     macro_p = float(np.mean([m.precision for m in per_label.values()]))
@@ -108,5 +104,4 @@ def metrics(cm: ConfusionMatrix) -> MetricReport:
         macro_precision=macro_p,
         macro_recall=macro_r,
         macro_f=macro_f,
-        degenerate_labels=tuple(degenerate),
     )

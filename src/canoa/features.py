@@ -14,7 +14,7 @@ sample_rate)`` rounded up to the next 5-smooth integer (2^a 3^b 5^c), a
 length the FFT transforms several times faster than one with a large
 prime factor. The segment grows by at most 6.7 % once it is 500
 samples or longer, and still covers the whole frame. A segment starts at
-the sample nearest its transmission's time, and :func:`segments_fit`
+the sample nearest its transmission's time, and :func:`segment_starts`
 is the one test of whether it lies inside a trace.
 
 Spectra have one path, :func:`_block_spectra`, for training (one trace at
@@ -100,15 +100,15 @@ class Tau:
 @functools.lru_cache(maxsize=64)
 def _five_smooth_ceil(n: int) -> int:
     """The smallest integer 2^a 3^b 5^c >= n (cached: scoring asks once per call)."""
-    best = 1 << max(n - 1, 0).bit_length()  # the next power of two
-    fives = 1
-    while fives < best:
-        odd = fives
-        while odd < best:  # odd = 3^b 5^c, times the fewest twos that reach n
-            best = min(best, odd << (-(-n // odd) - 1).bit_length())
-            odd *= 3
-        fives *= 5
-    return best
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 @dataclass(frozen=True)
@@ -282,15 +282,7 @@ def fit_pca(spectra: np.ndarray, n_components: int) -> PcaBasis:
     )
 
 
-def segments_fit(
-    trace: SampledTrace, times: Sequence[float], tau: Tau
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each time's segment start sample, and whether its segment lies inside the trace."""
-    starts, fits = _segment_starts([trace], times, tau.sample_count(trace.sample_rate))
-    return starts[0], fits[0]
-
-
-def _segment_starts(
+def segment_starts(
     traces: Sequence[SampledTrace], times: Sequence[float], n_samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(traces, times) segment start samples, and whether each segment lies inside its trace."""
@@ -330,7 +322,7 @@ def _block_spectra(
     traces, so memory follows the block, not the batch. The spectra are a
     view of a buffer that the next block overwrites.
     """
-    starts, fits = _segment_starts(traces, times, n_samples)
+    starts, fits = segment_starts(traces, times, n_samples)
     if not fits.all():
         k, i = np.argwhere(~fits)[0].tolist()
         raise OutOfBounds(

@@ -21,6 +21,7 @@ from .errors import SingleClass
 
 ETA0 = 0.5
 ETA_DECAY = 0.97  # per-epoch geometric factor
+PLATT_ITERS = 100  # Newton iterations of platt_fit at most
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class FeatureDataset:
     x: np.ndarray
     y: np.ndarray
     sa: int
-    ecu: int
 
     def __post_init__(self):
         if self.x.shape[0] != self.y.shape[0]:
@@ -277,7 +277,7 @@ def platt_proba(margins, a, b) -> np.ndarray:
     return np.where(f >= 0, z / (1 + z), 1 / (1 + z))
 
 
-def platt_fit(margins: np.ndarray, labels: np.ndarray, max_iter: int = 100) -> tuple[float, float]:
+def platt_fit(margins: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Sigmoid parameters (A, B) by Newton iterations on the NLL.
 
     Uses the prior-smoothed targets so perfectly separated margins still
@@ -303,7 +303,7 @@ def platt_fit(margins: np.ndarray, labels: np.ndarray, max_iter: int = 100) -> t
         )
 
     fval = nll(a, b)
-    for _ in range(max_iter):
+    for _ in range(PLATT_ITERS):
         p = platt_proba(deci, a, b)
         q = 1.0 - p
         d2 = p * q

@@ -35,7 +35,7 @@ from .features import (
     estimate_norm_stats,
     estimate_tau,
     fit_pca,
-    segments_fit,
+    segment_starts,
 )
 from .frames import DecodedTransmission, FrameFormat, SourceAddressMap, decode_transmissions
 from .svm import FeatureDataset, LearningCurve, TrainConfig, TrainingMeta, split_indices, train
@@ -71,7 +71,6 @@ class TrainResult:
     curves: dict[int, LearningCurve]
     datasets: dict[tuple[int, int], FeatureDataset]
     transmissions: list[DecodedTransmission]
-    tau: Tau
     pca: dict[int, tuple[int, float]]  # ECU -> (components kept, fraction of variance held)
     meta: dict[int, TrainingMeta]  # SA -> its model's training record, in SA order
 
@@ -86,7 +85,7 @@ def usable_transmissions(
     times = [d.t for d in valid]
     fits = np.ones(len(valid), dtype=bool)
     for trace in powers.values():
-        fits &= segments_fit(trace, times, tau)[1]
+        fits &= segment_starts([trace], times, tau.sample_count(trace.sample_rate))[1][0]
     return [d for d, ok in zip(valid, fits.tolist()) if ok]
 
 
@@ -138,7 +137,7 @@ def build_bundle(
         models = []
         for sa in samap.owned(ecu):
             y = (sa_labels == sa).astype(np.int8)
-            datasets[(ecu, sa)] = FeatureDataset(coords, y, sa, ecu)
+            datasets[(ecu, sa)] = FeatureDataset(coords, y, sa)
             model, curves[sa] = train(datasets[(ecu, sa)], tcfg)
             meta[sa] = model.meta
             if not model.meta.converged:
@@ -156,7 +155,6 @@ def build_bundle(
         curves=curves,
         datasets=datasets,
         transmissions=usable,
-        tau=tau,
         pca=pca,
         meta={sa: meta[sa] for sa in samap.sas},
     )

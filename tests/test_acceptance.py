@@ -137,7 +137,7 @@ def truck_attack_run():
     v2, p2, truth = simulate(attacked)
     decoded2 = decode_transmissions(v2, attacked.bus.bitrate, samap)
     pm2 = {e.index: t for e, t in zip(attacked.ecus, p2)}
-    usable = usable_transmissions(decoded2, pm2, result.tau)
+    usable = usable_transmissions(decoded2, pm2, result.bundle.tau)
     verdicts = authenticate_all(usable, pm2, result.bundle)
     elapsed = time.monotonic() - t0
     return {
@@ -161,7 +161,7 @@ def compromised_run(lab_run):
     decoded = decode_transmissions(v, scenario.bus.bitrate, samap)
     pm = {e.index: t for e, t in zip(scenario.ecus, p)}
     result = lab_run["result"]
-    usable = usable_transmissions(decoded, pm, result.tau)
+    usable = usable_transmissions(decoded, pm, result.bundle.tau)
     verdicts = authenticate_all(usable, pm, result.bundle)
     return {"truth": truth, "verdicts": verdicts}
 
@@ -231,7 +231,7 @@ def test_criterion_2_lab_reproduction(power_sample_rate, request):
     else:
         lab_run = run_lab(power_sample_rate)
     result = lab_run["result"]
-    tau_ms = result.tau.value * 1e3
+    tau_ms = result.bundle.tau.value * 1e3
     tau_ok = abs(tau_ms - 1.02) <= 0.102
     accs = {sa: meta.validation_accuracy for sa, meta in result.meta.items()}
     acc_ok = all(a >= 0.99 for a in accs.values()) and len(accs) == 5

@@ -102,12 +102,12 @@ def claiming(sa: int | None, t: float = 0.0) -> DecodedTransmission:
 
 def decide_one(claimed_sa: int | None, p_tx: dict[int, float], bundle: ModelBundle) -> Verdict:
     """The verdict of one frame claiming ``claimed_sa``, from its per-SA probabilities."""
-    return decide([claiming(claimed_sa)], np.array([[p_tx[sa] for sa in bundle.sas]]), bundle)[0]
+    return decide([claiming(claimed_sa)], np.array([[p_tx[sa] for sa in bundle.samap.sas]]), bundle)[0]
 
 
 def decide_row(tx: DecodedTransmission, p_row: np.ndarray, bundle: ModelBundle) -> Verdict:
     """Reference for :func:`decide`: the decision rule applied to one row, SA by SA."""
-    sas, values = bundle.sas, [float(p) for p in p_row]
+    sas, values = bundle.samap.sas, [float(p) for p in p_row]
     top = max(values)
     contenders = [sa for sa, p in zip(sas, values) if top - p <= TIE_TOLERANCE]
     winner = min(contenders)
@@ -132,6 +132,15 @@ def decide_row(tx: DecodedTransmission, p_row: np.ndarray, bundle: ModelBundle) 
 
 
 TRUCK_OWNERS = {0: 0, 15: 0, 11: 1}
+
+
+@pytest.mark.parametrize("owners", [TRUCK_OWNERS, {0: -1, 15: -1, 11: 1}, {0: 0, 15: 1, 11: -1}])
+def test_claimed_sa_no_ecu_owns_is_never_authentic(owners):
+    bundle = stub_bundle(owners)
+    for winner in bundle.samap.sas:
+        p_tx = {sa: 0.9 if sa == winner else 0.1 for sa in bundle.samap.sas}
+        for claimed in (99, None):
+            assert decide_one(claimed, p_tx, bundle).decision is Decision.IMPERSONATION
 
 
 def test_purported_sender_wins_is_authentic():
@@ -282,7 +291,7 @@ def truck_run():
 
 def test_normal_frame_from_sa11_attributes_to_sa11(truck_run):
     sc, power_map, decoded, result = truck_run
-    usable = usable_transmissions(decoded, power_map, result.tau)
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)
     sa11 = [d for d in usable if d.sa == 11][5:25]
     verdicts = [attribute(tx, power_map, result.bundle) for tx in sa11]
     hits = sum(v.attributed_sa == 11 and v.decision is Decision.AUTHENTIC for v in verdicts)
@@ -291,20 +300,20 @@ def test_normal_frame_from_sa11_attributes_to_sa11(truck_run):
 
 def test_no_normal_frame_escalates_to_impersonation(truck_run):
     sc, power_map, decoded, result = truck_run
-    usable = usable_transmissions(decoded, power_map, result.tau)
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)
     verdicts = authenticate_all(usable, power_map, result.bundle)
     assert all(v.decision is not Decision.IMPERSONATION for v in verdicts)
 
 
 def test_batch_matches_single_attribution(truck_run):
     sc, power_map, decoded, result = truck_run
-    usable = usable_transmissions(decoded, power_map, result.tau)[:12]
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)[:12]
     batch = authenticate_all(usable, power_map, result.bundle)
     for tx, vb in zip(usable, batch):
         vs = attribute(tx, power_map, result.bundle)
         assert vs.decision == vb.decision
         assert vs.attributed_sa == vb.attributed_sa
-        for sa in result.bundle.sas:
+        for sa in result.bundle.samap.sas:
             assert math.isclose(vs.p_tx[sa], vb.p_tx[sa], rel_tol=1e-9, abs_tol=1e-12)
     tx = usable[0]
     p = score([tx], power_map, result.bundle)
@@ -315,7 +324,7 @@ def test_batch_matches_single_attribution(truck_run):
 def truck_single_scores(truck_run):
     """Every usable frame of the truck run and its row of scores, each frame scored alone."""
     sc, power_map, decoded, result = truck_run
-    usable = usable_transmissions(decoded, power_map, result.tau)
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)
     return usable, np.vstack([score([tx], power_map, result.bundle) for tx in usable])
 
 
@@ -328,7 +337,7 @@ def test_batch_cut_into_blocks_anywhere_matches_single_attribution(
     # at least two blocks and starts at any frame
     sc, power_map, decoded, result = truck_run
     usable, single = truck_single_scores
-    row_bytes = 8 * len(result.bundle.ecus) * result.tau.sample_count(result.bundle.sample_rate)
+    row_bytes = 8 * len(result.bundle.ecus) * result.bundle.tau.sample_count(result.bundle.sample_rate)
     rows = data.draw(st.integers(1, 40), label="rows")
     block_bytes = rows * row_bytes + data.draw(st.integers(0, row_bytes - 1), label="extra")
     lo = data.draw(st.integers(0, len(usable) - 2 * rows - 1), label="lo")
@@ -347,7 +356,7 @@ def test_scoring_memory_follows_the_block_not_the_batch(truck_run):
     # what grows with the batch is the output and each frame's start samples,
     # tens of bytes a frame; the spectra exist one block at a time
     sc, power_map, decoded, result = truck_run
-    usable = usable_transmissions(decoded, power_map, result.tau)
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)
     extra = []
     for batch in (usable, usable * 2):
         tracemalloc.start()
@@ -363,8 +372,8 @@ def test_scoring_memory_follows_the_block_not_the_batch(truck_run):
 
 def test_frame_whose_segment_overruns_one_ecus_trace_is_out_of_bounds(truck_run):
     sc, power_map, decoded, result = truck_run
-    usable = usable_transmissions(decoded, power_map, result.tau)
-    last, n_samples = usable[-1], result.tau.sample_count(result.bundle.sample_rate)
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)
+    last, n_samples = usable[-1], result.bundle.tau.sample_count(result.bundle.sample_rate)
     trace = power_map[1]
     # ECU 1's trace ends one sample before the last frame's segment does
     end = int(round((last.t - trace.start_time) * trace.sample_rate)) + n_samples - 1
@@ -381,7 +390,7 @@ def test_frame_whose_segment_overruns_one_ecus_trace_is_out_of_bounds(truck_run)
 
 def test_score_rejects_traces_at_another_sample_rate(truck_run):
     sc, power_map, decoded, result = truck_run
-    usable = usable_transmissions(decoded, power_map, result.tau)[:5]
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)[:5]
     trace = power_map[1]
     resampled = {**power_map, 1: SampledTrace(trace.samples, 2e6, trace.start_time)}
     with pytest.raises(BundleMismatch, match="2000000 Hz.*3000000 Hz"):
@@ -392,14 +401,14 @@ def test_score_rejects_traces_at_another_sample_rate(truck_run):
 
 def test_score_needs_a_power_trace_for_every_ecu_of_the_bundle(truck_run):
     sc, power_map, decoded, result = truck_run
-    usable = usable_transmissions(decoded, power_map, result.tau)[:5]
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)[:5]
     with pytest.raises(BundleMismatch, match=r"bundle expects power channels \[0, 1\], found \[0\]"):
         authenticate_all(usable, {0: power_map[0]}, result.bundle)
 
 
 def test_frame_whose_segment_overruns_a_truncated_capture_is_out_of_window(truck_run):
     sc, power_map, decoded, result = truck_run
-    rate, tau = 3e6, result.tau
+    rate, tau = 3e6, result.bundle.tau
     # the segment is longer than the window it covers, so a capture that ends
     # one sample after the last frame's t + tau holds the window, not the segment
     assert tau.sample_count(rate) > round(tau.value * rate)
@@ -439,7 +448,7 @@ def unfolded_scores(powers, decoded, samap, pcfg, tcfg, transmissions):
         training = ecu_spectra(trace, stats, usable, tau, window)
         basis = fit_pca(training, pcfg.n_components)
         y = (labels == sa).astype(np.int8)
-        model, _ = train(FeatureDataset(basis.transform(training), y, sa, samap.owners[sa]), tcfg)
+        model, _ = train(FeatureDataset(basis.transform(training), y, sa), tcfg)
         spectra = ecu_spectra(trace, stats, transmissions, tau, window)
         margins = basis.transform(spectra) @ model.weights + model.bias
         columns.append(platt_proba(margins, *model.calibration))
@@ -466,10 +475,10 @@ def test_folded_scorer_matches_the_unfolded_oracle(capture):
     pcfg, tcfg = PipelineConfig(calib_len=40_000), TrainConfig(seed=3)
     result = build_bundle(power_map, training_set, samap, pcfg, tcfg)
     # every decoded frame, attack frames included, is scored
-    usable = usable_transmissions(decoded, power_map, result.tau)
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)
     folded = authenticate_all(usable, power_map, result.bundle)
     p_ref = unfolded_scores(power_map, training_set, samap, pcfg, tcfg, usable)
-    sas = result.bundle.sas
+    sas = result.bundle.samap.sas
     for v, ref in zip(folded, decide(usable, p_ref, result.bundle)):
         assert (v.decision, v.attributed_sa, v.tie, v.multiple_positive) == (
             ref.decision,
@@ -480,4 +489,4 @@ def test_folded_scorer_matches_the_unfolded_oracle(capture):
     p_fold = np.array([[v.p_tx[sa] for sa in sas] for v in folded])
     np.testing.assert_allclose(p_fold, p_ref, rtol=1e-9, atol=0)
     if capture is truck_attack_capture:
-        assert len(usable) > len(usable_transmissions(training_set, power_map, result.tau))
+        assert len(usable) > len(usable_transmissions(training_set, power_map, result.bundle.tau))

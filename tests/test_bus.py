@@ -23,9 +23,7 @@ from canoa.bus import (
     BusConfig,
     EcuSpec,
     MessageSchedule,
-    PowerEvent,
     PowerProfile,
-    PowerRole,
     ProgramActivity,
     Scenario,
     lab_scenario,
@@ -33,7 +31,6 @@ from canoa.bus import (
     synth_power,
     synth_voltage,
     truck_scenario,
-    _timeline,
 )
 from canoa.frames import (
     DOMINANT_VOLTS,
@@ -111,7 +108,7 @@ def test_idle_ecu_zero_noise_is_constant_baseline():
 def test_transmit_interval_mean_matches_signature_amplitude():
     # sample-mean oracle over the generated trace
     ecu = idle_ecu(noise=0.05)
-    events = [PowerEvent(0.002, 0.006, PowerRole.TRANSMIT)]
+    events = [(0.002, 0.006, ecu.index)]
     trace = synth_power(ecu, events, duration=0.01, sample_rate=2e6, seed=2)
     fs = 2e6
     tx = trace.samples[int(0.0025 * fs) : int(0.0055 * fs)]
@@ -123,7 +120,7 @@ def test_transmit_interval_mean_matches_signature_amplitude():
 
 def test_reception_bump_is_smaller_than_signature():
     ecu = idle_ecu(noise=0.0)
-    events = [PowerEvent(0.002, 0.004, PowerRole.RECEIVE)]
+    events = [(0.002, 0.004, None)]
     trace = synth_power(ecu, events, duration=0.006, sample_rate=2e6, seed=3)
     fs = 2e6
     rx = trace.samples[int(0.0025 * fs) : int(0.0035 * fs)]
@@ -132,7 +129,7 @@ def test_reception_bump_is_smaller_than_signature():
 
 def test_same_seed_gives_bit_identical_power_trace():
     ecu = idle_ecu(noise=0.1, program=ProgramActivity.HETEROGENEOUS)
-    events = [PowerEvent(0.001, 0.002, PowerRole.TRANSMIT), PowerEvent(0.003, 0.004, PowerRole.RECEIVE)]
+    events = [(0.001, 0.002, ecu.index), (0.003, 0.004, ecu.index + 1)]
     a = synth_power(ecu, events, duration=0.005, sample_rate=2e6, seed=42)
     b = synth_power(ecu, events, duration=0.005, sample_rate=2e6, seed=42)
     assert np.array_equal(a.samples, b.samples)
@@ -322,22 +319,22 @@ def synth_power_reference(ecu, timeline, duration, sample_rate, seed):
         samples += np.float32(base)
     else:
         samples = np.full(n, base, dtype=np.float32)
-    rf = prof.signature_rise_fall_s
-    for ev in timeline:
-        if ev.role is PowerRole.TRANSMIT:
-            amp = prof.signature_amplitude * (1.0 + prof.signature_jitter * rng.uniform(-1.0, 1.0))
+    rf = bus.SIGNATURE_RISE_FALL_S
+    for start, end, sender in timeline:
+        if sender == ecu.index:
+            amp = prof.signature_amplitude * (1.0 + bus.SIGNATURE_JITTER * rng.uniform(-1.0, 1.0))
             _pulse_reference(
-                samples, sample_rate, ev.start, ev.end, amp, rf,
+                samples, sample_rate, start, end, amp, rf,
                 ripple_hz=prof.ripple_frequency_hz,
                 ripple_amplitude=prof.ripple_amplitude * amp,
                 phase=rng.uniform(0.0, 2 * np.pi),
             )
         else:
-            _pulse_reference(samples, sample_rate, ev.start, ev.end, prof.reception_ripple, rf)
+            _pulse_reference(samples, sample_rate, start, end, prof.reception_ripple, rf)
     if prof.program is ProgramActivity.HETEROGENEOUS:
-        for ev in [ev for ev in timeline if ev.role is PowerRole.TRANSMIT]:
-            span = ev.end - ev.start
-            for anchor, sign in ((ev.start, -1.0), (ev.end, +1.0)):
+        for start, end, _ in [ev for ev in timeline if ev[2] == ecu.index]:
+            span = end - start
+            for anchor, sign in ((start, -1.0), (end, +1.0)):
                 if rng.uniform() > 0.6:
                     continue
                 burst_len = span * rng.uniform(0.3, 0.9)
@@ -357,43 +354,39 @@ def same_bits(a, b):
     return a.dtype == b.dtype == np.float32 and np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
-TX, RX = PowerRole.TRANSMIT, PowerRole.RECEIVE
+TX, RX, ADDED = 0, 1, None  # the case ECU's index, another ECU's, an added module
 FS = 2e6
-
-
-def _events(*spans):
-    return [PowerEvent(a, b, role) for a, b, role in spans]
 
 
 POWER_CASES = {
     "transmit_and_receive": (
         {},
-        _events((1e-3, 2.04e-3, TX), (2.5e-3, 3.5e-3, RX), (4e-3, 5.1e-3, RX), (5.5e-3, 6.6e-3, TX)),
+        [(1e-3, 2.04e-3, TX), (2.5e-3, 3.5e-3, RX), (4e-3, 5.1e-3, ADDED), (5.5e-3, 6.6e-3, TX)],
     ),
     "heterogeneous_program": (
         {"program": ProgramActivity.HETEROGENEOUS},
-        _events(*[(k * 1.3e-3 + 2e-4, k * 1.3e-3 + 1.2e-3, TX if k % 2 else RX) for k in range(6)]),
+        [(k * 1.3e-3 + 2e-4, k * 1.3e-3 + 1.2e-3, TX if k % 2 else RX) for k in range(6)],
     ),
     "hijack_split": (
         {},
-        _events((1e-3, 1.3e-3, TX), (1.3e-3, 2.1e-3, RX), (3e-3, 3.4e-3, RX), (3.4e-3, 4.2e-3, TX)),
+        [(1e-3, 1.3e-3, TX), (1.3e-3, 2.1e-3, RX), (3e-3, 3.4e-3, RX), (3.4e-3, 4.2e-3, TX)],
     ),
     "clipped_at_both_ends": (
         {"program": ProgramActivity.HETEROGENEOUS},
-        _events((-5e-4, 6e-4, TX), (2e-3, 3e-3, RX), (6.5e-3, 7.99e-3, RX), (7.4e-3, 8.3e-3, TX)),
+        [(-5e-4, 6e-4, TX), (2e-3, 3e-3, RX), (6.5e-3, 7.99e-3, RX), (7.4e-3, 8.3e-3, TX)],
     ),
     "growing_cache": (
         {},
-        _events((5e-4, 6e-4, RX), (1e-3, 1.2e-3, TX), (2e-3, 4.5e-3, TX), (5e-3, 5.3e-3, RX), (6e-3, 7.9e-3, RX)),
+        [(5e-4, 6e-4, RX), (1e-3, 1.2e-3, TX), (2e-3, 4.5e-3, TX), (5e-3, 5.3e-3, RX), (6e-3, 7.9e-3, RX)],
     ),
     "every_pulse_outside_the_trace": (
         {},
-        _events((-3e-3, -1e-3, TX), (-5e-4, 0.0, RX), (8e-3, 9e-3, RX), (8.5e-3, 9.5e-3, TX)),
+        [(-3e-3, -1e-3, TX), (-5e-4, 0.0, RX), (8e-3, 9e-3, RX), (8.5e-3, 9.5e-3, TX)],
     ),
     "heterogeneous_empty_timeline": ({"program": ProgramActivity.HETEROGENEOUS}, []),
     "noiseless": (
         {"baseline_noise": 0.0, "program": ProgramActivity.HETEROGENEOUS},
-        _events((1e-3, 2e-3, TX), (2.5e-3, 3.5e-3, RX), (4e-3, 5e-3, TX)),
+        [(1e-3, 2e-3, TX), (2.5e-3, 3.5e-3, RX), (4e-3, 5e-3, TX)],
     ),
 }
 
@@ -468,12 +461,12 @@ def simulate_serial_reference(scenario, monkeypatch):
         slots, scenario.bus, scenario.duration, np.random.default_rng(voltage_child)
     )
     bit_time = 1.0 / scenario.bus.bitrate
-    transmitters = [e.true_source for e in truth.entries]
+    timeline = [
+        (slot.start_time, slot.start_time + len(slot.wire) * bit_time, entry.true_source)
+        for slot, entry in zip(slots, truth.entries)
+    ]
     powers = [
-        synth_power_reference(
-            ecu, _timeline(slots, transmitters, ecu, bit_time), scenario.duration,
-            scenario.bus.power_rate, child,
-        )
+        synth_power_reference(ecu, timeline, scenario.duration, scenario.bus.power_rate, child)
         for ecu, child in zip(scenario.ecus, children)
     ]
     return voltage, powers, truth
@@ -500,6 +493,29 @@ def test_simulate_equals_serial_reference(name, monkeypatch):
     assert len(powers) == len(ref_powers) == len(scenario.ecus)
     for got, want in zip(powers, ref_powers):
         assert same_bits(got.samples, want)
+
+
+def test_every_ecu_reads_the_one_bus_timeline(monkeypatch):
+    scenario = SCENARIOS["truck_attack"]()
+    seen = []
+    real_power = bus.synth_power
+
+    def spy(ecu, timeline, *args, **kwargs):
+        seen.append((ecu.index, timeline))
+        return real_power(ecu, timeline, *args, **kwargs)
+
+    monkeypatch.setattr(bus, "synth_power", spy)
+    _, _, truth = simulate(scenario)
+    assert sorted(index for index, _ in seen) == [ecu.index for ecu in scenario.ecus]
+    timeline = seen[0][1]
+    assert all(other is timeline for _, other in seen)
+    # one (start, end, sender) per frame on the bus: the benchmark counts len(timeline)
+    assert len(timeline) == len(truth)
+    assert [(start, sender) for start, _, sender in timeline] == [
+        (entry.t, entry.true_source) for entry in truth.entries
+    ]
+    assert None in {sender for _, _, sender in timeline}  # the added module's frames
+    assert all(end > start for start, end, _ in timeline)
 
 
 class NegativeZeroNoise:

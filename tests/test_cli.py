@@ -434,6 +434,30 @@ def test_infinite_duration_is_a_config_error_at_its_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, part",
+    [
+        ("ecu.0.ripple_frequency = nan", "ecu.0"),
+        ("ecu.0.ripple_frequency = -60000", "ecu.0"),
+        ("ecu.0.baseline_mean = inf", "ecu.0"),
+        ("ecu.0.signature_amplitude = inf", "ecu.0"),
+        ("ecu.0.noise_floor = inf", "ecu.0"),
+        ("ecu.0.ripple_amplitude = inf", "ecu.0"),
+        ("ecu.0.reception_ripple = nan", "ecu.0"),
+        ("bus.voltage_noise = inf", "bus"),
+        ("ecu.0.msg.0.period = inf", "ecu.0.msg.0"),
+        ("ecu.0.msg.0.offset = nan", "ecu.0.msg.0"),
+    ],
+)
+def test_non_finite_simulator_value_is_a_config_error_at_its_line(tmp_path, capsys, line, part):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scenario.preset = lab\n{line}\nscenario.frames_per_sa = 20\nsim.seed = 3\n")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", cfg, "--out", out) == 2
+    assert f"line 2: {part}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_c_too_large_for_its_regularizer_still_trains(tmp_path):
     # 1 / (C * n) underflows to 0 at this C, so nothing regularizes the SVMs
     cfg = tmp_path / "huge_c.cfg"

@@ -141,6 +141,32 @@ def test_negative_seed_and_empty_attack_stream_fail_at_their_line(line, message)
         parse_config_text(attack)
 
 
+@pytest.mark.parametrize(
+    "lines, part, at, message",
+    [
+        (
+            ["attack.0.kind = added_module", "attack.0.spoofed_sa = 99", "attack.0.count = 5",
+             "bus.bitrate = 125000"],
+            "attack.0", 5, "spoofed SA 99 is not owned by any ECU",
+        ),
+        (["ecu.0.msg.0.sa = 2", "bus.bitrate = 125000"], "ecu.0", 3,
+         "source addresses must be distinct across ECUs"),
+        (
+            ["attack.0.kind = compromised_ecu", "attack.0.spoofed_sa = 1", "attack.0.attacker = 0",
+             "attack.0.count = 5", "sim.seed = 3"],
+            "attack.0", 6, "spoofed SA must belong to an ECU other than the attacker",
+        ),
+    ],
+    ids=["unowned_spoofed_sa", "shared_sa", "attacker_owns_spoofed_sa"],
+)
+def test_scenario_error_names_the_part_at_fault_at_its_line(lines, part, at, message):
+    text = "\n".join(["scenario.preset = lab", "scenario.frames_per_sa = 30", *lines]) + "\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.line == at
+    assert str(err.value) == f"line {at}: {part}: {message}"
+
+
 def test_power_sample_rate_defaults_to_the_bus_rate():
     bus = parse_config_text("bus.sample_rate = 3000000\n").scenario.bus
     assert bus.power_sample_rate is None and bus.power_rate == 3e6

@@ -111,6 +111,11 @@ def test_segment_length_is_the_smallest_5_smooth_integer_at_least_n(n):
     assert not any(is_5_smooth(m) for m in range(n, got))
 
 
+@pytest.mark.parametrize("tau", [0.4, 1.0])
+def test_segment_of_at_most_one_sample_is_one_sample(tau):
+    assert Tau(tau).sample_count(1.0) == 1  # round(0.4) = 0 and 1 = 2^0 3^0 5^0
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.floats(1e-5, 1e-2), st.floats(1e4, 1e7))
 def test_segment_is_never_shorter_than_the_window(tau, rate):

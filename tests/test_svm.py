@@ -45,7 +45,7 @@ def blob_dataset(n=400, m=8, gap=5.0, noise=1.0, seed=0, flip=False):
     x, y = x[order], y[order]
     if flip:
         y = 1 - y
-    return FeatureDataset(x=x, y=y, sa=1, ecu=0)
+    return FeatureDataset(x=x, y=y, sa=1)
 
 
 def test_separable_blobs_reach_perfect_training_accuracy():
@@ -92,7 +92,7 @@ def test_subgradient_matches_central_finite_differences():
 
 def test_single_class_rejected():
     ds = blob_dataset()
-    ds_one = FeatureDataset(x=ds.x, y=np.zeros_like(ds.y), sa=1, ecu=0)
+    ds_one = FeatureDataset(x=ds.x, y=np.zeros_like(ds.y), sa=1)
     with pytest.raises(SingleClass):
         train(ds_one, TrainConfig())
 

@@ -203,7 +203,7 @@ def test_bundle_round_trip_preserves_verdicts(trained, tmp_path):
     assert loaded.tau.value == result.bundle.tau.value
     assert loaded.samap.owners == result.bundle.samap.owners
     assert loaded.sample_rate == result.bundle.sample_rate == 3e6
-    usable = usable_transmissions(decoded, power_map, result.tau)[:200]
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)[:200]
     before = authenticate_all(usable, power_map, result.bundle)
     after = authenticate_all(usable, power_map, loaded)
     for a, b in zip(before, after):
@@ -319,15 +319,15 @@ def test_v6_bundle_states_ownership_once_and_holds_one_weight_matrix_per_ecu(tra
     # each ECU's normalization is stored once; no training records and no PCA basis
     entry_keys = ["bias", "calibration", "norm_mean", "norm_std", "weights"]
     assert all(sorted(m) == entry_keys for m in doc["ecus"])
-    n_bins = result.tau.sample_count(3e6) // 2 + 1
+    n_bins = result.bundle.tau.sample_count(3e6) // 2 + 1
     assert np.shape(doc["ecus"][0]["weights"]) == (n_bins, 2)
     assert np.shape(doc["ecus"][1]["weights"]) == (n_bins, 1)
-    column = result.bundle.sas.index(15)
+    column = result.bundle.samap.sas.index(15)
     weights = np.array(doc["ecus"][0]["weights"])
     loaded = load_bundle(path)
     np.testing.assert_array_equal(loaded.ecus[0].weights, weights)
     np.testing.assert_array_equal(loaded.ecus[0].weights, result.bundle.ecus[0].weights)
-    usable = usable_transmissions(decoded, power_map, result.tau)[:20]
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)[:20]
     p = score(usable, power_map, loaded)
     spectra = ecu_spectra(power_map[0], loaded.ecus[0].stats, usable, loaded.tau, loaded.window)
     a, b = loaded.ecus[0].calibration[1]
@@ -380,14 +380,14 @@ def test_re_checksummed_byte_edits_load_or_raise_format_error(bundle_blob, data)
 
 def test_verdict_csv_columns_and_rows(trained, tmp_path):
     sc, power_map, decoded, result = trained
-    usable = usable_transmissions(decoded, power_map, result.tau)[:50]
+    usable = usable_transmissions(decoded, power_map, result.bundle.tau)[:50]
     verdicts = authenticate_all(usable, power_map, result.bundle)
     path = tmp_path / "v.csv"
-    write_verdicts(path, verdicts, result.bundle.sas, result.bundle.delta)
+    write_verdicts(path, verdicts, result.bundle.samap.sas, result.bundle.delta)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 51
     header = lines[0].split(",")
-    for sa in result.bundle.sas:
+    for sa in result.bundle.samap.sas:
         assert f"p_tx_{sa}" in header
         assert f"softmax_{sa}" in header
     assert header[:4] == ["t_sec", "claimed_sa", "attributed_sa", "decision"]
