@@ -106,8 +106,8 @@ class MessageSchedule:
             raise ValueError(f"source address must be 0..255, got {self.sa}")
         if not 0 < self.period_s < np.inf:
             raise ValueError(f"period must be positive and finite, got {self.period_s}")
-        if not np.isfinite(self.offset_s):
-            raise ValueError(f"offset must be finite, got {self.offset_s}")
+        if not 0 <= self.offset_s < np.inf:
+            raise ValueError(f"offset must be non-negative and finite, got {self.offset_s}")
         if not 0 <= self.dlc <= 8:
             raise ValueError("dlc must be 0..8")
 
@@ -201,6 +201,9 @@ class Scenario:
     def __post_init__(self):
         if not 0 < self.duration < np.inf:
             raise ValueError(f"duration must be positive and finite, got {self.duration}")
+        indexes = [ecu.index for ecu in self.ecus]
+        if len(indexes) != len(set(indexes)):
+            raise ValueError(f"ECU indexes must be distinct, got {indexes}")
         sas = [sa for ecu in self.ecus for sa in ecu.sas]
         if len(sas) != len(set(sas)):
             raise ValueError("source addresses must be distinct across ECUs")

@@ -11,12 +11,16 @@ selects the log level.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import logging
 import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import traceio
 from .authenticate import authenticate_all
@@ -90,44 +94,35 @@ def power_file(index: int) -> str:
 # -------------------------------------------------------------- rendering
 
 
-def render_confusion(cm: ConfusionMatrix, fmt: str) -> str:
-    names = [str(lab) for lab in cm.labels]
-    if fmt == "csv":
-        lines = ["truth," + ",".join(names)]
-        for i, name in enumerate(names):
-            lines.append(name + "," + ",".join(f"{r:.6f}" for r in cm.rates[i]))
-        return "\n".join(lines) + "\n"
-    width = max(12, max(len(n) for n in names) + 2)
-    header = " " * width + "".join(n.rjust(width) for n in names)
-    lines = [header]
-    for i, name in enumerate(names):
-        lines.append(name.rjust(width) + "".join(f"{r:{width}.4f}" for r in cm.rates[i]))
-    return "\n".join(lines) + "\n"
+def render(rows, fmt: str, title: str = "") -> str:
+    """One report table: CSV through ``csv.writer``, or text with right-aligned columns.
 
-
-def render_metrics(report: MetricReport, fmt: str) -> str:
+    A float has 6 decimals in CSV and 4 in text; any other cell is written as
+    given. A title is a line above a text table; CSV holds only the rows.
+    """
     if fmt == "csv":
-        lines = ["label,precision,recall,f_measure,support,degenerate"]
-        for label, m in report.per_label.items():
-            lines.append(
-                f"{label},{m.precision:.6f},{m.recall:.6f},{m.f_measure:.6f},{m.support},{int(m.degenerate)}"
-            )
-        lines.append(f"accuracy,{report.accuracy:.6f},,,,")
-        lines.append(
-            f"macro,{report.macro_precision:.6f},{report.macro_recall:.6f},{report.macro_f:.6f},,"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [f"{c:.6f}" if isinstance(c, float) else c for c in row] for row in rows
         )
-        return "\n".join(lines) + "\n"
-    lines = [f"{'label':>16} {'precision':>10} {'recall':>10} {'f-measure':>10} {'support':>8}"]
+        return buf.getvalue()
+    cells = [[f"{c:.4f}" if isinstance(c, float) else str(c) for c in row] for row in rows]
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+    return "\n".join([title] + lines if title else lines) + "\n"
+
+
+def confusion_rows(cm: ConfusionMatrix) -> list[list]:
+    return [["truth", *cm.labels]] + [[lab, *rates] for lab, rates in zip(cm.labels, cm.rates)]
+
+
+def metric_rows(report: MetricReport) -> list[list]:
+    rows = [["label", "precision", "recall", "f_measure", "support", "degenerate"]]
     for label, m in report.per_label.items():
-        flag = " *" if m.degenerate else ""
-        lines.append(
-            f"{str(label):>16} {m.precision:>10.4f} {m.recall:>10.4f} {m.f_measure:>10.4f} {m.support:>8}{flag}"
-        )
-    lines.append(f"accuracy: {report.accuracy:.4f}")
-    lines.append(
-        f"macro: precision={report.macro_precision:.4f} recall={report.macro_recall:.4f} f={report.macro_f:.4f}"
-    )
-    return "\n".join(lines) + "\n"
+        rows.append([label, m.precision, m.recall, m.f_measure, m.support, int(m.degenerate)])
+    rows.append(["accuracy", report.accuracy, "", "", "", ""])
+    rows.append(["macro", report.macro_precision, report.macro_recall, report.macro_f, "", ""])
+    return rows
 
 
 # ------------------------------------------------------------------ loading
@@ -247,19 +242,18 @@ def cmd_train(args) -> int:
             f"iterations={meta.iterations} converged={meta.converged} "
             f"final_loss={curve.val_loss[-1]:.6f}"
         )
-        with open(out / f"learning_curve_{sa}.csv", "w") as fh:
-            fh.write("iteration,train_loss,val_loss\n")
-            for i, (tr, va) in enumerate(zip(curve.train_loss, curve.val_loss)):
-                fh.write(f"{i},{float(tr)!r},{float(va)!r}\n")
-    with open(out / "bootstrap_accuracy.csv", "w") as fh:
-        fh.write("sa,rounds,min,q1,median,q3,max\n")
-        for (ecu, sa), ds in sorted(result.datasets.items(), key=lambda kv: kv[0][1]):
-            summary = bootstrap_accuracy(ds, run.train)
-            q1, q3 = summary.quartiles
-            fh.write(
-                f"{sa},{summary.accuracies.size},{summary.minimum!r},{q1!r},"
-                f"{summary.median!r},{q3!r},{summary.maximum!r}\n"
-            )
+        rows = [["iteration", "train_loss", "val_loss"]]
+        rows += [
+            [i, repr(float(tr)), repr(float(va))]
+            for i, (tr, va) in enumerate(zip(curve.train_loss, curve.val_loss))
+        ]
+        (out / f"learning_curve_{sa}.csv").write_text(render(rows, "csv"))
+    rows = [["sa", "rounds", "min", "q1", "median", "q3", "max"]]
+    for (ecu, sa), ds in sorted(result.datasets.items(), key=lambda kv: kv[0][1]):
+        acc = bootstrap_accuracy(ds, run.train).accuracies
+        stats = acc.min(), np.percentile(acc, 25), np.median(acc), np.percentile(acc, 75), acc.max()
+        rows.append([sa, acc.size, *(repr(float(v)) for v in stats)])
+    (out / "bootstrap_accuracy.csv").write_text(render(rows, "csv"))
     (out / "training_report.txt").write_text("\n".join(report_lines) + "\n")
     print("\n".join(report_lines))
     print(f"wrote {BUNDLE_FILE}, learning curves, bootstrap accuracies in {out}")
@@ -298,7 +292,7 @@ def cmd_authenticate(args) -> int:
         sender_verdicts = [v for v, e in pairs if e.kind is AttackKind.NORMAL]
         scope = "normal frames per ground truth"
         cm_attack = attack_confusion(verdicts, truth)
-        (out / f"attack_confusion.{ext}").write_text(render_confusion(cm_attack, args.format))
+        (out / f"attack_confusion.{ext}").write_text(render(confusion_rows(cm_attack), args.format))
         # a rate over no frames of its truth class is left out, not printed as 0
         for i, label in enumerate(cm_attack.labels):
             if cm_attack.counts[i].sum():
@@ -306,12 +300,11 @@ def cmd_authenticate(args) -> int:
     if sender_verdicts:
         cm_sender = sender_confusion(sender_verdicts, bundle.samap)
         sender_report = metrics(cm_sender)
-        title = "" if args.format == "csv" else f"scope: {scope}\n"
-        for name, table in (
-            ("sender_confusion", render_confusion(cm_sender, args.format)),
-            ("sender_metrics", render_metrics(sender_report, args.format)),
+        for name, rows in (
+            ("sender_confusion", confusion_rows(cm_sender)),
+            ("sender_metrics", metric_rows(sender_report)),
         ):
-            (out / f"{name}.{ext}").write_text(title + table)
+            (out / f"{name}.{ext}").write_text(render(rows, args.format, title=f"scope: {scope}"))
         summary.append(f"sender accuracy ({scope}): {sender_report.accuracy:.4f}")
     else:
         summary.append(f"no sender tables: the capture holds no {scope}")
@@ -331,26 +324,19 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
     )
     # one row per cell: its levels, then its metrics or the error that stopped it
-    if args.format == "csv":
-        ext, levels, failed = "csv", "{},{},{},", ",,,,{}"
-        scores = "{:.6f},{:.6f},{:.6f},{:.6f},"
-        lines = ["bitrate,format,program,accuracy,precision,recall,f_measure,error"]
-    else:
-        ext, levels, failed = "txt", "{:>8} {:>9} {:>14} ", "FAILED: {}"
-        scores = "{:>9.4f} {:>10.4f} {:>8.4f} {:>8.4f}"
-        lines = [
-            f"{'bitrate':>8} {'format':>9} {'program':>14} {'accuracy':>9} {'precision':>10} "
-            f"{'recall':>8} {'f':>8}"
-        ]
+    rows = [
+        ["bitrate", "format", "program", "accuracy", "precision", "recall", "f_measure", "error"]
+    ]
     for cell in cells:
-        row = levels.format(int(cell.bitrate), cell.frame_format.value, cell.program.value)
         rep = grid.reports.get(cell)
-        if rep is None:
-            row += failed.format(grid.errors[cell])
-        else:
-            row += scores.format(rep.accuracy, rep.macro_precision, rep.macro_recall, rep.macro_f)
-        lines.append(row)
-    content = "\n".join(lines) + "\n"
+        scores = (
+            ["", "", "", "", grid.errors[cell]]
+            if rep is None
+            else [rep.accuracy, rep.macro_precision, rep.macro_recall, rep.macro_f, ""]
+        )
+        rows.append([int(cell.bitrate), cell.frame_format.value, cell.program.value, *scores])
+    ext = "csv" if args.format == "csv" else "txt"
+    content = render(rows, args.format)
     out = _out_dir(args)
     (out / f"sweep_grid.{ext}").write_text(content)
     print(content, end="")
@@ -378,7 +364,7 @@ def build_parser() -> _Parser:
         "out": dict(required=True, help="output directory"),
         "seed": dict(type=non_negative_int, default=None, help="override the scenario seed"),
         "delta": dict(type=unit_interval, default=None, help="override the decision threshold"),
-        "format": dict(choices=("csv", "text"), default="text"),
+        "format": dict(choices=("csv", "text"), default="text", help="report table layout"),
     }
 
     def options(p, *names):

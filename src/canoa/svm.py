@@ -107,25 +107,6 @@ class LearningCurve:
 class BootstrapSummary:
     accuracies: np.ndarray
 
-    @property
-    def minimum(self) -> float:
-        return float(self.accuracies.min())
-
-    @property
-    def maximum(self) -> float:
-        return float(self.accuracies.max())
-
-    @property
-    def median(self) -> float:
-        return float(np.median(self.accuracies))
-
-    @property
-    def quartiles(self) -> tuple[float, float]:
-        return (
-            float(np.percentile(self.accuracies, 25)),
-            float(np.percentile(self.accuracies, 75)),
-        )
-
 
 def _margins(w: np.ndarray, b, x: np.ndarray, y_pm: np.ndarray) -> np.ndarray:
     """y * (x . w + b) per row; leading dimensions of all four stack problems."""

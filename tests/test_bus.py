@@ -282,6 +282,15 @@ def test_scenario_validation():
         )
 
 
+def test_scenario_rejects_two_ecus_with_one_index():
+    # simulate would return two power traces for ECU 0, and a capture names each
+    # power file by its ECU's index, so the second trace would overwrite the first
+    first = EcuSpec(index=0, schedules=(MessageSchedule(sa=1, period_s=0.01),))
+    second = EcuSpec(index=0, schedules=(MessageSchedule(sa=2, period_s=0.01),))
+    with pytest.raises(ValueError, match=r"ECU indexes must be distinct, got \[0, 0\]"):
+        Scenario(bus=BusConfig(), ecus=(first, second), duration=1.0)
+
+
 # -------------------------------------------- shared ramps and concurrency
 
 

@@ -1,6 +1,8 @@
 """Command-line behavior: stage outputs, exit codes, determinism."""
 
+import csv
 import filecmp
+import io
 import json
 import os
 import re
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import canoa
-from canoa.cli import main
+from canoa.cli import main, render
 from canoa.traceio import (
     BUNDLE_FOOTER,
     TraceKind,
@@ -41,8 +43,36 @@ def cfg_path(tmp_path):
     return path
 
 
+# truck traffic: ECU 0 sends SAs 0 and 15 and ECU 1 sends SA 11, so the sender
+# labels are (ECU, SA) pairs and the two siblings leave some bootstrap spread
+TRUCK_CONFIG = """
+scenario.preset = truck
+scenario.frames_per_sa = 100
+bus.sample_rate = 3000000
+bus.power_sample_rate = 1000000
+sim.seed = 5
+pipeline.calib_len = 40000
+train.bootstrap_rounds = 10
+"""
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.fixture(scope="module")
+def truck_csv_run(tmp_path_factory):
+    """The output directory of ``canoa all --format csv`` on TRUCK_CONFIG."""
+    tmp = tmp_path_factory.mktemp("truck")
+    (tmp / "truck.cfg").write_text(TRUCK_CONFIG)
+    out = tmp / "out"
+    assert run_cli("all", "--config", tmp / "truck.cfg", "--out", out, "--format", "csv") == 0
+    return out
 
 
 def test_simulate_writes_traces_and_truth(cfg_path, tmp_path, capsys):
@@ -143,6 +173,54 @@ def test_all_with_attacks_trains_on_normal_traffic_only(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "excluding 15 attack frame(s) from training" in printed
     assert "attack->attack rate: 1.0000" in printed
+
+
+def test_render_writes_one_layout_per_format():
+    error = "PCA needs more rows than components: 25 rows, 50 components requested"
+    rows = [
+        ["cell", "accuracy", "loss", "error"],
+        [125000, 0.5, repr(0.1 + 0.2), ""],
+        [(0, 15), "", "", error],
+    ]
+    # CSV quotes the cells that hold a comma; a float gets 6 decimals, a string stays as given
+    assert list(csv.reader(io.StringIO(render(rows, "csv")))) == [
+        ["cell", "accuracy", "loss", "error"],
+        ["125000", "0.500000", "0.30000000000000004", ""],
+        ["(0, 15)", "", "", error],
+    ]
+    # text right-aligns each column, two spaces apart, and a title heads it
+    assert render(rows, "text", title="scope: test").splitlines() == [
+        "scope: test",
+        "   cell  accuracy                 loss  " + "error".rjust(len(error)),
+        " 125000    0.5000  0.30000000000000004",
+        "(0, 15)" + " " * (2 + 8 + 2 + 19 + 2) + error,  # two blank cells between
+    ]
+    assert not render(rows, "csv", title="scope: test").startswith("scope")
+
+
+def test_every_csv_report_reads_back_at_one_width(truck_csv_run):
+    tables = {path.name: read_csv(path) for path in truck_csv_run.glob("*.csv")}
+    assert {
+        "sender_confusion.csv", "sender_metrics.csv", "attack_confusion.csv",
+        "bootstrap_accuracy.csv", "learning_curve_15.csv", "verdicts.csv",
+    } <= set(tables)
+    for name, rows in tables.items():
+        assert len({len(row) for row in rows}) == 1, name
+    # a sender label holds a comma, so it reads back whole only if it was quoted
+    labels = ["(0, 0)", "(0, 15)", "(1, 11)"]
+    assert tables["sender_confusion.csv"][0] == ["truth", *labels]
+    assert [row[0] for row in tables["sender_confusion.csv"][1:]] == labels
+    assert [row[0] for row in tables["sender_metrics.csv"][1:]] == [*labels, "accuracy", "macro"]
+
+
+def test_bootstrap_csv_rows_hold_ordered_statistics(truck_csv_run):
+    header, *rows = read_csv(truck_csv_run / "bootstrap_accuracy.csv")
+    assert header == ["sa", "rounds", "min", "q1", "median", "q3", "max"]
+    assert [row[:2] for row in rows] == [["0", "10"], ["11", "10"], ["15", "10"]]
+    stats = [[float(cell) for cell in row[2:]] for row in rows]
+    for lo, q1, median, q3, hi in stats:
+        assert lo <= q1 <= median <= q3 <= hi
+    assert any(q1 < q3 for _, q1, _, q3, _ in stats)  # not a row of equal values only
 
 
 def _sender_support(path):
@@ -300,20 +378,25 @@ def test_sweep_renders_failed_cells(tmp_path):
     cfg.write_text(TINY_CONFIG.replace("bus.sample_rate = 2000000", "bus.sample_rate = 1000000"))
     out = tmp_path / "sweep"
     assert run_cli("sweep", "--config", cfg, "--out", out) == 2
-    rows = (out / "sweep_grid.txt").read_text().splitlines()[1:]
+    header, *rows = (out / "sweep_grid.txt").read_text().splitlines()
+    assert header.split() == [
+        "bitrate", "format", "program", "accuracy", "precision", "recall", "f_measure", "error"
+    ]
     assert len(rows) == 12
+    # the four metric cells are blank, so the error follows the levels after blanks
     assert rows[0] == (
-        "  125000  standard        uniform FAILED: sample rate 1000000 Hz is below 10x the bitrate 125000 bps"
+        " 125000  standard        uniform" + " " * (2 + 8 + 2 + 9 + 2 + 6 + 2 + 9 + 2)
+        + "sample rate 1000000 Hz is below 10x the bitrate 125000 bps"
     )
-    assert all(" FAILED: sample rate 1000000 Hz is below 10x" in row for row in rows)
+    assert all(row.endswith(f" Hz is below 10x the bitrate {row.split()[0]} bps") for row in rows)
     assert run_cli("sweep", "--config", cfg, "--out", out, "--format", "csv") == 2
-    rows = (out / "sweep_grid.csv").read_text().splitlines()[1:]
+    rows = read_csv(out / "sweep_grid.csv")[1:]
     assert len(rows) == 12
-    assert rows[-1] == (
-        "500000,extended,heterogeneous,,,,,sample rate 1000000 Hz is below 10x the bitrate 500000 bps"
-    )
-    for row in rows:
-        fields = row.split(",")
+    assert rows[-1] == [
+        "500000", "extended", "heterogeneous", "", "", "", "",
+        "sample rate 1000000 Hz is below 10x the bitrate 500000 bps",
+    ]
+    for fields in rows:
         assert len(fields) == 8 and fields[3:7] == ["", "", "", ""]
         assert fields[7].startswith("sample rate 1000000 Hz")
 
@@ -455,6 +538,19 @@ def test_non_finite_simulator_value_is_a_config_error_at_its_line(tmp_path, caps
     out = tmp_path / "o"
     assert run_cli("simulate", "--config", cfg, "--out", out) == 2
     assert f"line 2: {part}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_stream_offset_is_a_config_error_at_its_line(tmp_path, capsys):
+    # the stream's first frames would be queued before the capture starts
+    cfg = tmp_path / "early.cfg"
+    cfg.write_text(
+        "scenario.preset = lab\nscenario.frames_per_sa = 20\necu.0.msg.0.offset = -0.5\n"
+    )
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "line 3: ecu.0.msg.0: offset must be non-negative and finite, got -0.5" in err
     assert not out.exists()
 
 

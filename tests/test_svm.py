@@ -180,17 +180,11 @@ def test_bootstrap_noisy_dataset_has_wider_iqr_than_clean():
     cfg = TrainConfig(seed=19, bootstrap_rounds=15, max_iters=100)
     s_clean = bootstrap_accuracy(clean, cfg)
     s_noisy = bootstrap_accuracy(noisy, cfg)
-    (clean_q1, clean_q3), (noisy_q1, noisy_q3) = s_clean.quartiles, s_noisy.quartiles
-    assert noisy_q3 - noisy_q1 > clean_q3 - clean_q1
-    assert s_noisy.median < s_clean.median
-
-
-def test_bootstrap_order_statistics():
-    ds = blob_dataset(gap=1.5, seed=20)
-    summary = bootstrap_accuracy(ds, TrainConfig(seed=21, bootstrap_rounds=12, max_iters=80))
-    assert summary.minimum <= summary.median <= summary.maximum
-    q1, q3 = summary.quartiles
-    assert summary.minimum <= q1 <= q3 <= summary.maximum
+    clean_iqr, noisy_iqr = (
+        np.subtract(*np.percentile(s.accuracies, [75, 25])) for s in (s_clean, s_noisy)
+    )
+    assert noisy_iqr > clean_iqr
+    assert np.median(s_noisy.accuracies) < np.median(s_clean.accuracies)
 
 
 def test_bootstrap_requires_ten_rounds():
