@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,6 +38,9 @@ class Decision(Enum):
     AUTHENTIC = "authentic"
     IMPERSONATION = "impersonation"
     ADDED_MODULE = "added_module"
+
+
+_DECISIONS = tuple(Decision)  # decide's index of each decision
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,35 @@ class ModelBundle:
                 )
             if not all(np.isfinite(a).all() for a in (e.weights, e.bias, e.calibration)):
                 raise ValueError(f"ECU {ecu} weights, biases and calibrations must be finite")
+
+    @cached_property
+    def tables(self) -> ScoringTables:
+        """What :func:`score` and :func:`decide` read of the models, built on first use."""
+        samap = self.samap
+        sas = samap.sas
+        a, b = np.concatenate([model.calibration for model in self.ecus]).T
+        return ScoringTables(
+            ecus=samap.ecus,
+            sas=sas,
+            columns=np.searchsorted(sas, [sa for ecu in samap.ecus for sa in samap.owned(ecu)]),
+            bias=np.concatenate([model.bias for model in self.ecus]),
+            platt_a=a,
+            platt_b=b,
+            owner=np.array([samap.owners[sa] for sa in sas]),
+        )
+
+
+@dataclass(frozen=True)
+class ScoringTables:
+    """A bundle's models laid out for scoring: every ECU's SAs side by side, in ECU order."""
+
+    ecus: list[int]  # the map's ECUs, ascending: the order of the bundle's models
+    sas: list[int]  # the map's SAs, ascending: the columns of score's matrix
+    columns: np.ndarray  # the column of each side-by-side SA
+    bias: np.ndarray  # each side-by-side SA's bias
+    platt_a: np.ndarray  # and its Platt pair
+    platt_b: np.ndarray
+    owner: np.ndarray  # the ECU that owns each of ``sas``
 
 
 @dataclass(frozen=True)
@@ -140,7 +173,8 @@ def score(
     needs a power trace at the bundle's sample rate that holds every
     transmission's segment, or this raises :class:`OutOfBounds`.
     """
-    ecus = bundle.samap.ecus
+    tables = bundle.tables
+    ecus = tables.ecus
     if not set(ecus).issubset(powers):
         raise BundleMismatch(f"bundle expects power channels {ecus}, found {sorted(powers)}")
     for ecu in ecus:
@@ -151,14 +185,9 @@ def score(
                 f"the bundle was trained at {bundle.sample_rate:.0f} Hz "
                 "(bus.power_sample_rate sets the power channels' rate)"
             )
-    sas = bundle.samap.sas
-    p = np.empty((len(transmissions), len(sas)))
+    p = np.empty((len(transmissions), len(tables.sas)))
     if not transmissions:
         return p
-    # every ECU's margins go side by side, in ECU order, then into p's columns
-    columns = np.searchsorted(sas, [sa for ecu in ecus for sa in bundle.samap.owned(ecu)])
-    bias = np.concatenate([model.bias for model in bundle.ecus])
-    a, b = np.concatenate([model.calibration for model in bundle.ecus]).T
     blocks = _block_spectra(
         [powers[ecu] for ecu in ecus],
         [model.stats for model in bundle.ecus],
@@ -168,7 +197,9 @@ def score(
     )
     for lo, spectra in blocks:
         margins = np.concatenate([s @ model.weights for s, model in zip(spectra, bundle.ecus)], 1)
-        p[lo : lo + len(margins), columns] = platt_proba(margins + bias, a, b)
+        p[lo : lo + len(margins), tables.columns] = platt_proba(
+            margins + tables.bias, tables.platt_a, tables.platt_b
+        )
     return p
 
 
@@ -176,15 +207,15 @@ def decide(
     transmissions: Sequence[DecodedTransmission], p: np.ndarray, bundle: ModelBundle
 ) -> list[Verdict]:
     """Every transmission's verdict from its row of :func:`score`, in one array pass."""
-    sas, owners = bundle.samap.sas, bundle.samap.owners
+    tables, owners = bundle.tables, bundle.samap.owners
+    sas = tables.sas
     top = p.max(axis=1)
     contenders = top[:, None] - p <= TIE_TOLERANCE
     winner = contenders.argmax(axis=1)  # the lowest contending SA: samap.sas is sorted
-    winner_ecu = np.array([owners[sa] for sa in sas])[winner].tolist()
+    winner_ecu = tables.owner[winner].tolist()
     # an SA no ECU owns has no owner to match: None equals no ECU index
     authentic = np.array([owners.get(tx.sa) == e for tx, e in zip(transmissions, winner_ecu)], bool)
-    decision = np.where(top > bundle.delta, np.where(authentic, 0, 1), 2)  # Decision's index
-    decisions = list(Decision)
+    decision = np.where(top > bundle.delta, np.where(authentic, 0, 1), 2)  # _DECISIONS index
     positive = p > bundle.delta
     multiple = [
         tuple(np.compress(positive[i], sas).tolist()) if n > 1 else ()
@@ -193,7 +224,7 @@ def decide(
     contending = contenders.sum(axis=1).tolist()
     rows = zip(p.tolist(), winner.tolist(), winner_ecu, decision.tolist(), contending)
     return [
-        Verdict(tx.t, tx.sa, dict(zip(sas, row)), sas[w], ecu, decisions[d], n > 1, positives)
+        Verdict(tx.t, tx.sa, dict(zip(sas, row)), sas[w], ecu, _DECISIONS[d], n > 1, positives)
         for tx, (row, w, ecu, d, n), positives in zip(transmissions, rows, multiple)
     ]
 

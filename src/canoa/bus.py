@@ -16,6 +16,7 @@ rather than structural distinction.
 from __future__ import annotations
 
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -50,6 +51,23 @@ class AttackKind(Enum):
 # each frame's signature amplitude varies by up to this fraction either way
 SIGNATURE_RISE_FALL_S = 5e-6
 SIGNATURE_JITTER = 0.02
+# a heterogeneous program's bursts: amplitude and ripple amplitude, as
+# fractions of the signature amplitude
+BURST_AMPLITUDE = 0.35
+BURST_RIPPLE = 0.1
+
+# traces are stored as float16, which holds no finite value beyond this; a
+# level plus this many noise standard deviations must stay inside it
+FLOAT16_MAX = float(np.finfo(np.float16).max)
+NOISE_HEADROOM = 10.0
+
+
+def _check_float16_range(what: str, level: float, noise: float) -> None:
+    if level + NOISE_HEADROOM * noise > FLOAT16_MAX:
+        raise ValueError(
+            f"{what} {level:g} plus {NOISE_HEADROOM:g} x noise {noise:g} exceeds "
+            f"{FLOAT16_MAX:g}, the largest float16 a trace can store"
+        )
 
 
 @dataclass(frozen=True)
@@ -77,6 +95,16 @@ class PowerProfile:
             raise ValueError(
                 "signature amplitude must exceed 3x baseline noise to be distinguishable"
             )
+        # a bound on |level| before noise: the baseline with every pulse kind at once
+        # (a jittered signature with its ripple, a reception bump and a program burst)
+        signature = abs(self.signature_amplitude)
+        peak = (
+            abs(self.baseline_mean + self.noise_floor_offset)
+            + (1.0 + SIGNATURE_JITTER) * signature * (1.0 + abs(self.ripple_amplitude))
+            + abs(self.reception_ripple)
+            + (BURST_AMPLITUDE + BURST_RIPPLE) * signature
+        )
+        _check_float16_range("largest power level", peak, self.baseline_noise)
 
 
 def _frame_id(id_prefix: int, sa: int, fmt: FrameFormat) -> int:
@@ -184,6 +212,7 @@ class BusConfig:
             if rate is not None and not float(rate).is_integer():
                 # trace files store the rate as an integer, so it must read back unchanged
                 raise ValueError(f"sample rates must be a whole number of Hz, got {rate}")
+        _check_float16_range("dominant level", DOMINANT_VOLTS, self.voltage_noise)
 
     @property
     def power_rate(self) -> float:
@@ -256,13 +285,16 @@ class GroundTruthLog:
 # longest span of samples one block of frames adds at once: a 1 MB float32
 # array, small enough that synthesis does not raise the process's peak memory
 _VOLTAGE_BLOCK_SAMPLES = 1 << 18
+# samples of float32 noise and levels summed at once, then rounded into the trace
+_VOLTAGE_CHUNK_SAMPLES = 1 << 18
 
 
-def _add_frame_block(
-    samples: np.ndarray, wires: list[bytes], nbits: np.ndarray, first: np.ndarray,
-    last: np.ndarray, edges: np.ndarray,
-) -> None:
-    """Add the levels of frames that follow one another without overlap, in one pass.
+def _frame_block_levels(
+    wires: list[bytes], nbits: np.ndarray, first: np.ndarray, last: np.ndarray,
+    edges: np.ndarray,
+) -> np.ndarray:
+    """The levels frames that follow one another without overlap add, from the
+    first frame's first sample to the last frame's end, in one pass.
 
     The block's span is a run of samples per bit, at that bit's level, and
     before each frame but the first a run over the idle gap at -0.0: adding
@@ -281,51 +313,65 @@ def _add_frame_block(
     counts[is_bit] = edges[k + 1] - edges[k]
     bits = np.frombuffer(b"".join(wires), dtype=np.uint8)
     levels[is_bit] = np.where(bits == 0, np.float32(DOMINANT_VOLTS), np.float32(0.0))
-    a, b = first[0], min(last[-1], samples.size)
-    if b > a:
-        samples[a:b] += np.repeat(levels, counts)[: b - a]
+    return np.repeat(levels, counts)
 
 
 def synth_voltage(
     order: list[ArbitratedFrame], cfg: BusConfig, duration: float, rng: np.random.Generator
 ) -> SampledTrace:
-    """Differential bus voltage for a resolved transmission order.
+    """Differential bus voltage for a resolved transmission order, as float16.
 
     Dominant bits drive ~2 V, recessive/idle stays at ~0 V, with additive
     Gaussian noise; bit edges are aligned to the sample grid. Each frame
     adds its bits' levels (recessive bits add 0.0) to the samples it spans,
     in order; frames that follow one another without overlap are added in
-    blocks of at most ``_VOLTAGE_BLOCK_SAMPLES`` samples.
+    blocks of at most ``_VOLTAGE_BLOCK_SAMPLES`` samples. The sums are
+    float32, built ``_VOLTAGE_CHUNK_SAMPLES`` at a time (the noise drawn
+    chunk by chunk is the noise of one draw) and rounded to the nearest
+    float16 as each chunk is done, so no float32 array spans the trace.
     """
     n = int(round(duration * cfg.sample_rate))
-    if cfg.voltage_noise > 0:
-        samples = rng.standard_normal(n, dtype=np.float32)
-        samples *= np.float32(cfg.voltage_noise)
-    else:
-        samples = np.zeros(n, dtype=np.float32)
-    if not order:
-        return SampledTrace(samples, cfg.sample_rate)
-    spb = cfg.sample_rate / cfg.bitrate
-    wires = [arb.wire for arb in order]
-    nbits = np.array([len(w) for w in wires])
-    # bit k of a frame spans samples [edges[k], edges[k + 1]) past the frame's first sample
-    edges = np.round(np.arange(nbits.max() + 1) * spb).astype(np.int64)
-    first = np.array([int(round(arb.start_time * cfg.sample_rate)) for arb in order])
-    last = first + edges[nbits]
-    starts, ends = first.tolist(), last.tolist()
-    lo = 0
-    while lo < len(order):
-        hi = lo + 1
-        while (
-            hi < len(order)
-            and ends[hi - 1] <= starts[hi]
-            and ends[hi] - starts[lo] <= _VOLTAGE_BLOCK_SAMPLES
-        ):
-            hi += 1
-        block = slice(lo, hi)
-        _add_frame_block(samples, wires[block], nbits[block], first[block], last[block], edges)
-        lo = hi
-    return SampledTrace(samples, cfg.sample_rate)
+    out = np.empty(n, dtype=np.float16)
+    blocks: list[slice] = []  # runs of frames that follow one another without overlap
+    if order:
+        spb = cfg.sample_rate / cfg.bitrate
+        wires = [arb.wire for arb in order]
+        nbits = np.array([len(w) for w in wires])
+        # bit k of a frame spans samples [edges[k], edges[k + 1]) past the frame's first sample
+        edges = np.round(np.arange(nbits.max() + 1) * spb).astype(np.int64)
+        first = np.array([int(round(arb.start_time * cfg.sample_rate)) for arb in order])
+        last = first + edges[nbits]
+        starts, ends = first.tolist(), last.tolist()
+        lo = 0
+        while lo < len(order):
+            hi = lo + 1
+            while (
+                hi < len(order)
+                and ends[hi - 1] <= starts[hi]
+                and ends[hi] - starts[lo] <= _VOLTAGE_BLOCK_SAMPLES
+            ):
+                hi += 1
+            blocks.append(slice(lo, hi))
+            lo = hi
+    block_lo = np.array([first[b.start] for b in blocks], dtype=np.int64)
+    block_hi = np.array([last[b.stop - 1] for b in blocks], dtype=np.int64)
+    pending: dict[int, np.ndarray] = {}  # levels of blocks that reach past the chunk
+    for lo in range(0, n, _VOLTAGE_CHUNK_SAMPLES):
+        hi = min(lo + _VOLTAGE_CHUNK_SAMPLES, n)
+        if cfg.voltage_noise > 0:
+            chunk = rng.standard_normal(hi - lo, dtype=np.float32)
+            chunk *= np.float32(cfg.voltage_noise)
+        else:
+            chunk = np.zeros(hi - lo, dtype=np.float32)
+        for k in np.flatnonzero((block_lo < hi) & (block_hi > lo)).tolist():
+            if k not in pending:
+                b = blocks[k]
+                pending[k] = _frame_block_levels(wires[b], nbits[b], first[b], last[b], edges)
+            a, z = max(block_lo[k], lo), min(block_hi[k], hi)
+            chunk[a - lo : z - lo] += pending[k][a - block_lo[k] : z - block_lo[k]]
+        pending = {k: levels for k, levels in pending.items() if block_hi[k] > hi}
+        out[lo:hi] = chunk
+    return SampledTrace(out, cfg.sample_rate)
 
 
 def synth_power(
@@ -348,9 +394,10 @@ def synth_power(
 
     Each pulse is a smoothed rectangle, optionally with a harmonic ripple,
     and an exponential decay tail. All pulse parameters are drawn first, so
-    the rise envelope, sample times and ripple phase ramp are computed once
-    at the longest pulse and sliced; each slice is bit-identical to the
-    same expression evaluated for that pulse alone.
+    the rise envelope, sample times and ripple phase ramp, and the reception
+    bump with its tail, are computed once at the longest pulse and sliced;
+    each slice is bit-identical to the same expression evaluated for that
+    pulse alone.
 
     ``out``, when given, is the float32 buffer of ``round(duration *
     sample_rate)`` samples that the trace is written into; the result is
@@ -382,8 +429,8 @@ def synth_power(
             phase = rng.uniform(0.0, 2 * np.pi)
             ripple = (prof.ripple_frequency_hz, prof.ripple_amplitude * amp, phase)
             pulses.append((*span(start, end), amp, *ripple))
-        else:
-            pulses.append((*span(start, end), prof.reception_ripple, 0.0, 0.0, 0.0))
+        else:  # a reception bump: no ripple, and its amplitude is the profile's
+            pulses.append((*span(start, end), None, 0.0, 0.0, 0.0))
     if prof.program is ProgramActivity.HETEROGENEOUS:
         own = [(start, end) for start, end, sender in timeline if sender == ecu.index]
         for start, end in own:
@@ -396,30 +443,35 @@ def synth_power(
                 b0 = anchor - gap - burst_len if sign < 0 else anchor + gap
                 ripple_hz = rng.uniform(5e3, 20e3)
                 phase = rng.uniform(0.0, 2 * np.pi)
-                ripple = (ripple_hz, 0.1 * prof.signature_amplitude, phase)
-                pulses.append((*span(b0, b0 + burst_len), 0.35 * prof.signature_amplitude, *ripple))
+                ripple = (ripple_hz, BURST_RIPPLE * prof.signature_amplitude, phase)
+                amplitude = BURST_AMPLITUDE * prof.signature_amplitude
+                pulses.append((*span(b0, b0 + burst_len), amplitude, *ripple))
     rs = max(SIGNATURE_RISE_FALL_S * sample_rate, 1e-9)
     idx = np.arange(max([0] + [b - a for a, b, *_ in pulses]))
     env = 1.0 - np.exp(-idx / rs)
     t = idx / sample_rate
     wt = 2 * np.pi * prof.ripple_frequency_hz * t
     decay = np.exp(-np.arange(1, int(round(6 * rs)) + 1) / rs)
+    reception_body, reception_tail = prof.reception_ripple * env, prof.reception_ripple * decay
     for a, b, amplitude, ripple_hz, ripple_amplitude, phase in pulses:
         if b <= a:
             continue
         m = b - a
-        body = amplitude * env[:m]
-        if ripple_hz > 0.0 and ripple_amplitude != 0.0:
-            if ripple_hz == prof.ripple_frequency_hz:
-                pulse_wt = wt[:m]
-            else:
-                pulse_wt = 2 * np.pi * ripple_hz * t[:m]
-            ripple = ripple_amplitude * env[:m]
-            ripple *= np.sin(pulse_wt + phase)
-            body += ripple
+        if amplitude is None:
+            body, tail = reception_body[:m], reception_tail[: n - b]
+        else:
+            body = amplitude * env[:m]
+            if ripple_hz > 0.0 and ripple_amplitude != 0.0:
+                if ripple_hz == prof.ripple_frequency_hz:
+                    pulse_wt = wt[:m]
+                else:
+                    pulse_wt = 2 * np.pi * ripple_hz * t[:m]
+                ripple = ripple_amplitude * env[:m]
+                ripple *= np.sin(pulse_wt + phase)
+                body += ripple
+            tail = amplitude * decay[: n - b]
         samples[a:b] += body
-        tail = decay[: n - b]
-        samples[b : b + tail.size] += amplitude * tail
+        samples[b : b + tail.size] += tail
     return SampledTrace(samples, sample_rate)
 
 
@@ -435,23 +487,28 @@ def _stream_requests(
         for sched in ecu.schedules:
             fid = sched.frame_id(fmt)
             source = (sched.sa, ecu.index, AttackKind.NORMAL)
-            t = sched.offset_s
-            emitted = 0
-            while t < horizon and (sched.count is None or emitted < sched.count):
-                payload = bytes(rng.integers(0, 256, sched.dlc).tolist())
-                requests.append((CanFrame(fid, payload, fmt), t, source))
+            times, t = [], sched.offset_s
+            while t < horizon and (sched.count is None or len(times) < sched.count):
+                times.append(t)
                 t += sched.period_s
-                emitted += 1
+            payloads = _payloads(rng, len(times), sched.dlc)
+            requests += [(CanFrame(fid, p, fmt), t, source) for p, t in zip(payloads, times)]
     for atk in scenario.attacks:
         fid = atk.frame_id(fmt)
         source = (atk.spoofed_sa, atk.attacker, atk.kind)
         lo, hi = 0.02 * horizon, horizon
         times = lo + (np.arange(atk.count) + 0.5) * (hi - lo) / atk.count
         times = times + rng.uniform(-0.1, 0.1) * (hi - lo) / atk.count
-        for t in times:
-            payload = bytes(rng.integers(0, 256, 8).tolist())
-            requests.append((CanFrame(fid, payload, fmt), float(t), source))
+        payloads = _payloads(rng, atk.count, 8)
+        requests += [(CanFrame(fid, p, fmt), t, source) for p, t in zip(payloads, times.tolist())]
     return requests
+
+
+def _payloads(rng: np.random.Generator, count: int, dlc: int) -> list[bytes]:
+    """``count`` random payloads of ``dlc`` bytes from one draw: the same bytes
+    as one ``rng.integers(0, 256, dlc)`` draw per payload."""
+    raw = rng.integers(0, 256, (count, dlc)).astype(np.uint8)
+    return [row.tobytes() for row in raw]
 
 
 def _worker_count(tasks: int) -> int:
@@ -465,6 +522,8 @@ def simulate(
 ) -> tuple[SampledTrace, list[SampledTrace], GroundTruthLog]:
     """Run a scenario: voltage trace, one power trace per ECU, ground truth.
 
+    Every trace is float16: each sample is the nearest float16 to the float32
+    sum of noise and levels (see :func:`synth_voltage` and :func:`synth_power`).
     The voltage trace is sampled at ``bus.sample_rate``, which must be at least
     10x the bitrate, and each power trace at ``bus.power_rate``, which must lie
     above twice every ECU's ripple frequency; either violation is a ValueError.
@@ -503,23 +562,36 @@ def simulate(
         for arb, entry in zip(order, entries)
     ]
 
-    # Each ECU's power trace runs on a worker thread over the one timeline: its noise
-    # comes from its own seed child, and numpy's fills and array arithmetic
-    # release the interpreter lock. The buffers are allocated here, on the
-    # calling thread: a trace allocated on a worker can land in that thread's
-    # malloc arena, which the calling thread never reuses for later buffers.
+    # Each ECU's power trace is built on a worker thread over the one timeline:
+    # its noise comes from its own seed child, and numpy's fills and array
+    # arithmetic release the interpreter lock. A job synthesizes into a free
+    # float32 scratch buffer, one per worker, and rounds it into the ECU's
+    # float16 trace. Every buffer is allocated here, on the calling thread: a
+    # buffer allocated on a worker can land in that thread's malloc arena,
+    # which the calling thread never reuses for later buffers.
     n = int(round(scenario.duration * bus.power_rate))
-    buffers = [np.empty(n, dtype=np.float32) for _ in scenario.ecus]
+    workers = _worker_count(len(scenario.ecus))
+    scratch: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
+    for _ in range(workers):
+        scratch.put(np.empty(n, dtype=np.float32))
+    jobs = [(ecu, s, np.empty(n, dtype=np.float16)) for ecu, s in zip(scenario.ecus, power_ss)]
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(scenario.ecus))) as pool:
-        futures = [
-            pool.submit(synth_power, ecu, timeline, scenario.duration, bus.power_rate, s, out=b)
-            for ecu, s, b in zip(scenario.ecus, power_ss, buffers)
-        ]
+    def synth(ecu: EcuSpec, seed: np.random.SeedSequence, trace: np.ndarray) -> None:
+        buffer = scratch.get()
+        try:
+            synth_power(ecu, timeline, scenario.duration, bus.power_rate, seed, out=buffer)
+            trace[...] = buffer
+        finally:
+            scratch.put(buffer)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(synth, *job) for job in jobs]
         voltage = synth_voltage(
             order, scenario.bus, scenario.duration, np.random.default_rng(voltage_ss)
         )
-        powers = [f.result() for f in futures]
+        for f in futures:
+            f.result()
+    powers = [SampledTrace(trace, bus.power_rate) for _, _, trace in jobs]
     return voltage, powers, GroundTruthLog(entries)
 
 

@@ -113,7 +113,11 @@ def render(rows, fmt: str, title: str = "") -> str:
 
 
 def confusion_rows(cm: ConfusionMatrix) -> list[list]:
-    return [["truth", *cm.labels]] + [[lab, *rates] for lab, rates in zip(cm.labels, cm.rates)]
+    """Row-normalized rates; a truth label with no frames has empty cells, not 0."""
+    rows = [["truth", *cm.labels]]
+    for lab, rates, total in zip(cm.labels, cm.rates, cm.counts.sum(axis=1)):
+        rows.append([lab, *(rates if total else [""] * len(rates))])
+    return rows
 
 
 def metric_rows(report: MetricReport) -> list[list]:

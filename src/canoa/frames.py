@@ -140,6 +140,22 @@ _EDGE_BLOCK = 1 << 20  # samples thresholded together when finding level changes
 # frames encoded together: each temporary stays under 1 MB, so encoding a
 # capture's requests does not raise the process's peak memory
 _ENCODE_BLOCK = 1024
+# float16 bit patterns above the threshold: (1.0, +inf] is 0x3C01 .. 0x7C00 as uint16
+_FLOAT16_DOMINANT_FROM = np.uint16(np.float16(DECODE_THRESHOLD_VOLTS).view(np.uint16) + 1)
+_FLOAT16_DOMINANT_COUNT = np.uint16(np.float16(np.inf).view(np.uint16) - _FLOAT16_DOMINANT_FROM + 1)
+
+
+def _dominant(samples: np.ndarray) -> np.ndarray:
+    """``samples > DECODE_THRESHOLD_VOLTS``.
+
+    numpy compares float16 an order of magnitude slower than float32, so a
+    float16 sample is compared by its bit pattern: subtracting the first
+    pattern above the threshold wraps every other one (a NaN, a negative
+    value) past the count of dominant patterns.
+    """
+    if samples.dtype != np.float16:
+        return samples > DECODE_THRESHOLD_VOLTS
+    return samples.view(np.uint16) - _FLOAT16_DOMINANT_FROM < _FLOAT16_DOMINANT_COUNT
 
 
 def _msb_first(field: np.ndarray) -> np.ndarray:
@@ -281,7 +297,7 @@ def _parse_frames(samples: np.ndarray, starts: np.ndarray, spb: float):
     # Bits past the end read the last sample: everything derived from them
     # lies past the truncation point, so the truncation stop comes first.
     at = np.minimum(offsets[:, None] + starts[None, :], n - 1)
-    wire = ~(samples[at] > DECODE_THRESHOLD_VOLTS)
+    wire = ~_dominant(samples[at])
 
     # a bit after five equal bits is a stuff bit, and a violation if it extends the run
     stuff = np.empty(wire.shape, dtype=bool)
@@ -376,7 +392,7 @@ def decode_transmissions(
     # Block by block, so no temporary is as long as the trace.
     edges, before = [], False
     for lo in range(0, trace.samples.size, _EDGE_BLOCK):
-        dominant = trace.samples[lo : lo + _EDGE_BLOCK] > DECODE_THRESHOLD_VOLTS
+        dominant = _dominant(trace.samples[lo : lo + _EDGE_BLOCK])
         edges.append(np.flatnonzero(np.diff(dominant, prepend=before)) + lo)
         before = dominant[-1]
     edges = np.concatenate(edges)

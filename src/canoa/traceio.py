@@ -1,7 +1,8 @@
 """Persistent file formats: sampled traces, ground truth, model bundles.
 
-Trace files ("CTRC") store channel-major 32-bit little-endian floats
-behind a fixed header. A bundle ("CBND") is one sorted-key JSON document
+Trace files ("CTRC", version 2) store channel-major 16-bit little-endian
+floats behind a fixed 29-byte header; version 1, whose body was float32,
+is rejected by version. A bundle ("CBND") is one sorted-key JSON document
 between a magic-and-version header and a CRC-32 footer; version 6 holds
 the shared pipeline parameters, the ``owners`` table (SA -> ECU) and one
 model per ECU of the table, in ECU order: its normalization, biases,
@@ -27,14 +28,15 @@ from typing import Sequence
 import numpy as np
 
 from .authenticate import EcuModel, ModelBundle, Verdict, softmax
-from .bus import AttackKind, GroundTruthEntry, GroundTruthLog
+from .bus import FLOAT16_MAX, AttackKind, GroundTruthEntry, GroundTruthLog
 from .errors import FileFormatError
 from .features import NormStats, Tau, TukeyParams
 from .frames import SourceAddressMap
 
 TRACE_MAGIC = b"CTRC"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 _TRACE_HEADER = struct.Struct("<4sHBHIQQ")
+_FLOAT16_MAX_BITS = int(np.float16(FLOAT16_MAX).view(np.uint16))
 
 BUNDLE_MAGIC = b"CBND"
 BUNDLE_FOOTER = b"CEND"
@@ -60,17 +62,37 @@ def _header_int(name: str, value: float, low: int, high: int, scale: float = 1.0
     return field
 
 
+def _refuse_samples_beyond_float16(given: np.ndarray, data: np.ndarray) -> None:
+    """Raise ValueError when a finite sample of ``given`` lies beyond float16's
+    range, which its rounding ``data`` would hold as +-65504 or +-inf."""
+    edge = (data.view("<u2") & 0x7FFF) >= _FLOAT16_MAX_BITS  # |x| is 65504, inf or NaN
+    if edge.any():
+        suspects = given.reshape(data.shape)[edge]
+        beyond = suspects[np.isfinite(suspects) & (np.abs(suspects) > FLOAT16_MAX)]
+        if beyond.size:
+            raise ValueError(
+                f"sample {beyond[0]!r} is beyond +-{FLOAT16_MAX:g}, the float16 range of a trace"
+            )
+
+
 def write_trace_file(path: Path | str, samples, kind: TraceKind, sample_rate: float,
                      start_time: float = 0.0) -> None:
     """Write one or more channels of samples as a CTRC file.
 
     ``samples`` is a 1-D array (one channel) or a 2-D channel-major array.
+    Each sample is stored as its nearest float16, so a stored level ``L``
+    is within ``|L| * 2**-11`` of the given one (for ``|L|`` from 2**-14 up).
     The body is written from the array's own buffer, which is copied only
-    when it is not already contiguous little-endian float32. Raises
-    ValueError when the channel count, the sample rate (rounded to Hz) or
-    the start time (rounded to ns) does not fit the header.
+    when it is not already contiguous little-endian float16. Raises
+    ValueError for a finite sample beyond float16's +-65504, or when the
+    channel count, the sample rate (rounded to Hz) or the start time
+    (rounded to ns) does not fit the header.
     """
-    data = np.ascontiguousarray(samples, dtype="<f4")
+    given = np.asarray(samples)
+    with np.errstate(over="ignore"):  # a finite sample rounded to inf is refused below
+        data = np.ascontiguousarray(given, dtype="<f2")
+    if given.dtype != data.dtype:
+        _refuse_samples_beyond_float16(given, data)
     if data.ndim == 1:
         data = data[None, :]
     channels, per_channel = data.shape
@@ -93,11 +115,15 @@ class TraceFileContents:
     kind: TraceKind
     sample_rate: float
     start_time: float
-    samples: np.ndarray  # channel-major, float32
+    samples: np.ndarray  # channel-major, read-only float16 (little-endian)
 
 
 def read_trace_file(path: Path | str) -> TraceFileContents:
-    """Read a CTRC file; ``samples`` is a read-only (channels, samples) array."""
+    """Read a CTRC file; ``samples`` is a read-only (channels, samples) float16 array.
+
+    The samples are returned as stored, without widening them. A file of
+    another version (version 1 held float32) is a FileFormatError naming it.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_TRACE_HEADER.size)
         if len(header) < _TRACE_HEADER.size:
@@ -106,20 +132,23 @@ def read_trace_file(path: Path | str) -> TraceFileContents:
         if magic != TRACE_MAGIC:
             raise FileFormatError(f"{path}: bad magic {magic!r}")
         if version != TRACE_VERSION:
-            raise FileFormatError(f"{path}: unsupported trace version {version}")
+            raise FileFormatError(
+                f"{path}: unsupported trace version {version} (this reader takes version "
+                f"{TRACE_VERSION}, float16 samples)"
+            )
         try:
             kind = TraceKind(kind)
         except ValueError:
             raise FileFormatError(f"{path}: unknown trace kind {kind}") from None
         body = os.fstat(fh.fileno()).st_size - _TRACE_HEADER.size
         count = channels * per_channel
-        if body != count * 4:
-            raise FileFormatError(f"{path}: body is {body} bytes, expected {count * 4}")
+        if body != count * 2:
+            raise FileFormatError(f"{path}: body is {body} bytes, expected {count * 2}")
         # fromfile reads straight into the array; a memory map would see later
         # in-place rewrites of the file (or fault after it is truncated)
-        data = np.fromfile(fh, dtype="<f4", count=count)
+        data = np.fromfile(fh, dtype="<f2", count=count)
     if data.size != count:
-        raise FileFormatError(f"{path}: body is {data.size * 4} bytes, expected {count * 4}")
+        raise FileFormatError(f"{path}: body is {data.size * 2} bytes, expected {count * 2}")
     data = data.reshape(channels, per_channel)
     data.flags.writeable = False
     return TraceFileContents(

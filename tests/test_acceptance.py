@@ -446,15 +446,16 @@ def test_criterion_8_attribution_latency(lab_run):
 
 
 def test_criterion_9_persistence_round_trips(truck_attack_run, tmp_path):
-    # trace file: bit-exact
-    rng = np.random.default_rng(909)
-    samples = rng.normal(size=250_000).astype(np.float32)
+    # trace file: bit-exact, on a float16 power trace as simulate gives it
+    trace = truck_attack_run["powers"][0]
+    samples = trace.samples
     trace_path = tmp_path / "trace.ctrc"
-    write_trace_file(trace_path, samples, TraceKind.POWER, 3e6, start_time=0.125)
+    write_trace_file(trace_path, samples, TraceKind.POWER, trace.sample_rate, start_time=0.125)
     back = read_trace_file(trace_path)
     trace_ok = (
-        np.array_equal(back.samples[0], samples)
-        and back.sample_rate == 3e6
+        samples.dtype == back.samples.dtype == np.float16
+        and np.array_equal(back.samples[0].view(np.uint16), samples.view(np.uint16))
+        and back.sample_rate == trace.sample_rate == 1e6
         and back.start_time == 0.125
     )
     # bundle: verdict-identical over a 1000-frame set

@@ -363,6 +363,12 @@ def same_bits(a, b):
     return a.dtype == b.dtype == np.float32 and np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
+def same_half(got, want):
+    """``got`` is float16 and holds the nearest float16 of every float32 of ``want``, bit for bit."""
+    rounded = want.astype(np.float16)
+    return got.dtype == np.float16 and np.array_equal(got.view(np.uint16), rounded.view(np.uint16))
+
+
 TX, RX, ADDED = 0, 1, None  # the case ECU's index, another ECU's, an added module
 FS = 2e6
 
@@ -498,10 +504,10 @@ def test_simulate_equals_serial_reference(name, monkeypatch):
     voltage, powers, truth = simulate(scenario)
     ref_voltage, ref_powers, ref_truth = simulate_serial_reference(scenario, monkeypatch)
     assert truth == ref_truth
-    assert same_bits(voltage.samples, ref_voltage)
+    assert same_half(voltage.samples, ref_voltage)
     assert len(powers) == len(ref_powers) == len(scenario.ecus)
     for got, want in zip(powers, ref_powers):
-        assert same_bits(got.samples, want)
+        assert same_half(got.samples, want)
 
 
 def test_every_ecu_reads_the_one_bus_timeline(monkeypatch):
@@ -551,9 +557,26 @@ def test_synth_voltage_bit_equal_to_per_slot_reference(block_samples, noise, mon
     want = synth_voltage_reference(slots, cfg, duration, rng())
     monkeypatch.setattr(bus, "_VOLTAGE_BLOCK_SAMPLES", block_samples)
     got = synth_voltage(slots, cfg, duration, rng())
-    assert same_bits(got.samples, want)
+    assert same_half(got.samples, want)
     if noise == "negative_zero":
         assert np.signbit(got.samples).any() and not np.signbit(got.samples).all()
+
+
+@pytest.mark.parametrize("chunk_samples", [1_001, 65_537])
+@pytest.mark.parametrize("block_samples", [1, 10_000])
+def test_synth_voltage_in_chunks_is_the_trace_of_one_noise_draw(
+    chunk_samples, block_samples, monkeypatch
+):
+    # the reference draws all the noise at once; the chunks draw it piece by
+    # piece, at odd lengths, and frame blocks reach across chunk boundaries
+    slots = _lab_slots(monkeypatch)
+    cfg = BusConfig(sample_rate=2e6)
+    duration = slots[-1].start_time + 0.01
+    want = synth_voltage_reference(slots, cfg, duration, np.random.default_rng(8))
+    monkeypatch.setattr(bus, "_VOLTAGE_CHUNK_SAMPLES", chunk_samples)
+    monkeypatch.setattr(bus, "_VOLTAGE_BLOCK_SAMPLES", block_samples)
+    got = synth_voltage(slots, cfg, duration, np.random.default_rng(8))
+    assert same_half(got.samples, want)
 
 
 def test_synth_voltage_on_a_trace_cut_inside_the_last_slot(monkeypatch):
@@ -563,7 +586,7 @@ def test_synth_voltage_on_a_trace_cut_inside_the_last_slot(monkeypatch):
     duration = last.start_time + 0.5 * len(last.wire) / cfg.bitrate
     want = synth_voltage_reference(slots, cfg, duration, np.random.default_rng(2))
     got = synth_voltage(slots, cfg, duration, np.random.default_rng(2))
-    assert same_bits(got.samples, want)
+    assert same_half(got.samples, want)
 
 
 def test_synth_voltage_adds_overlapping_and_unordered_slots_in_order():
@@ -577,7 +600,7 @@ def test_synth_voltage_adds_overlapping_and_unordered_slots_in_order():
     cfg = BusConfig(sample_rate=2e6)
     want = synth_voltage_reference(slots, cfg, 3e-3, np.random.default_rng(5))
     got = synth_voltage(slots, cfg, 3e-3, np.random.default_rng(5))
-    assert same_bits(got.samples, want)
+    assert same_half(got.samples, want)
     assert (got.samples > 3.0).any()  # dominant bits of two slots summed
 
 
@@ -666,6 +689,28 @@ def test_source_map_reads_each_sa_back_from_the_ids_it_is_sent_under(
 def test_bus_and_schedule_reject_values_the_simulator_cannot_run(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_profile_and_bus_reject_levels_beyond_float16():
+    # a level plus ten noise standard deviations must be a finite float16 (at most 65504)
+    with pytest.raises(ValueError, match="largest power level 100002 plus 10 x noise 0.08 exceeds 65504"):
+        PowerProfile(baseline_mean=1e5)
+    PowerProfile(baseline_mean=65_000.0)  # 65002.6 with its pulses and noise
+    with pytest.raises(ValueError, match="exceeds 65504"):
+        PowerProfile(baseline_mean=65_502.0)
+    with pytest.raises(ValueError, match="exceeds 65504"):
+        PowerProfile(baseline_noise=0.0, signature_amplitude=-4e4)
+    BusConfig(voltage_noise=(65504 - DOMINANT_VOLTS) / 10)
+    with pytest.raises(ValueError, match="dominant level 2 plus 10 x noise 6550.3 exceeds 65504"):
+        BusConfig(voltage_noise=6550.3)
+
+
+@pytest.mark.parametrize("dlc", [0, 1, 7, 8])
+def test_one_payload_draw_gives_the_bytes_of_one_draw_per_frame(dlc):
+    one, each = np.random.default_rng(42), np.random.default_rng(42)
+    payloads = bus._payloads(one, 1_500, dlc)
+    assert payloads == [bytes(each.integers(0, 256, dlc).tolist()) for _ in range(1_500)]
+    assert one.integers(0, 1 << 62) == each.integers(0, 1 << 62)  # the stream continues alike
 
 
 @pytest.mark.parametrize("field", ["sample_rate", "power_sample_rate"])

@@ -17,12 +17,18 @@ import pytest
 
 import canoa
 from canoa.cli import main, render
+from canoa.config import parse_config_text
+from canoa.frames import decode_transmissions
+from canoa.svm import bootstrap_accuracy
+from canoa.trace import SampledTrace
 from canoa.traceio import (
     BUNDLE_FOOTER,
     TraceKind,
+    read_ground_truth,
     read_trace_file,
     write_trace_file,
 )
+from canoa.workflow import build_bundle, normal_transmissions
 
 TINY_CONFIG = """
 scenario.preset = lab
@@ -220,7 +226,28 @@ def test_bootstrap_csv_rows_hold_ordered_statistics(truck_csv_run):
     stats = [[float(cell) for cell in row[2:]] for row in rows]
     for lo, q1, median, q3, hi in stats:
         assert lo <= q1 <= median <= q3 <= hi
-    assert any(q1 < q3 for _, q1, _, q3, _ in stats)  # not a row of equal values only
+    assert any(lo < hi for lo, *_, hi in stats)  # not a run of equal accuracies only
+    # each row holds the order statistics of the run's own bootstrap accuracies,
+    # recomputed here by the train path on the capture the run wrote
+    run = parse_config_text(TRUCK_CONFIG)
+
+    def channel(name):
+        contents = read_trace_file(truck_csv_run / name)
+        return SampledTrace(contents.samples[0], contents.sample_rate, contents.start_time)
+
+    samap = run.scenario.source_map()
+    powers = {ecu: channel(f"power_{ecu:03d}.ctrc") for ecu in samap.ecus}
+    decoded = decode_transmissions(channel("voltage.ctrc"), run.scenario.bus.bitrate, samap)
+    truth = read_ground_truth(truck_csv_run / "ground_truth.csv")
+    result = build_bundle(
+        powers, normal_transmissions(decoded, truth), samap, run.pipeline, run.train
+    )
+    datasets = sorted(result.datasets.items(), key=lambda kv: kv[0][1])
+    assert [sa for (_, sa), _ in datasets] == [0, 11, 15]
+    for row, (_, ds) in zip(stats, datasets):
+        acc = bootstrap_accuracy(ds, run.train).accuracies
+        quartiles = np.percentile(acc, 25), np.median(acc), np.percentile(acc, 75)
+        assert row == [acc.min(), *quartiles, acc.max()]
 
 
 def _sender_support(path):
@@ -552,6 +579,61 @@ def test_negative_stream_offset_is_a_config_error_at_its_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 3: ecu.0.msg.0: offset must be non-negative and finite, got -0.5" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, part, message",
+    [
+        ("ecu.0.baseline_mean = 1e5", "ecu.0", "largest power level 100002 plus 10 x noise 0.08"),
+        ("bus.voltage_noise = 7000", "bus", "dominant level 2 plus 10 x noise 7000"),
+    ],
+)
+def test_level_float16_cannot_store_is_a_config_error_at_its_line(
+    tmp_path, capsys, line, part, message
+):
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text(f"scenario.preset = lab\n{line}\nscenario.frames_per_sa = 20\n")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"line 2: {part}: {message}" in err and "65504" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "authenticate"])
+@pytest.mark.parametrize("name", ["voltage.ctrc", "power_003.ctrc"])
+def test_version_1_trace_is_a_data_error_naming_its_version(
+    cfg_path, tmp_path, capsys, command, name
+):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
+    if command == "train":
+        argv = ["--config", cfg_path]
+    else:
+        assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
+        argv = ["--bundle", out / "bundle.cbnd", "--bitrate", 125000]
+    # the file as version 1 wrote it: the same header over a float32 body
+    raw = (out / name).read_bytes()
+    body = np.frombuffer(raw[29:], dtype="<f2").astype("<f4")
+    (out / name).write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:29] + body.tobytes())
+    capsys.readouterr()
+    assert run_cli(command, *argv, "--traces", out, "--out", tmp_path / "m") == 2
+    assert f"error: {out / name}: unsupported trace version 1 " in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_attack_rows_without_attack_frames_are_empty(cfg_path, tmp_path):
+    # a lab capture without attacks has no attack frames, so there is no attack
+    # rate to print; 0 would read as 0 % detection
+    for fmt, blank in (("csv", "attack,,"), ("text", "attack")):
+        out = tmp_path / fmt
+        assert run_cli("all", "--config", cfg_path, "--out", out, "--format", fmt) == 0
+        ext = "csv" if fmt == "csv" else "txt"
+        *_, attack = (out / f"attack_confusion.{ext}").read_text().splitlines()
+        assert attack == blank
+    rows = read_csv(tmp_path / "csv" / "attack_confusion.csv")
+    assert rows == [["truth", "normal", "attack"], ["normal", "1.000000", "0.000000"],
+                    ["attack", "", ""]]
 
 
 def test_c_too_large_for_its_regularizer_still_trains(tmp_path):

@@ -537,7 +537,10 @@ def test_normalization_invariance_under_trace_scaling(tiny_run):
     tau = estimate_tau(decoded)
     win = TukeyParams(0.25)
     trace = powers[0]
-    scaled = SampledTrace(trace.samples * 3.7, trace.sample_rate, trace.start_time)
+    # the scaled copy is float32: rounding it to float16 would add its own error
+    scaled = SampledTrace(
+        trace.samples.astype(np.float32) * 3.7, trace.sample_rate, trace.start_time
+    )
     stats = estimate_norm_stats(trace, 50_000)
     stats_scaled = estimate_norm_stats(scaled, 50_000)
     spec_a = ecu_spectra(trace, stats, decoded, tau, win)

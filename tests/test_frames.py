@@ -665,6 +665,30 @@ def test_decoder_matches_oracle_when_edges_straddle_threshold_blocks(block, monk
     assert all(d.crc_ok for d in assert_matches_oracle(trace, 125_000))
 
 
+def test_float16_threshold_agrees_with_the_comparison_on_every_bit_pattern():
+    samples = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16).view(np.float16)
+    with np.errstate(invalid="ignore"):
+        want = samples > DECODE_THRESHOLD_VOLTS  # numpy's own float16 comparison
+    got = frames_module._dominant(samples)
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert np.array_equal(frames_module._dominant(samples.astype(np.float32)), want)
+
+
+def test_float16_trace_decodes_as_its_float32_widening():
+    # noisy traffic with a NaN and an inf inside frames and between them
+    rng = np.random.default_rng(72)
+    wires = [bytearray(serialize_frame(random_frame(rng, FrameFormat.EXTENDED))) for _ in range(8)]
+    clean = wire_voltage(wires, 125_000, 2e6)
+    noisy = clean.samples + rng.normal(0.0, 0.3, clean.samples.size)
+    half = noisy.astype(np.float16)
+    half[rng.integers(0, half.size, 6)] = [np.nan, -np.nan, np.inf, -np.inf, np.nan, 1.0]
+    decoded = decode_transmissions(SampledTrace(half, 2e6), 125_000, LOW_BYTE_MAP)
+    widened = SampledTrace(half.astype(np.float32), 2e6)
+    assert decoded == decode_transmissions(widened, 125_000, LOW_BYTE_MAP)
+    assert decoded == decode_bitwise(widened, 125_000, LOW_BYTE_MAP)
+    assert sum(d.crc_ok for d in decoded) >= 4
+
+
 @pytest.mark.parametrize("block", [1, 3, 1024])
 def test_decoder_matches_oracle_whatever_frames_are_parsed_together(block, monkeypatch):
     monkeypatch.setattr(frames_module, "_PARSE_BLOCK", block)

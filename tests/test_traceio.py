@@ -33,7 +33,7 @@ from canoa.workflow import PipelineConfig, build_bundle, usable_transmissions
 
 def test_trace_file_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
-    samples = rng.normal(size=5000).astype(np.float32)
+    samples = rng.normal(size=5000).astype(np.float16)
     path = tmp_path / "x.ctrc"
     write_trace_file(path, samples, TraceKind.POWER, 2e6, start_time=0.25)
     back = read_trace_file(path)
@@ -41,7 +41,8 @@ def test_trace_file_round_trip_bit_exact(tmp_path):
     assert back.sample_rate == 2e6
     assert back.start_time == 0.25
     assert back.samples.shape == (1, 5000)
-    assert np.array_equal(back.samples[0], samples)
+    assert back.samples.dtype == np.float16
+    assert np.array_equal(back.samples[0].view(np.uint16), samples.view(np.uint16))
     assert not back.samples.flags.writeable
 
 
@@ -54,20 +55,29 @@ def test_trace_file_multichannel(tmp_path):
     assert np.array_equal(back.samples, data)
 
 
-def test_trace_file_body_is_the_little_endian_float32_array(tmp_path):
+def test_trace_file_body_is_the_little_endian_float16_array(tmp_path):
     base = np.random.default_rng(4).normal(size=(2, 9))
-    read_only = base[0].astype(np.float32)
+    read_only = base[0].astype(np.float16)
     read_only.flags.writeable = False
-    strided = base[:, ::2]  # float64, not contiguous
+    strided = base[:, ::2]  # float64, not contiguous: stored as each sample's nearest float16
     for samples in (read_only, strided):
         path = tmp_path / "b.ctrc"
         write_trace_file(path, samples, TraceKind.POWER, 2e6, start_time=0.5)
         rows = np.atleast_2d(samples)
         header = struct.pack(
-            "<4sHBHIQQ", b"CTRC", 1, 1, rows.shape[0], 2_000_000, rows.shape[1], 500_000_000
+            "<4sHBHIQQ", b"CTRC", 2, 1, rows.shape[0], 2_000_000, rows.shape[1], 500_000_000
         )
-        body = b"".join(struct.pack("<f", x) for x in rows.ravel())
+        body = b"".join(struct.pack("<e", x) for x in rows.ravel())
         assert path.read_bytes() == header + body
+        assert len(header) == 29
+
+
+def test_written_level_is_within_its_float16_rounding(tmp_path):
+    levels = np.concatenate([np.geomspace(2.0**-14, 65504.0, 2001), -np.geomspace(1e-3, 6e4, 7)])
+    path = tmp_path / "r.ctrc"
+    write_trace_file(path, levels, TraceKind.POWER, 1e6)
+    stored = read_trace_file(path).samples[0].astype(np.float64)
+    assert np.all(np.abs(stored - levels) <= np.abs(levels) * 2.0**-11)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +118,7 @@ def test_trace_file_rejects_corruption(tmp_path):
     # truncated body
     path2 = tmp_path / "t.ctrc"
     write_trace_file(path2, np.zeros(16, dtype=np.float32), TraceKind.VOLTAGE, 1e6)
-    path2.write_bytes(path2.read_bytes()[:-4])
+    path2.write_bytes(path2.read_bytes()[:-2])
     with pytest.raises(FileFormatError):
         read_trace_file(path2)
 
@@ -121,6 +131,94 @@ def test_trace_file_with_unknown_kind_is_a_format_error(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FileFormatError, match="kind 9"):
         read_trace_file(path)
+
+
+def _trace_shapes():
+    return st.tuples(st.integers(0, 4), st.integers(0, 24))
+
+
+def _float16_patterns(data, shape):
+    """Arbitrary float16 bit patterns (NaN payloads, infinities, subnormals, -0.0 among them)."""
+    bits = data.draw(st.lists(st.integers(0, 0xFFFF), min_size=shape[0] * shape[1],
+                              max_size=shape[0] * shape[1]))
+    return np.array(bits, dtype=np.uint16).view(np.float16).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(shape=_trace_shapes(), rate=st.integers(1, 2**32 - 1), data=st.data())
+def test_any_float16_bit_pattern_round_trips_bit_exactly(tmp_path_factory, shape, rate, data):
+    samples = _float16_patterns(data, shape)
+    given_samples = samples[0] if shape[0] == 1 and data.draw(st.booleans()) else samples
+    path = tmp_path_factory.mktemp("ctrc") / "p.ctrc"
+    write_trace_file(path, given_samples, TraceKind.VOLTAGE, rate)
+    assert path.stat().st_size == 29 + 2 * shape[0] * shape[1]
+    back = read_trace_file(path)
+    assert back.samples.dtype == np.float16 and back.samples.shape == shape
+    assert np.array_equal(back.samples.view(np.uint16), samples.view(np.uint16))
+    assert back.sample_rate == rate
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shape=_trace_shapes(), data=st.data())
+def test_every_truncation_of_a_trace_file_is_a_format_error(tmp_path_factory, shape, data):
+    path = tmp_path_factory.mktemp("ctrc") / "t.ctrc"
+    write_trace_file(path, _float16_patterns(data, shape), TraceKind.POWER, 1e6)
+    whole = path.read_bytes()
+    for size in range(len(whole)):
+        path.write_bytes(whole[:size])
+        with pytest.raises(FileFormatError):
+            read_trace_file(path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(version=st.integers(0, 0xFFFF).filter(lambda v: v != 2))
+def test_every_other_trace_version_is_a_format_error_naming_it(tmp_path_factory, version):
+    path = tmp_path_factory.mktemp("ctrc") / "v.ctrc"
+    write_trace_file(path, np.zeros(6, dtype=np.float16), TraceKind.POWER, 1e6)
+    raw = bytearray(path.read_bytes())
+    raw[4:6] = struct.pack("<H", version)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError, match=f"unsupported trace version {version} "):
+        read_trace_file(path)
+
+
+def test_version_1_trace_with_its_float32_body_is_a_format_error(tmp_path):
+    path = tmp_path / "v1.ctrc"
+    header = struct.pack("<4sHBHIQQ", b"CTRC", 1, 1, 1, 1_000_000, 3, 0)
+    path.write_bytes(header + np.ones(3, dtype="<f4").tobytes())
+    with pytest.raises(FileFormatError, match="unsupported trace version 1 "):
+        read_trace_file(path)
+
+
+def _beyond_float16(width):
+    return st.floats(min_value=65504.0, exclude_min=True, allow_infinity=False, width=width)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    value=st.one_of(_beyond_float16(32).map(np.float32), _beyond_float16(64).map(np.float64)),
+    negative=st.booleans(),
+    size=st.integers(1, 12),
+    data=st.data(),
+)
+def test_finite_sample_beyond_float16_range_is_a_value_error(
+    tmp_path_factory, value, negative, size, data
+):
+    samples = np.zeros(size, dtype=value.dtype)
+    samples[data.draw(st.integers(0, size - 1))] = -value if negative else value
+    path = tmp_path_factory.mktemp("ctrc") / "o.ctrc"
+    with pytest.raises(ValueError, match="beyond"):
+        write_trace_file(path, samples, TraceKind.POWER, 1e6)
+    assert not path.exists()
+
+
+def test_float16_extremes_and_non_finite_samples_are_stored_as_given(tmp_path):
+    samples = np.array([65504.0, -65504.0, 65503.9, np.inf, -np.inf, np.nan], dtype=np.float64)
+    path = tmp_path / "e.ctrc"
+    write_trace_file(path, samples, TraceKind.POWER, 1e6)
+    back = read_trace_file(path).samples[0]
+    assert back[:3].tolist() == [65504.0, -65504.0, 65504.0]
+    assert back[3] == np.inf and back[4] == -np.inf and np.isnan(back[5])
 
 
 def test_ground_truth_round_trip(tmp_path):
