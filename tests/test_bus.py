@@ -623,6 +623,22 @@ print(bus._worker_count(5), test_bus._simulation_digest(test_bus.SCENARIOS["lab"
 """
 
 
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_simulate_gives_the_same_bytes_whatever_the_worker_count(workers, monkeypatch):
+    # the power jobs share a pool of float32 scratch buffers, one per worker: a
+    # buffer handed to two jobs at once would mix two ECUs' traces
+    scenario = SCENARIOS["lab"]()
+    want = _simulation_digest(scenario)
+    monkeypatch.setattr(bus, "_worker_count", lambda tasks: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _simulation_digest(scenario)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity control")
 def test_simulate_pinned_to_one_cpu_gives_the_same_bytes():
     env = dict(os.environ)
