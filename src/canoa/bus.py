@@ -282,24 +282,23 @@ class GroundTruthLog:
         return len(self.entries) - self.normal_count
 
 
-# longest span of samples one block of frames adds at once: a 1 MB float32
-# array, small enough that synthesis does not raise the process's peak memory
-_VOLTAGE_BLOCK_SAMPLES = 1 << 18
-# samples of float32 noise and levels summed at once, then rounded into the trace
+# samples of float32 noise and levels summed at once, then rounded into the trace:
+# a 1 MB float32 array, small enough that synthesis does not raise the process's peak memory
 _VOLTAGE_CHUNK_SAMPLES = 1 << 18
 
 
-def _frame_block_levels(
+def _frame_levels(
     wires: list[bytes], nbits: np.ndarray, first: np.ndarray, last: np.ndarray,
-    edges: np.ndarray,
+    edges: np.ndarray, lo: int, hi: int,
 ) -> np.ndarray:
-    """The levels frames that follow one another without overlap add, from the
-    first frame's first sample to the last frame's end, in one pass.
+    """The levels that frames following one another without overlap add to
+    the samples of [lo, hi) between the first frame's first sample and the
+    last frame's end, in one pass.
 
-    The block's span is a run of samples per bit, at that bit's level, and
-    before each frame but the first a run over the idle gap at -0.0: adding
-    -0.0 leaves every sample as it is, where +0.0 would turn a -0.0 noise
-    sample into +0.0.
+    The span is a run of samples per bit, at that bit's level, and before
+    each frame but the first a run over the idle gap at -0.0: adding -0.0
+    leaves every sample as it is, where +0.0 would turn a -0.0 noise sample
+    into +0.0. Each run is cut to [lo, hi), so the array is at most a chunk long.
     """
     runs = nbits + 1
     gap_at = np.cumsum(runs) - runs  # each frame's gap run; its bit runs follow
@@ -313,6 +312,8 @@ def _frame_block_levels(
     counts[is_bit] = edges[k + 1] - edges[k]
     bits = np.frombuffer(b"".join(wires), dtype=np.uint8)
     levels[is_bit] = np.where(bits == 0, np.float32(DOMINANT_VOLTS), np.float32(0.0))
+    end = first[0] + np.cumsum(counts)  # each run's end sample
+    counts = np.clip(end, lo, hi) - np.clip(end - counts, lo, hi)
     return np.repeat(levels, counts)
 
 
@@ -322,17 +323,18 @@ def synth_voltage(
     """Differential bus voltage for a resolved transmission order, as float16.
 
     Dominant bits drive ~2 V, recessive/idle stays at ~0 V, with additive
-    Gaussian noise; bit edges are aligned to the sample grid. Each frame
-    adds its bits' levels (recessive bits add 0.0) to the samples it spans,
-    in order; frames that follow one another without overlap are added in
-    blocks of at most ``_VOLTAGE_BLOCK_SAMPLES`` samples. The sums are
-    float32, built ``_VOLTAGE_CHUNK_SAMPLES`` at a time (the noise drawn
-    chunk by chunk is the noise of one draw) and rounded to the nearest
-    float16 as each chunk is done, so no float32 array spans the trace.
+    Gaussian noise; bit edges are aligned to the sample grid. The frames
+    must follow one another without overlap, as ``arbitrate`` resolves
+    them; frames that overlap or come out of order are a ValueError. The
+    trace is summed in float32 chunks of ``_VOLTAGE_CHUNK_SAMPLES``: each
+    chunk's noise (drawn chunk by chunk, the noise of one draw) plus the
+    levels of the frames that reach into it (recessive bits add 0.0), rounded
+    to the nearest float16 as the chunk is done, so no float32 array spans
+    the trace.
     """
     n = int(round(duration * cfg.sample_rate))
     out = np.empty(n, dtype=np.float16)
-    blocks: list[slice] = []  # runs of frames that follow one another without overlap
+    first = last = np.empty(0, dtype=np.int64)
     if order:
         spb = cfg.sample_rate / cfg.bitrate
         wires = [arb.wire for arb in order]
@@ -341,21 +343,8 @@ def synth_voltage(
         edges = np.round(np.arange(nbits.max() + 1) * spb).astype(np.int64)
         first = np.array([int(round(arb.start_time * cfg.sample_rate)) for arb in order])
         last = first + edges[nbits]
-        starts, ends = first.tolist(), last.tolist()
-        lo = 0
-        while lo < len(order):
-            hi = lo + 1
-            while (
-                hi < len(order)
-                and ends[hi - 1] <= starts[hi]
-                and ends[hi] - starts[lo] <= _VOLTAGE_BLOCK_SAMPLES
-            ):
-                hi += 1
-            blocks.append(slice(lo, hi))
-            lo = hi
-    block_lo = np.array([first[b.start] for b in blocks], dtype=np.int64)
-    block_hi = np.array([last[b.stop - 1] for b in blocks], dtype=np.int64)
-    pending: dict[int, np.ndarray] = {}  # levels of blocks that reach past the chunk
+        if (first[1:] < last[:-1]).any():
+            raise ValueError("frames must follow one another without overlap, in bus order")
     for lo in range(0, n, _VOLTAGE_CHUNK_SAMPLES):
         hi = min(lo + _VOLTAGE_CHUNK_SAMPLES, n)
         if cfg.voltage_noise > 0:
@@ -363,13 +352,13 @@ def synth_voltage(
             chunk *= np.float32(cfg.voltage_noise)
         else:
             chunk = np.zeros(hi - lo, dtype=np.float32)
-        for k in np.flatnonzero((block_lo < hi) & (block_hi > lo)).tolist():
-            if k not in pending:
-                b = blocks[k]
-                pending[k] = _frame_block_levels(wires[b], nbits[b], first[b], last[b], edges)
-            a, z = max(block_lo[k], lo), min(block_hi[k], hi)
-            chunk[a - lo : z - lo] += pending[k][a - block_lo[k] : z - block_lo[k]]
-        pending = {k: levels for k, levels in pending.items() if block_hi[k] > hi}
+        # frames i..j-1 end after the chunk's first sample and start before its end
+        i, j = int(np.searchsorted(last, lo, "right")), int(np.searchsorted(first, hi))
+        if i < j:
+            a, z = max(first[i], lo), min(last[j - 1], hi)
+            chunk[a - lo : z - lo] += _frame_levels(
+                wires[i:j], nbits[i:j], first[i:j], last[i:j], edges, lo, hi
+            )
         out[lo:hi] = chunk
     return SampledTrace(out, cfg.sample_rate)
 

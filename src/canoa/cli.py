@@ -28,7 +28,7 @@ from .bus import AttackKind, simulate
 from .config import RunConfig, parse_config
 from .errors import CanoaError, ConfigError, EmptyInput, FileFormatError, LengthMismatch
 from .evaluate import ConfusionMatrix, MetricReport, metrics
-from .frames import decode_transmissions
+from .frames import DecodedTransmission, SourceAddressMap, decode_transmissions
 from .svm import bootstrap_accuracy
 from .trace import SampledTrace
 from .traceio import TraceKind
@@ -157,18 +157,26 @@ def _read_channel(path: Path, kind: TraceKind) -> SampledTrace:
     return SampledTrace(contents.samples[0], contents.sample_rate, contents.start_time)
 
 
-def _read_traces(traces_dir: Path) -> tuple[SampledTrace, dict[int, SampledTrace]]:
+def _decode_capture(
+    traces_dir: Path, bitrate: float, samap: SourceAddressMap
+) -> list[DecodedTransmission]:
+    """The transmissions decoded from the capture's voltage trace. Nothing
+    after decode reads that trace, so it is dropped before any power trace is read."""
     voltage_path = traces_dir / VOLTAGE_FILE
     if not voltage_path.exists():
         raise CanoaError(f"missing {voltage_path}")
-    voltage = _read_channel(voltage_path, TraceKind.VOLTAGE)
+    return decode_transmissions(_read_channel(voltage_path, TraceKind.VOLTAGE), bitrate, samap)
+
+
+def _read_powers(traces_dir: Path) -> dict[int, SampledTrace]:
+    """The capture's power traces, by ECU index."""
     powers = {}
     for path in sorted(traces_dir.glob("power_*.ctrc")):
         digits = path.stem.removeprefix("power_")
         if not (digits.isdecimal() and path.name == power_file(int(digits))):
             raise FileFormatError(f"{path}: not a power trace name such as {power_file(0)}")
         powers[int(digits)] = _read_channel(path, TraceKind.POWER)
-    return voltage, powers
+    return powers
 
 
 # ----------------------------------------------------------------- commands
@@ -217,9 +225,9 @@ def cmd_train(args) -> int:
     truth_path = traces_dir / GROUND_TRUTH_FILE
     if not truth_path.exists():
         raise CanoaError(f"missing {truth_path}")
-    voltage, powers = _read_traces(traces_dir)
     samap = run.scenario.source_map()
-    decoded = decode_transmissions(voltage, run.scenario.bus.bitrate, samap)
+    decoded = _decode_capture(traces_dir, run.scenario.bus.bitrate, samap)
+    powers = _read_powers(traces_dir)
     truth = traceio.read_ground_truth(truth_path)
     # a log of another capture would let its attack frames into training; a
     # frame that fails the CRC may have started at noise, so it is not matched
@@ -269,8 +277,8 @@ def cmd_authenticate(args) -> int:
     bundle = traceio.load_bundle(args.bundle)
     if args.delta is not None:
         bundle = dataclasses.replace(bundle, delta=args.delta)
-    voltage, powers = _read_traces(traces_dir)
-    decoded = decode_transmissions(voltage, args.bitrate, bundle.samap)
+    decoded = _decode_capture(traces_dir, args.bitrate, bundle.samap)
+    powers = _read_powers(traces_dir)
     usable = usable_transmissions(decoded, powers, bundle.tau)
     if not usable:
         crc_failed = sum(not d.crc_ok for d in decoded)

@@ -544,9 +544,11 @@ def _lab_slots(monkeypatch):
     return simulate_slots(SCENARIOS["lab"](), monkeypatch)[3]
 
 
-@pytest.mark.parametrize("block_samples", [1, 10_000, bus._VOLTAGE_BLOCK_SAMPLES])
+@pytest.mark.parametrize("chunk_samples", [1_001, 10_000, 65_537, bus._VOLTAGE_CHUNK_SAMPLES])
 @pytest.mark.parametrize("noise", ["gaussian", "noiseless", "negative_zero"])
-def test_synth_voltage_bit_equal_to_per_slot_reference(block_samples, noise, monkeypatch):
+def test_synth_voltage_bit_equal_to_per_slot_reference(chunk_samples, noise, monkeypatch):
+    # the reference draws all the noise at once; the chunks draw it piece by
+    # piece, at odd lengths, and frames reach across chunk boundaries
     slots = _lab_slots(monkeypatch)
     cfg = BusConfig(sample_rate=2e6, voltage_noise=0.0 if noise == "noiseless" else 0.05)
     duration = slots[-1].start_time + 0.01
@@ -555,28 +557,11 @@ def test_synth_voltage_bit_equal_to_per_slot_reference(block_samples, noise, mon
         return NegativeZeroNoise() if noise == "negative_zero" else np.random.default_rng(6)
 
     want = synth_voltage_reference(slots, cfg, duration, rng())
-    monkeypatch.setattr(bus, "_VOLTAGE_BLOCK_SAMPLES", block_samples)
+    monkeypatch.setattr(bus, "_VOLTAGE_CHUNK_SAMPLES", chunk_samples)
     got = synth_voltage(slots, cfg, duration, rng())
     assert same_half(got.samples, want)
     if noise == "negative_zero":
         assert np.signbit(got.samples).any() and not np.signbit(got.samples).all()
-
-
-@pytest.mark.parametrize("chunk_samples", [1_001, 65_537])
-@pytest.mark.parametrize("block_samples", [1, 10_000])
-def test_synth_voltage_in_chunks_is_the_trace_of_one_noise_draw(
-    chunk_samples, block_samples, monkeypatch
-):
-    # the reference draws all the noise at once; the chunks draw it piece by
-    # piece, at odd lengths, and frame blocks reach across chunk boundaries
-    slots = _lab_slots(monkeypatch)
-    cfg = BusConfig(sample_rate=2e6)
-    duration = slots[-1].start_time + 0.01
-    want = synth_voltage_reference(slots, cfg, duration, np.random.default_rng(8))
-    monkeypatch.setattr(bus, "_VOLTAGE_CHUNK_SAMPLES", chunk_samples)
-    monkeypatch.setattr(bus, "_VOLTAGE_BLOCK_SAMPLES", block_samples)
-    got = synth_voltage(slots, cfg, duration, np.random.default_rng(8))
-    assert same_half(got.samples, want)
 
 
 def test_synth_voltage_on_a_trace_cut_inside_the_last_slot(monkeypatch):
@@ -589,19 +574,64 @@ def test_synth_voltage_on_a_trace_cut_inside_the_last_slot(monkeypatch):
     assert same_half(got.samples, want)
 
 
-def test_synth_voltage_adds_overlapping_and_unordered_slots_in_order():
-    frames = [CanFrame(0x100 + k, bytes([k] * 4), FrameFormat.STANDARD) for k in range(4)]
-    starts = [1e-3, 0.2e-3, 0.25e-3, 1.1e-3]  # the second overlaps the third, the first the fourth
+@pytest.mark.parametrize(
+    "starts",
+    [[0.2e-3, 0.25e-3], [1e-3, 0.2e-3]],
+    ids=["overlapping", "unordered"],
+)
+def test_synth_voltage_rejects_slots_that_overlap_or_come_out_of_order(starts):
+    frames = [CanFrame(0x100 + k, bytes([k] * 4), FrameFormat.STANDARD) for k in range(2)]
     wires = serialize_frames(frames)
     slots = [
         ArbitratedFrame(k, f, t, w, len(w) / 125_000)
         for k, (f, t, w) in enumerate(zip(frames, starts, wires))
     ]
-    cfg = BusConfig(sample_rate=2e6)
-    want = synth_voltage_reference(slots, cfg, 3e-3, np.random.default_rng(5))
-    got = synth_voltage(slots, cfg, 3e-3, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="without overlap"):
+        synth_voltage(slots, BusConfig(sample_rate=2e6), 3e-3, np.random.default_rng(5))
+
+
+VOLTAGE_FS, VOLTAGE_BITRATE = 1_000_000, 96_000  # 10.42 samples per bit: edges round both ways
+
+
+@st.composite
+def voltage_layouts(draw):
+    """Slots that follow one another without overlap, some touching, and a
+    duration that ends anywhere from inside the last slot to past it."""
+    frame = CanFrame(0x100, b"", FrameFormat.STANDARD)
+    spb = VOLTAGE_FS / VOLTAGE_BITRATE
+    slots, first, end = [], 0, draw(st.integers(0, 50))
+    for k in range(draw(st.integers(0, 6))):
+        first = end + (draw(st.sampled_from([0, 0, 1, 7, 60])) if slots else 0)  # 0: touching
+        wire = bytes(draw(st.lists(st.integers(0, 1), min_size=1, max_size=40)))
+        slots.append(ArbitratedFrame(k, frame, first / VOLTAGE_FS, wire, len(wire) / VOLTAGE_BITRATE))
+        end = first + int(round(len(wire) * spb))
+    n = draw(st.integers(first + 1 if slots else 0, end + 30))
+    return slots, n / VOLTAGE_FS
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layout=voltage_layouts(),
+    chunk_samples=st.integers(1, 300),
+    noise=st.sampled_from(["gaussian", "noiseless", "negative_zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_synth_voltage_property_bit_equal_to_reference(layout, chunk_samples, noise, seed):
+    slots, duration = layout
+    cfg = BusConfig(
+        bitrate=VOLTAGE_BITRATE,
+        sample_rate=VOLTAGE_FS,
+        voltage_noise=0.0 if noise == "noiseless" else 0.05,
+    )
+
+    def rng():
+        return NegativeZeroNoise() if noise == "negative_zero" else np.random.default_rng(seed)
+
+    want = synth_voltage_reference(slots, cfg, duration, rng())
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bus, "_VOLTAGE_CHUNK_SAMPLES", chunk_samples)
+        got = synth_voltage(slots, cfg, duration, rng())
     assert same_half(got.samples, want)
-    assert (got.samples > 3.0).any()  # dominant bits of two slots summed
 
 
 def _simulation_digest(scenario):

@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 import zlib
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import canoa
+from canoa import traceio
 from canoa.cli import main, render
 from canoa.config import parse_config_text
 from canoa.frames import decode_transmissions
@@ -650,6 +652,36 @@ def test_missing_power_channel_is_reported(cfg_path, tmp_path, capsys):
     (out / "power_002.ctrc").unlink()
     assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 2
     assert "2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "authenticate"])
+def test_voltage_trace_is_freed_before_any_power_trace_is_read(
+    cfg_path, tmp_path, monkeypatch, command
+):
+    # nothing after decode reads the voltage trace, so it must not stay in
+    # memory beside the power traces
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
+    assert run_cli("train", "--config", cfg_path, "--traces", out, "--out", out) == 0
+    real_read = traceio.read_trace_file
+    voltage, alive = [], []  # weak references to the voltage samples; liveness at each power read
+
+    def spy(path):
+        contents = real_read(path)
+        owner = contents.samples if contents.samples.base is None else contents.samples.base
+        if Path(path).name == "voltage.ctrc":
+            voltage.append(weakref.ref(owner))
+        else:
+            alive.append(any(ref() is not None for ref in voltage))
+        return contents
+
+    monkeypatch.setattr(traceio, "read_trace_file", spy)
+    if command == "train":
+        argv = ["--config", cfg_path]
+    else:
+        argv = ["--bundle", out / "bundle.cbnd", "--bitrate", 125000]
+    assert run_cli(command, *argv, "--traces", out, "--out", tmp_path / "m") == 0
+    assert len(voltage) == 1 and alive and not any(alive)
 
 
 @pytest.mark.parametrize("stray", ["power_1.ctrc", "power_x.ctrc"])
