@@ -544,12 +544,14 @@ def _lab_slots(monkeypatch):
     return simulate_slots(SCENARIOS["lab"](), monkeypatch)[3]
 
 
-@pytest.mark.parametrize("chunk_samples", [1_001, 10_000, 65_537, bus._VOLTAGE_CHUNK_SAMPLES])
+@pytest.mark.parametrize("chunk_samples", [1, 1_001, 10_000, 65_537, bus._VOLTAGE_CHUNK_SAMPLES])
 @pytest.mark.parametrize("noise", ["gaussian", "noiseless", "negative_zero"])
 def test_synth_voltage_bit_equal_to_per_slot_reference(chunk_samples, noise, monkeypatch):
     # the reference draws all the noise at once; the chunks draw it piece by
     # piece, at odd lengths, and frames reach across chunk boundaries
     slots = _lab_slots(monkeypatch)
+    if chunk_samples == 1:
+        slots = slots[:3]  # one loop pass a sample: three frames keep it to 26,400 passes
     cfg = BusConfig(sample_rate=2e6, voltage_noise=0.0 if noise == "noiseless" else 0.05)
     duration = slots[-1].start_time + 0.01
 
@@ -562,6 +564,25 @@ def test_synth_voltage_bit_equal_to_per_slot_reference(chunk_samples, noise, mon
     assert same_half(got.samples, want)
     if noise == "negative_zero":
         assert np.signbit(got.samples).any() and not np.signbit(got.samples).all()
+
+
+@pytest.mark.parametrize("chunk_samples", [1_001, 65_537])
+@pytest.mark.parametrize("shift_samples", [1, 10_000])
+def test_synth_voltage_in_chunks_is_the_trace_of_one_noise_draw(
+    chunk_samples, shift_samples, monkeypatch
+):
+    # every frame moved later by shift_samples, so the chunk boundaries cut the
+    # frames at other bits than in the bit-equal test above
+    cfg = BusConfig(sample_rate=2e6)
+    shift = shift_samples / cfg.sample_rate
+    slots = [
+        dataclasses.replace(s, start_time=s.start_time + shift) for s in _lab_slots(monkeypatch)
+    ]
+    duration = slots[-1].start_time + 0.01
+    want = synth_voltage_reference(slots, cfg, duration, np.random.default_rng(8))
+    monkeypatch.setattr(bus, "_VOLTAGE_CHUNK_SAMPLES", chunk_samples)
+    got = synth_voltage(slots, cfg, duration, np.random.default_rng(8))
+    assert same_half(got.samples, want)
 
 
 def test_synth_voltage_on_a_trace_cut_inside_the_last_slot(monkeypatch):
