@@ -16,7 +16,6 @@ rather than structural distinction.
 from __future__ import annotations
 
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -282,8 +281,9 @@ class GroundTruthLog:
         return len(self.entries) - self.normal_count
 
 
-# samples of float32 noise and levels summed at once, then rounded into the trace:
-# a 1 MB float32 array, small enough that synthesis does not raise the process's peak memory
+# samples of float32 noise and levels (voltage) or pulses (power) summed at once, then
+# rounded into the trace: a 1 MB float32 array, small enough that synthesis does not
+# raise the process's peak memory
 _VOLTAGE_CHUNK_SAMPLES = 1 << 18
 
 
@@ -372,7 +372,7 @@ def synth_power(
     *,
     out: np.ndarray | None = None,
 ) -> SampledTrace:
-    """Power consumption of one ECU over a bus timeline.
+    """Power consumption of one ECU over a bus timeline, as float16.
 
     The timeline holds one (start, end, sender) per frame on the bus; the
     sender is the transmitting ECU's index, None for an added module.
@@ -382,13 +382,20 @@ def synth_power(
     bursts around the ECU's own transmissions.
 
     Each pulse is a smoothed rectangle, optionally with a harmonic ripple,
-    and an exponential decay tail. All pulse parameters are drawn first, so
-    the rise envelope, sample times and ripple phase ramp, and the reception
-    bump with its tail, are computed once at the longest pulse and sliced;
-    each slice is bit-identical to the same expression evaluated for that
-    pulse alone.
+    and an exponential decay tail. Every pulse parameter is drawn first
+    (each own frame's jitter and phase, then the bursts), and the noise
+    after them. The rise envelope, sample times and ripple phase ramp, and
+    the reception bump with its tail, are computed once at the longest
+    pulse and sliced; each slice is bit-identical to the same expression
+    evaluated for that pulse alone. The trace is then summed in float32
+    chunks of ``_VOLTAGE_CHUNK_SAMPLES``, as in :func:`synth_voltage`: each
+    chunk's noise (drawn chunk by chunk, the noise of one draw) plus the
+    parts of the pulses that reach into it, in pulse order, rounded to the
+    nearest float16 as the chunk is done. So every sample gets the same
+    sums in the same order whatever the chunk size, and no float32 array
+    spans the trace.
 
-    ``out``, when given, is the float32 buffer of ``round(duration *
+    ``out``, when given, is the float16 array of ``round(duration *
     sample_rate)`` samples that the trace is written into; the result is
     the same as without it.
     """
@@ -396,17 +403,9 @@ def synth_power(
     rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate))
     if out is None:
-        out = np.empty(n, dtype=np.float32)
-    elif out.shape != (n,) or out.dtype != np.float32:
-        raise ValueError(f"out must be a float32 array of shape ({n},)")
-    samples = out
-    base = prof.baseline_mean + prof.noise_floor_offset
-    if prof.baseline_noise > 0:
-        rng.standard_normal(dtype=np.float32, out=samples)
-        samples *= np.float32(prof.baseline_noise)
-        samples += np.float32(base)
-    else:
-        samples.fill(base)
+        out = np.empty(n, dtype=np.float16)
+    elif out.shape != (n,) or out.dtype != np.float16:
+        raise ValueError(f"out must be a float16 array of shape ({n},)")
 
     def span(start: float, end: float) -> tuple[int, int]:
         return max(0, int(round(start * sample_rate))), min(n, int(round(end * sample_rate)))
@@ -435,6 +434,7 @@ def synth_power(
                 ripple = (ripple_hz, BURST_RIPPLE * prof.signature_amplitude, phase)
                 amplitude = BURST_AMPLITUDE * prof.signature_amplitude
                 pulses.append((*span(b0, b0 + burst_len), amplitude, *ripple))
+    pulses = [p for p in pulses if p[1] > p[0]]  # a pulse outside the trace adds nothing
     rs = max(SIGNATURE_RISE_FALL_S * sample_rate, 1e-9)
     idx = np.arange(max([0] + [b - a for a, b, *_ in pulses]))
     env = 1.0 - np.exp(-idx / rs)
@@ -442,26 +442,44 @@ def synth_power(
     wt = 2 * np.pi * prof.ripple_frequency_hz * t
     decay = np.exp(-np.arange(1, int(round(6 * rs)) + 1) / rs)
     reception_body, reception_tail = prof.reception_ripple * env, prof.reception_ripple * decay
-    for a, b, amplitude, ripple_hz, ripple_amplitude, phase in pulses:
-        if b <= a:
-            continue
-        m = b - a
-        if amplitude is None:
-            body, tail = reception_body[:m], reception_tail[: n - b]
+    first = np.array([a for a, *_ in pulses], dtype=np.int64)
+    reach = np.array([b for _, b, *_ in pulses], dtype=np.int64) + decay.size  # the tail's end
+
+    base = prof.baseline_mean + prof.noise_floor_offset
+    chunk = np.empty(min(n, _VOLTAGE_CHUNK_SAMPLES), dtype=np.float32)
+    for lo in range(0, n, _VOLTAGE_CHUNK_SAMPLES):
+        hi = min(lo + _VOLTAGE_CHUNK_SAMPLES, n)
+        samples = chunk[: hi - lo]
+        if prof.baseline_noise > 0:
+            rng.standard_normal(dtype=np.float32, out=samples)
+            samples *= np.float32(prof.baseline_noise)
+            samples += np.float32(base)
         else:
-            body = amplitude * env[:m]
-            if ripple_hz > 0.0 and ripple_amplitude != 0.0:
-                if ripple_hz == prof.ripple_frequency_hz:
-                    pulse_wt = wt[:m]
+            samples.fill(base)
+        # each pulse's body over [a, b) and tail over [b, b + decay.size), cut to [lo, hi)
+        for k in np.flatnonzero((first < hi) & (reach > lo)):
+            a, b, amplitude, ripple_hz, ripple_amplitude, phase = pulses[k]
+            s, e = max(a, lo) - a, min(b, hi) - a
+            if s < e:
+                if amplitude is None:
+                    body = reception_body[s:e]
                 else:
-                    pulse_wt = 2 * np.pi * ripple_hz * t[:m]
-                ripple = ripple_amplitude * env[:m]
-                ripple *= np.sin(pulse_wt + phase)
-                body += ripple
-            tail = amplitude * decay[: n - b]
-        samples[a:b] += body
-        samples[b : b + tail.size] += tail
-    return SampledTrace(samples, sample_rate)
+                    body = amplitude * env[s:e]
+                    if ripple_hz > 0.0 and ripple_amplitude != 0.0:
+                        if ripple_hz == prof.ripple_frequency_hz:
+                            pulse_wt = wt[s:e]
+                        else:
+                            pulse_wt = 2 * np.pi * ripple_hz * t[s:e]
+                        ripple = ripple_amplitude * env[s:e]
+                        ripple *= np.sin(pulse_wt + phase)
+                        body += ripple
+                samples[a + s - lo : a + e - lo] += body
+            s, e = max(b, lo) - b, min(b + decay.size, hi) - b
+            if s < e:
+                tail = reception_tail[s:e] if amplitude is None else amplitude * decay[s:e]
+                samples[b + s - lo : b + e - lo] += tail
+        out[lo:hi] = samples
+    return SampledTrace(out, sample_rate)
 
 
 def _stream_requests(
@@ -553,34 +571,24 @@ def simulate(
 
     # Each ECU's power trace is built on a worker thread over the one timeline:
     # its noise comes from its own seed child, and numpy's fills and array
-    # arithmetic release the interpreter lock. A job synthesizes into a free
-    # float32 scratch buffer, one per worker, and rounds it into the ECU's
-    # float16 trace. Every buffer is allocated here, on the calling thread: a
-    # buffer allocated on a worker can land in that thread's malloc arena,
-    # which the calling thread never reuses for later buffers.
+    # arithmetic release the interpreter lock. A job sums its trace in float32
+    # chunks and rounds each into the ECU's float16 trace. Every trace is
+    # allocated here, on the calling thread: a trace allocated on a worker can
+    # land in that thread's malloc arena, which the calling thread never reuses
+    # for later buffers.
     n = int(round(scenario.duration * bus.power_rate))
-    workers = _worker_count(len(scenario.ecus))
-    scratch: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
-    for _ in range(workers):
-        scratch.put(np.empty(n, dtype=np.float32))
-    jobs = [(ecu, s, np.empty(n, dtype=np.float16)) for ecu, s in zip(scenario.ecus, power_ss)]
-
-    def synth(ecu: EcuSpec, seed: np.random.SeedSequence, trace: np.ndarray) -> None:
-        buffer = scratch.get()
-        try:
-            synth_power(ecu, timeline, scenario.duration, bus.power_rate, seed, out=buffer)
-            trace[...] = buffer
-        finally:
-            scratch.put(buffer)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(synth, *job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=_worker_count(len(scenario.ecus))) as pool:
+        futures = [
+            pool.submit(
+                synth_power, ecu, timeline, scenario.duration, bus.power_rate, seed,
+                out=np.empty(n, dtype=np.float16),
+            )
+            for ecu, seed in zip(scenario.ecus, power_ss)
+        ]
         voltage = synth_voltage(
             order, scenario.bus, scenario.duration, np.random.default_rng(voltage_ss)
         )
-        for f in futures:
-            f.result()
-    powers = [SampledTrace(trace, bus.power_rate) for _, _, trace in jobs]
+        powers = [f.result() for f in futures]
     return voltage, powers, GroundTruthLog(entries)
 
 

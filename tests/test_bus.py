@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -318,28 +319,24 @@ def _pulse_reference(
 
 
 def synth_power_reference(ecu, timeline, duration, sample_rate, seed):
+    """Every pulse parameter drawn first, then all the noise in one draw, and
+    then each pulse added on its own, in pulse order."""
     prof = ecu.profile
     rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate))
-    base = prof.baseline_mean + prof.noise_floor_offset
-    if prof.baseline_noise > 0:
-        samples = rng.standard_normal(n, dtype=np.float32)
-        samples *= np.float32(prof.baseline_noise)
-        samples += np.float32(base)
-    else:
-        samples = np.full(n, base, dtype=np.float32)
     rf = bus.SIGNATURE_RISE_FALL_S
+    pulses = []  # (start, end, amplitude, ripple keywords)
     for start, end, sender in timeline:
         if sender == ecu.index:
             amp = prof.signature_amplitude * (1.0 + bus.SIGNATURE_JITTER * rng.uniform(-1.0, 1.0))
-            _pulse_reference(
-                samples, sample_rate, start, end, amp, rf,
-                ripple_hz=prof.ripple_frequency_hz,
-                ripple_amplitude=prof.ripple_amplitude * amp,
-                phase=rng.uniform(0.0, 2 * np.pi),
-            )
+            ripple = {
+                "ripple_hz": prof.ripple_frequency_hz,
+                "ripple_amplitude": prof.ripple_amplitude * amp,
+                "phase": rng.uniform(0.0, 2 * np.pi),
+            }
+            pulses.append((start, end, amp, ripple))
         else:
-            _pulse_reference(samples, sample_rate, start, end, prof.reception_ripple, rf)
+            pulses.append((start, end, prof.reception_ripple, {}))
     if prof.program is ProgramActivity.HETEROGENEOUS:
         for start, end, _ in [ev for ev in timeline if ev[2] == ecu.index]:
             span = end - start
@@ -349,18 +346,22 @@ def synth_power_reference(ecu, timeline, duration, sample_rate, seed):
                 burst_len = span * rng.uniform(0.3, 0.9)
                 gap = span * rng.uniform(0.05, 0.4)
                 b0 = anchor - gap - burst_len if sign < 0 else anchor + gap
-                _pulse_reference(
-                    samples, sample_rate, b0, b0 + burst_len,
-                    0.35 * prof.signature_amplitude, rf,
-                    ripple_hz=rng.uniform(5e3, 20e3),
-                    ripple_amplitude=0.1 * prof.signature_amplitude,
-                    phase=rng.uniform(0.0, 2 * np.pi),
-                )
+                ripple = {
+                    "ripple_hz": rng.uniform(5e3, 20e3),
+                    "ripple_amplitude": 0.1 * prof.signature_amplitude,
+                    "phase": rng.uniform(0.0, 2 * np.pi),
+                }
+                pulses.append((b0, b0 + burst_len, 0.35 * prof.signature_amplitude, ripple))
+    base = prof.baseline_mean + prof.noise_floor_offset
+    if prof.baseline_noise > 0:
+        samples = rng.standard_normal(n, dtype=np.float32)
+        samples *= np.float32(prof.baseline_noise)
+        samples += np.float32(base)
+    else:
+        samples = np.full(n, base, dtype=np.float32)
+    for start, end, amplitude, ripple in pulses:
+        _pulse_reference(samples, sample_rate, start, end, amplitude, rf, **ripple)
     return samples
-
-
-def same_bits(a, b):
-    return a.dtype == b.dtype == np.float32 and np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 def same_half(got, want):
@@ -414,19 +415,19 @@ def test_synth_power_bit_equal_to_per_pulse_reference(case):
     duration = 8e-3
     want = synth_power_reference(ecu, events, duration, FS, seed=11)
     got = synth_power(ecu, events, duration, FS, seed=11)
-    assert same_bits(got.samples, want)
-    out = np.full(int(round(duration * FS)), np.nan, dtype=np.float32)
+    assert same_half(got.samples, want)
+    out = np.full(int(round(duration * FS)), np.nan, dtype=np.float16)
     into = synth_power(ecu, events, duration, FS, seed=11, out=out)
     assert into.samples is out
-    assert same_bits(out, want)
+    assert same_half(out, want)
 
 
 def test_synth_power_rejects_a_wrong_out_buffer():
     ecu = idle_ecu(noise=0.1)
     with pytest.raises(ValueError):
-        synth_power(ecu, [], 1e-3, FS, seed=1, out=np.empty(1999, dtype=np.float32))
+        synth_power(ecu, [], 1e-3, FS, seed=1, out=np.empty(1999, dtype=np.float16))
     with pytest.raises(ValueError):
-        synth_power(ecu, [], 1e-3, FS, seed=1, out=np.empty(2000, dtype=np.float64))
+        synth_power(ecu, [], 1e-3, FS, seed=1, out=np.empty(2000, dtype=np.float32))
 
 
 def synth_voltage_reference(order, cfg, duration, rng):
@@ -465,6 +466,15 @@ def simulate_slots(scenario, monkeypatch):
     return voltage, powers, truth, seen["slots"]
 
 
+def bus_timeline(scenario, slots, truth):
+    """The one (start, end, sender) timeline that ``simulate`` hands every ``synth_power``."""
+    bit_time = 1.0 / scenario.bus.bitrate
+    return [
+        (slot.start_time, slot.start_time + len(slot.wire) * bit_time, entry.true_source)
+        for slot, entry in zip(slots, truth.entries)
+    ]
+
+
 def simulate_serial_reference(scenario, monkeypatch):
     """``simulate``'s ground truth, with the voltage trace and every power trace
     built serially by the reference synthesizers from the same seed children."""
@@ -475,11 +485,7 @@ def simulate_serial_reference(scenario, monkeypatch):
     voltage = synth_voltage_reference(
         slots, scenario.bus, scenario.duration, np.random.default_rng(voltage_child)
     )
-    bit_time = 1.0 / scenario.bus.bitrate
-    timeline = [
-        (slot.start_time, slot.start_time + len(slot.wire) * bit_time, entry.true_source)
-        for slot, entry in zip(slots, truth.entries)
-    ]
+    timeline = bus_timeline(scenario, slots, truth)
     powers = [
         synth_power_reference(ecu, timeline, scenario.duration, scenario.bus.power_rate, child)
         for ecu, child in zip(scenario.ecus, children)
@@ -531,6 +537,66 @@ def test_every_ecu_reads_the_one_bus_timeline(monkeypatch):
     ]
     assert None in {sender for _, _, sender in timeline}  # the added module's frames
     assert all(end > start for start, end, _ in timeline)
+
+
+@pytest.mark.parametrize("chunk_samples", [1, 1_001, 65_537, bus._VOLTAGE_CHUNK_SAMPLES])
+@pytest.mark.parametrize("noise", [0.08, 0.0])
+def test_synth_power_in_chunks_is_the_trace_of_one_noise_draw(chunk_samples, noise, monkeypatch):
+    # the reference draws all the noise at once and adds each pulse whole; the
+    # chunks draw it piece by piece, at odd lengths, and pulses, their tails and
+    # the bursts around them reach across chunk boundaries
+    scenario = SCENARIOS["lab"]()
+    _, _, truth, slots = simulate_slots(scenario, monkeypatch)
+    timeline, duration = bus_timeline(scenario, slots, truth), scenario.duration
+    if chunk_samples == 1:  # one loop pass a sample: four frames keep it to 11,764 passes
+        timeline = timeline[:4]
+        duration = timeline[-1][1] + 2e-6  # inside the last frame's tail
+    profile = PowerProfile(
+        baseline_noise=noise, ripple_frequency_hz=130e3, program=ProgramActivity.HETEROGENEOUS
+    )
+    ecu = EcuSpec(index=2, schedules=(), profile=profile)
+    want = synth_power_reference(ecu, timeline, duration, FS, seed=5)
+    monkeypatch.setattr(bus, "_VOLTAGE_CHUNK_SAMPLES", chunk_samples)
+    got = synth_power(ecu, timeline, duration, FS, seed=5)
+    assert same_half(got.samples, want)
+
+
+POWER_FS = 1e6
+
+
+@st.composite
+def power_layouts(draw):
+    """A timeline of frames in bus order, some touching, sent by the case ECU,
+    another ECU or an added module, and a duration that ends anywhere from the
+    first sample to past the last tail. At 1 MHz a tail is 30 samples long."""
+    timeline, end = [], draw(st.integers(-40, 40))
+    for _ in range(draw(st.integers(0, 6))):
+        start = end + draw(st.sampled_from([0, 0, 3, 20, 80]))  # 0: touching
+        end = start + draw(st.integers(1, 120))
+        timeline.append((start / POWER_FS, end / POWER_FS, draw(st.sampled_from([TX, RX, ADDED]))))
+    n = draw(st.integers(1, max(1, end + 60)))
+    return timeline, n / POWER_FS
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layout=power_layouts(),
+    chunk_samples=st.integers(1, 300),
+    noise=st.sampled_from([0.08, 0.0]),
+    program=st.sampled_from(list(ProgramActivity)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_synth_power_property_bit_equal_to_reference(layout, chunk_samples, noise, program, seed):
+    # heterogeneous bursts land before and after their frame, over its
+    # neighbours and past either end of the trace
+    timeline, duration = layout
+    profile = PowerProfile(baseline_noise=noise, ripple_frequency_hz=130e3, program=program)
+    ecu = EcuSpec(index=TX, schedules=(), profile=profile)
+    want = synth_power_reference(ecu, timeline, duration, POWER_FS, seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bus, "_VOLTAGE_CHUNK_SAMPLES", chunk_samples)
+        got = synth_power(ecu, timeline, duration, POWER_FS, seed)
+    assert same_half(got.samples, want)
 
 
 class NegativeZeroNoise:
@@ -676,8 +742,6 @@ print(bus._worker_count(5), test_bus._simulation_digest(test_bus.SCENARIOS["lab"
 
 @pytest.mark.parametrize("workers", [1, 3, 8])
 def test_simulate_gives_the_same_bytes_whatever_the_worker_count(workers, monkeypatch):
-    # the power jobs share a pool of float32 scratch buffers, one per worker: a
-    # buffer handed to two jobs at once would mix two ECUs' traces
     scenario = SCENARIOS["lab"]()
     want = _simulation_digest(scenario)
     monkeypatch.setattr(bus, "_worker_count", lambda tasks: workers)
@@ -688,6 +752,28 @@ def test_simulate_gives_the_same_bytes_whatever_the_worker_count(workers, monkey
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+def test_simulate_holds_no_float32_array_longer_than_a_chunk(monkeypatch):
+    # tracemalloc sees numpy's data allocations. Beside the traces it returns,
+    # simulate holds one float32 chunk per power worker and the voltage
+    # thread's noise chunk. The 4 MiB of slack covers the voltage thread's
+    # level array (at most one more chunk) and the Python objects of the
+    # requests, frames and timeline. One float32 buffer as long as a power
+    # trace (6.6 chunks here) breaks the bound.
+    workers = 3
+    monkeypatch.setattr(bus, "_worker_count", lambda tasks: workers)
+    scenario = small_lab(frames_per_sa=100, seed=3)
+    tracemalloc.start()
+    try:
+        voltage, powers, _ = simulate(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert powers[0].samples.size > 6 * bus._VOLTAGE_CHUNK_SAMPLES
+    traces = voltage.samples.nbytes + sum(p.samples.nbytes for p in powers)
+    chunk = np.dtype(np.float32).itemsize * bus._VOLTAGE_CHUNK_SAMPLES
+    assert peak - traces < (workers + 1) * chunk + 4 * 2**20
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity control")
