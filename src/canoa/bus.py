@@ -117,8 +117,8 @@ def _frame_id(id_prefix: int, sa: int, fmt: FrameFormat) -> int:
 class MessageSchedule:
     """Periodic frame stream for one source address.
 
-    ``count`` caps the number of frames; None keeps transmitting until
-    the scenario ends.
+    ``count`` caps the number of frames, at least 1; None keeps
+    transmitting until the scenario ends.
     """
 
     sa: int
@@ -137,6 +137,8 @@ class MessageSchedule:
             raise ValueError(f"offset must be non-negative and finite, got {self.offset_s}")
         if not 0 <= self.dlc <= 8:
             raise ValueError("dlc must be 0..8")
+        if self.count is not None and self.count < 1:
+            raise ValueError(f"a message stream needs a count of at least 1, got {self.count}")
 
     def frame_id(self, fmt: FrameFormat) -> int:
         return _frame_id(self.id_prefix, self.sa, fmt)
@@ -287,6 +289,31 @@ class GroundTruthLog:
 _VOLTAGE_CHUNK_SAMPLES = 1 << 18
 
 
+def _noise_chunks(out: np.ndarray, rng, noise: float, base: float | None = None):
+    """Walk the float16 trace ``out`` in float32 chunks of ``_VOLTAGE_CHUNK_SAMPLES``.
+
+    Each chunk holds ``noise`` times Gaussian samples drawn into one reused buffer
+    (chunk by chunk: the values of one draw), plus ``base`` when it is given. It is
+    yielded as ``(lo, hi, chunk)`` for the caller to add what reaches into samples
+    [lo, hi), and rounded to the nearest float16 into ``out[lo:hi]`` when the loop
+    body returns. So every sample gets the same sums in the same order whatever the
+    chunk size, and no float32 array spans the trace.
+    """
+    buffer = np.empty(min(out.size, _VOLTAGE_CHUNK_SAMPLES), dtype=np.float32)
+    for lo in range(0, out.size, _VOLTAGE_CHUNK_SAMPLES):
+        hi = min(lo + _VOLTAGE_CHUNK_SAMPLES, out.size)
+        chunk = buffer[: hi - lo]
+        if noise > 0:
+            rng.standard_normal(dtype=np.float32, out=chunk)
+            chunk *= np.float32(noise)
+            if base is not None:
+                chunk += np.float32(base)
+        else:
+            chunk.fill(0.0 if base is None else base)
+        yield lo, hi, chunk
+        out[lo:hi] = chunk
+
+
 def _frame_levels(
     wires: list[bytes], nbits: np.ndarray, first: np.ndarray, last: np.ndarray,
     edges: np.ndarray, lo: int, hi: int,
@@ -325,12 +352,9 @@ def synth_voltage(
     Dominant bits drive ~2 V, recessive/idle stays at ~0 V, with additive
     Gaussian noise; bit edges are aligned to the sample grid. The frames
     must follow one another without overlap, as ``arbitrate`` resolves
-    them; frames that overlap or come out of order are a ValueError. The
-    trace is summed in float32 chunks of ``_VOLTAGE_CHUNK_SAMPLES``: each
-    chunk's noise (drawn chunk by chunk, the noise of one draw) plus the
-    levels of the frames that reach into it (recessive bits add 0.0), rounded
-    to the nearest float16 as the chunk is done, so no float32 array spans
-    the trace.
+    them; frames that overlap or come out of order are a ValueError. Each
+    chunk of :func:`_noise_chunks` gets the levels of the frames that reach
+    into it (recessive bits add 0.0).
     """
     n = int(round(duration * cfg.sample_rate))
     out = np.empty(n, dtype=np.float16)
@@ -345,13 +369,7 @@ def synth_voltage(
         last = first + edges[nbits]
         if (first[1:] < last[:-1]).any():
             raise ValueError("frames must follow one another without overlap, in bus order")
-    for lo in range(0, n, _VOLTAGE_CHUNK_SAMPLES):
-        hi = min(lo + _VOLTAGE_CHUNK_SAMPLES, n)
-        if cfg.voltage_noise > 0:
-            chunk = rng.standard_normal(hi - lo, dtype=np.float32)
-            chunk *= np.float32(cfg.voltage_noise)
-        else:
-            chunk = np.zeros(hi - lo, dtype=np.float32)
+    for lo, hi, chunk in _noise_chunks(out, rng, cfg.voltage_noise):
         # frames i..j-1 end after the chunk's first sample and start before its end
         i, j = int(np.searchsorted(last, lo, "right")), int(np.searchsorted(first, hi))
         if i < j:
@@ -359,7 +377,6 @@ def synth_voltage(
             chunk[a - lo : z - lo] += _frame_levels(
                 wires[i:j], nbits[i:j], first[i:j], last[i:j], edges, lo, hi
             )
-        out[lo:hi] = chunk
     return SampledTrace(out, cfg.sample_rate)
 
 
@@ -384,16 +401,11 @@ def synth_power(
     Each pulse is a smoothed rectangle, optionally with a harmonic ripple,
     and an exponential decay tail. Every pulse parameter is drawn first
     (each own frame's jitter and phase, then the bursts), and the noise
-    after them. The rise envelope, sample times and ripple phase ramp, and
-    the reception bump with its tail, are computed once at the longest
-    pulse and sliced; each slice is bit-identical to the same expression
-    evaluated for that pulse alone. The trace is then summed in float32
-    chunks of ``_VOLTAGE_CHUNK_SAMPLES``, as in :func:`synth_voltage`: each
-    chunk's noise (drawn chunk by chunk, the noise of one draw) plus the
-    parts of the pulses that reach into it, in pulse order, rounded to the
-    nearest float16 as the chunk is done. So every sample gets the same
-    sums in the same order whatever the chunk size, and no float32 array
-    spans the trace.
+    after them. The rise envelope, sample times and decay are computed once,
+    at the longest pulse, and each pulse scales its slices of them, which
+    gives the bits of the same expression evaluated for that pulse alone.
+    Each chunk of :func:`_noise_chunks` gets the parts of the pulses that
+    reach into it, in pulse order.
 
     ``out``, when given, is the float16 array of ``round(duration *
     sample_rate)`` samples that the trace is written into; the result is
@@ -417,8 +429,8 @@ def synth_power(
             phase = rng.uniform(0.0, 2 * np.pi)
             ripple = (prof.ripple_frequency_hz, prof.ripple_amplitude * amp, phase)
             pulses.append((*span(start, end), amp, *ripple))
-        else:  # a reception bump: no ripple, and its amplitude is the profile's
-            pulses.append((*span(start, end), None, 0.0, 0.0, 0.0))
+        else:  # a reception bump: the profile's amplitude, and no ripple
+            pulses.append((*span(start, end), prof.reception_ripple, 0.0, 0.0, 0.0))
     if prof.program is ProgramActivity.HETEROGENEOUS:
         own = [(start, end) for start, end, sender in timeline if sender == ecu.index]
         for start, end in own:
@@ -439,46 +451,26 @@ def synth_power(
     idx = np.arange(max([0] + [b - a for a, b, *_ in pulses]))
     env = 1.0 - np.exp(-idx / rs)
     t = idx / sample_rate
-    wt = 2 * np.pi * prof.ripple_frequency_hz * t
     decay = np.exp(-np.arange(1, int(round(6 * rs)) + 1) / rs)
-    reception_body, reception_tail = prof.reception_ripple * env, prof.reception_ripple * decay
     first = np.array([a for a, *_ in pulses], dtype=np.int64)
     reach = np.array([b for _, b, *_ in pulses], dtype=np.int64) + decay.size  # the tail's end
 
     base = prof.baseline_mean + prof.noise_floor_offset
-    chunk = np.empty(min(n, _VOLTAGE_CHUNK_SAMPLES), dtype=np.float32)
-    for lo in range(0, n, _VOLTAGE_CHUNK_SAMPLES):
-        hi = min(lo + _VOLTAGE_CHUNK_SAMPLES, n)
-        samples = chunk[: hi - lo]
-        if prof.baseline_noise > 0:
-            rng.standard_normal(dtype=np.float32, out=samples)
-            samples *= np.float32(prof.baseline_noise)
-            samples += np.float32(base)
-        else:
-            samples.fill(base)
+    for lo, hi, chunk in _noise_chunks(out, rng, prof.baseline_noise, base):
         # each pulse's body over [a, b) and tail over [b, b + decay.size), cut to [lo, hi)
         for k in np.flatnonzero((first < hi) & (reach > lo)):
             a, b, amplitude, ripple_hz, ripple_amplitude, phase = pulses[k]
             s, e = max(a, lo) - a, min(b, hi) - a
             if s < e:
-                if amplitude is None:
-                    body = reception_body[s:e]
-                else:
-                    body = amplitude * env[s:e]
-                    if ripple_hz > 0.0 and ripple_amplitude != 0.0:
-                        if ripple_hz == prof.ripple_frequency_hz:
-                            pulse_wt = wt[s:e]
-                        else:
-                            pulse_wt = 2 * np.pi * ripple_hz * t[s:e]
-                        ripple = ripple_amplitude * env[s:e]
-                        ripple *= np.sin(pulse_wt + phase)
-                        body += ripple
-                samples[a + s - lo : a + e - lo] += body
+                body = amplitude * env[s:e]
+                if ripple_amplitude != 0.0:
+                    ripple = ripple_amplitude * env[s:e]
+                    ripple *= np.sin(2 * np.pi * ripple_hz * t[s:e] + phase)
+                    body += ripple
+                chunk[a + s - lo : a + e - lo] += body
             s, e = max(b, lo) - b, min(b + decay.size, hi) - b
             if s < e:
-                tail = reception_tail[s:e] if amplitude is None else amplitude * decay[s:e]
-                samples[b + s - lo : b + e - lo] += tail
-        out[lo:hi] = samples
+                chunk[b + s - lo : b + e - lo] += amplitude * decay[s:e]
     return SampledTrace(out, sample_rate)
 
 

@@ -59,32 +59,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def positive_int(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def checked(cast, holds, rule: str):
+    """An argparse type: ``cast`` of the argument, which must satisfy ``holds``;
+    an argument that does not is a usage error that states ``rule``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names the type when the cast fails
+    return parse
 
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
-def positive_finite(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
-
-
-def unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
-    return value
+positive_int = checked(int, lambda v: v >= 1, "must be at least 1")
+non_negative_int = checked(int, lambda v: v >= 0, "must be at least 0")
+positive_finite = checked(float, lambda v: 0 < v < math.inf, "must be a positive finite number")
+unit_interval = checked(float, lambda v: 0 < v < 1, "must lie in (0, 1)")
 
 
 def power_file(index: int) -> str:

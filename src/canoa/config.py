@@ -18,8 +18,9 @@ ECU ``k`` getting ripple frequency ``60e3 + 70e3·k`` and ID prefix
 ``scenario.program`` before ``ecu.<k>.program``. A key no step can apply
 (an ECU or stream the preset lacks, ``scenario.frames_per_sa`` on a custom
 scenario) is a :class:`ConfigError` at its line, and so is a negative
-``sim.seed``, an ``attack.<i>.count`` below 1, a ``sim.duration`` that is
-not positive and finite, or a ``bus.sample_rate`` or
+``sim.seed``, an ``attack.<i>.count``, ``ecu.<k>.msg.<j>.count`` or
+``scenario.frames_per_sa`` below 1, a ``sim.duration`` that is not
+positive and finite, or a ``bus.sample_rate`` or
 ``bus.power_sample_rate`` that is not a whole number of Hz. A value a
 dataclass rejects is one at the last line that set one of its fields. An
 SA that two ECUs share is one under ``ecu.<k>``, at the last line that set
@@ -75,7 +76,8 @@ _SECTIONS = {
 }
 _INDEXES = {"ecu": 1, "attack": 1, "msg": 2}
 # (section, field) -> the least value a line may give it
-_LEAST = {("sim", "seed"): 0, ("attack", "count"): 1}
+_LEAST = {("sim", "seed"): 0, ("attack", "count"): 1, ("msg", "count"): 1,
+          ("scenario", "frames_per_sa"): 1}
 # values a line must give as a positive, finite number: the simulator cannot run forever
 _POSITIVE_FINITE = {("sim", "duration")}
 # rates a line must give as a whole number of Hz: trace files store them as integers

@@ -561,6 +561,28 @@ def test_synth_power_in_chunks_is_the_trace_of_one_noise_draw(chunk_samples, noi
     assert same_half(got.samples, want)
 
 
+def record_float32_sums(m):
+    """Wrap ``bus._noise_chunks`` so that each chunk is copied when the loop body
+    over it returns: the float32 sums before they are rounded to float16. The
+    rounding hides most changes to those sums, such as another summation order."""
+    chunks = [np.empty(0, dtype=np.float32)]
+    real = bus._noise_chunks
+
+    def walker(*args):
+        for lo, hi, chunk in real(*args):
+            yield lo, hi, chunk
+            chunks.append(chunk.copy())
+
+    m.setattr(bus, "_noise_chunks", walker)
+    return chunks
+
+
+def same_float32(chunks, want):
+    """The chunks, joined, hold every float32 of ``want`` bit for bit."""
+    got = np.concatenate(chunks)
+    return np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 POWER_FS = 1e6
 
 
@@ -595,15 +617,20 @@ def test_synth_power_property_bit_equal_to_reference(layout, chunk_samples, nois
     want = synth_power_reference(ecu, timeline, duration, POWER_FS, seed)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(bus, "_VOLTAGE_CHUNK_SAMPLES", chunk_samples)
+        sums = record_float32_sums(m)
         got = synth_power(ecu, timeline, duration, POWER_FS, seed)
     assert same_half(got.samples, want)
+    assert same_float32(sums, want)
 
 
 class NegativeZeroNoise:
     """An rng whose every noise sample is -0.0, which adding +0.0 would turn into +0.0."""
 
-    def standard_normal(self, n, dtype):
-        return np.full(n, -0.0, dtype=dtype)
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        if out is None:
+            return np.full(size, -0.0, dtype=dtype)
+        out.fill(-0.0)
+        return out
 
 
 def _lab_slots(monkeypatch):
@@ -717,8 +744,10 @@ def test_synth_voltage_property_bit_equal_to_reference(layout, chunk_samples, no
     want = synth_voltage_reference(slots, cfg, duration, rng())
     with pytest.MonkeyPatch.context() as m:
         m.setattr(bus, "_VOLTAGE_CHUNK_SAMPLES", chunk_samples)
+        sums = record_float32_sums(m)
         got = synth_voltage(slots, cfg, duration, rng())
     assert same_half(got.samples, want)
+    assert same_float32(sums, want)
 
 
 def _simulation_digest(scenario):
@@ -842,6 +871,23 @@ def test_source_map_reads_each_sa_back_from_the_ids_it_is_sent_under(
 def test_bus_and_schedule_reject_values_the_simulator_cannot_run(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: MessageSchedule(sa=1, period_s=0.01, count=0), 0),
+        (lambda: MessageSchedule(sa=1, period_s=0.01, count=-2), -2),
+        (lambda: lab_scenario(frames_per_sa=-3), -3),
+        (lambda: truck_scenario(frames_per_sa=0), 0),
+    ],
+    ids=["zero", "negative", "lab_preset", "truck_preset"],
+)
+def test_a_message_stream_with_no_frames_is_rejected(make, count):
+    # an empty stream would simulate a capture in which its SA never sends
+    with pytest.raises(ValueError, match=f"message stream needs a count of at least 1, got {count}$"):
+        make()
+    MessageSchedule(sa=1, period_s=0.01, count=1)
 
 
 def test_profile_and_bus_reject_levels_beyond_float16():

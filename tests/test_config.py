@@ -119,6 +119,25 @@ def test_hex_values_accepted():
     assert run.scenario.ecus[0].schedules[0].id_prefix == 0x00F7
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["scenario.preset = lab", "scenario.frames_per_sa = -3"],
+         "scenario.frames_per_sa: must be at least 1, got -3"),
+        (["scenario.preset = truck", "scenario.frames_per_sa = 0"],
+         "scenario.frames_per_sa: must be at least 1, got 0"),
+        (["ecu.0.msg.0.sa = 1", "ecu.0.msg.0.count = 0", "ecu.0.msg.0.period = 0.01"],
+         "ecu.0.msg.0.count: must be at least 1, got 0"),
+    ],
+    ids=["lab_frames_per_sa", "truck_frames_per_sa", "custom_msg_count"],
+)
+def test_a_message_stream_with_no_frames_fails_at_its_line(lines, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("\n".join(lines) + "\n")
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: {message}"
+
+
 def test_attack_requires_kind_and_sa():
     with pytest.raises(ConfigError):
         parse_config_text("scenario.preset = lab\nattack.0.count = 5\n")
